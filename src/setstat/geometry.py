@@ -6,6 +6,12 @@ boxes.  Exact vertex and facet manipulation is implemented for dimensions one
 and two; higher dimensions fall back to support-function sampling and the
 affected routines document the approximation.  All coordinates are float64
 and instances are immutable once constructed.
+
+A family of translates K + s_i of one body is a single TranslatedFamily
+value: the body plus an (n, d) shift array.  It is a sequence that
+materializes each translate on access, and weighted_minkowski_average
+takes its mean from the arrays; for Box and Ball bodies that mean is
+byte-identical to the mean of the materialized translates.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -33,6 +40,7 @@ __all__ = [
     "direction_grid",
     "minkowski_sum",
     "scale",
+    "TranslatedFamily",
     "translated_family",
     "minkowski_diff",
     "dist_point",
@@ -63,7 +71,7 @@ def _as_vector(x, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"expected a vector, got shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
         raise ValueError(f"expected a vector of dimension {dim}, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v
 
@@ -74,7 +82,7 @@ def _as_points(x) -> np.ndarray:
         p = p.reshape(1, -1)
     if p.ndim != 2 or p.shape[0] < 1:
         raise ValueError(f"expected a (k, d) array of points, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("point coordinates must be finite")
     return p
 
@@ -268,7 +276,7 @@ class Box(ConvexSet):
     def __init__(self, lower, upper):
         lo = _as_vector(lower)
         hi = _as_vector(upper, lo.shape[0])
-        if np.any(lo > hi):
+        if (lo > hi).any():
             raise ValueError("box lower bound exceeds upper bound")
         self.lower = _readonly(lo)
         self.upper = _readonly(hi)
@@ -491,57 +499,56 @@ def scale(psi, c: ConvexSet, n_directions: int = 360) -> ConvexSet:
     return VertexPolytope(verts @ p.T)
 
 
-def translated_family(body: ConvexSet, shifts) -> list[ConvexSet]:
-    """Translate one set by each row of shifts.
+class TranslatedFamily(Sequence):
+    """The family of sets body + s_i over the rows s_i of an (n, d) shift array.
 
-    Equivalent to [body.translate(s) for s in shifts], with the
-    validation and arithmetic hoisted out of the per-row loop so large
-    families are cheap to build.
+    One value stands for all n sets.  weighted_minkowski_average reads the
+    body and the shift array directly, so a family mean builds no per-set
+    objects; indexing and iteration materialize body.translate(s_i) on access.
     """
-    s = _as_points(shifts)
-    if s.shape[1] != body.dim:
-        raise ValueError(f"shift rows must have dimension {body.dim}, got {s.shape[1]}")
-    n, dim = s.shape
-    out: list[ConvexSet] = []
+
+    def __init__(self, body: ConvexSet, shifts):
+        s = np.array(shifts, dtype=float)
+        if s.ndim == 1:
+            s = s.reshape(1, -1)
+        if s.ndim != 2 or s.shape[1] != body.dim:
+            raise ValueError(f"shift rows must have dimension {body.dim}, got shape {s.shape}")
+        if not np.isfinite(s).all():
+            raise ValueError("shift entries must be finite")
+        self.body = body
+        self.shifts = _readonly(s)
+        self.dim = body.dim
+
+    def __len__(self) -> int:
+        return self.shifts.shape[0]
+
+    def __getitem__(self, i: int) -> ConvexSet:
+        return self.body.translate(self.shifts[i])
+
+    def __iter__(self):
+        return map(self.body.translate, self.shifts)
+
+
+def translated_family(body: ConvexSet, shifts) -> TranslatedFamily:
+    """Translate one set by each row of shifts, as one array-backed family.
+
+    Equivalent as a sequence to [body.translate(s) for s in shifts].
+    """
+    return TranslatedFamily(body, shifts)
+
+
+def _family_average(w: np.ndarray, family: TranslatedFamily) -> ConvexSet:
+    """sum_i w_i (K + s_i) = (sum_i w_i) K + sum_i w_i s_i, read from arrays.
+
+    Boxes and balls use the same closed forms, on the same (n, d) arrays, as
+    the per-set path, so their means are bit-identical to it.
+    """
+    body, s = family.body, family.shifts
     if isinstance(body, Box):
-        lows = _readonly(body.lower + s)
-        highs = _readonly(body.upper + s)
-        for i in range(n):
-            b = Box.__new__(Box)
-            b.lower = lows[i]
-            b.upper = highs[i]
-            b.dim = dim
-            out.append(b)
-        return out
+        return Box(w @ (body.lower + s), w @ (body.upper + s))
     if isinstance(body, Ball):
-        centers = _readonly(body.center + s)
-        r = body.radius
-        for i in range(n):
-            b = Ball.__new__(Ball)
-            b.center = centers[i]
-            b.radius = r
-            b.dim = dim
-            out.append(b)
-        return out
-    if isinstance(body, Zonotope):
-        centers = _readonly(body.center + s)
-        for i in range(n):
-            b = Zonotope.__new__(Zonotope)
-            b.center = centers[i]
-            b.generators = body.generators
-            b.weights = body.weights
-            b.dim = dim
-            out.append(b)
-        return out
-    if isinstance(body, VertexPolytope):
-        verts = _readonly(body.vertices[None, :, :] + s[:, None, :])
-        for i in range(n):
-            b = VertexPolytope.__new__(VertexPolytope)
-            b.vertices = verts[i]
-            b.dim = dim
-            out.append(b)
-        return out
-    return [body.translate(row) for row in s]
+        return Ball(w @ (body.center + s), float(w @ np.full(len(s), body.radius)))
+    return scale(float(w.sum()), body).translate(w @ s)
 
 
 def _facets_2d(c: ConvexSet, n_directions: int) -> tuple[np.ndarray, np.ndarray]:
@@ -951,20 +958,28 @@ def weighted_minkowski_average(
     forms agree with the general path, which folds pairwise scale-then-sum
     with hull pruning.  An all-zero weight vector degenerates to {0} and is
     rejected unless allow_zero_total is set.
+
+    A TranslatedFamily is averaged from its arrays as (sum w) K + w @ shifts,
+    which keeps the body's vertex count; box and ball families give the same
+    bits as the list of their translates.
     """
     w = np.asarray(weights, dtype=float)
-    sets = list(sets)
+    family = isinstance(sets, TranslatedFamily)
+    if not family:
+        sets = list(sets)
     if w.ndim != 1 or w.shape[0] != len(sets):
         raise ValueError("weights must be a vector matching the number of sets")
     if len(sets) == 0:
         raise ValueError("need at least one set")
     if not np.all(np.isfinite(w)) or np.any(w < 0):
         raise ValueError("weights must be finite and nonnegative")
-    dim = _check_same_dim(*sets)
+    dim = sets.dim if family else _check_same_dim(*sets)
     if float(w.sum()) == 0.0:
         if allow_zero_total:
             return point_set(np.zeros(dim))
         raise ValueError("all-zero weight vector (pass allow_zero_total=True for {0})")
+    if family:
+        return _family_average(w, sets)
     if all(isinstance(s, Zonotope) for s in sets):
         g0 = sets[0].generators
         if all(

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    Box,
     ConvexSet,
-    bounds_of,
     hausdorff,
     interval,
     set_from_dict,
@@ -133,7 +133,17 @@ class LabeledSetSample:
 
 
 class SetRegressionDataset:
-    """Homogeneous collection of (input point, observed set) samples."""
+    """Homogeneous collection of (input point, observed set) samples.
+
+    Built from LabeledSetSample objects, or by from_boxes from arrays: (n, d)
+    inputs and the (n, q) lower and upper corners of box responses.  An
+    array-backed dataset holds no per-sample objects; ``samples`` and
+    iteration materialize Box responses on access, and ``estimate`` averages
+    the corner arrays directly.
+    """
+
+    lower: np.ndarray | None = None
+    upper: np.ndarray | None = None
 
     def __init__(self, samples):
         samples = list(samples)
@@ -144,13 +154,40 @@ class SetRegressionDataset:
         for smp in samples:
             if smp.x.shape[0] != d or smp.s.dim != q:
                 raise ValueError("inconsistent dimensions across dataset samples")
-        self.samples = samples
+        self._samples = samples
         self.input_dim = d
         self.set_dim = q
         self.inputs = np.array([smp.x for smp in samples])
 
+    @classmethod
+    def from_boxes(cls, inputs, lower, upper) -> "SetRegressionDataset":
+        """Array-backed dataset of box responses [lower_i, upper_i] at x_i."""
+        x, lo, hi = (np.asarray(a, dtype=float) for a in (inputs, lower, upper))
+        if x.ndim != 2 or lo.ndim != 2 or lo.shape != hi.shape or lo.shape[0] != x.shape[0]:
+            raise ValueError("need (n, d) inputs and matching (n, q) lower and upper arrays")
+        if x.shape[0] == 0:
+            raise ValueError("dataset must contain at least one sample")
+        if not all(np.all(np.isfinite(a)) for a in (x, lo, hi)):
+            raise ValueError("dataset entries must be finite")
+        if np.any(lo > hi):
+            raise ValueError("box lower bound exceeds upper bound")
+        ds = cls.__new__(cls)
+        ds._samples = None
+        ds.inputs, ds.lower, ds.upper = x, lo, hi
+        ds.input_dim, ds.set_dim = x.shape[1], lo.shape[1]
+        return ds
+
+    @property
+    def samples(self) -> list[LabeledSetSample]:
+        if self._samples is not None:
+            return self._samples
+        return [
+            LabeledSetSample(x, Box(lo, hi))
+            for x, lo, hi in zip(self.inputs, self.lower, self.upper)
+        ]
+
     def __len__(self):
-        return len(self.samples)
+        return self.inputs.shape[0]
 
     def __iter__(self):
         return iter(self.samples)
@@ -181,10 +218,16 @@ def estimate(
     """Kernel regression estimate of the set value at the query point.
 
     The h^-d normalization cancels in the weight ratio, so weights use the
-    raw profile.  Zero-weight samples are dropped before averaging.
+    raw profile.  Zero-weight samples are dropped before averaging.  Box
+    responses of an array-backed dataset are averaged as the (k, q) corner
+    arrays, which is the arithmetic weighted_minkowski_average applies to
+    the kept Box objects.
     """
     w = kernel_weights(kernel, dataset.inputs, u, h)
     keep = w > 0
+    if dataset.lower is not None:
+        wk = w[keep]
+        return Box(wk @ dataset.lower[keep], wk @ dataset.upper[keep])
     sets = [smp.s for smp, k in zip(dataset.samples, keep) if k]
     return weighted_minkowski_average(w[keep], sets)
 
@@ -209,15 +252,19 @@ def local_mass_diagnostics(
 # --- 1-D interval demo problem --------------------------------------------
 
 
+def _demo_truth_endpoints(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unclipped truth endpoints for an array of inputs in [-2, 2]."""
+    left, right = u < -0.25, u > 0.25
+    inv = np.divide(1.0, u, out=np.zeros_like(u), where=left | right)
+    return np.where(right, 2.0 - inv, -2.0), np.where(left, -inv, 2.0)
+
+
 def demo_truth_raw(u: float) -> tuple[float, float]:
     """Unclipped endpoints of the piecewise interval truth on [-2, 2]."""
     if not -2.0 <= u <= 2.0:
         raise ValueError("truth is defined on [-2, 2]")
-    if u < -0.25:
-        return -2.0, -1.0 / u
-    if u <= 0.25:
-        return -2.0, 2.0
-    return 2.0 - 1.0 / u, 2.0
+    lo, hi = _demo_truth_endpoints(np.array([float(u)]))
+    return float(lo[0]), float(hi[0])
 
 
 def demo_truth(u: float) -> ConvexSet:
@@ -234,22 +281,20 @@ def demo_truth(u: float) -> ConvexSet:
 def generate_demo_dataset(n: int, seed: RngSeed) -> SetRegressionDataset:
     """n samples of the demo problem: x ~ U(-2,2), s = truth(x) + w, w ~ U(-1,1).
 
-    Observed sets are stored as 1-D vertex intervals (pure translates of the
-    truth, so widths are noise-free).
+    Observed sets are 1-D intervals, pure translates of the truth (so widths
+    are noise-free), stored as an array-backed dataset.
     """
     if n < 1:
         raise ValueError("need n >= 1 samples")
     rng = seed.generator()
     xs = rng.uniform(-2.0, 2.0, size=n)
     ws = rng.uniform(-1.0, 1.0, size=n)
-    samples = []
-    for x, w in zip(xs, ws):
-        truth = demo_truth(float(x))
-        lo, hi = bounds_of(truth)
-        samples.append(
-            LabeledSetSample(np.array([x]), interval(lo[0] + w, hi[0] + w))
-        )
-    return SetRegressionDataset(samples)
+    lo, hi = _demo_truth_endpoints(xs)
+    lo = np.maximum(lo, -2.0) + ws
+    hi = np.minimum(hi, 2.0) + ws
+    return SetRegressionDataset.from_boxes(
+        xs.reshape(-1, 1), lo.reshape(-1, 1), hi.reshape(-1, 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -293,10 +338,22 @@ def consistency_curve(
 
 def write_dataset_jsonl(dataset: SetRegressionDataset, path) -> None:
     """One sample per line: {"x": [...], "set": {...}}."""
+    if dataset.lower is not None:
+        records = (
+            {"x": x, "set": {"type": "box", "lower": lo, "upper": hi}}
+            for x, lo, hi in zip(
+                dataset.inputs.tolist(), dataset.lower.tolist(), dataset.upper.tolist()
+            )
+        )
+    else:
+        records = (
+            {"x": [float(v) for v in smp.x], "set": set_to_dict(smp.s)}
+            for smp in dataset.samples
+        )
+    encode = json.JSONEncoder(separators=(", ", ": ")).encode
     with open(path, "w") as fh:
-        for smp in dataset.samples:
-            rec = {"x": [float(v) for v in smp.x], "set": set_to_dict(smp.s)}
-            fh.write(json.dumps(rec, separators=(", ", ": ")) + "\n")
+        for rec in records:
+            fh.write(encode(rec) + "\n")
 
 
 def read_dataset_jsonl(path) -> SetRegressionDataset:

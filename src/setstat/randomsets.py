@@ -6,12 +6,19 @@ is the body translated by the noise mean, the Minkowski sample mean obeys a
 strong law, and the scaled Minkowski-difference residual obeys a central
 limit theorem; the routines in this module simulate those statements and
 check the selection-expectation algebra and Jensen/delta-method bounds.
+
+Samples are drawn as one geometry.TranslatedFamily (the body plus the
+(n, d) array of noise draws), a sequence that materializes translates on
+access.  Sample means are read from the arrays, so the limit-law replicates
+build no per-draw set objects; for Box and Ball bodies the means are
+byte-identical to averaging the materialized translates.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +28,7 @@ from . import geometry
 from .geometry import (
     Box,
     ConvexSet,
+    TranslatedFamily,
     bounds_of,
     direction_grid,
     hausdorff,
@@ -291,8 +299,9 @@ class RandomlyTranslatedSet:
 
 def sample_translated_sets(
     model: RandomlyTranslatedSet, n: int, seed: RngSeed
-) -> list[ConvexSet]:
-    """n independent realizations of the translated-set model."""
+) -> TranslatedFamily:
+    """n independent realizations of the translated-set model, as one family
+    (indexing or iterating it yields body.translate(xi_i))."""
     if n < 1:
         raise ValueError("need n >= 1 samples")
     xi = model.noise.sample(seed.generator(), n)
@@ -304,9 +313,12 @@ def selection_expectation(model: RandomlyTranslatedSet) -> ConvexSet:
     return model.body.translate(model.noise.mean)
 
 
-def minkowski_sample_mean(samples: list[ConvexSet]) -> ConvexSet:
-    """Equal-weight Minkowski average (1/n) (S_1 + ... + S_n)."""
+def minkowski_sample_mean(samples: Sequence[ConvexSet]) -> ConvexSet:
+    """Equal-weight Minkowski average (1/n) (S_1 + ... + S_n) of a list of
+    sets or a TranslatedFamily."""
     n = len(samples)
+    if n == 0:
+        raise ValueError("need at least one set")
     return weighted_minkowski_average(np.full(n, 1.0 / n), samples)
 
 

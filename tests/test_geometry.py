@@ -1,5 +1,6 @@
 """Geometry layer: hulls, arithmetic, distances, serialization."""
 
+import itertools
 import json
 import math
 
@@ -9,6 +10,7 @@ import pytest
 from setstat.geometry import (
     Ball,
     Box,
+    TranslatedFamily,
     VertexPolytope,
     Zonotope,
     bounds_of,
@@ -260,6 +262,65 @@ def test_translated_family_matches_loop():
 def test_translated_family_rejects_bad_shift_dim():
     with pytest.raises(ValueError):
         translated_family(Box([0, 0], [1, 1]), np.zeros((3, 3)))
+
+
+def _family_bodies(dim, rng):
+    return [
+        Box(-np.ones(dim), np.arange(1.0, dim + 1.0)),
+        Ball(rng.normal(size=dim), 0.7),
+        Zonotope(rng.normal(size=dim), rng.normal(size=(3, dim)), [1.0, 0.5, 2.0]),
+        VertexPolytope(rng.normal(size=(6, dim))),
+    ]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_family_mean_matches_mean_of_materialized_translates(dim):
+    # the array path must agree with the per-set path it replaces
+    rng = np.random.default_rng(40 + dim)
+    n = 3
+    shifts = rng.uniform(-2.0, 2.0, size=(n, dim))
+    w = rng.uniform(0.1, 1.0, size=n)
+    w[1] = 0.0  # a zero weight drops its set from the per-set fold
+    for body in _family_bodies(dim, rng):
+        fam = translated_family(body, shifts)
+        assert isinstance(fam, TranslatedFamily)
+        fast = weighted_minkowski_average(w, fam)
+        slow = weighted_minkowski_average(w, list(fam))
+        if isinstance(body, Box):
+            assert type(fast) is type(slow) is Box
+            assert np.array_equal(fast.lower, slow.lower)
+            assert np.array_equal(fast.upper, slow.upper)
+        elif isinstance(body, Ball):
+            assert type(fast) is type(slow) is Ball
+            assert np.array_equal(fast.center, slow.center)
+            assert fast.radius == slow.radius
+        else:
+            assert hausdorff(fast, slow) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [5, 1000])
+def test_family_mean_of_3d_cube_keeps_its_vertices(n):
+    # the per-set fold keeps every vertex sum in 3-D: 8**n vertices
+    cube = VertexPolytope(list(itertools.product([0.0, 1.0], repeat=3)))
+    shifts = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, 3))
+    mean = weighted_minkowski_average(np.full(n, 1.0 / n), translated_family(cube, shifts))
+    assert mean.vertices.shape == (8, 3)
+    assert hausdorff(mean, cube.translate(shifts.mean(axis=0))) <= 1e-12
+
+
+def test_translated_family_sequence_access():
+    body = Box([0.0, 0.0], [1.0, 2.0])
+    shifts = np.array([[1.0, 0.0], [0.0, 3.0], [-1.0, -1.0]])
+    fam = translated_family(body, shifts)
+    assert len(fam) == 3
+    assert np.array_equal(fam[1].lower, [0.0, 3.0])
+    assert np.array_equal(fam[-1].upper, [0.0, 1.0])
+    shifts[0, 0] = 9.0  # the family holds its own copy of the shifts
+    assert fam.shifts[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        weighted_minkowski_average([], TranslatedFamily(body, np.zeros((0, 2))))
+    with pytest.raises(ValueError):
+        translated_family(body, [[0.0, np.inf]])
 
 
 # --------------------------------------------------- weighted Minkowski mean

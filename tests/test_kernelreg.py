@@ -260,6 +260,44 @@ def test_dataset_jsonl_round_trip(tmp_path):
         assert hausdorff(a.s, b.s) == 0.0
 
 
+def test_array_backed_estimate_matches_object_dataset(tmp_path):
+    # the demo dataset is array-backed; the file round trip rebuilds it from
+    # Box objects, which estimate averages through weighted_minkowski_average
+    ds = generate_demo_dataset(3000, RngSeed(11))
+    assert ds.lower is not None
+    path = tmp_path / "demo.jsonl"
+    write_dataset_jsonl(ds, path)
+    objects = read_dataset_jsonl(path)
+    assert objects.lower is None
+    h = default_bandwidth(len(ds), 1)
+    for u in np.linspace(-1.5, 1.5, 13):
+        fast = estimate(ds, EPANECHNIKOV, [u], h)
+        slow = estimate(objects, EPANECHNIKOV, [u], h)
+        assert type(fast) is type(slow) is Box
+        assert np.array_equal(fast.lower, slow.lower)
+        assert np.array_equal(fast.upper, slow.upper)
+
+
+def test_dataset_jsonl_bytes_match_object_writer(tmp_path):
+    ds = generate_demo_dataset(200, RngSeed(3))
+    write_dataset_jsonl(ds, tmp_path / "arrays.jsonl")
+    write_dataset_jsonl(SetRegressionDataset(ds.samples), tmp_path / "objects.jsonl")
+    assert (tmp_path / "arrays.jsonl").read_bytes() == (tmp_path / "objects.jsonl").read_bytes()
+
+
+def test_from_boxes_validates_arrays():
+    x = np.zeros((3, 1))
+    ds = SetRegressionDataset.from_boxes(x, np.zeros((3, 2)), np.ones((3, 2)))
+    assert len(ds) == 3 and ds.input_dim == 1 and ds.set_dim == 2
+    assert all(isinstance(smp.s, Box) for smp in ds)
+    with pytest.raises(ValueError):
+        SetRegressionDataset.from_boxes(x, np.zeros((2, 2)), np.ones((2, 2)))
+    with pytest.raises(ValueError):
+        SetRegressionDataset.from_boxes(x, np.ones((3, 1)), np.zeros((3, 1)))
+    with pytest.raises(ValueError):
+        SetRegressionDataset.from_boxes(np.zeros((0, 1)), np.zeros((0, 1)), np.zeros((0, 1)))
+
+
 def test_dataset_jsonl_rejects_bad_records(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"x": [0.0]}\n')

@@ -15,6 +15,7 @@ from setstat.geometry import (
     interval,
     minkowski_sum,
     support,
+    translated_family,
 )
 from setstat.randomsets import (
     EXPECTATION_LAWS,
@@ -174,6 +175,22 @@ def test_minkowski_sample_mean_of_boxes():
     mean = minkowski_sample_mean([Box([0], [1]), Box([2], [5])])
     lo, hi = bounds_of(mean)
     assert lo[0] == 1.0 and hi[0] == 3.0
+
+
+def test_minkowski_sample_mean_rejects_empty_sample():
+    with pytest.raises(ValueError, match="need at least one set"):
+        minkowski_sample_mean([])
+    empty = translated_family(Box([0.0], [1.0]), np.zeros((0, 1)))
+    with pytest.raises(ValueError, match="need at least one set"):
+        minkowski_sample_mean(empty)
+
+
+def test_sample_mean_of_family_equals_mean_of_its_translates():
+    samples = sample_translated_sets(_square_model(), 200, RngSeed(8))
+    fast = minkowski_sample_mean(samples)
+    slow = minkowski_sample_mean(list(samples))
+    assert np.array_equal(fast.lower, slow.lower)
+    assert np.array_equal(fast.upper, slow.upper)
 
 
 # -------------------------------------------------------------- limit laws
