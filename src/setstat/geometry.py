@@ -16,6 +16,7 @@ byte-identical to the mean of the materialized translates.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import math
@@ -25,6 +26,7 @@ import numpy as np
 
 __all__ = [
     "HULL_COLLINEARITY_TOL",
+    "SolverLimitError",
     "ConvexSet",
     "VertexPolytope",
     "Zonotope",
@@ -61,6 +63,14 @@ __all__ = [
 HULL_COLLINEARITY_TOL = 1e-12
 
 _SUPPORT_GAP_TOL = 1e-10
+
+# Iteration caps of the projection solvers; reaching one raises SolverLimitError.
+_MIN_NORM_MAX_ITER = 10_000
+_ZONOTOPE_NEAREST_MAX_ITER = 20_000
+
+
+class SolverLimitError(RuntimeError):
+    """Iterative solver hit its iteration cap before reaching tolerance."""
 
 
 def _as_vector(x, dim: int | None = None) -> np.ndarray:
@@ -560,14 +570,10 @@ def _facets_2d(c: ConvexSet, n_directions: int) -> tuple[np.ndarray, np.ndarray]
     if isinstance(c, Ball) and c.radius > 0.0:
         dirs = direction_grid(2, n_directions)
         return dirs, dirs @ c.center + c.radius
-    if isinstance(c, Box):
+    v = np.array([c.lower, c.upper]) if isinstance(c, Box) else vertices_of(c)
+    if isinstance(c, Box) or v.shape[0] == 1:  # the four axis facets
         a = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-        b = np.array([c.upper[0], c.upper[1], -c.lower[0], -c.lower[1]])
-        return a, b
-    v = vertices_of(c)
-    if v.shape[0] == 1:
-        a = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-        return a, np.array([v[0, 0], v[0, 1], -v[0, 0], -v[0, 1]])
+        return a, np.concatenate([v[-1], -v[0]])
     if v.shape[0] == 2:
         t = v[1] - v[0]
         t = t / np.linalg.norm(t)
@@ -581,28 +587,53 @@ def _facets_2d(c: ConvexSet, n_directions: int) -> tuple[np.ndarray, np.ndarray]
     return normals, np.sum(normals * v, axis=1)
 
 
-def _erode_2d(c: ConvexSet, d: ConvexSet, n_directions: int) -> ConvexSet | None:
-    a, b = _facets_2d(c, n_directions)
-    bt = b - np.array([d.support(row) for row in a])
-    m = a.shape[0]
-    cands: list[np.ndarray] = []
-    scale_ref = 1.0 + np.max(np.abs(bt))
-    for i in range(m):
-        for j in range(i + 1, m):
-            det = a[i, 0] * a[j, 1] - a[i, 1] * a[j, 0]
-            if abs(det) <= 1e-12:
-                continue
-            x = np.array(
-                [
-                    (bt[i] * a[j, 1] - bt[j] * a[i, 1]) / det,
-                    (a[i, 0] * bt[j] - a[j, 0] * bt[i]) / det,
-                ]
-            )
-            if np.all(a @ x <= bt + 1e-9 * scale_ref):
-                cands.append(x)
-    if not cands:
+def _halfplane_vertices(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray | None:
+    """Vertices of the bounded 2-D set {x : a x <= b}, or None when it is empty.
+
+    An angle-sorted deque (de Berg et al., ch. 4) cuts a x <= b + tol in O(m log m),
+    so points and segments survive as slivers; one m-by-k product finds the lines
+    within 4 tol of tight at its k corners.  Returned: crossings (lower row first)
+    of those line pairs with a x <= b + tol, repeats and interior points included.
+    """
+    bound = b + tol
+    lines = np.column_stack([a, bound]) / np.hypot(a[:, 0], a[:, 1])[:, None]
+    angle = np.arctan2(lines[:, 1], lines[:, 0])
+    angle[angle < 1e-12 - np.pi] += 2.0 * np.pi  # directions at the cut sort together
+
+    def corner(p, q):
+        det = p[0] * q[1] - p[1] * q[0]
+        return (p[2] * q[1] - q[2] * p[1]) / det, (p[0] * q[2] - q[0] * p[2]) / det
+
+    def outside(h, v):  # no tolerance: a tolerant pop lets tangent chains drift out
+        return h[0] * v[0] + h[1] * v[1] > h[2]
+
+    dq: collections.deque = collections.deque()
+    for h in lines[np.lexsort((lines[:, 2], angle))].tolist():
+        while len(dq) > 1 and outside(h, corner(dq[-2], dq[-1])):
+            dq.pop()
+        while len(dq) > 1 and outside(h, corner(dq[0], dq[1])):
+            dq.popleft()
+        if dq and abs(dq[-1][0] * h[1] - dq[-1][1] * h[0]) <= 1e-12:
+            if dq[-1][0] * h[0] + dq[-1][1] * h[1] < 0:
+                return None  # antiparallel neighbours enclose nothing
+            h = min(dq.pop(), h, key=lambda line: line[2])  # the tighter of two parallels
+        dq.append(h)
+    while len(dq) > 2 and outside(dq[0], corner(dq[-2], dq[-1])):
+        dq.pop()
+    while len(dq) > 2 and outside(dq[-1], corner(dq[0], dq[1])):
+        dq.popleft()
+    if len(dq) < 3 or abs(dq[-1][0] * dq[0][1] - dq[-1][1] * dq[0][0]) <= 1e-12:
         return None
-    return VertexPolytope(np.asarray(cands))
+    corners = np.array([corner(p, q) for p, q in zip(dq, list(dq)[1:] + [dq[0]])])
+    pairs = set()  # concurrent lines give many corners one near set
+    for near in np.unique(a @ corners.T >= b[:, None] - 4.0 * tol, axis=1).T:
+        pairs.update(itertools.combinations(np.flatnonzero(near).tolist(), 2))
+    i, j = np.array(sorted(pairs)).T
+    det = a[i, 0] * a[j, 1] - a[i, 1] * a[j, 0]
+    ok = np.abs(det) > 1e-12
+    xs = np.column_stack([b[i] * a[j, 1] - b[j] * a[i, 1], a[i, 0] * b[j] - a[j, 0] * b[i]])
+    kept = [x for x in xs[ok] / det[ok, None] if (a @ x <= bound).all()]  # unbatched, as in the scan
+    return np.array(kept) if kept else None
 
 
 def _erosion_tol(c: ConvexSet, d: ConvexSet) -> float:
@@ -619,9 +650,9 @@ def minkowski_diff(c: ConvexSet, d: ConvexSet, n_directions: int = 360) -> Conve
     """Minkowski difference (erosion) C - D = {x : x + D subset of C}.
 
     Returns None when the erosion is empty.  Exact for 1-D intervals, box
-    pairs, ball pairs, and 2-D sets with facet descriptions; positive-radius
-    2-D balls in the eroded position and all sets above dimension two use
-    sampled halfplanes (approximate).
+    pairs, ball pairs, and 2-D facet descriptions (one angle-sorted halfplane
+    intersection of the shifted facets); positive-radius 2-D balls in the eroded
+    position and all sets above dimension two use sampled halfplanes (approximate).
     """
     dim = _check_same_dim(c, d)
     if isinstance(c, Box) and isinstance(d, Box):
@@ -644,7 +675,10 @@ def minkowski_diff(c: ConvexSet, d: ConvexSet, n_directions: int = 360) -> Conve
             return None
         return interval(min(lo, hi), max(lo, hi))
     if dim == 2:
-        return _erode_2d(c, d, n_directions)
+        a, b = _facets_2d(c, n_directions)
+        bt = b - np.array([d.support(row) for row in a])
+        verts = _halfplane_vertices(a, bt, 1e-9 * (1.0 + np.max(np.abs(bt))))
+        return None if verts is None else VertexPolytope(verts)
     # d > 2: sampled outer halfplanes resolved by scipy (approximate)
     from scipy.optimize import linprog
     from scipy.spatial import HalfspaceIntersection
@@ -698,8 +732,7 @@ def _min_norm_point(points: np.ndarray, tol: float = _SUPPORT_GAP_TOL) -> np.nda
     active = [start]
     lam = np.array([1.0])
     x = pts[start].copy()
-    max_iter = 16 * k + 256
-    for _ in range(max_iter):
+    for _ in range(_MIN_NORM_MAX_ITER):
         dots = pts @ x
         j = int(np.argmin(dots))
         # optimality certificate: min_j p_j.x >= |x|^2 - tol
@@ -730,6 +763,8 @@ def _min_norm_point(points: np.ndarray, tol: float = _SUPPORT_GAP_TOL) -> np.nda
         lam = np.maximum(lam, 0.0)
         lam = lam / lam.sum()
         x = lam @ pts[active]
+    else:
+        raise SolverLimitError("min-norm point hit its iteration cap")
     return x
 
 
@@ -750,7 +785,7 @@ def _zonotope_nearest(z: Zonotope, x: np.ndarray, tol: float = _SUPPORT_GAP_TOL)
     active: dict[bytes, np.ndarray] = {key0: p0}
     weights: dict[bytes, float] = {key0: 1.0}
     zc = p0.copy()
-    for _ in range(20000):
+    for _ in range(_ZONOTOPE_NEAREST_MAX_ITER):
         grad = 2.0 * (zc - x)
         key_s, p_s = extreme_min(grad)
         gap_fw = float(grad @ (zc - p_s))
@@ -796,6 +831,8 @@ def _zonotope_nearest(z: Zonotope, x: np.ndarray, tol: float = _SUPPORT_GAP_TOL)
         for k in weights:
             weights[k] /= total
         zc = np.sum([w * active[k] for k, w in weights.items()], axis=0)
+    else:
+        raise SolverLimitError("zonotope projection hit its iteration cap")
     return zc
 
 
@@ -956,8 +993,9 @@ def weighted_minkowski_average(
     Shared-generator zonotopes combine by summing weights per generator, and
     boxes, balls, and 1-D intervals combine by weighted bounds; these closed
     forms agree with the general path, which folds pairwise scale-then-sum
-    with hull pruning.  An all-zero weight vector degenerates to {0} and is
-    rejected unless allow_zero_total is set.
+    with hull pruning (qhull's extreme rows above dimension two).  An
+    all-zero weight vector degenerates to {0} and is rejected unless
+    allow_zero_total is set.
 
     A TranslatedFamily is averaged from its arrays as (sum w) K + w @ shifts,
     which keeps the body's vertex count; box and ball families give the same
@@ -1005,9 +1043,27 @@ def weighted_minkowski_average(
         if wi == 0.0:  # 0 * S = {0}, the Minkowski identity element
             continue
         term = scale(wi, si, n_directions)
-        acc = term if acc is None else minkowski_sum(acc, term, n_directions)
+        acc = term if acc is None else _extreme_rows(minkowski_sum(acc, term, n_directions))
     assert acc is not None
     return acc
+
+
+def _extreme_rows(c: ConvexSet) -> ConvexSet:
+    """A vertex polytope in d >= 3 cut to the rows qhull finds extreme.
+
+    Keeps a fold of sums from growing as the product of the vertex counts.
+    The kept rows are input rows, unrounded; a flat point set that qhull
+    rejects keeps all of its rows.
+    """
+    if not isinstance(c, VertexPolytope) or c.dim < 3:
+        return c
+    from scipy.spatial import ConvexHull, QhullError
+
+    try:
+        keep = ConvexHull(c.vertices).vertices
+    except QhullError:
+        return c
+    return VertexPolytope(c.vertices[np.sort(keep)], prune=False)
 
 
 _VARIANTS = {"vpoly", "zonotope", "ball", "box"}

@@ -646,11 +646,7 @@ def _baseline_theta(program, params):
 
 def _grid_csv_rows(res):
     # flattened theta ordering matches the grid table's column order
-    if res.theta_axes:
-        mesh = np.meshgrid(*res.theta_axes, indexing="ij")
-        theta_points = np.stack([m.ravel() for m in mesh], axis=-1)
-    else:
-        theta_points = np.zeros((1, 0))
+    theta_points = invopt.theta_mesh(res.theta_axes)
     rows = []
     for i, eps in enumerate(res.eps_axis):
         for j, th in enumerate(theta_points):

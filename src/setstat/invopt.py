@@ -20,7 +20,9 @@ import numpy as np
 from .geometry import (
     Box,
     ConvexSet,
+    SolverLimitError,
     VertexPolytope,
+    _halfplane_vertices,
     bounds_of,
     contains,
     interval,
@@ -38,6 +40,7 @@ __all__ = [
     "MembershipSet",
     "ObservationDataset",
     "PriorRegion",
+    "theta_mesh",
     "EstimationResult",
     "value_function",
     "eps_argmin_set",
@@ -59,10 +62,6 @@ __all__ = [
     "write_observations_jsonl",
     "read_observations_jsonl",
 ]
-
-
-class SolverLimitError(RuntimeError):
-    """Iterative solver hit its iteration cap before reaching tolerance."""
 
 
 class ParametricProgram:
@@ -227,23 +226,18 @@ def eps_argmin_set(prog: ParametricProgram, u, eps: float, theta):
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     if isinstance(prog, BoxLinearProgram) and prog.x_dim == 1:
-        c = float(np.atleast_1d(np.asarray(theta, dtype=float))[0]
-                  + np.atleast_1d(np.asarray(u, dtype=float))[0])
-        b = prog.bound
-        if c > 0:
-            return interval(max(-b, b - eps / c), b)
-        if c < 0:
-            return interval(-b, min(b, -b - eps / c))
-        return interval(-b, b)
+        c = (np.atleast_1d(np.asarray(theta, dtype=float))[0]
+             + np.atleast_1d(np.asarray(u, dtype=float))[0])
+        return interval(*_boxlinear_interval(prog.bound, c, eps))
     if isinstance(prog, BoxLinearProgram) and prog.x_dim == 2:
         c = np.asarray(theta, dtype=float) + np.asarray(u, dtype=float)
         b = prog.bound
-        corners = np.array([[-b, -b], [b, -b], [b, b], [-b, b]])
         if np.all(c == 0):
-            return VertexPolytope(corners)
-        # keep -c'x <= V + eps
-        clipped = _clip_polygon(corners, -c, prog.value(u, theta) + eps)
-        return VertexPolytope(clipped)
+            return VertexPolytope([[-b, -b], [b, -b], [b, b], [-b, b]])
+        # the box facets and -c'x <= V + eps; the minimizing corner is inside
+        a = np.vstack([np.eye(2), -np.eye(2), -c])
+        rhs = np.array([b, b, b, b, prog.value(u, theta) + eps])
+        return VertexPolytope(_halfplane_vertices(a, rhs, 1e-12 * (1.0 + np.max(np.abs(rhs)))))
     if isinstance(prog, BoxQuadraticProgram) and prog.x_dim == 1:
         m = min(prog.bound, math.sqrt(eps))
         return interval(-m, m)
@@ -266,21 +260,17 @@ def _argmin_point(prog, u, theta):
     return np.asarray(_solve_generic(prog, u, theta, 1e-8, 100_000).x, dtype=float)
 
 
-def _clip_polygon(vertices: np.ndarray, a: np.ndarray, b: float) -> np.ndarray:
-    """Sutherland-Hodgman clip of a CCW polygon against a'x <= b."""
-    out = []
-    m = len(vertices)
-    for i in range(m):
-        p, q = vertices[i], vertices[(i + 1) % m]
-        pin, qin = a @ p <= b + 1e-12, a @ q <= b + 1e-12
-        if pin:
-            out.append(p)
-        if pin != qin:
-            t = (b - a @ p) / (a @ (q - p))
-            out.append(p + t * (q - p))
-    if not out:
-        raise ValueError("clip produced an empty polygon")
-    return np.array(out)
+def _boxlinear_interval(bound, c, eps):
+    """Endpoints (lo, hi) of the 1-D box-linear eps-argmin interval.
+
+    c > 0 gives [max(-b, b - eps/c), b], c < 0 gives [-b, min(b, -b + eps/|c|)]
+    and c = 0 the whole box; c and eps broadcast against each other.
+    """
+    c_safe = np.where(c == 0, 1.0, c)
+    width = eps / np.abs(c_safe)
+    lo = np.where(c > 0, np.maximum(-bound, bound - width), -bound)
+    hi = np.where(c < 0, np.minimum(bound, -bound + width), bound)
+    return lo, hi
 
 
 def sq_dist_to_inflated_set(prog, y, u, eps, theta, w_set: ConvexSet,
@@ -416,11 +406,16 @@ class PriorRegion:
 
     def theta_points(self) -> np.ndarray:
         """Cartesian product of the theta axes, shape (count, p)."""
-        axes = self.theta_axes()
-        if not axes:
-            return np.zeros((1, 0))
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return theta_mesh(self.theta_axes())
+
+
+def theta_mesh(axes) -> np.ndarray:
+    """Cartesian product of theta axes in C order, shape (count, p); one
+    empty point, shape (1, 0), when there are no axes."""
+    if not axes:
+        return np.zeros((1, 0))
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -471,12 +466,7 @@ def _boxlinear_sq_dists(prog, us, ys, eps_col, theta, w_lo, w_hi):
 
     eps_col: (n_eps, 1) column; returns (n_eps,) means over samples.
     """
-    b = prog.bound
-    c = theta + us  # (n,)
-    c_safe = np.where(c == 0, 1.0, c)
-    width = eps_col / np.abs(c_safe)  # (n_eps, n)
-    lo = np.where(c > 0, np.maximum(-b, b - width), -b)
-    hi = np.where(c < 0, np.minimum(b, -b + width), b)
+    lo, hi = _boxlinear_interval(prog.bound, theta + us, eps_col)  # (n_eps, n)
     d = np.maximum.reduce([lo + w_lo - ys, ys - (hi + w_hi), np.zeros_like(lo)])
     return (d * d).mean(axis=1)
 
@@ -690,15 +680,10 @@ def mle_estimate(prog, dataset: ObservationDataset, prior: PriorRegion,
     values = np.empty((len(eps_axis), len(theta_points)))
     uniform = isinstance(density, UniformNoiseDensity)
     if isinstance(prog, BoxLinearProgram) and prog.x_dim == 1 and uniform:
-        b = prog.bound
         us, ys = dataset.us[:, 0], dataset.ys[:, 0]
         eps_col = eps_axis[:, None]
         for j, th in enumerate(theta_points):
-            c = th[0] + us
-            c_safe = np.where(c == 0, 1.0, c)
-            width = eps_col / np.abs(c_safe)
-            lo = np.where(c > 0, np.maximum(-b, b - width), -b)
-            hi = np.where(c < 0, np.minimum(b, -b + width), b)
+            lo, hi = _boxlinear_interval(prog.bound, th[0] + us, eps_col)
             ov = density.integrate_shifted(ys[None, :], lo, hi)
             s_width = hi - lo
             bad = (ov <= 0) | (s_width <= 0)
@@ -849,10 +834,8 @@ def generate_boxlinear_observations(n: int, seed: RngSeed, eps0: float = 1.0,
         prog = BoxLinearProgram()
     rng = seed.generator()
     us = rng.uniform(-2.0, 2.0, size=n)
-    xs = np.empty(n)
-    for i, u in enumerate(us):
-        lo, hi = bounds_of(eps_argmin_set(prog, [u], eps0, [theta0]))
-        xs[i] = rng.uniform(lo[0], hi[0])
+    lo, hi = _boxlinear_interval(prog.bound, theta0 + us, eps0)
+    xs = rng.uniform(lo, hi)  # the same draws, in order, as one call per sample
     ws = rng.uniform(-1.0, 1.0, size=n)
     return ObservationDataset(us[:, None], (xs + ws)[:, None])
 

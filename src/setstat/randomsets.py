@@ -457,9 +457,8 @@ def _box_intersection(a: Box, b: Box) -> Box | None:
 def _outer_polytope(dirs: np.ndarray, values: np.ndarray) -> ConvexSet:
     """Convex body reconstructed from support values on a direction grid.
 
-    1-D: the interval [-h(-1), h(+1)].  2-D: intersect consecutive support
-    lines of the angle-ordered grid and hull the intersection points, which
-    reproduces polytopes exactly when the grid is fine enough.
+    1-D: the interval [-h(-1), h(+1)].  2-D: the polygon {x : dirs x <= values},
+    which reproduces polytopes exactly when the grid is fine enough.
     """
     d = dirs.shape[1]
     if d == 1:
@@ -468,17 +467,8 @@ def _outer_polytope(dirs: np.ndarray, values: np.ndarray) -> ConvexSet:
         return geometry.interval(-neg, pos)
     if d != 2:
         raise ValueError("support reconstruction implemented for 1-D and 2-D only")
-    m = dirs.shape[0]
-    pts = []
-    for i in range(m):
-        j = (i + 1) % m
-        a = np.vstack([dirs[i], dirs[j]])
-        rhs = np.array([values[i], values[j]])
-        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        if abs(det) < 1e-12:
-            continue
-        pts.append(np.linalg.solve(a, rhs))
-    return geometry.VertexPolytope(np.array(pts))
+    tol = 1e-9 * (1.0 + np.max(np.abs(values)))
+    return geometry.VertexPolytope(geometry._halfplane_vertices(dirs, values, tol))
 
 
 def check_expectation_law(

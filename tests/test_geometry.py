@@ -7,9 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from setstat import geometry
 from setstat.geometry import (
     Ball,
     Box,
+    SolverLimitError,
     TranslatedFamily,
     VertexPolytope,
     Zonotope,
@@ -222,6 +224,70 @@ def test_erosion_tolerates_float_thin_deficit():
     assert abs(lo[0]) < 1e-12 and abs(hi[0]) < 1e-12
 
 
+def _erode_2d_all_pairs(c, d, n_directions=360):
+    """Reference erosion: every feasible crossing of two shifted facet lines."""
+    a, b = geometry._facets_2d(c, n_directions)
+    bt = b - np.array([d.support(row) for row in a])
+    m = a.shape[0]
+    cands = []
+    scale_ref = 1.0 + np.max(np.abs(bt))
+    for i in range(m):
+        for j in range(i + 1, m):
+            det = a[i, 0] * a[j, 1] - a[i, 1] * a[j, 0]
+            if abs(det) <= 1e-12:
+                continue
+            x = np.array(
+                [
+                    (bt[i] * a[j, 1] - bt[j] * a[i, 1]) / det,
+                    (a[i, 0] * bt[j] - a[j, 0] * bt[i]) / det,
+                ]
+            )
+            if np.all(a @ x <= bt + 1e-9 * scale_ref):
+                cands.append(x)
+    if not cands:
+        return None
+    return VertexPolytope(np.asarray(cands))
+
+
+def _erosion_cases(rng):
+    def poly(k, spread=1.0):
+        return VertexPolytope(rng.normal(scale=spread, size=(k, 2)) + rng.uniform(-2, 2, 2))
+
+    for _ in range(6):
+        yield poly(rng.integers(3, 12)), poly(rng.integers(3, 7), 0.4)
+        q = poly(rng.integers(3, 7), 0.6)
+        yield minkowski_sum(poly(rng.integers(3, 10)), q), q
+        yield poly(6, 0.3), poly(6, 2.0)  # empty
+        p = poly(rng.integers(3, 8))
+        yield minkowski_sum(p, VertexPolytope(rng.normal(size=(2, 2)))), p  # a segment
+        z = Zonotope(rng.uniform(-1, 1, 2), rng.normal(size=(3, 2)), rng.uniform(0.2, 1.0, 3))
+        yield z, VertexPolytope(vertices_of(Box(*np.sort(rng.normal(size=(2, 2)), axis=0))))
+    # a sampled-ball polygon makes its facet lines concurrent at the result's corners
+    ring = VertexPolytope(0.5 * direction_grid(2, 24))
+    yield minkowski_sum(poly(5), ring), ring
+    # axis-aligned facets are exact, so a translate erodes to one point
+    square = VertexPolytope([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]])
+    yield square, square.translate([1.0, -3.0])
+    ball = Ball([0.2, -0.1], 0.6)
+    yield minkowski_sum(poly(9), ball, 90), ball
+
+
+def test_halfplane_erosion_matches_all_pairs_scan():
+    rng = np.random.default_rng(12)
+    shapes = set()
+    for c, d in _erosion_cases(rng):
+        n_dir = 90 if isinstance(d, Ball) else 360
+        got = minkowski_diff(c, d, n_dir)
+        want = _erode_2d_all_pairs(c, d, n_dir)
+        assert (got is None) == (want is None)
+        if want is None:
+            shapes.add("empty")
+            continue
+        assert np.array_equal(got.vertices, want.vertices)
+        shapes.add(min(want.vertices.shape[0], 3))
+    assert shapes == {"empty", 1, 2, 3}
+
+
 def test_scale_scalar_and_reflection():
     b = Box([0, 1], [2, 3])
     s = scale(-1.0, b)
@@ -343,6 +409,17 @@ def test_weighted_average_fast_path_matches_general_fold():
     assert hausdorff(fast, slow) <= 1e-9
 
 
+def test_weighted_average_fold_of_3d_cubes_keeps_extreme_rows():
+    cube = VertexPolytope(list(itertools.product([0.0, 1.0], repeat=3)))
+    shifts = np.random.default_rng(8).uniform(-1.0, 1.0, size=(5, 3))
+    mean = weighted_minkowski_average(np.full(5, 0.2), [cube.translate(s) for s in shifts])
+    assert mean.vertices.shape == (8, 3)
+    assert hausdorff(mean, cube.translate(shifts.mean(axis=0))) <= 1e-12
+    flat = VertexPolytope([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], prune=False)
+    mean = weighted_minkowski_average([0.5, 0.5], [flat, flat.translate([1.0, 1.0, 0.0])])
+    assert mean.vertices.shape == (16, 3)  # qhull rejects the flat sum: rows kept
+
+
 def test_weighted_average_shared_generator_zonotopes():
     g = np.array([[1.0, 0.0], [0.0, 1.0]])
     sets = [Zonotope([0.0, 0.0], g, [1.0, 1.0]), Zonotope([2.0, 0.0], g, [3.0, 1.0])]
@@ -386,6 +463,43 @@ def test_min_norm_distance_matches_edge_oracle():
         exact = _polygon_dist_exact(y, poly.vertices)
         assert abs(dist_point(y, poly) - exact) <= 1e-6
         assert abs(sq_dist_point(y, poly) - exact**2) <= 1e-6
+
+
+def test_min_norm_point_certificate_on_random_hulls():
+    rng = np.random.default_rng(9)
+    for dim in (2, 3, 4, 5):
+        for _ in range(40):
+            pts = rng.normal(size=(int(rng.integers(2, 30)), dim)) + rng.normal(scale=2.0, size=dim)
+            x = geometry._min_norm_point(pts)
+            # optimality: every hull point p has p.x >= |x|^2
+            assert float(np.min(pts @ x)) >= float(x @ x) - 1e-10
+
+
+def test_zonotope_projection_matches_vertex_polytope_path():
+    rng = np.random.default_rng(10)
+    for _ in range(60):
+        p = int(rng.integers(1, 6))
+        z = Zonotope(rng.uniform(-1, 1, 2), rng.normal(size=(p, 2)), rng.uniform(0.2, 1.5, p))
+        poly = VertexPolytope(vertices_of(z))
+        x = rng.uniform(-4.0, 4.0, 2)
+        pz, dz = project_point(x, z)
+        pv, dv = project_point(x, poly)
+        assert np.linalg.norm(pz - pv) <= 1e-8
+        assert abs(dz - dv) <= 1e-8
+
+
+def test_projection_solvers_raise_at_their_iteration_cap(monkeypatch):
+    # both nearest points lie inside an edge, which takes more than one step
+    tri = VertexPolytope([[1.0, 0.0], [2.0, 0.0], [1.0, 1.0]])
+    z = Zonotope([3.0, 0.0], [[1.0, 1.0], [1.0, -1.0]], [1.0, 1.0])
+    np.testing.assert_allclose(project_point([1.5, -2.0], tri)[0], [1.5, 0.0], atol=1e-9)
+    np.testing.assert_allclose(project_point([1.0, 3.0], z)[0], [2.5, 1.5], atol=1e-6)
+    monkeypatch.setattr(geometry, "_MIN_NORM_MAX_ITER", 1)
+    with pytest.raises(SolverLimitError):
+        project_point([1.5, -2.0], tri)
+    monkeypatch.setattr(geometry, "_ZONOTOPE_NEAREST_MAX_ITER", 1)
+    with pytest.raises(SolverLimitError):
+        project_point([1.0, 3.0], z)
 
 
 def test_distance_to_ball_and_box_closed_forms():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from setstat import geometry
 from setstat.geometry import (
     Box,
     VertexPolytope,
@@ -141,6 +142,39 @@ def test_eps_argmin_linear_1d_closed_form():
     assert (lo[0], hi[0]) == (-2.0, 2.0)
     lo, hi = bounds_of(eps_argmin_set(p, [0.25], 20.0, [0.0]))  # eps saturates
     assert (lo[0], hi[0]) == (-2.0, 2.0)
+
+
+def test_eps_argmin_linear_1d_keeps_scalar_formula_bits():
+    # the shared vectorized interval writes c < 0 as -b + eps/|c|, which is
+    # -b - eps/c exactly in IEEE arithmetic
+    p = BoxLinearProgram()
+    rng = np.random.default_rng(13)
+    b = p.bound
+    for c in np.concatenate([rng.normal(scale=3.0, size=200), [0.0]]).tolist():
+        eps = float(rng.uniform(0.0, 5.0))
+        if c > 0:
+            want = (max(-b, b - eps / c), b)
+        elif c < 0:
+            want = (-b, min(b, -b - eps / c))
+        else:
+            want = (-b, b)
+        lo, hi = bounds_of(eps_argmin_set(p, [c], eps, [0.0]))
+        assert (lo[0], hi[0]) == want
+
+
+def test_eps_argmin_linear_2d_degenerate_sets():
+    p = BoxLinearProgram(x_dim=2)
+    point = eps_argmin_set(p, [1.0, 1.0], 0.0, [0.0, 0.0])
+    assert np.array_equal(point.vertices, [[2.0, 2.0]])
+    edge = eps_argmin_set(p, [1.0, 0.0], 0.0, [0.0, 0.0])
+    assert np.array_equal(edge.vertices, [[2.0, -2.0], [2.0, 2.0]])
+    # eps = 4 puts the objective row on the far box facet: the whole box
+    whole = eps_argmin_set(p, [1.0, 0.0], 4.0, [0.0, 0.0])
+    assert hausdorff(whole, Box([-2.0, -2.0], [2.0, 2.0])) == 0.0
+
+
+def test_solver_limit_error_is_shared_with_geometry():
+    assert SolverLimitError is geometry.SolverLimitError
 
 
 def test_eps_argmin_quadratic_closed_form():

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from setstat import randomsets
 from setstat.geometry import (
     Ball,
     Box,
     VertexPolytope,
     bounds_of,
+    direction_grid,
     hausdorff,
     interval,
     minkowski_sum,
@@ -325,6 +327,21 @@ def test_law_checker_rejects_bad_inputs():
     ball_model = RandomlyTranslatedSet(Ball([0.0, 0.0], 1.0), UniformBoxNoise([-1, -1], [1, 1]))
     with pytest.raises(ValueError):
         check_expectation_law("union", {"c": ball_model, "d": ball_model}, n_samples=100)
+
+
+def test_outer_polytope_rebuilds_a_box_from_its_support_values():
+    # a box profile makes 90 grid lines concurrent at each corner
+    dirs = direction_grid(2, 360)
+    box = Box([-1.0, -2.0], [2.0, 0.5])
+    poly = randomsets._outer_polytope(dirs, np.array([box.support(u) for u in dirs]))
+    assert hausdorff(poly, box) <= 1e-9
+    rounded = VertexPolytope(0.8 * dirs)
+    h = np.array([rounded.support(u) for u in dirs])
+    poly = randomsets._outer_polytope(dirs, h)
+    assert np.all(poly.vertices @ dirs.T <= h + 1e-8)
+    # outer corners at the half-step angles, inner edges at the same angles
+    half = math.pi / 360
+    assert hausdorff(poly, rounded) <= 0.8 * (1.0 / math.cos(half) - math.cos(half)) + 1e-9
 
 
 def test_erosion_law_rejects_empty_differences():
