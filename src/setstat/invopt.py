@@ -223,12 +223,17 @@ def eps_argmin_set(prog: ParametricProgram, u, eps: float, theta):
     Returns a ConvexSet for the built-in programs in one or two dimensions
     and a MembershipSet otherwise.
     """
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     if isinstance(prog, BoxLinearProgram) and prog.x_dim == 1:
-        c = (np.atleast_1d(np.asarray(theta, dtype=float))[0]
-             + np.atleast_1d(np.asarray(u, dtype=float))[0])
-        return interval(*_boxlinear_interval(prog.bound, c, eps))
+        # Python floats round as the float64 arrays of _boxlinear_lower do
+        c = float(np.ravel(theta)[0]) + float(np.ravel(u)[0])
+        b, eps = prog.bound, float(eps)
+        if c > 0:
+            return interval(max(-b, b - eps / c), b)
+        if c < 0:
+            return interval(-b, min(b, -b + eps / -c))
+        return interval(-b, b)
     if isinstance(prog, BoxLinearProgram) and prog.x_dim == 2:
         c = np.asarray(theta, dtype=float) + np.asarray(u, dtype=float)
         b = prog.bound
@@ -260,17 +265,22 @@ def _argmin_point(prog, u, theta):
     return np.asarray(_solve_generic(prog, u, theta, 1e-8, 100_000).x, dtype=float)
 
 
-def _boxlinear_interval(bound, c, eps):
-    """Endpoints (lo, hi) of the 1-D box-linear eps-argmin interval.
+def _boxlinear_lower(out, bound, c, eps):
+    """Fill out with M = max(-b, b - eps/|c|), or -b where c == 0; c and eps
+    broadcast to the shape of out.
 
-    c > 0 gives [max(-b, b - eps/c), b], c < 0 gives [-b, min(b, -b + eps/|c|)]
-    and c = 0 the whole box; c and eps broadcast against each other.
+    M is the lower endpoint of the c > 0 eps-argmin interval [M, b].  IEEE
+    round-to-nearest is sign-symmetric, so the c < 0 interval
+    [-b, min(b, -b + eps/|c|)] is [-b, -M] bit for bit, and c == 0 gives the
+    whole box [-b, b]: one block of M serves samples of either sign.
     """
-    c_safe = np.where(c == 0, 1.0, c)
-    width = eps / np.abs(c_safe)
-    lo = np.where(c > 0, np.maximum(-bound, bound - width), -bound)
-    hi = np.where(c < 0, np.minimum(bound, -bound + width), bound)
-    return lo, hi
+    zero = c == 0
+    np.divide(eps, np.abs(np.where(zero, 1.0, c)), out=out)
+    np.subtract(bound, out, out=out)
+    np.maximum(out, -bound, out=out)
+    if zero.any():
+        out[..., zero] = -bound
+    return out
 
 
 def sq_dist_to_inflated_set(prog, y, u, eps, theta, w_set: ConvexSet,
@@ -461,16 +471,6 @@ def _interval_w(w_set: ConvexSet) -> tuple[float, float]:
     return float(lo[0]), float(hi[0])
 
 
-def _boxlinear_sq_dists(prog, us, ys, eps_col, theta, w_lo, w_hi):
-    """Mean d^2(y, S + W) per eps for 1-D BoxLinearProgram, vectorized.
-
-    eps_col: (n_eps, 1) column; returns (n_eps,) means over samples.
-    """
-    lo, hi = _boxlinear_interval(prog.bound, theta + us, eps_col)  # (n_eps, n)
-    d = np.maximum.reduce([lo + w_lo - ys, ys - (hi + w_hi), np.zeros_like(lo)])
-    return (d * d).mean(axis=1)
-
-
 def abp_estimate(prog, dataset: ObservationDataset, prior: PriorRegion,
                  lam: float | None = None) -> EstimationResult:
     """Full-grid minimization of the abp objective.
@@ -479,6 +479,16 @@ def abp_estimate(prog, dataset: ObservationDataset, prior: PriorRegion,
     lexicographically smallest theta (C-order first minimum).  The grid
     table is kept in the result.  1-D built-ins use vectorized closed-form
     distances; other programs fall back to per-point evaluation.
+
+    The 1-D box-linear grid fills one (n_eps, n) buffer in place per theta.
+    With S = [lo, hi] and W = [w_lo, w_hi], the distance is
+    max(lo + w_lo - y, y - (hi + w_hi), 0).  A sample with c = theta + u >= 0
+    has lo = M and hi = b; one with c < 0 has lo = -b and hi = -M, where
+    M = max(-b, b - eps/|c|) (-b when c == 0).  Round-to-nearest is
+    sign-symmetric, so y - (-M + w_hi) == (M - w_hi) - (-y) exactly, and both
+    signs take the form max((M + a) - y', k) with per-sample a, y' and an
+    eps-free k.  The grid is bit-identical to evaluating both interval
+    endpoints for every cell.
     """
     if lam is None:
         lam = 1.0 / len(dataset)
@@ -491,15 +501,24 @@ def abp_estimate(prog, dataset: ObservationDataset, prior: PriorRegion,
     if isinstance(prog, BoxLinearProgram) and prog.x_dim == 1:
         w_lo, w_hi = _interval_w(prior.w_set)
         us, ys = dataset.us[:, 0], dataset.ys[:, 0]
+        b = prog.bound
+        below = np.maximum((-b + w_lo) - ys, 0.0)  # the c < 0 gap below -b + W
+        above = np.maximum(ys - (b + w_hi), 0.0)  # the c >= 0 gap above b + W
+        d = np.empty((len(eps_axis), len(ys)))  # per call: replicates run in threads
         for j, th in enumerate(theta_points):
-            values[:, j] = _boxlinear_sq_dists(prog, us, ys, eps_col, th[0], w_lo, w_hi)
+            c = th[0] + us
+            neg = c < 0
+            _boxlinear_lower(d, b, c, eps_col)
+            d += np.where(neg, -w_hi, w_lo)
+            d -= np.where(neg, -ys, ys)
+            np.maximum(d, np.where(neg, below, above), out=d)
+            d *= d
+            values[:, j] = d.mean(axis=1)
     elif isinstance(prog, BoxQuadraticProgram) and prog.x_dim == 1:
         w_lo, w_hi = _interval_w(prior.w_set)
         ys = dataset.ys[:, 0]
         m = np.minimum(prog.bound, np.sqrt(eps_col))  # (n_eps, 1)
-        d = np.maximum.reduce(
-            [(-m + w_lo) - ys, ys - (m + w_hi), np.zeros((len(eps_axis), len(ys)))]
-        )
+        d = np.maximum(np.maximum((-m + w_lo) - ys, ys - (m + w_hi)), 0.0)
         values[:, :] = (d * d).mean(axis=1)[:, None]
     else:
         for i, eps in enumerate(eps_axis):
@@ -672,8 +691,16 @@ def mle_estimate(prog, dataset: ObservationDataset, prior: PriorRegion,
                  density) -> EstimationResult:
     """Grid argmin of the likelihood objective, same grid semantics as abp.
 
-    Grid points where every sample has zero likelihood carry the +inf
+    Grid points where any sample has zero likelihood carry the +inf
     sentinel; an all-infinite grid is an error.
+
+    The 1-D box-linear grid under uniform noise on [L, U] fills two
+    (n_eps, n) buffers in place per theta, folding both signs of
+    c = theta + u onto M = max(-b, b - eps/|c|) as abp_estimate does.  The
+    overlap of S with [y - U, y - L] is max(p - max(M, q), 0) / (U - L), with
+    q = y - U, p = min(b, y - L) for c >= 0 and q = L - y,
+    p = -max(-b, y - U) for c < 0, and the width of S is b - M.  The grid is
+    bit-identical to evaluating both interval endpoints for every cell.
     """
     eps_axis = prior.eps_axis()
     theta_points = prior.theta_points()
@@ -682,14 +709,28 @@ def mle_estimate(prog, dataset: ObservationDataset, prior: PriorRegion,
     if isinstance(prog, BoxLinearProgram) and prog.x_dim == 1 and uniform:
         us, ys = dataset.us[:, 0], dataset.ys[:, 0]
         eps_col = eps_axis[:, None]
+        b, lo_w, hi_w = prog.bound, density.lower, density.upper
+        q_pos, q_neg = ys - hi_w, lo_w - ys
+        p_pos, p_neg = np.minimum(b, ys - lo_w), -np.maximum(-b, ys - hi_w)
+        ov = np.empty((len(eps_axis), len(ys)))  # per call: replicates run in threads
+        terms = np.empty_like(ov)
         for j, th in enumerate(theta_points):
-            lo, hi = _boxlinear_interval(prog.bound, th[0] + us, eps_col)
-            ov = density.integrate_shifted(ys[None, :], lo, hi)
-            s_width = hi - lo
-            bad = (ov <= 0) | (s_width <= 0)
+            c = th[0] + us
+            neg = c < 0
+            _boxlinear_lower(ov, b, c, eps_col)
+            np.subtract(b, ov, out=terms)  # width of S
+            np.maximum(ov, np.where(neg, q_neg, q_pos), out=ov)
+            np.subtract(np.where(neg, p_neg, p_pos), ov, out=ov)
+            np.maximum(ov, 0.0, out=ov)
+            ov /= hi_w - lo_w
             with np.errstate(divide="ignore", invalid="ignore"):
-                terms = np.where(bad, np.inf, np.log(s_width) - np.log(ov))
-            values[:, j] = terms.mean(axis=1)
+                np.log(terms, out=terms)
+                np.log(ov, out=ov)
+                terms -= ov
+            row = terms.mean(axis=1)
+            # a zero overlap (as any point S has) makes its row +inf, or NaN
+            # when S is a point: log 0 - log 0
+            values[:, j] = np.where(np.isnan(row), np.inf, row)
     elif isinstance(prog, BoxQuadraticProgram) and prog.x_dim == 1 and uniform:
         ys = dataset.ys[:, 0]
         m = np.minimum(prog.bound, np.sqrt(eps_axis))[:, None]
@@ -834,8 +875,11 @@ def generate_boxlinear_observations(n: int, seed: RngSeed, eps0: float = 1.0,
         prog = BoxLinearProgram()
     rng = seed.generator()
     us = rng.uniform(-2.0, 2.0, size=n)
-    lo, hi = _boxlinear_interval(prog.bound, theta0 + us, eps0)
-    xs = rng.uniform(lo, hi)  # the same draws, in order, as one call per sample
+    b, c = prog.bound, theta0 + us
+    m = _boxlinear_lower(np.empty(n), b, c, eps0)
+    neg = c < 0
+    # the same draws, in order, as one call per sample
+    xs = rng.uniform(np.where(neg, -b, m), np.where(neg, -m, b))
     ws = rng.uniform(-1.0, 1.0, size=n)
     return ObservationDataset(us[:, None], (xs + ws)[:, None])
 

@@ -336,23 +336,35 @@ def consistency_curve(
 # --- dataset files ----------------------------------------------------------
 
 
+def _row_reprs(a: np.ndarray) -> list[str]:
+    """float.__repr__ of each row of a 2-D array, joined with ", "."""
+    flat = list(map(float.__repr__, a.ravel().tolist()))
+    k = a.shape[1]
+    if k == 1:
+        return flat
+    return [", ".join(flat[i * k:(i + 1) * k]) for i in range(a.shape[0])]
+
+
 def write_dataset_jsonl(dataset: SetRegressionDataset, path) -> None:
-    """One sample per line: {"x": [...], "set": {...}}."""
-    if dataset.lower is not None:
-        records = (
-            {"x": x, "set": {"type": "box", "lower": lo, "upper": hi}}
-            for x, lo, hi in zip(
-                dataset.inputs.tolist(), dataset.lower.tolist(), dataset.upper.tolist()
-            )
-        )
-    else:
-        records = (
-            {"x": [float(v) for v in smp.x], "set": set_to_dict(smp.s)}
-            for smp in dataset.samples
-        )
-    encode = json.JSONEncoder(separators=(", ", ": ")).encode
+    """One sample per line: {"x": [...], "set": {...}}.
+
+    An array-backed dataset is written by formatting its rows directly:
+    from_boxes admits only finite entries, which json encodes as
+    float.__repr__, so the bytes equal those of the json path.
+    """
     with open(path, "w") as fh:
-        for rec in records:
+        if dataset.lower is not None:
+            line = '{"x": [%s], "set": {"type": "box", "lower": [%s], "upper": [%s]}}\n'
+            fh.writelines(
+                line % row
+                for row in zip(
+                    *(_row_reprs(a) for a in (dataset.inputs, dataset.lower, dataset.upper))
+                )
+            )
+            return
+        encode = json.JSONEncoder(separators=(", ", ": ")).encode
+        for smp in dataset.samples:
+            rec = {"x": [float(v) for v in smp.x], "set": set_to_dict(smp.s)}
             fh.write(encode(rec) + "\n")
 
 

@@ -145,8 +145,8 @@ def test_eps_argmin_linear_1d_closed_form():
 
 
 def test_eps_argmin_linear_1d_keeps_scalar_formula_bits():
-    # the shared vectorized interval writes c < 0 as -b + eps/|c|, which is
-    # -b - eps/c exactly in IEEE arithmetic
+    # the scalar path writes c < 0 as -b + eps/(-c), which is -b - eps/c
+    # exactly in IEEE arithmetic
     p = BoxLinearProgram()
     rng = np.random.default_rng(13)
     b = p.bound
@@ -456,6 +456,114 @@ def test_mle_grid_matches_pointwise_objective():
             want = mle_objective(p, ds, float(eps_axis[i]), pts[j], density)
             got = res.grid_values[i, j]
             assert (want == math.inf and got == math.inf) or abs(got - want) < 1e-10
+
+
+def _two_endpoint_interval(b, c, eps):
+    """The 1-D box-linear eps-argmin interval with both endpoints evaluated
+    for every cell: the formula the in-place grid kernels replaced."""
+    c_safe = np.where(c == 0, 1.0, c)
+    width = eps / np.abs(c_safe)
+    lo = np.where(c > 0, np.maximum(-b, b - width), -b)
+    hi = np.where(c < 0, np.minimum(b, -b + width), b)
+    return lo, hi
+
+
+def _two_endpoint_grids(prog, ds, prior, lam, density):
+    """abp and mle grids built cell by cell from _two_endpoint_interval."""
+    eps_col = prior.eps_axis()[:, None]
+    pts = prior.theta_points()
+    us, ys = ds.us[:, 0], ds.ys[:, 0]
+    w_lo, w_hi = (float(v[0]) for v in bounds_of(prior.w_set))
+    abp = np.empty((len(eps_col), len(pts)))
+    mle = np.empty_like(abp)
+    for j, th in enumerate(pts):
+        lo, hi = _two_endpoint_interval(prog.bound, th[0] + us, eps_col)
+        d = np.maximum.reduce([lo + w_lo - ys, ys - (hi + w_hi), np.zeros_like(lo)])
+        abp[:, j] = (d * d).mean(axis=1)
+        if density is not None:
+            ov = density.integrate_shifted(ys[None, :], lo, hi)
+            s_width = hi - lo
+            bad = (ov <= 0) | (s_width <= 0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                terms = np.where(bad, np.inf, np.log(s_width) - np.log(ov))
+            mle[:, j] = terms.mean(axis=1)
+    abp += lam * eps_col
+    return abp, mle
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize(
+    "seed, n, w, eps_lo, on_grid",
+    [
+        (1, 1, (-1.0, 1.0), 0.0, False),
+        (2, 1, (-0.3, 0.9), 0.05, True),
+        (3, 200, (-1.0, 1.0), 0.0, True),
+        (4, 500, (-1.3, 0.4), 0.2, False),
+        (5, 64, (0.25, 0.25), 0.0, True),  # zero-width W: abp only
+        (6, 997, (-0.5, 1.5), 0.0, True),
+    ],
+)
+def test_boxlinear_grids_bit_identical_to_two_endpoint_oracle(seed, n, w, eps_lo, on_grid):
+    rng = np.random.default_rng(seed)
+    prog = BoxLinearProgram()
+    prior = PriorRegion(eps_range=(eps_lo, eps_lo + 2.0), w_set=interval(*w),
+                        theta_box=Box([-0.5], [0.5]), d_eps=0.1, d_theta=0.125)
+    pts = prior.theta_points()
+    us = rng.uniform(-2.0, 2.0, size=n)
+    if on_grid:  # c = theta + u == 0 exactly in some columns
+        us[::2] = -pts[rng.integers(0, len(pts), size=len(us[::2])), 0]
+    lo, hi = _two_endpoint_interval(prog.bound, us, 1.0)
+    ys = rng.uniform(lo, hi) + rng.uniform(w[0], w[1], size=n)
+    ds = ObservationDataset(us, ys)
+    density = UniformNoiseDensity(*w) if w[0] < w[1] else None
+    want_abp, want_mle = _two_endpoint_grids(prog, ds, prior, 0.01, density)
+    got_abp = abp_estimate(prog, ds, prior, lam=0.01).grid_values
+    assert np.array_equal(_bits(got_abp), _bits(want_abp))
+    # points beyond -b + w_lo and b + w_hi, which no eps can reach
+    far = ObservationDataset(us, ys + rng.choice([-3.0, 0.0, 3.0], size=n))
+    want_far, _ = _two_endpoint_grids(prog, far, prior, 0.01, None)
+    got_far = abp_estimate(prog, far, prior, lam=0.01).grid_values
+    assert np.array_equal(_bits(got_far), _bits(want_far))
+    if density is None:
+        return
+    got_mle = mle_estimate(prog, ds, prior, density).grid_values
+    assert np.array_equal(_bits(got_mle), _bits(want_mle))
+    assert np.isfinite(got_mle).any()
+    if eps_lo == 0.0:  # eps = 0 makes S a point for c != 0: +inf sentinels
+        assert np.isinf(got_mle[0]).any()
+
+
+@pytest.mark.parametrize("seed, n, w", [(7, 1, (-1.0, 1.0)), (8, 300, (-1.3, 0.4))])
+def test_boxlinear_grids_match_per_point_objectives(seed, n, w):
+    rng = np.random.default_rng(seed)
+    prog = BoxLinearProgram()
+    prior = PriorRegion(eps_range=(0.0, 2.0), w_set=interval(*w),
+                        theta_box=Box([-0.5], [0.5]), d_eps=0.25, d_theta=0.25)
+    pts = prior.theta_points()
+    us = rng.uniform(-2.0, 2.0, size=n)
+    us[0] = -pts[1, 0]  # a c == 0 sample
+    lo, hi = _two_endpoint_interval(prog.bound, us, 1.0)
+    ds = ObservationDataset(us, rng.uniform(lo, hi) + rng.uniform(w[0], w[1], size=n))
+    far = ObservationDataset(us, ds.ys[:, 0] + rng.choice([-3.0, 0.0, 3.0], size=n))
+    density = UniformNoiseDensity(*w)
+    abp = abp_estimate(prog, far, prior, lam=0.01).grid_values
+    mle = mle_estimate(prog, ds, prior, density).grid_values
+    eps_axis = prior.eps_axis()
+    for i, j in [(0, 0), (0, 2), (3, 1), (4, 2), (8, 4)]:
+        eps = float(eps_axis[i])
+        want = abp_objective(prog, far, eps, pts[j], 0.01, prior.w_set)
+        assert abs(abp[i, j] - want) <= 1e-12
+        want = mle_objective(prog, ds, eps, pts[j], density)
+        assert mle[i, j] == want == math.inf or abs(mle[i, j] - want) <= 1e-12
+
+
+def test_eps_argmin_set_rejects_nan_eps():
+    for prog in (BoxLinearProgram(), BoxQuadraticProgram()):
+        with pytest.raises(ValueError):
+            eps_argmin_set(prog, [0.5], math.nan, [0.0])
 
 
 def test_mle_recovers_truth_region_on_demo_data():

@@ -285,6 +285,24 @@ def test_dataset_jsonl_bytes_match_object_writer(tmp_path):
     assert (tmp_path / "arrays.jsonl").read_bytes() == (tmp_path / "objects.jsonl").read_bytes()
 
 
+def test_dataset_jsonl_row_writer_matches_json_in_two_dimensions(tmp_path):
+    # the array writer formats rows itself; the object writer goes through json
+    rng = np.random.default_rng(5)
+    odd = np.array([-0.0, 0.0, 1e-300, 5e-324, 1e22, 1e16, -123456789.0, 0.1, 1 / 3, 2.0])
+    lo = np.concatenate([rng.normal(size=(30, 2)), odd.reshape(5, 2)])
+    hi = lo + np.abs(rng.normal(size=lo.shape))
+    hi[-5:] = lo[-5:]  # degenerate boxes, -0.0 corners included
+    x = np.concatenate([rng.uniform(-2.0, 2.0, size=(30, 2)), odd.reshape(5, 2)[::-1]])
+    ds = SetRegressionDataset.from_boxes(x, lo, hi)
+    write_dataset_jsonl(ds, tmp_path / "arrays.jsonl")
+    write_dataset_jsonl(SetRegressionDataset(ds.samples), tmp_path / "objects.jsonl")
+    text = (tmp_path / "arrays.jsonl").read_bytes()
+    assert text == (tmp_path / "objects.jsonl").read_bytes()
+    assert b"-0.0" in text and b"5e-324" in text
+    back = read_dataset_jsonl(tmp_path / "arrays.jsonl")
+    assert np.array_equal(back.inputs, x)
+
+
 def test_from_boxes_validates_arrays():
     x = np.zeros((3, 1))
     ds = SetRegressionDataset.from_boxes(x, np.zeros((3, 2)), np.ones((3, 2)))
