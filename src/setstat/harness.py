@@ -184,9 +184,19 @@ _SCALAR_TYPES = {
     "max_median_error": float,
     "max_eps_error": float,
     "max_theta_error": float,
+    "lam": float,
+    "h": float,
 }
 
-_POSITIVE_FIELDS = {"n", "replicates", "n_directions", "noise_radius"}
+_POSITIVE_FIELDS = {"n", "replicates", "n_directions", "noise_radius", "h"}
+_ESTIMATORS = ("abp", "mle", "via", "kkt", "presmooth")
+
+
+def _coerce(name: str, kind: type, value):
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"parameter {name!r} must be {kind.__name__}") from None
 
 
 def _validate_params(kind: str, params: dict) -> dict:
@@ -206,49 +216,44 @@ def _validate_params(kind: str, params: dict) -> dict:
             for k2, v2 in value.items():
                 if k2 not in sub:
                     raise ConfigError(f"unknown field {key}.{k2}")
-                sub[k2] = float(v2)
+                sub[k2] = _coerce(f"{key}.{k2}", float, v2)
+            for k2 in ("step", "d_eps", "d_theta"):  # grid steps
+                if k2 in sub and not sub[k2] > 0:
+                    raise ConfigError(f"parameter '{key}.{k2}' must be positive")
             merged[key] = sub
         else:
             merged[key] = value
     for key, value in merged.items():
         if key in _SCALAR_TYPES and value is not None:
-            try:
-                merged[key] = _SCALAR_TYPES[key](value)
-            except (TypeError, ValueError):
-                raise ConfigError(f"parameter {key!r} must be {_SCALAR_TYPES[key].__name__}")
+            merged[key] = _coerce(key, _SCALAR_TYPES[key], value)
             if key in _POSITIVE_FIELDS and merged[key] <= 0:
                 raise ConfigError(f"parameter {key!r} must be positive")
     if "n_values" in merged:
         vals = merged["n_values"]
-        if (
-            not isinstance(vals, list)
-            or not vals
-            or any(int(v) <= 0 for v in vals)
-            or list(vals) != sorted(int(v) for v in vals)
-        ):
+        try:
+            counts = [int(v) for v in vals]
+        except (TypeError, ValueError):
+            counts = []
+        if not isinstance(vals, list) or not counts or min(counts) <= 0 or vals != sorted(counts):
             raise ConfigError("parameter 'n_values' must be an increasing list of positive counts")
-        merged["n_values"] = [int(v) for v in vals]
-    if "lam" in merged and merged["lam"] is not None:
-        merged["lam"] = float(merged["lam"])
-        if merged["lam"] < 0:
-            raise ConfigError("parameter 'lam' must be nonnegative")
-    if "h" in merged and merged["h"] is not None:
-        merged["h"] = float(merged["h"])
-        if merged["h"] <= 0:
-            raise ConfigError("parameter 'h' must be positive")
-    if "kernel" in merged and merged["kernel"] not in kernelreg.KERNELS:
+        merged["n_values"] = counts
+    if merged.get("lam") is not None and merged["lam"] < 0:
+        raise ConfigError("parameter 'lam' must be nonnegative")
+    if "kernel" in merged and not (
+        isinstance(merged["kernel"], str) and merged["kernel"] in kernelreg.KERNELS
+    ):
         raise ConfigError(
             f"parameter 'kernel' must be one of {sorted(kernelreg.KERNELS)}"
         )
     if "program" in merged and merged["program"] not in ("box-linear", "box-quadratic"):
         raise ConfigError("parameter 'program' must be box-linear or box-quadratic")
-    if "estimator" in merged and merged["estimator"] not in (
-        "abp", "mle", "via", "kkt", "presmooth",
-    ):
-        raise ConfigError("parameter 'estimator' must be abp, mle, via, kkt, or presmooth")
+    if "estimator" in merged and merged["estimator"] not in _ESTIMATORS:
+        raise ConfigError(f"parameter 'estimator' must be one of {', '.join(_ESTIMATORS)}")
     if "estimators" in merged:
+        if not isinstance(merged["estimators"], list):
+            raise ConfigError("parameter 'estimators' must be a list")
         for est in merged["estimators"]:
-            if est not in ("abp", "mle", "via", "kkt", "presmooth"):
+            if est not in _ESTIMATORS:
                 raise ConfigError(f"unknown estimator {est!r} in 'estimators'")
     if "dataset" in merged and merged["dataset"] not in (
         "set-regression", "box-linear", "box-quadratic",

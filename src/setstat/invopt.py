@@ -634,11 +634,10 @@ class TruncatedGaussianNoiseDensity:
         if sigma <= 0 or halfwidth <= 0:
             raise ValueError("need positive sigma and halfwidth")
         self.sigma, self.halfwidth = float(sigma), float(halfwidth)
-        from scipy import stats
+        from scipy.special import ndtr  # standard normal cdf
 
-        self._mass = stats.norm.cdf(halfwidth / sigma) - stats.norm.cdf(
-            -halfwidth / sigma
-        )
+        self._mass = ndtr(halfwidth / sigma) - ndtr(-halfwidth / sigma)
+        self._nodes, self._weights = np.polynomial.legendre.leggauss(256)
 
     def density(self, w):
         w = np.asarray(w, dtype=float)
@@ -657,12 +656,11 @@ class TruncatedGaussianNoiseDensity:
         lo = np.maximum(lo, y - self.halfwidth)
         hi = np.minimum(hi, y + self.halfwidth)
         width = np.maximum(hi - lo, 0.0)
-        nodes, weights = np.polynomial.legendre.leggauss(256)
         mid = 0.5 * (lo + hi)
         half = 0.5 * width
-        xs = mid[..., None] + half[..., None] * nodes
+        xs = mid[..., None] + half[..., None] * self._nodes
         vals = self.density(y[..., None] - xs)
-        return (vals * weights).sum(axis=-1) * half
+        return (vals * self._weights).sum(axis=-1) * half
 
 
 def mle_objective(prog, dataset: ObservationDataset, eps, theta, density) -> float:

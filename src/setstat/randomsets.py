@@ -11,7 +11,11 @@ Samples are drawn as one geometry.TranslatedFamily (the body plus the
 (n, d) array of noise draws), a sequence that materializes translates on
 access.  Sample means are read from the arrays, so the limit-law replicates
 build no per-draw set objects; for Box and Ball bodies the means are
-byte-identical to averaging the materialized translates.
+byte-identical to averaging the materialized translates.  The expectation-law
+checks average one family too, since translates close under the law's
+operation: (K + s_i) + (L + t_i) = (K + L) + (s_i + t_i), psi_i (K + s_i) =
+|psi_i| (sigma K + sigma s_i) for the common sign sigma of psi, and
+(K + s_i) - (L + t_i) = (K - L) + (s_i - t_i) for erosions.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from . import geometry
 from .geometry import (
@@ -34,7 +37,6 @@ from .geometry import (
     hausdorff,
     minkowski_diff,
     minkowski_sum,
-    point_set,
     scale,
     translated_family,
     weighted_minkowski_average,
@@ -216,8 +218,10 @@ class TruncatedGaussianNoise(NoiseDistribution):
 
     @property
     def covariance(self) -> np.ndarray:
+        from scipy.special import chdtr  # chi-square cdf; scipy.stats is slow to import
+
         r2 = self.radius**2
-        shrink = stats.chi2.cdf(r2, self.dim + 2) / stats.chi2.cdf(r2, self.dim)
+        shrink = chdtr(self.dim + 2, r2) / chdtr(self.dim, r2)
         return shrink * self.sigma
 
     def sample(self, rng, n):
@@ -434,18 +438,6 @@ def _support_profile(s: ConvexSet, dirs: np.ndarray) -> np.ndarray:
     return np.array([s.support(u) for u in dirs])
 
 
-def _box_profiles(box: Box, shifts: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Support values of ``box + shift_i`` for every shift and direction.
-
-    Returns an (n_shifts, n_dirs) array using the closed-form box support
-    center.u + halfwidth.|u|.
-    """
-    center = 0.5 * (box.lower + box.upper)
-    halfwidth = 0.5 * (box.upper - box.lower)
-    base = dirs @ center + np.abs(dirs) @ halfwidth  # (n_dirs,)
-    return base[None, :] + shifts @ dirs.T
-
-
 def _box_intersection(a: Box, b: Box) -> Box | None:
     lo = np.maximum(a.lower, b.lower)
     hi = np.minimum(a.upper, b.upper)
@@ -499,19 +491,20 @@ def check_expectation_law(
 
     if law == "deterministic":
         # E(K) = K for a deterministic convex body: the MC side averages n
-        # identical copies.
-        body = c.body
-        lhs = weighted_minkowski_average(eq_w, [body] * n_samples)
-        rhs = body
+        # untranslated copies.
+        zeros = np.zeros((n_samples, c.body.dim))
+        lhs = weighted_minkowski_average(eq_w, translated_family(c.body, zeros))
+        rhs = c.body
         metric = hausdorff(lhs, rhs, n_directions)
         tol = 1e-9
         return LawReport(law, "equality", lhs, rhs, metric, tol, metric <= tol, n_samples)
 
     if law == "sum":
+        # (K + s_i) + (L + t_i) = (K + L) + (s_i + t_i)
         d: RandomlyTranslatedSet = models["d"]
-        cs = sample_translated_sets(c, n_samples, rng_seed.derive(1))
-        ds = sample_translated_sets(d, n_samples, rng_seed.derive(2))
-        sums = [minkowski_sum(a, b) for a, b in zip(cs, ds)]
+        xc = c.noise.sample(rng_seed.derive(1).generator(), n_samples)
+        xd = d.noise.sample(rng_seed.derive(2).generator(), n_samples)
+        sums = translated_family(minkowski_sum(c.body, d.body), xc + xd)
         lhs = weighted_minkowski_average(eq_w, sums)
         rhs = minkowski_sum(selection_expectation(c), selection_expectation(d))
         metric = hausdorff(lhs, rhs, n_directions)
@@ -528,10 +521,13 @@ def check_expectation_law(
             raise ValueError("psi_probs must be a probability vector")
         if psi_values.size > 1 and psi_values.min() < 0 < psi_values.max():
             raise ValueError("random scale factors must be sign-definite for this law")
-        rng = rng_seed.derive(1).generator()
-        cs = sample_translated_sets(c, n_samples, rng_seed.derive(2))
-        psis = rng.choice(psi_values, size=n_samples, p=psi_probs)
-        lhs = weighted_minkowski_average(eq_w, [scale(p, s) for p, s in zip(psis, cs)])
+        xc = c.noise.sample(rng_seed.derive(2).generator(), n_samples)
+        psis = rng_seed.derive(1).generator().choice(psi_values, size=n_samples, p=psi_probs)
+        # psi_i (K + s_i) = |psi_i| (sigma K + sigma s_i) for the common sign
+        # sigma; psi = 0 throughout averages to {0}
+        sigma = -1.0 if psi_values.min() < 0 else 1.0
+        scaled = translated_family(scale(sigma, c.body), sigma * xc)
+        lhs = weighted_minkowski_average(eq_w * np.abs(psis), scaled, allow_zero_total=True)
         epsi = float(psi_values @ psi_probs)
         rhs = scale(epsi, selection_expectation(c))
         metric = hausdorff(lhs, rhs, n_directions)
@@ -557,14 +553,15 @@ def check_expectation_law(
     if law == "union":
         # co(E(C) u E(D)) inside E(co(C u D)); the right side is sampled, so
         # the inclusion is checked per direction on support values with a
-        # two-standard-error allowance.  Box bodies keep the per-sample hull
-        # support in closed form: max of the two box supports.
+        # two-standard-error allowance.  The per-sample hull support is the
+        # max of the two translated supports, h(K, u) + s_i.u.
         d = models["d"]
         _require_box_bodies(law, c, d)
         xc = c.noise.sample(rng_seed.derive(1).generator(), n_samples)
         xd = d.noise.sample(rng_seed.derive(2).generator(), n_samples)
         sample_profiles = np.maximum(
-            _box_profiles(c.body, xc, dirs), _box_profiles(d.body, xd, dirs)
+            _support_profile(c.body, dirs) + xc @ dirs.T,
+            _support_profile(d.body, dirs) + xd @ dirs.T,
         )
         rhs_profile = sample_profiles.mean(axis=0)
         se = sample_profiles.std(axis=0, ddof=1) / math.sqrt(n_samples)
@@ -599,26 +596,20 @@ def check_expectation_law(
         tol = 1e-9
         return LawReport(law, "inclusion", lhs, rhs, metric, tol, metric <= tol, n_samples)
 
-    # law == "erosion": E(C - D) inside E(C) - E(D)
+    # law == "erosion": E(C - D) inside E(C) - E(D), where for boxes
+    # (K + s_i) - (L + t_i) = (K - L) + (s_i - t_i)
     d = models["d"]
     _require_box_bodies(law, c, d)
-    if minkowski_diff(c.body, d.body) is None:
+    eroded = minkowski_diff(c.body, d.body)
+    if eroded is None:
         raise ValueError("erosion law needs an a.s. nonempty difference C - D")
-    cs = sample_translated_sets(c, n_samples, rng_seed.derive(1))
-    ds = sample_translated_sets(d, n_samples, rng_seed.derive(2))
-    diffs = []
-    for a, b in zip(cs, ds):
-        e = minkowski_diff(a, b)
-        if e is None:
-            raise ValueError("erosion law realization came back empty")
-        diffs.append(e)
-    lhs = weighted_minkowski_average(eq_w, diffs)
+    xc = c.noise.sample(rng_seed.derive(1).generator(), n_samples)
+    shifts = xc - d.noise.sample(rng_seed.derive(2).generator(), n_samples)
+    lhs = weighted_minkowski_average(eq_w, translated_family(eroded, shifts))
     rhs = minkowski_diff(selection_expectation(c), selection_expectation(d))
     if rhs is None:
         raise ValueError("erosion of the expectations is empty")
-    shifts = np.array([0.5 * (x.lower + x.upper) for x in diffs])
-    base = diffs[0].translate(-shifts[0])
-    se = _box_profiles(base, shifts, dirs).std(axis=0, ddof=1) / math.sqrt(n_samples)
+    se = (shifts @ dirs.T).std(axis=0, ddof=1) / math.sqrt(n_samples)
     slack = _support_profile(lhs, dirs) - _support_profile(rhs, dirs)
     metric = float(np.max(slack - 2.0 * se))
     tol = 1e-9

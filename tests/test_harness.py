@@ -73,6 +73,23 @@ def test_config_rejects_bad_values():
     with pytest.raises(ConfigError):
         config_from_dict({"kind": "kernel-fit", "params": {"kernel": "gauss"}})
 
+    # non-numeric values and nonpositive grid steps are config errors too
+    for kind, params in [
+        ("invopt-fit", {"prior": {"eps_lo": "abc"}}),
+        ("slln", {"n_values": ["x"]}),
+        ("invopt-fit", {"lam": "x"}),
+        ("invopt-fit", {"h": "x"}),
+        ("kernel-fit", {"h": "x"}),
+        ("kernel-fit", {"kernel": ["x"]}),
+        ("kernel-fit", {"u_grid": {"step": 0}}),
+        ("kernel-fit", {"u_grid": {"step": -0.1}}),
+        ("invopt-fit", {"prior": {"d_eps": 0}}),
+        ("compare-estimators", {"prior": {"d_theta": -0.05}}),
+        ("compare-estimators", {"estimators": 5}),
+    ]:
+        with pytest.raises(ConfigError):
+            config_from_dict({"kind": kind, "params": params})
+
 
 def test_config_seed_shorthand():
     cfg = config_from_dict({"kind": "gen-data", "seed": 9})
@@ -298,6 +315,10 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     assert cli.main(["slln", "--config", str(path)]) == 2
     path2 = tmp_path / "missing.json"
     assert cli.main(["slln", "--config", str(path2)]) == 2
+    path3 = tmp_path / "zero_step.json"
+    path3.write_text('{"kind": "kernel-fit", "params": {"u_grid": {"step": 0}}}')
+    assert cli.main(["kernel-fit", "--config", str(path3)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_cli_failed_check_exits_1(tmp_path, capsys):

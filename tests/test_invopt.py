@@ -584,6 +584,25 @@ def test_truncated_gaussian_density_normalized():
     assert d.density(0.0) > 0.0
 
 
+def test_truncated_gaussian_density_keeps_scipy_stats_and_per_call_rule_bits():
+    from scipy import stats
+
+    rng = np.random.default_rng(17)
+    for sigma, halfwidth in rng.uniform(0.05, 4.0, size=(25, 2)):
+        d = TruncatedGaussianNoiseDensity(sigma, halfwidth)
+        mass = stats.norm.cdf(halfwidth / sigma) - stats.norm.cdf(-halfwidth / sigma)
+        assert d._mass == mass
+    # the stored 256-node rule gives the bits of computing it in every call
+    d = TruncatedGaussianNoiseDensity(1.3, 2.1)
+    y, lo, hi = rng.uniform(-3, 3, 40), rng.uniform(-4, 0, 40), rng.uniform(0, 4, 40)
+    nodes, weights = np.polynomial.legendre.leggauss(256)
+    lo_c, hi_c = np.maximum(lo, y - 2.1), np.minimum(hi, y + 2.1)
+    half = 0.5 * np.maximum(hi_c - lo_c, 0.0)
+    xs = (0.5 * (lo_c + hi_c))[:, None] + half[:, None] * nodes
+    expected = (d.density(y[:, None] - xs) * weights).sum(axis=-1) * half
+    assert np.array_equal(d.integrate_shifted(y, lo, hi), expected)
+
+
 def test_mle_with_truncated_gaussian_noise_runs():
     p = BoxQuadraticProgram()
     ds = generate_boxquadratic_observations(50, 1.0, RngSeed(8))

@@ -1,23 +1,32 @@
 """Random translated sets: sampling, limit laws, expectation algebra."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import setstat
 from setstat import randomsets
 from setstat.geometry import (
     Ball,
     Box,
     VertexPolytope,
+    Zonotope,
     bounds_of,
     direction_grid,
     hausdorff,
     interval,
+    minkowski_diff,
     minkowski_sum,
+    scale,
     support,
     translated_family,
+    weighted_minkowski_average,
 )
 from setstat.randomsets import (
     EXPECTATION_LAWS,
@@ -106,6 +115,27 @@ def test_truncated_gaussian_noise_moments_and_support():
     shrink = stats.chi2.cdf(radius**2, 4) / stats.chi2.cdf(radius**2, 2)
     np.testing.assert_allclose(noise.covariance, shrink * sigma, atol=1e-12)
     np.testing.assert_allclose(np.cov(x.T), shrink * sigma, atol=0.02)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 7])
+def test_truncated_gaussian_covariance_has_scipy_stats_bits(dim):
+    sigma = np.eye(dim) + 0.3 * np.ones((dim, dim))
+    for radius in (0.1, 0.9, 1.8, 3.0, 7.5):
+        r2 = radius**2
+        shrink = stats.chi2.cdf(r2, dim + 2) / stats.chi2.cdf(r2, dim)
+        assert np.array_equal(TruncatedGaussianNoise(sigma, radius).covariance, shrink * sigma)
+
+
+def test_import_setstat_leaves_scipy_stats_unloaded():
+    src = str(Path(setstat.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, setstat; print('scipy.stats' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_noise_validation():
@@ -281,6 +311,113 @@ def test_all_expectation_laws_pass_on_standard_config():
         assert report.passed, f"{law}: metric {report.metric} > {report.tolerance}"
         expected_kind = "equality" if law in ("deterministic", "sum", "scale") else "inclusion"
         assert report.kind == expected_kind
+
+
+# Per-draw oracles: the law's Monte-Carlo side from one materialized set per
+# draw, on the same seed streams check_expectation_law uses.
+
+_ORACLE_BODIES = {
+    "box": (Box([-1.0, -0.5], [1.0, 0.5]), Box([-0.3, -0.8], [0.6, 0.2])),
+    "ball": (Ball([0.2, -0.1], 0.7), Ball([-0.4, 0.3], 0.25)),
+    "zonotope": (
+        Zonotope([0.1, 0.2], [[1.0, 0.0], [0.6, 0.8], [-0.3, 0.9]], [0.5, 0.4, 0.3]),
+        Zonotope([-0.2, 0.0], [[0.0, 1.0], [0.8, -0.6]], [0.7, 0.2]),
+    ),
+    "polygon": (
+        VertexPolytope([[0.0, -1.0], [1.2, -0.3], [0.8, 0.9], [-0.5, 1.0], [-1.1, 0.1]]),
+        VertexPolytope([[-0.4, -0.4], [0.5, -0.2], [0.1, 0.6]]),
+    ),
+}
+_NOISE_C = UniformBoxNoise([-0.4, -0.2], [0.3, 0.5])
+_NOISE_D = UniformBoxNoise([-0.1, -0.6], [0.5, 0.2])
+
+
+def _per_draw_lhs(law, models, n, seed):
+    c = models["c"]
+    w = np.full(n, 1.0 / n)
+    if law == "deterministic":
+        return weighted_minkowski_average(w, [c.body] * n)
+    if law == "scale":
+        psi_values = np.asarray(models["psi_values"], dtype=float)
+        psi_probs = np.asarray(models["psi_probs"], dtype=float)
+        psis = seed.derive(1).generator().choice(psi_values, size=n, p=psi_probs)
+        cs = sample_translated_sets(c, n, seed.derive(2))
+        return weighted_minkowski_average(w, [scale(p, x) for p, x in zip(psis, cs)])
+    pairs = zip(
+        sample_translated_sets(c, n, seed.derive(1)),
+        sample_translated_sets(models["d"], n, seed.derive(2)),
+    )
+    op = minkowski_sum if law == "sum" else minkowski_diff
+    return weighted_minkowski_average(w, [op(a, b) for a, b in pairs])
+
+
+def _oracle_models(body_kind, law):
+    body_c, body_d = _ORACLE_BODIES[body_kind]
+    c = RandomlyTranslatedSet(body_c, _NOISE_C)
+    if law == "deterministic":
+        return [{"c": c}]
+    if law == "sum":
+        return [{"c": c, "d": RandomlyTranslatedSet(body_d, _NOISE_D)}]
+    return [
+        {"c": c, "psi_values": values, "psi_probs": [0.3, 0.7]}
+        for values in ([0.5, 1.5], [-2.0, -0.25], [0.0, 0.0])
+    ]
+
+
+@pytest.mark.parametrize("body_kind", sorted(_ORACLE_BODIES))
+@pytest.mark.parametrize("law", ["deterministic", "sum", "scale"])
+def test_equality_laws_match_per_draw_oracle(law, body_kind):
+    for models in _oracle_models(body_kind, law):
+        for n in (7, 50):
+            seed = RngSeed(31, n)
+            report = check_expectation_law(law, models, n_samples=n, seed=seed)
+            oracle = _per_draw_lhs(law, models, n, seed)
+            assert hausdorff(report.lhs, oracle) <= 1e-12, (law, body_kind, models)
+            if law == "deterministic" or models.get("psi_values") == [0.0, 0.0]:
+                assert report.passed  # exact at any n
+
+
+def _profile(s, dirs):
+    return np.array([s.support(u) for u in dirs])
+
+
+@pytest.mark.parametrize("n", [7, 50])
+def test_box_inclusion_laws_match_per_draw_oracle(n):
+    dirs = direction_grid(2, 360)
+    wide = RandomlyTranslatedSet(Box([-2.0, -1.5], [1.8, 2.0]), _NOISE_C)
+    thin = RandomlyTranslatedSet(Box([-0.5, -0.3], [0.4, 0.6]), _NOISE_D)
+    seed = RngSeed(32, n)
+
+    models = {"c": wide, "d": thin}
+    report = check_expectation_law("erosion", models, n_samples=n, seed=seed)
+    diffs = [
+        minkowski_diff(a, b)
+        for a, b in zip(
+            sample_translated_sets(wide, n, seed.derive(1)),
+            sample_translated_sets(thin, n, seed.derive(2)),
+        )
+    ]
+    lhs = weighted_minkowski_average(np.full(n, 1.0 / n), diffs)
+    assert hausdorff(report.lhs, lhs) <= 1e-12
+    se = np.array([_profile(x, dirs) for x in diffs]).std(axis=0, ddof=1) / math.sqrt(n)
+    metric = np.max(_profile(lhs, dirs) - _profile(report.rhs, dirs) - 2.0 * se)
+    assert abs(report.metric - metric) <= 1e-12
+
+    models = {"c": thin, "d": wide}
+    report = check_expectation_law("union", models, n_samples=n, seed=seed)
+    hulls = np.array([
+        np.maximum(_profile(a, dirs), _profile(b, dirs))
+        for a, b in zip(
+            sample_translated_sets(thin, n, seed.derive(1)),
+            sample_translated_sets(wide, n, seed.derive(2)),
+        )
+    ])
+    se = hulls.std(axis=0, ddof=1) / math.sqrt(n)
+    lhs_profile = np.maximum(
+        _profile(selection_expectation(thin), dirs), _profile(selection_expectation(wide), dirs)
+    )
+    metric = np.max(lhs_profile - hulls.mean(axis=0) - 2.0 * se)
+    assert abs(report.metric - metric) <= 1e-12
 
 
 def test_scale_law_handles_negative_definite_factors():
