@@ -18,9 +18,8 @@ from setstat.randomsets import (
     SymmetricConcaveIntervalMap,
     UniformBoxNoise,
     check_expectation_law,
-    clt_difference_replicates,
+    clt_replicates,
     delta_method_tails,
-    hausdorff_statistic_replicates,
     jensen_inclusion_gap,
     slln_curve,
 )
@@ -40,8 +39,7 @@ def main() -> None:
     print(f"log-log slope {slope:.3f} (root-n decay would be -0.5)")
 
     print("\n== central limit behaviour ==")
-    vectors = clt_difference_replicates(model, 500, 2000, RngSeed(2))
-    stats = hausdorff_statistic_replicates(model, 500, 2000, RngSeed(2))
+    vectors, stats = clt_replicates(model, 500, 2000, RngSeed(2))
     print(f"empirical covariance of sqrt(n) * difference vector:\n{np.cov(vectors.T)}")
     print(f"noise covariance E(xi xi'):\n{noise.covariance}")
     gap = np.max(np.abs(stats - np.linalg.norm(vectors, axis=1)))

@@ -17,6 +17,7 @@ byte-identical to the mean of the materialized translates.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import json
 import math
@@ -112,12 +113,13 @@ def convex_hull_2d(points, tol: float = HULL_COLLINEARITY_TOL) -> np.ndarray:
     pts = np.unique(pts, axis=0)  # lexicographic sort with exact dedup
     if pts.shape[0] == 1:
         return pts
+    rows = pts.tolist()  # Python floats: the same IEEE doubles, cheaper scalar ops
 
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
     def chain(seq):
-        out: list[np.ndarray] = []
+        out: list[list[float]] = []
         for p in seq:
             # pop until a strict right turn survives; ties within tol are
             # collinear and the middle point is dropped
@@ -126,11 +128,11 @@ def convex_hull_2d(points, tol: float = HULL_COLLINEARITY_TOL) -> np.ndarray:
             out.append(p)
         return out
 
-    lower = chain(pts)
-    upper = chain(pts[::-1])
+    lower = chain(rows)
+    upper = chain(rows[::-1])
     hull = lower[:-1] + upper[:-1]
     if not hull:  # all points collinear within tol: keep the two extremes
-        hull = [pts[0], pts[-1]]
+        hull = [rows[0], rows[-1]]
     return np.asarray(hull, dtype=float)
 
 
@@ -366,9 +368,26 @@ def vertices_of(c: ConvexSet) -> np.ndarray:
     raise TypeError(f"unsupported set variant: {type(c).__name__}")
 
 
+@functools.lru_cache(maxsize=32)
+def _signed_axes(d: int) -> np.ndarray:
+    """Rows e_1..e_d then -e_1..-e_d; + 0.0 turns the -0.0 off-diagonals of
+    -eye into the +0.0 of np.zeros."""
+    return _readonly(np.vstack([np.eye(d), -np.eye(d)]) + 0.0)
+
+
 def bounds_of(c: ConvexSet) -> tuple[np.ndarray, np.ndarray]:
-    """Componentwise support bounds (the tightest axis-aligned box)."""
+    """Componentwise support bounds (the tightest axis-aligned box).
+
+    The bounds are hi_j = h(e_j, C) and lo_j = -h(-e_j, C).  A Box evaluates
+    all 2d signed axis directions in one array step; its products and row
+    sums are those of 2d Box.support calls, so the bounds are bit-identical
+    to the per-axis loop, signed zeros included.
+    """
     d = c.dim
+    if isinstance(c, Box):
+        u = _signed_axes(d)
+        h = np.sum(np.where(u >= 0, c.upper, c.lower) * u, axis=1)
+        return -h[d:], h[:d]
     lo = np.empty(d)
     hi = np.empty(d)
     for j in range(d):
@@ -914,6 +933,15 @@ def _dist_points_batch(xs: np.ndarray, c: ConvexSet) -> np.ndarray:
     return np.array([dist_point(x, c) for x in xs])
 
 
+def _box_directed_hausdorff(p: Box, q: Box) -> np.floating:
+    """max over the corners x of p of d(x, q), without listing the corners."""
+    gap = np.maximum(
+        np.abs(p.lower - np.clip(p.lower, q.lower, q.upper)),
+        np.abs(p.upper - np.clip(p.upper, q.lower, q.upper)),
+    )
+    return np.sqrt(np.add.reduce(gap * gap))
+
+
 def hausdorff(c: ConvexSet, d: ConvexSet, n_directions: int = 360) -> float:
     """Hausdorff distance between two compact convex sets.
 
@@ -921,12 +949,23 @@ def hausdorff(c: ConvexSet, d: ConvexSet, n_directions: int = 360) -> float:
     directed suprema are attained at vertices) and ball pairs; other pairs
     use the support identity sup_u |h(u,C) - h(u,D)| on a direction grid
     (approximate, and coarser above dimension two).
+
+    A box pair takes the farthest corner in closed form: the distance from
+    a corner x of one box to the other box Q is |x - clip(x, Q)|, so each
+    direction is sqrt(sum_j max(|gap at lower_j|, |gap at upper_j|)**2)
+    with no corner list.  Rounding is monotone, so this is bit-identical to
+    the maximum over all 2^d corners.  The 2-D vertex path it replaced ran
+    the corners through convex_hull_2d, which drops real corners of a box
+    thinner than about HULL_COLLINEARITY_TOL; there the old value was low,
+    by at most about 2e-12.
     """
     dim = _check_same_dim(c, d)
     if dim == 1:
         clo, chi = bounds_of(c)
         dlo, dhi = bounds_of(d)
         return max(abs(clo[0] - dlo[0]), abs(chi[0] - dhi[0]))
+    if isinstance(c, Box) and isinstance(d, Box):
+        return float(max(_box_directed_hausdorff(c, d), _box_directed_hausdorff(d, c)))
     if isinstance(c, Ball) and isinstance(d, Ball):
         return float(np.linalg.norm(c.center - d.center)) + abs(c.radius - d.radius)
     vertex_kinds = (VertexPolytope, Box)

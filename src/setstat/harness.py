@@ -17,6 +17,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +190,8 @@ _SCALAR_TYPES = {
 }
 
 _POSITIVE_FIELDS = {"n", "replicates", "n_directions", "noise_radius", "h"}
+# (lower, upper) field pairs of the prior and u_grid objects
+_RANGES = (("eps_lo", "eps_hi"), ("theta_lo", "theta_hi"), ("w_lo", "w_hi"), ("lo", "hi"))
 _ESTIMATORS = ("abp", "mle", "via", "kkt", "presmooth")
 
 
@@ -220,6 +223,9 @@ def _validate_params(kind: str, params: dict) -> dict:
             for k2 in ("step", "d_eps", "d_theta"):  # grid steps
                 if k2 in sub and not sub[k2] > 0:
                     raise ConfigError(f"parameter '{key}.{k2}' must be positive")
+            for lo, hi in _RANGES:
+                if lo in sub and not sub[lo] <= sub[hi]:
+                    raise ConfigError(f"parameter '{key}.{lo}' must not exceed '{key}.{hi}'")
             merged[key] = sub
         else:
             merged[key] = value
@@ -396,10 +402,73 @@ def _write_csv(path: Path, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
+_JSON_SPECIAL_FLOATS = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _json_scalar(obj) -> str | None:
+    """JSON text of a str, None, bool, int or float; None for anything else."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _JSON_SPECIAL_FLOATS.get(text, text)
+    return None
+
+
+def _json_chunks(obj, indent: str, out: list[str]) -> None:
+    """Append the text json.dump(obj, indent=2, sort_keys=True) writes."""
+    text = _json_scalar(obj)
+    if text is not None:
+        out.append(text)
+        return
+    if not isinstance(obj, (list, tuple, dict)):
+        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+    if not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
+        return
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict):
+        out.append("{\n" + inner)
+        for i, (key, value) in enumerate(sorted(obj.items())):
+            name = key if isinstance(key, str) else _json_scalar(key)
+            if name is None:
+                raise TypeError(
+                    f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+                )
+            out.append((sep if i else "") + encode_basestring_ascii(name) + ": ")
+            _json_chunks(value, inner, out)
+        out.append("\n" + indent + "}")
+    elif all(type(x) is float for x in obj):  # grid rows: one join
+        text = sep.join(map(float.__repr__, obj))
+        if "n" in text:  # no finite repr has an 'n' or an 'i'
+            text = text.replace("inf", "Infinity").replace("nan", "NaN")
+        out.append("[\n" + inner + text + "\n" + indent + "]")
+    else:
+        out.append("[\n" + inner)
+        for i, value in enumerate(obj):
+            if i:
+                out.append(sep)
+            _json_chunks(value, inner, out)
+        out.append("\n" + indent + "]")
+
+
 def _write_json(path: Path, obj) -> None:
+    """Write obj as json.dump(obj, indent=2, sort_keys=True) plus a newline,
+    byte for byte, without json's per-value generator overhead."""
+    out: list[str] = []
+    _json_chunks(obj, "", out)
+    out.append("\n")
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write("".join(out))
 
 
 class _Emitter:
@@ -523,8 +592,7 @@ def _run_clt(config, emit):
     params = config.params
     model = _slln_model(params)
     n, reps = params["n"], params["replicates"]
-    vectors = randomsets.clt_difference_replicates(model, n, reps, config.seed)
-    stats = randomsets.hausdorff_statistic_replicates(model, n, reps, config.seed)
+    vectors, stats = randomsets.clt_replicates(model, n, reps, config.seed)
     d = vectors.shape[1]
     emit.table(
         "clt_vectors",

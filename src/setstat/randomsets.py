@@ -58,8 +58,7 @@ __all__ = [
     "minkowski_sample_mean",
     "slln_curve",
     "SllnPoint",
-    "clt_difference_replicates",
-    "hausdorff_statistic_replicates",
+    "clt_replicates",
     "EXPECTATION_LAWS",
     "LawReport",
     "check_expectation_law",
@@ -372,39 +371,29 @@ def _difference_vector(mean_set: ConvexSet, expectation: ConvexSet) -> np.ndarra
     return 0.5 * (lo + hi)
 
 
-def clt_difference_replicates(
+def clt_replicates(
     model: RandomlyTranslatedSet, n: int, replicates: int, seed: RngSeed
-) -> np.ndarray:
-    """Replicated sqrt(n) * v where {v} = (Minkowski mean of n draws) - E(X).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Replicated CLT residuals of the Minkowski mean of n draws.
 
-    For translated sets the erosion is a singleton translate by construction;
-    anything else raises InternalConsistencyError.
+    Replicate r draws one family from seed.derive(r), takes its Minkowski
+    mean M once, and returns both sqrt(n) * v, where {v} = M - E(X), and
+    the statistic sqrt(n) * Hausdorff(M, E(X)).  For translated sets the
+    erosion is a singleton translate by construction (anything else raises
+    InternalConsistencyError), so each statistic equals the norm of its
+    vector.  Returns the (replicates, d) vectors and the (replicates,)
+    statistics.
     """
     expectation = selection_expectation(model)
-    out = np.empty((replicates, model.body.dim))
+    root_n = math.sqrt(n)
+    vectors = np.empty((replicates, model.body.dim))
+    stats = np.empty(replicates)
     for r in range(replicates):
         samples = sample_translated_sets(model, n, seed.derive(r))
         mean_set = minkowski_sample_mean(samples)
-        out[r] = math.sqrt(n) * _difference_vector(mean_set, expectation)
-    return out
-
-
-def hausdorff_statistic_replicates(
-    model: RandomlyTranslatedSet, n: int, replicates: int, seed: RngSeed
-) -> np.ndarray:
-    """Replicated sqrt(n) * Hausdorff(Minkowski mean of n draws, E(X)).
-
-    Shares the replicate streams of clt_difference_replicates, so for
-    translated sets each value equals the norm of the matching difference
-    vector.
-    """
-    expectation = selection_expectation(model)
-    out = np.empty(replicates)
-    for r in range(replicates):
-        samples = sample_translated_sets(model, n, seed.derive(r))
-        mean_set = minkowski_sample_mean(samples)
-        out[r] = math.sqrt(n) * hausdorff(mean_set, expectation)
-    return out
+        vectors[r] = root_n * _difference_vector(mean_set, expectation)
+        stats[r] = root_n * hausdorff(mean_set, expectation)
+    return vectors, stats
 
 
 # --- selection-expectation algebra ---------------------------------------

@@ -42,8 +42,7 @@ from setstat.randomsets import (
     RngSeed,
     UniformBoxNoise,
     check_expectation_law,
-    clt_difference_replicates,
-    hausdorff_statistic_replicates,
+    clt_replicates,
     slln_curve,
 )
 from setstat import harness
@@ -132,8 +131,7 @@ def test_criterion_02_minkowski_mean_convergence_rate():
 def test_criterion_03_normalized_difference_clt():
     t0 = time.perf_counter()
     model = _unit_square_model()
-    vectors = clt_difference_replicates(model, 1000, 10_000, RngSeed(12))
-    stats = hausdorff_statistic_replicates(model, 1000, 10_000, RngSeed(12))
+    vectors, stats = clt_replicates(model, 1000, 10_000, RngSeed(12))
     identity_gap = float(np.max(np.abs(stats - np.linalg.norm(vectors, axis=1))))
     target = np.eye(2) / 3.0  # covariance of U([-1,1]^2) noise
     emp = np.cov(vectors.T)

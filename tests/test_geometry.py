@@ -97,6 +97,52 @@ def test_hull_is_counterclockwise_and_minimal():
             assert cross > 0  # strictly convex turns, no collinear survivors
 
 
+def _numpy_scalar_hull(points, tol=geometry.HULL_COLLINEARITY_TOL):
+    # the monotone chain on numpy scalar rows, as convex_hull_2d ran it before
+    # it switched to Python floats; kept as the oracle of that switch
+    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    if pts.shape[0] == 1:
+        return pts
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and cross(out[-2], out[-1], p) <= tol:
+                out.pop()
+            out.append(p)
+        return out
+
+    hull = chain(pts)[:-1] + chain(pts[::-1])[:-1]
+    if not hull:
+        hull = [pts[0], pts[-1]]
+    return np.asarray(hull, dtype=float)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64).tolist()
+
+
+def test_hull_on_python_floats_matches_numpy_scalar_chain():
+    rng = np.random.default_rng(21)
+    clouds = []
+    for k in (1, 2, 3, 5, 30, 200):
+        clouds.append(rng.normal(size=(k, 2)))
+    t = rng.normal(size=(40, 1))
+    clouds.append(np.hstack([t, 2.0 * t + 1.0]))  # collinear
+    clouds.append(np.hstack([t, 3.0 * t + 1e-13 * rng.normal(size=(40, 1))]))  # near-collinear
+    base = rng.normal(size=(12, 2))
+    clouds.append(np.vstack([base, base[::2], base[1::3]]))  # duplicates
+    clouds.append(rng.choice([0.0, -0.0, 1.0, -1.0], size=(60, 2)))  # signed zeros
+    clouds.append(np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0], [-0.0, -0.0]]))
+    ring = np.column_stack([np.cos(np.arange(360) * np.pi / 180), np.sin(np.arange(360) * np.pi / 180)])
+    clouds.append(np.vstack([ring, rng.uniform(-1, 1, size=(14, 2))]))
+    for pts in clouds:
+        assert _bits(convex_hull_2d(pts)) == _bits(_numpy_scalar_hull(pts))
+
+
 def test_vertex_polytope_prunes_interior_points():
     p = VertexPolytope([[0, 0], [2, 0], [2, 2], [0, 2], [1, 1]])
     assert p.vertices.shape == (4, 2)
@@ -506,6 +552,76 @@ def test_distance_to_ball_and_box_closed_forms():
     assert math.isclose(dist_point([3.0, 4.0], Ball([0.0, 0.0], 2.0)), 3.0, abs_tol=1e-12)
     assert math.isclose(dist_point([2.0, 0.5], Box([0, 0], [1, 1])), 1.0, abs_tol=1e-12)
     assert dist_point([0.5, 0.5], Box([0, 0], [1, 1])) == 0.0
+
+
+def _per_axis_bounds(c):
+    # bounds_of as 2d separate support calls: the oracle of its Box fast path
+    lo, hi = np.empty(c.dim), np.empty(c.dim)
+    for j in range(c.dim):
+        u = np.zeros(c.dim)
+        u[j] = 1.0
+        hi[j] = c.support(u)
+        u[j] = -1.0
+        lo[j] = -c.support(u)
+    return lo, hi
+
+
+def _random_box(rng, dim, thin=False):
+    a, b = rng.normal(size=dim), rng.normal(size=dim)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    if thin:  # one side at most HULL_COLLINEARITY_TOL wide, or exactly flat
+        j = rng.integers(dim)
+        hi[j] = lo[j] + rng.choice([0.0, 1e-14, 1e-13, 5e-13, 1e-12])
+    return Box(lo, hi)
+
+
+def test_box_bounds_match_per_axis_support_loop_bit_for_bit():
+    rng = np.random.default_rng(22)
+    for dim in range(1, 10):
+        for _ in range(200):
+            # signed-zero bounds on either side, some flat axes
+            lo = rng.choice([-2.5, -1.0, -0.0, 0.0, 0.5], size=dim)
+            hi = lo + rng.choice([0.0, 0.0, 0.25, 1.0], size=dim)
+            hi = np.where((lo < 0.0) & (rng.random(dim) < 0.3), rng.choice([0.0, -0.0], size=dim), hi)
+            box = Box(lo, hi)
+            got, want = bounds_of(box), _per_axis_bounds(box)
+            assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
+        point = Box(np.full(dim, -0.0), np.full(dim, -0.0))  # degenerate, all -0.0
+        got, want = bounds_of(point), _per_axis_bounds(point)
+        assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
+
+
+def _vertex_path_hausdorff(c, d):
+    # the box-pair path hausdorff took before its closed form: distances of
+    # every listed corner (2-D corners pass through convex_hull_2d)
+    def directed(p, q):
+        x = vertices_of(p)
+        return max(np.linalg.norm(x - np.clip(x, q.lower, q.upper), axis=1).max(), 0.0)
+
+    return float(max(directed(c, d), directed(d, c)))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_box_hausdorff_closed_form_matches_vertex_path(dim):
+    rng = np.random.default_rng(23 + dim)
+    for _ in range(500):
+        c, d = _random_box(rng, dim), _random_box(rng, dim)
+        assert _bits(hausdorff(c, d)) == _bits(_vertex_path_hausdorff(c, d))
+    c = Box(np.full(dim, -0.0), np.full(dim, 0.0))
+    assert _bits(hausdorff(c, c)) == _bits(_vertex_path_hausdorff(c, c))
+
+
+def test_box_hausdorff_on_thin_2d_boxes_is_at_least_the_vertex_path():
+    # the hull drops real corners of a box thinner than about
+    # HULL_COLLINEARITY_TOL, so the old path reads slightly low there
+    rng = np.random.default_rng(26)
+    raised = 0
+    for _ in range(2000):
+        c, d = _random_box(rng, 2, thin=True), _random_box(rng, 2, thin=rng.random() < 0.5)
+        new, old = hausdorff(c, d), _vertex_path_hausdorff(c, d)
+        assert old <= new <= old + 2e-12
+        raised += new > old
+    assert raised > 0
 
 
 def test_hausdorff_one_dimensional_exact():

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from setstat import cli
+from setstat import cli, harness
 from setstat.harness import (
     EXPERIMENT_KINDS,
     ConfigError,
@@ -19,6 +19,49 @@ from setstat.harness import (
 )
 from setstat.invopt import read_observations_jsonl
 from setstat.kernelreg import read_dataset_jsonl
+
+
+# ------------------------------------------------------------------- writers
+
+
+def test_write_json_bytes_match_json_dump(tmp_path):
+    class Half(float):
+        def __repr__(self):
+            return "Half()"
+
+    inf, nan = float("inf"), float("nan")
+    grid = [[0.1 * i + 0.01 * j for j in range(7)] for i in range(5)]
+    grid[1][2], grid[2][3], grid[3][0], grid[4][6] = inf, -inf, nan, -0.0
+    objects = [
+        {"grid": grid, "edge": [5e-324, 1e22, -0.0, 0.0, 1.5e-7, -2.5e300]},
+        {"empty_list": [], "empty_dict": {}, "nested": [[], {}, [[]], [{}]]},
+        {"text": ["plain", "ünïcødé ✓", 'quote " and \\ slash', "tab\tnewline\n"]},
+        {"flags": [True, False, None], "ints": [0, -3, 2**70], "mixed": [1, 2.5, "x", None, True]},
+        {"z": 1, "a": {"y": [1.0, inf], "b": (2.0, nan)}, "ключ": Half(0.5)},
+        {2: "int key", 1.5: "float key"},
+        {True: "t", False: "f"},
+        {None: "n"},
+        [Half(0.25), 0.75],
+        (1.0, 2.0),
+        np.float64(3.25),
+        "top-level string",
+        7,
+        None,
+        [],
+        {},
+    ]
+    for k, obj in enumerate(objects):
+        path = tmp_path / f"obj{k}.json"
+        harness._write_json(path, obj)
+        with open(tmp_path / "ref.json", "w") as fh:
+            json.dump(obj, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        assert path.read_bytes() == (tmp_path / "ref.json").read_bytes(), obj
+    for bad in ({"a": np.int64(1)}, [object()], {(1, 2): 1}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            harness._write_json(tmp_path / "bad.json", bad)
 
 
 # ------------------------------------------------------------------- config
@@ -86,6 +129,11 @@ def test_config_rejects_bad_values():
         ("invopt-fit", {"prior": {"d_eps": 0}}),
         ("compare-estimators", {"prior": {"d_theta": -0.05}}),
         ("compare-estimators", {"estimators": 5}),
+        # inverted ranges
+        ("invopt-fit", {"prior": {"eps_lo": 5, "eps_hi": 1}}),
+        ("invopt-fit", {"prior": {"theta_lo": 1, "theta_hi": -1}}),
+        ("compare-estimators", {"prior": {"w_lo": 1, "w_hi": -1}}),
+        ("kernel-fit", {"u_grid": {"lo": 1, "hi": -1}}),
     ]:
         with pytest.raises(ConfigError):
             config_from_dict({"kind": kind, "params": params})
@@ -319,6 +367,10 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     path3.write_text('{"kind": "kernel-fit", "params": {"u_grid": {"step": 0}}}')
     assert cli.main(["kernel-fit", "--config", str(path3)]) == 2
     assert "config error" in capsys.readouterr().err
+    path4 = tmp_path / "inverted_prior.json"
+    path4.write_text('{"kind": "invopt-fit", "params": {"prior": {"eps_lo": 5, "eps_hi": 1}}}')
+    assert cli.main(["invopt-fit", "--config", str(path4)]) == 2
+    assert "must not exceed" in capsys.readouterr().err
 
 
 def test_cli_failed_check_exits_1(tmp_path, capsys):

@@ -42,10 +42,9 @@ from setstat.randomsets import (
     UniformBallNoise,
     UniformBoxNoise,
     check_expectation_law,
-    clt_difference_replicates,
+    clt_replicates,
     delta_method_statistics,
     delta_method_tails,
-    hausdorff_statistic_replicates,
     jensen_inclusion_gap,
     minkowski_sample_mean,
     noise_from_dict,
@@ -248,7 +247,7 @@ def test_clt_vectors_match_mean_noise_identity():
     # plain vector average of the draws
     model = _square_model()
     n, reps, seed = 400, 12, RngSeed(9)
-    vectors = clt_difference_replicates(model, n, reps, seed)
+    vectors, _ = clt_replicates(model, n, reps, seed)
     assert vectors.shape == (reps, 2)
     for r in range(reps):
         xi = model.noise.sample(seed.derive(r).generator(), n)
@@ -259,14 +258,13 @@ def test_clt_vectors_match_mean_noise_identity():
 def test_hausdorff_statistic_equals_vector_norm_per_replicate():
     model = _square_model()
     n, reps, seed = 300, 20, RngSeed(11)
-    vectors = clt_difference_replicates(model, n, reps, seed)
-    stats_vals = hausdorff_statistic_replicates(model, n, reps, seed)
+    vectors, stats_vals = clt_replicates(model, n, reps, seed)
     np.testing.assert_allclose(stats_vals, np.linalg.norm(vectors, axis=1), atol=1e-10)
 
 
 def test_clt_covariance_approaches_noise_covariance():
     model = _square_model()
-    vectors = clt_difference_replicates(model, 300, 1500, RngSeed(13))
+    vectors, _ = clt_replicates(model, 300, 1500, RngSeed(13))
     emp = np.cov(vectors.T)
     target = model.noise.covariance
     rel = np.linalg.norm(emp - target) / np.linalg.norm(target)
@@ -277,9 +275,40 @@ def test_clt_works_for_ball_and_polytope_bodies():
     noise = UniformBoxNoise([-0.5, -0.5], [0.5, 0.5])
     for body in [Ball([0.0, 0.0], 1.0), VertexPolytope([[0, 0], [1, 0], [0, 1]])]:
         model = RandomlyTranslatedSet(body, noise)
-        v = clt_difference_replicates(model, 100, 5, RngSeed(1))
-        s = hausdorff_statistic_replicates(model, 100, 5, RngSeed(1))
+        v, s = clt_replicates(model, 100, 5, RngSeed(1))
         np.testing.assert_allclose(s, np.linalg.norm(v, axis=1), atol=1e-10)
+
+
+def _two_pass_clt(model, n, reps, seed):
+    # the two replicate passes clt_replicates merged: one pass for the
+    # difference vectors and one for the Hausdorff statistics
+    expectation = selection_expectation(model)
+    vectors = np.empty((reps, model.body.dim))
+    for r in range(reps):
+        mean = minkowski_sample_mean(sample_translated_sets(model, n, seed.derive(r)))
+        vectors[r] = math.sqrt(n) * randomsets._difference_vector(mean, expectation)
+    stats_vals = np.empty(reps)
+    for r in range(reps):
+        mean = minkowski_sample_mean(sample_translated_sets(model, n, seed.derive(r)))
+        stats_vals[r] = math.sqrt(n) * hausdorff(mean, expectation)
+    return vectors, stats_vals
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        Box([-1.0, -0.5], [1.0, 0.5]),
+        Ball([0.25, 0.0], 1.0),
+        VertexPolytope([[0, 0], [1, 0], [1.5, 0.75], [0, 1]]),
+    ],
+    ids=["box", "ball", "polygon"],
+)
+def test_clt_replicates_match_two_pass_reference_bit_for_bit(body):
+    model = RandomlyTranslatedSet(body, UniformBoxNoise([-0.5, -0.5], [0.5, 0.5]))
+    vectors, stats_vals = clt_replicates(model, 40, 6, RngSeed(17))
+    want_vectors, want_stats = _two_pass_clt(model, 40, 6, RngSeed(17))
+    assert vectors.tobytes() == want_vectors.tobytes()
+    assert stats_vals.tobytes() == want_stats.tobytes()
 
 
 # ------------------------------------------------------- expectation algebra
