@@ -98,6 +98,26 @@ def _as_points(x) -> np.ndarray:
     return p
 
 
+def _as_directions(dirs, dim: int) -> np.ndarray:
+    u = np.ascontiguousarray(dirs, dtype=float)
+    if u.ndim != 2 or u.shape[1] != dim:
+        raise ValueError(f"expected an (m, {dim}) array of directions, got shape {u.shape}")
+    if not np.isfinite(u).all():
+        raise ValueError("direction entries must be finite")
+    return u
+
+
+def _row_dots(u: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """u_i @ m for every row u_i of u, one BLAS call per row.
+
+    A stacked matmul runs the ddot (m a vector) or the dgemv (m = A.T, a
+    transposed view) that the 1-D products c @ u_i and A @ u_i run, so the
+    bits are theirs.  u @ m would run one dgemm, and einsum its own SIMD
+    loop; both round differently.
+    """
+    return np.matmul(u[:, None, :], m)[:, 0]
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
     a.flags.writeable = False
@@ -156,6 +176,14 @@ class ConvexSet:
     def support(self, u) -> float:
         raise NotImplementedError
 
+    def support_many(self, dirs) -> np.ndarray:
+        """Support values on the rows of an (m, d) direction array.
+
+        Every variant gives the bits of [self.support(u) for u in dirs] on a
+        C-contiguous float64 array; this default is that loop.
+        """
+        return np.array([self.support(u) for u in dirs], dtype=float)
+
     def support_point(self, u) -> np.ndarray:
         raise NotImplementedError
 
@@ -188,6 +216,10 @@ class VertexPolytope(ConvexSet):
     def support(self, u) -> float:
         u = _as_vector(u, self.dim)
         return float(np.max(self.vertices @ u))
+
+    def support_many(self, dirs) -> np.ndarray:
+        u = _as_directions(dirs, self.dim)
+        return _row_dots(u, self.vertices.T).max(axis=1)
 
     def support_point(self, u) -> np.ndarray:
         u = _as_vector(u, self.dim)
@@ -230,6 +262,14 @@ class Zonotope(ConvexSet):
             return float(self.center @ u)
         return float(self.center @ u + np.sum(np.abs(self._effective() @ u)))
 
+    def support_many(self, dirs) -> np.ndarray:
+        # a row sum over contiguous rows is the pairwise sum of the 1-D np.sum
+        u = _as_directions(dirs, self.dim)
+        h = _row_dots(u, self.center)
+        if self.generators.shape[0] == 0:
+            return h
+        return h + np.sum(np.abs(_row_dots(u, self._effective().T)), axis=1)
+
     def support_point(self, u) -> np.ndarray:
         u = _as_vector(u, self.dim)
         e = self._effective()
@@ -267,6 +307,12 @@ class Ball(ConvexSet):
         u = _as_vector(u, self.dim)
         return float(self.center @ u + self.radius * np.linalg.norm(u))
 
+    def support_many(self, dirs) -> np.ndarray:
+        # the norm of a 1-D vector is sqrt(ddot(u, u))
+        u = _as_directions(dirs, self.dim)
+        norms = np.sqrt(np.matmul(u[:, None, :], u[:, :, None])[:, 0, 0])
+        return _row_dots(u, self.center) + self.radius * norms
+
     def support_point(self, u) -> np.ndarray:
         u = _as_vector(u, self.dim)
         nu = np.linalg.norm(u)
@@ -297,6 +343,10 @@ class Box(ConvexSet):
     def support(self, u) -> float:
         u = _as_vector(u, self.dim)
         return float(np.sum(np.where(u >= 0, self.upper, self.lower) * u))
+
+    def support_many(self, dirs) -> np.ndarray:
+        u = _as_directions(dirs, self.dim)
+        return np.sum(np.where(u >= 0, self.upper, self.lower) * u, axis=1)
 
     def support_point(self, u) -> np.ndarray:
         u = _as_vector(u, self.dim)
@@ -378,25 +428,15 @@ def _signed_axes(d: int) -> np.ndarray:
 def bounds_of(c: ConvexSet) -> tuple[np.ndarray, np.ndarray]:
     """Componentwise support bounds (the tightest axis-aligned box).
 
-    The bounds are hi_j = h(e_j, C) and lo_j = -h(-e_j, C).  A Box evaluates
-    all 2d signed axis directions in one array step; its products and row
-    sums are those of 2d Box.support calls, so the bounds are bit-identical
-    to the per-axis loop, signed zeros included.
+    The bounds are hi_j = h(e_j, C) and lo_j = -h(-e_j, C), read from one
+    support_many call on all 2d signed axis directions.  support_many keeps
+    the bits of one support call per direction (one ddot or dgemv per row),
+    so the bounds are bit-identical to the per-axis loop, signed zeros
+    included.
     """
     d = c.dim
-    if isinstance(c, Box):
-        u = _signed_axes(d)
-        h = np.sum(np.where(u >= 0, c.upper, c.lower) * u, axis=1)
-        return -h[d:], h[:d]
-    lo = np.empty(d)
-    hi = np.empty(d)
-    for j in range(d):
-        u = np.zeros(d)
-        u[j] = 1.0
-        hi[j] = c.support(u)
-        u[j] = -1.0
-        lo[j] = -c.support(u)
-    return lo, hi
+    h = c.support_many(_signed_axes(d))
+    return -h[d:], h[:d]
 
 
 def support(c: ConvexSet, u) -> float:
@@ -655,14 +695,17 @@ def _halfplane_vertices(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray 
     return np.array(kept) if kept else None
 
 
+def _max_abs_bound(c: ConvexSet) -> float:
+    """max_j max(|lo_j|, |hi_j|) over bounds_of(c).  A Box reads its own
+    arrays: they differ from its bounds only in the sign of a zero."""
+    if isinstance(c, Box):
+        return float(max(np.max(np.abs(c.lower)), np.max(np.abs(c.upper))))
+    return float(np.max(np.abs(bounds_of(c))))
+
+
 def _erosion_tol(c: ConvexSet, d: ConvexSet) -> float:
     """Emptiness slack absorbing accumulated rounding in width comparisons."""
-    scale_ref = max(
-        1.0,
-        float(np.max(np.abs(bounds_of(c)))),
-        float(np.max(np.abs(bounds_of(d)))),
-    )
-    return 1e-12 * scale_ref
+    return 1e-12 * max(1.0, _max_abs_bound(c), _max_abs_bound(d))
 
 
 def minkowski_diff(c: ConvexSet, d: ConvexSet, n_directions: int = 360) -> ConvexSet | None:
@@ -695,7 +738,7 @@ def minkowski_diff(c: ConvexSet, d: ConvexSet, n_directions: int = 360) -> Conve
         return interval(min(lo, hi), max(lo, hi))
     if dim == 2:
         a, b = _facets_2d(c, n_directions)
-        bt = b - np.array([d.support(row) for row in a])
+        bt = b - d.support_many(a)
         verts = _halfplane_vertices(a, bt, 1e-9 * (1.0 + np.max(np.abs(bt))))
         return None if verts is None else VertexPolytope(verts)
     # d > 2: sampled outer halfplanes resolved by scipy (approximate)
@@ -703,7 +746,7 @@ def minkowski_diff(c: ConvexSet, d: ConvexSet, n_directions: int = 360) -> Conve
     from scipy.spatial import HalfspaceIntersection
 
     dirs = direction_grid(dim, max(n_directions, 4 * dim * dim))
-    b = np.array([c.support(u) - d.support(u) for u in dirs])
+    b = c.support_many(dirs) - d.support_many(dirs)
     norms = np.ones(len(dirs))
     res = linprog(
         np.concatenate([np.zeros(dim), [-1.0]]),
@@ -855,6 +898,135 @@ def _zonotope_nearest(z: Zonotope, x: np.ndarray, tol: float = _SUPPORT_GAP_TOL)
     return zc
 
 
+# A two-term dot product a0 b0 + a1 b1 evaluated in floats, fused or not,
+# lies within 2u (|a0 b0| + |a1 b1|) of its exact value (u = 2^-53), so a
+# plain-float evaluation and the BLAS one differ by at most 4u times that
+# sum.  A plain-float value that clears zero, or another such value, by more
+# than _DOT2_MARGIN (32u) times the larger sum decides the sign or the
+# comparison as the BLAS values would.
+_DOT2_MARGIN = 2.0**-48
+_DOT2_TINY = 1e-300  # absolute slack for products in the subnormal range
+
+
+def _zonogon_nearest(z: Zonotope, x: np.ndarray, tol: float = _SUPPORT_GAP_TOL) -> np.ndarray:
+    """_zonotope_nearest in the plane, bit for bit, at about a third of its cost.
+
+    It takes the same steps:
+    - coordinates are Python floats, which round as numpy's elementwise
+      ops do, and the weighted vertex sum adds the rows in order, as
+      np.add.reduce over axis 0 does;
+    - the products whose bits enter an iterate, the step's slope and
+      squared length, stay BLAS ddots;
+    - products that only choose (the generator signs of the forward vertex,
+      the away vertex, forward or away) are plain floats when
+      _DOT2_MARGIN decides them and the BLAS products of the general loop
+      when it does not;
+    - each vertex is built once per call;
+    - the slope is the gap already at hand: the step direction is minus the
+      vector that gap was taken on, and the ddot of a negated vector is the
+      negated ddot, nonzero since the gap exceeds tol.
+    """
+    e = z._effective()
+    e = e[np.linalg.norm(e, axis=1) > 0]
+    if e.shape[0] == 0:
+        return z.center.copy()
+    generators = e.tolist()
+    vertices: dict[tuple, tuple] = {}
+
+    def vertex(g0: float, g1: float) -> tuple:
+        # (signs, p0, p1) of the vertex minimizing g . p: generator sign -1
+        # where e_i . g > 0, else +1
+        signs = []
+        for e0, e1 in generators:
+            u, v = e0 * g0, e1 * g1
+            # |u| + |v| is |u - v| when the signs differ and |u + v| when not
+            if abs(u + v) <= _DOT2_MARGIN * abs(u - v) + _DOT2_TINY:
+                signs = (e.dot(np.array((g0, g1))) > 0.0).tolist()
+                break
+            signs.append(u + v > 0.0)
+        key = tuple(signs)
+        p = vertices.get(key)
+        if p is None:
+            s = np.array([-1.0 if up else 1.0 for up in key])
+            p = vertices[key] = (key, *(z.center + s @ e).tolist())
+        return p
+
+    x0, x1 = x.tolist()
+    c0, c1 = z.center.tolist()
+    active = [vertex(-(x0 - c0), -(x1 - c1))]
+    weights = [1.0]
+    _, z0, z1 = active[0]
+    stacked = None  # the active vertices as (k, 1, 2), built when needed
+    for _ in range(_ZONOTOPE_NEAREST_MAX_ITER):
+        g0, g1 = 2.0 * (z0 - x0), 2.0 * (z1 - x1)
+        grad = np.array((g0, g1))
+        p_s = vertex(g0, g1)
+        to_s = np.array((z0 - p_s[1], z1 - p_s[2]))
+        gap_fw = float(grad.dot(to_s))
+        if gap_fw <= tol:
+            break
+        a = 0  # the away vertex: the first maximizer of grad . p
+        if len(active) > 1:
+            best = second = -math.inf
+            scale = 0.0
+            for i, (_, q0, q1) in enumerate(active):
+                u, v = g0 * q0, g1 * q1
+                scale = max(scale, abs(u) + abs(v))
+                if u + v > best:
+                    a, best, second = i, u + v, best
+                elif u + v > second:
+                    second = u + v
+            if best - second <= _DOT2_MARGIN * scale + _DOT2_TINY:
+                if stacked is None:
+                    stacked = np.array([p[1:] for p in active])[:, None, :]
+                a = int(np.matmul(stacked, grad).argmax())
+        _, a0, a1 = active[a]
+        w_a = weights[a]
+        u, v = g0 * (a0 - z0), g1 * (a1 - z1)
+        is_fw = w_a >= 1.0 or gap_fw - (u + v) > _DOT2_MARGIN * (abs(u) + abs(v)) + _DOT2_TINY
+        if not is_fw:
+            from_a = np.array((a0 - z0, a1 - z1))
+            gap_away = float(grad.dot(from_a))
+            is_fw = gap_fw >= gap_away
+        if is_fw:  # toward p_s
+            slope, dd, gamma_max = gap_fw, float(to_s.dot(to_s)), 1.0
+        else:  # away from active[a]
+            slope, dd, gamma_max = gap_away, float(from_a.dot(from_a)), w_a / (1.0 - w_a)
+        if dd <= 0.0:
+            break
+        gamma = min(max(slope / (2.0 * dd), 0.0), gamma_max)
+        if gamma <= 0.0:
+            break
+        if is_fw:
+            shrink = 1.0 - gamma
+            weights = [w * shrink for w in weights]
+            if p_s in active:
+                weights[active.index(p_s)] += gamma
+            else:
+                active.append(p_s)
+                weights.append(gamma)
+                stacked = None
+        else:
+            grow = 1.0 + gamma
+            weights = [w * grow for w in weights]
+            weights[a] -= gamma
+        if min(weights) <= 1e-14:
+            keep = [i for i, w in enumerate(weights) if w > 1e-14]
+            active = [active[i] for i in keep]
+            weights = [weights[i] for i in keep]
+            stacked = None
+        total = sum(weights)
+        weights = [w / total for w in weights]
+        (_, q0, q1), w = active[0], weights[0]
+        z0, z1 = w * q0, w * q1
+        for w, (_, q0, q1) in zip(weights[1:], active[1:]):
+            z0 += w * q0
+            z1 += w * q1
+    else:
+        raise SolverLimitError("zonotope projection hit its iteration cap")
+    return np.array((z0, z1))
+
+
 def project_point(x, c: ConvexSet) -> tuple[np.ndarray, float]:
     """Nearest point of C to x and the Euclidean distance."""
     x = _as_vector(x, c.dim)
@@ -876,7 +1048,7 @@ def project_point(x, c: ConvexSet) -> tuple[np.ndarray, float]:
             lo, hi = bounds_of(c)
             p = np.clip(x, lo, hi)
             return p, float(np.linalg.norm(x - p))
-        p = _zonotope_nearest(c, x)
+        p = _zonogon_nearest(c, x) if c.dim == 2 else _zonotope_nearest(c, x)
         return p, float(np.linalg.norm(x - p))
     raise TypeError(f"unsupported set variant: {type(c).__name__}")
 
@@ -896,41 +1068,76 @@ def contains(c: ConvexSet, x, tol: float = 1e-9) -> bool:
     return dist_point(x, c) <= tol
 
 
+def _row_norms(diff: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(diff, axis=1), without numpy's slow reduce over a short axis.
+
+    Below 8 columns that reduce adds each row's squares left to right, so
+    adding the squared columns in that order keeps its bits.
+    """
+    if diff.shape[1] >= 8:
+        return np.linalg.norm(diff, axis=1)
+    sq = diff[:, 0] * diff[:, 0]
+    for j in range(1, diff.shape[1]):
+        sq += diff[:, j] * diff[:, j]
+    return np.sqrt(sq)
+
+
 def _dist_points_batch(xs: np.ndarray, c: ConvexSet) -> np.ndarray:
-    """Vectorized distances from many points to one set (exact per variant)."""
+    """Vectorized distances from many points to one set (exact per variant).
+
+    A 2-D polygon takes one pass per edge in buffers allocated once: the
+    projection parameter is one dgemv, rel @ ab, and the squared distance
+    adds the squared coordinate gaps in norm's order.  sqrt is correctly
+    rounded and monotone, so the minimum squared distance gives the bits of
+    the minimum distance with one sqrt at the end.
+    """
     xs = np.asarray(xs, dtype=float)
     if isinstance(c, Box):
-        p = np.clip(xs, c.lower, c.upper)
-        return np.linalg.norm(xs - p, axis=1)
+        return _row_norms(xs - np.clip(xs, c.lower, c.upper))
     if isinstance(c, Ball):
-        return np.maximum(np.linalg.norm(xs - c.center, axis=1) - c.radius, 0.0)
+        return np.maximum(_row_norms(xs - c.center) - c.radius, 0.0)
     if c.dim == 1:
         lo, hi = bounds_of(c)
         return np.maximum(np.maximum(lo[0] - xs[:, 0], xs[:, 0] - hi[0]), 0.0)
     if isinstance(c, Zonotope) and c.dim == 2:
         c = VertexPolytope(_zonogon_vertices(c), prune=False)
-    if isinstance(c, VertexPolytope) and c.dim == 2:
-        v = c.vertices
-        if v.shape[0] == 1:
-            return np.linalg.norm(xs - v[0], axis=1)
-        nxt = np.roll(v, -1, axis=0)
-        if v.shape[0] == 2:
-            nxt = v[::-1]
-        best = np.full(xs.shape[0], np.inf)
-        inside = np.ones(xs.shape[0], dtype=bool) if v.shape[0] >= 3 else np.zeros(xs.shape[0], dtype=bool)
-        for a, b in zip(v, nxt):
-            ab = b - a
-            denom = float(ab @ ab)
-            rel = xs - a
-            if v.shape[0] >= 3:
-                crossv = ab[0] * rel[:, 1] - ab[1] * rel[:, 0]
-                inside &= crossv >= -1e-12
-            t = np.clip(rel @ ab / denom, 0.0, 1.0) if denom > 0 else np.zeros(xs.shape[0])
-            proj = a + t[:, None] * ab
-            best = np.minimum(best, np.linalg.norm(xs - proj, axis=1))
-        best[inside] = 0.0
-        return best
-    return np.array([dist_point(x, c) for x in xs])
+    if not (isinstance(c, VertexPolytope) and c.dim == 2):
+        return np.array([dist_point(x, c) for x in xs])
+    v = c.vertices
+    if v.shape[0] == 1:
+        return _row_norms(xs - v[0])
+    nxt = v[::-1] if v.shape[0] == 2 else np.roll(v, -1, axis=0)
+    n = xs.shape[0]
+    x, y = np.ascontiguousarray(xs.T)
+    rel = np.empty((n, 2))
+    t, gx, gy = np.empty(n), np.empty(n), np.empty(n)
+    best = np.full(n, np.inf)  # squared distances until the final sqrt
+    inside = np.full(n, v.shape[0] >= 3)
+    for a, b in zip(v, nxt):
+        ab = b - a
+        denom = float(ab @ ab)
+        np.subtract(xs, a, out=rel)
+        if v.shape[0] >= 3:
+            np.multiply(rel[:, 1], ab[0], out=gx)
+            np.multiply(rel[:, 0], ab[1], out=gy)
+            gx -= gy  # the cross product ab x rel
+            inside &= gx >= -1e-12
+        if denom > 0:
+            np.matmul(rel, ab, out=t)
+            t /= denom
+            np.clip(t, 0.0, 1.0, out=t)
+        else:
+            t.fill(0.0)
+        for g, p, a_k, ab_k in ((gx, x, a[0], ab[0]), (gy, y, a[1], ab[1])):
+            np.multiply(t, ab_k, out=g)
+            g += a_k  # the projection a + t ab
+            np.subtract(p, g, out=g)
+            g *= g
+        gx += gy
+        np.minimum(best, gx, out=best)
+    best = np.sqrt(best, out=best)
+    best[inside] = 0.0
+    return best
 
 
 def _box_directed_hausdorff(p: Box, q: Box) -> np.floating:
@@ -948,7 +1155,10 @@ def hausdorff(c: ConvexSet, d: ConvexSet, n_directions: int = 360) -> float:
     Exact in 1-D and for vertex-listed pairs (polytopes and boxes, where the
     directed suprema are attained at vertices) and ball pairs; other pairs
     use the support identity sup_u |h(u,C) - h(u,D)| on a direction grid
-    (approximate, and coarser above dimension two).
+    (approximate, and coarser above dimension two).  The grid takes one
+    support_many call per set: a stacked matmul that runs, row by row, the
+    ddot or dgemv of a single support call, so the value has the bits of
+    the per-direction loop.  A single dgemm (U @ V.T) would not.
 
     A box pair takes the farthest corner in closed form: the distance from
     a corner x of one box to the other box Q is |x - clip(x, Q)|, so each
@@ -976,9 +1186,7 @@ def hausdorff(c: ConvexSet, d: ConvexSet, n_directions: int = 360) -> float:
         bwd = max(_dist_points_batch(vd, c).max(), 0.0)
         return float(max(fwd, bwd))
     dirs = direction_grid(dim, n_directions)
-    hc = np.array([c.support(u) for u in dirs])
-    hd = np.array([d.support(u) for u in dirs])
-    return float(np.max(np.abs(hc - hd)))
+    return float(np.max(np.abs(c.support_many(dirs) - d.support_many(dirs))))
 
 
 def integrated_distance(
@@ -1003,14 +1211,15 @@ def integrated_distance(
     nodes, wts = np.polynomial.laguerre.laggauss(n_quadrature)
     keep = nodes <= r_cutoff
     nodes, wts = nodes[keep], wts[keep]
+    if dim > 1:
+        dirs = direction_grid(dim, n_angles)
+        steps = np.arange(1, n_radii + 1) / n_radii
     blocks = []
     for r in nodes:
         if dim == 1:
             pts = np.linspace(-r, r, n_points_1d).reshape(-1, 1)
         else:
-            dirs = direction_grid(dim, n_angles)
-            radii = r * (np.arange(1, n_radii + 1) / n_radii)
-            pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, dim)
+            pts = ((r * steps)[:, None, None] * dirs[None, :, :]).reshape(-1, dim)
             pts = np.vstack([np.zeros((1, dim)), pts])
         blocks.append(pts)
     sizes = [b.shape[0] for b in blocks]

@@ -15,7 +15,9 @@ byte-identical to averaging the materialized translates.  The expectation-law
 checks average one family too, since translates close under the law's
 operation: (K + s_i) + (L + t_i) = (K + L) + (s_i + t_i), psi_i (K + s_i) =
 |psi_i| (sigma K + sigma s_i) for the common sign sigma of psi, and
-(K + s_i) - (L + t_i) = (K - L) + (s_i - t_i) for erosions.
+(K + s_i) - (L + t_i) = (K - L) + (s_i - t_i) for erosions.  So do the
+Jensen gaps of maps that commute with translation: A (K + s_i) + K0 =
+(A K + K0) + A s_i.
 """
 
 from __future__ import annotations
@@ -423,10 +425,6 @@ class LawReport:
     n_samples: int
 
 
-def _support_profile(s: ConvexSet, dirs: np.ndarray) -> np.ndarray:
-    return np.array([s.support(u) for u in dirs])
-
-
 def _box_intersection(a: Box, b: Box) -> Box | None:
     lo = np.maximum(a.lower, b.lower)
     hi = np.minimum(a.upper, b.upper)
@@ -528,14 +526,14 @@ def check_expectation_law(
         d = models["d"]
         # coupled translation: C = body_c + xi and D = body_d + xi with
         # body_c inside body_d, so C is a.s. contained in D
-        slack_bodies = _support_profile(c.body, dirs) - _support_profile(d.body, dirs)
+        slack_bodies = c.body.support_many(dirs) - d.body.support_many(dirs)
         if np.max(slack_bodies) > 1e-9:
             raise ValueError("subset law needs models['c'].body inside models['d'].body")
         if c.noise is not d.noise:
             raise ValueError("subset law couples the noise; share one noise object")
         lhs = selection_expectation(c)
         rhs = selection_expectation(d)
-        metric = float(np.max(_support_profile(lhs, dirs) - _support_profile(rhs, dirs)))
+        metric = float(np.max(lhs.support_many(dirs) - rhs.support_many(dirs)))
         tol = 1e-9
         return LawReport(law, "inclusion", lhs, rhs, metric, tol, metric <= tol, n_samples)
 
@@ -549,13 +547,13 @@ def check_expectation_law(
         xc = c.noise.sample(rng_seed.derive(1).generator(), n_samples)
         xd = d.noise.sample(rng_seed.derive(2).generator(), n_samples)
         sample_profiles = np.maximum(
-            _support_profile(c.body, dirs) + xc @ dirs.T,
-            _support_profile(d.body, dirs) + xd @ dirs.T,
+            c.body.support_many(dirs) + xc @ dirs.T,
+            d.body.support_many(dirs) + xd @ dirs.T,
         )
         rhs_profile = sample_profiles.mean(axis=0)
         se = sample_profiles.std(axis=0, ddof=1) / math.sqrt(n_samples)
         ec, ed = selection_expectation(c), selection_expectation(d)
-        lhs_profile = np.maximum(_support_profile(ec, dirs), _support_profile(ed, dirs))
+        lhs_profile = np.maximum(ec.support_many(dirs), ed.support_many(dirs))
         metric = float(np.max(lhs_profile - rhs_profile - 2.0 * se))
         tol = 1e-9
         lhs = geometry.VertexPolytope(
@@ -580,7 +578,7 @@ def check_expectation_law(
         if rhs is None:
             raise ValueError("expectations do not intersect; law not informative")
         se = (xi @ dirs.T).std(axis=0, ddof=1) / math.sqrt(n_samples)
-        slack = _support_profile(lhs, dirs) - _support_profile(rhs, dirs)
+        slack = lhs.support_many(dirs) - rhs.support_many(dirs)
         metric = float(np.max(slack - 2.0 * se))
         tol = 1e-9
         return LawReport(law, "inclusion", lhs, rhs, metric, tol, metric <= tol, n_samples)
@@ -599,7 +597,7 @@ def check_expectation_law(
     if rhs is None:
         raise ValueError("erosion of the expectations is empty")
     se = (shifts @ dirs.T).std(axis=0, ddof=1) / math.sqrt(n_samples)
-    slack = _support_profile(lhs, dirs) - _support_profile(rhs, dirs)
+    slack = lhs.support_many(dirs) - rhs.support_many(dirs)
     metric = float(np.max(slack - 2.0 * se))
     tol = 1e-9
     return LawReport(law, "inclusion", lhs, rhs, metric, tol, metric <= tol, n_samples)
@@ -630,6 +628,10 @@ class AffineSetMap:
 
     def apply_to_set(self, c: ConvexSet) -> ConvexSet:
         return minkowski_sum(scale(self.matrix, c), self.offset_set)
+
+    def apply_to_family(self, family: TranslatedFamily) -> TranslatedFamily:
+        # A (K + s) + K0 = (A K + K0) + A s
+        return translated_family(self.apply_to_set(family.body), family.shifts @ self.matrix.T)
 
 
 class SymmetricConcaveIntervalMap:
@@ -667,6 +669,9 @@ class MinkowskiSumMap:
     def apply_to_set(self, c: ConvexSet) -> ConvexSet:
         return minkowski_sum(c, self.offset_set)
 
+    def apply_to_family(self, family: TranslatedFamily) -> TranslatedFamily:
+        return translated_family(self.apply_to_set(family.body), family.shifts)
+
 
 class LinearScaleMap:
     """G(C) = Psi C; Lipschitz in Hausdorff distance with the spectral norm."""
@@ -679,6 +684,12 @@ class LinearScaleMap:
     def apply_to_set(self, c: ConvexSet) -> ConvexSet:
         return scale(self.psi, c)
 
+    def apply_to_family(self, family: TranslatedFamily) -> TranslatedFamily:
+        s = family.shifts
+        return translated_family(
+            self.apply_to_set(family.body), s * self.psi if self.psi.ndim == 0 else s @ self.psi.T
+        )
+
 
 class IdentityMap:
     """G(C) = C."""
@@ -687,6 +698,9 @@ class IdentityMap:
 
     def apply_to_set(self, c: ConvexSet) -> ConvexSet:
         return c
+
+    def apply_to_family(self, family: TranslatedFamily) -> TranslatedFamily:
+        return family
 
 
 def jensen_inclusion_gap(
@@ -700,16 +714,20 @@ def jensen_inclusion_gap(
 
     Negative or near-zero values certify the Jensen inclusion
     E(S(X)) inside S(E(X)) for graph-convex set-valued maps; the expectation
-    of the mapped set is estimated by a Minkowski sample mean.
+    of the mapped set is estimated by a Minkowski sample mean.  A map that
+    commutes with translation (one with apply_to_family: affine, sum, scale
+    and identity maps) sends the drawn family to one family, S(K + s_i) =
+    S(K) + L s_i, averaged from its arrays; other maps map each draw.
     """
     samples = sample_translated_sets(model, n_samples, seed)
-    mapped = [set_map.apply_to_set(s) for s in samples]
+    if hasattr(set_map, "apply_to_family"):
+        mapped = set_map.apply_to_family(samples)
+    else:
+        mapped = [set_map.apply_to_set(s) for s in samples]
     mc_mean = minkowski_sample_mean(mapped)
     target = set_map.apply_to_set(selection_expectation(model))
     dirs = direction_grid(mc_mean.dim, n_directions)
-    return float(
-        np.max(_support_profile(mc_mean, dirs) - _support_profile(target, dirs))
-    )
+    return float(np.max(mc_mean.support_many(dirs) - target.support_many(dirs)))
 
 
 @dataclass(frozen=True)

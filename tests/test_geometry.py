@@ -534,6 +534,41 @@ def test_zonotope_projection_matches_vertex_polytope_path():
         assert abs(dz - dv) <= 1e-8
 
 
+def test_zonogon_projection_matches_general_loop_bit_for_bit():
+    rng = np.random.default_rng(47)
+    cases = []
+    for i in range(400):
+        p = int(rng.integers(1, 9))
+        g = rng.normal(size=(p, 2))
+        if i % 7 == 0 and p > 1:
+            g[0] = -2.0 * g[1]  # parallel generators
+        if i % 11 == 0:
+            g[-1] = 0.0  # a zero generator is dropped
+        z = Zonotope(rng.uniform(-1, 1, 2), g, rng.uniform(0.1, 1.5, p))
+        x = rng.normal(scale=rng.choice([0.1, 1.0, 3.0, 10.0]), size=2)
+        if i % 13 == 0:
+            x = z.center.copy()
+        elif i % 17 == 0:
+            x = vertices_of(z)[0].copy()
+        cases.append((z, x))
+    # exact ties send the sign and away-vertex choices to BLAS
+    square = Zonotope([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
+    diamond = Zonotope([0.5, 0.5], [[1.0, 1.0], [1.0, -1.0]], [0.5, 0.5])
+    for z in (square, diamond):
+        for x in ([0.0, 0.0], [0.5, 0.5], [3.0, 0.0], [0.25, -0.75], [1e-300, 2.0]):
+            cases.append((z, np.array(x)))
+    # equal forward and away gaps: the exact away gap decides, forward wins
+    for c, g, w, x in [
+        ([0.5, 0.0], [[-1.0, 2.0], [-1.0, -2.0], [-2.0, 2.0]], [0.5, 0.5, 1.0], [-1.5, 1.5]),
+        ([0.0, -0.5], [[0.0, 2.0], [2.0, -1.0]], [0.5, 1.0], [0.75, 1.25]),
+    ]:
+        cases.append((Zonotope(c, g, w), np.array(x)))
+    flat = Zonotope([0.5, -0.5], np.zeros((2, 2)), [1.0, 1.0])
+    cases.append((flat, np.array([3.0, 1.0])))
+    for z, x in cases:
+        assert _bits(geometry._zonogon_nearest(z, x)) == _bits(geometry._zonotope_nearest(z, x))
+
+
 def test_projection_solvers_raise_at_their_iteration_cap(monkeypatch):
     # both nearest points lie inside an edge, which takes more than one step
     tri = VertexPolytope([[1.0, 0.0], [2.0, 0.0], [1.0, 1.0]])
@@ -622,6 +657,154 @@ def test_box_hausdorff_on_thin_2d_boxes_is_at_least_the_vertex_path():
         assert old <= new <= old + 2e-12
         raised += new > old
     assert raised > 0
+
+
+def _variant_zoo(rng, dim):
+    """Sets of every variant in one dimension: signed zeros, points, radius-0
+    balls and zonotopes with 0 to 40 generators (numpy's pairwise sum unrolls
+    8 ways from 8 terms on)."""
+    zeros = rng.choice([0.0, -0.0], size=dim)
+    sets = [VertexPolytope(rng.normal(size=(k, dim))) for k in (1, 2, 3, 7, 20, 60)]
+    sets.append(VertexPolytope(np.vstack([zeros, -np.abs(rng.normal(size=(4, dim)))])))
+    for p in (0, 1, 3, 7, 8, 9, 15, 16, 17, 33, 40):
+        gens = rng.normal(size=(p, dim))
+        gens[rng.random((p, dim)) < 0.2] = 0.0
+        sets.append(Zonotope(rng.normal(size=dim), gens, rng.uniform(-1.5, 1.5, p)))
+    sets.append(Zonotope(zeros, np.zeros((3, dim)), [1.0, -0.5, 0.0]))
+    sets += [Ball(rng.normal(size=dim), 1.3), Ball(zeros, 2.0), Ball(zeros, 0.0)]
+    sets.append(Ball(rng.normal(size=dim), 0.0))
+    lo = rng.choice([-1.0, -0.0, 0.0, 0.5], size=dim)
+    sets += [Box(lo, lo + rng.choice([0.0, 1.0], size=dim)), _random_box(rng, dim)]
+    return sets
+
+
+def _direction_sets(rng, dim, sets):
+    u = rng.normal(size=(200, dim))
+    u[rng.random(u.shape) < 0.2] = 0.0
+    u[rng.random(u.shape) < 0.1] = -0.0
+    yield from (direction_grid(dim, 360), geometry._signed_axes(dim), u, 3.0 * u)
+    if dim == 2:  # facet normals, as minkowski_diff feeds them
+        for c in sets:
+            yield geometry._facets_2d(c, 360)[0]
+    elif dim > 2:
+        from scipy.spatial import ConvexHull
+
+        yield np.ascontiguousarray(ConvexHull(rng.normal(size=(30, dim))).equations[:, :-1])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_support_many_matches_per_direction_support_bit_for_bit(dim):
+    rng = np.random.default_rng(30 + dim)
+    sets = _variant_zoo(rng, dim)
+    kinds = set()
+    for dirs in _direction_sets(rng, dim, sets):
+        for c in sets:
+            want = [c.support(u) for u in dirs]
+            assert _bits(c.support_many(dirs)) == _bits(want), (type(c).__name__, dirs.shape)
+            kinds.add(type(c))
+    assert kinds == {VertexPolytope, Zonotope, Ball, Box}
+
+
+def test_support_many_default_and_validation():
+    class Segment(geometry.ConvexSet):  # a variant with only a scalar support
+        dim = 2
+
+        def support(self, u):
+            return float(abs(np.asarray(u)[0]))
+
+    dirs = direction_grid(2, 12)
+    assert _bits(Segment().support_many(dirs)) == _bits([abs(u[0]) for u in dirs])
+    box = Box([0.0, 0.0], [1.0, 1.0])
+    for bad in (np.ones(2), np.ones((3, 3)), [[0.0, np.nan]], [[np.inf, 0.0]]):
+        with pytest.raises(ValueError):
+            box.support_many(bad)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_bounds_of_matches_per_axis_support_loop_for_every_variant(dim):
+    rng = np.random.default_rng(40 + dim)
+    for c in _variant_zoo(rng, dim):
+        got, want = bounds_of(c), _per_axis_bounds(c)
+        assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
+
+
+def test_box_erosion_tolerance_reads_the_box_arrays():
+    # the tolerance once took max |bounds_of| of each box; abs drops the one
+    # difference between a box's arrays and its bounds, a signed zero
+    def via_bounds(c, d):
+        return 1e-12 * max(
+            1.0, float(np.max(np.abs(bounds_of(c)))), float(np.max(np.abs(bounds_of(d))))
+        )
+
+    rng = np.random.default_rng(45)
+    for dim in range(1, 6):
+        for _ in range(200):
+            boxes = []
+            for _ in range(2):
+                lo = rng.choice([-3.0, -1.0, -0.0, 0.0, 0.5], size=dim) * rng.uniform(0.5, 2.0)
+                boxes.append(Box(lo, lo + rng.choice([0.0, 0.0, 0.25, 4.0], size=dim)))
+            assert _bits(geometry._erosion_tol(*boxes)) == _bits(via_bounds(*boxes))
+
+
+def _per_edge_dist_batch(xs, c):
+    # _dist_points_batch before its in-place pass: one np.linalg.norm per
+    # edge and the minimum of the distances; kept as its oracle
+    xs = np.asarray(xs, dtype=float)
+    if isinstance(c, Box):
+        return np.linalg.norm(xs - np.clip(xs, c.lower, c.upper), axis=1)
+    if isinstance(c, Ball):
+        return np.maximum(np.linalg.norm(xs - c.center, axis=1) - c.radius, 0.0)
+    if isinstance(c, Zonotope):
+        c = VertexPolytope(geometry._zonogon_vertices(c), prune=False)
+    v = c.vertices
+    if v.shape[0] == 1:
+        return np.linalg.norm(xs - v[0], axis=1)
+    nxt = v[::-1] if v.shape[0] == 2 else np.roll(v, -1, axis=0)
+    best = np.full(xs.shape[0], np.inf)
+    inside = np.full(xs.shape[0], v.shape[0] >= 3)
+    for a, b in zip(v, nxt):
+        ab = b - a
+        denom = float(ab @ ab)
+        rel = xs - a
+        if v.shape[0] >= 3:
+            inside &= ab[0] * rel[:, 1] - ab[1] * rel[:, 0] >= -1e-12
+        t = np.clip(rel @ ab / denom, 0.0, 1.0) if denom > 0 else np.zeros(xs.shape[0])
+        best = np.minimum(best, np.linalg.norm(xs - (a + t[:, None] * ab), axis=1))
+    best[inside] = 0.0
+    return best
+
+
+def test_dist_points_batch_matches_per_edge_path_bit_for_bit():
+    rng = np.random.default_rng(46)
+    shapes = [
+        point_set([0.3, -0.7]),
+        VertexPolytope([[0.0, 0.0], [2.0, 1.0]]),  # a segment
+        VertexPolytope([[1.0, 1.0], [1.0, 1.0]], prune=False),  # a zero-length segment
+        VertexPolytope([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], prune=False),
+        VertexPolytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+    ]
+    shapes += [_random_polygon(rng, k) for k in (3, 5, 8, 20)]
+    shapes += [
+        Zonotope(rng.uniform(-1, 1, 2), rng.normal(size=(p, 2)), rng.uniform(0.2, 1.0, p))
+        for p in (1, 2, 4, 6)
+    ]
+    shapes += [Box([-1.0, -0.0], [0.5, 2.0]), Ball([0.2, -0.0], 0.8), Ball([1.0, 1.0], 0.0)]
+    pts = rng.normal(scale=2.0, size=(400, 2))
+    pts[:40] = np.round(pts[:40])  # some exact, some signed-zero coordinates
+    pts[40:60] *= -0.0
+    rings = np.linspace(0.1, 1.3, 8)[:, None, None] * direction_grid(2, 64)[None]
+    grid = np.vstack([np.zeros((1, 2)), rings.reshape(-1, 2)])  # as integrated_distance
+    for c in shapes:
+        v = vertices_of(c) if not isinstance(c, Ball) else c.center[None]
+        on_edges = [a + s * (b - a) for a, b in zip(v, np.roll(v, -1, axis=0)) for s in (0.25, 0.5)]
+        # random and grid points, then vertices, edge points and the centroid
+        xs = np.vstack([pts, grid, v, np.array(on_edges), v.mean(axis=0)])
+        got = geometry._dist_points_batch(xs, c)
+        assert _bits(got) == _bits(_per_edge_dist_batch(xs, c)), c
+    for dim in (3, 9):  # boxes and balls in more dimensions; d >= 8 keeps np.linalg.norm
+        xs = rng.normal(scale=2.0, size=(300, dim))
+        for c in (_random_box(rng, dim), Ball(rng.normal(size=dim), 0.7)):
+            assert _bits(geometry._dist_points_batch(xs, c)) == _bits(_per_edge_dist_batch(xs, c))
 
 
 def test_hausdorff_one_dimensional_exact():

@@ -385,6 +385,55 @@ def test_abp_quadratic_grid_matches_pointwise():
         assert abs(res.grid_values[i, 0] - want) < 1e-10
 
 
+def _population_abp_objective(prog, eps, r, lam):
+    """E d^2(x + w, S(eps) + W) + lam eps for x ~ U(-b, b), w ~ U(-r, r), the
+    law of generate_boxquadratic_observations, by Gauss-Legendre quadrature.
+
+    S(eps) + W comes from the library; the integrand is piecewise quadratic,
+    so splitting x and w at its kinks makes six nodes a piece exact.
+    """
+    inflated = minkowski_sum(eps_argmin_set(prog, _NO_ARGS, eps, _NO_ARGS), interval(-r, r))
+    lo, hi = (float(v[0]) for v in bounds_of(inflated))
+    nodes, weights = np.polynomial.legendre.leggauss(6)
+
+    def pieces(a, z, cuts):
+        ends = sorted({a, z, *(t for t in cuts if a < t < z)})
+        for p, q in zip(ends, ends[1:]):
+            yield 0.5 * (q - p) * nodes + 0.5 * (p + q), 0.5 * (q - p) * weights
+
+    b = prog.bound
+    total = 0.0
+    for xs, xw in pieces(-b, b, [lo + r, lo - r, hi + r, hi - r]):
+        for x, wx in zip(xs, xw):
+            for ws, ww in pieces(-r, r, [lo - x, hi - x]):
+                gap = np.maximum(np.maximum(lo - (x + ws), (x + ws) - hi), 0.0)
+                total += wx * float(ww @ (gap * gap))
+    return total / (4.0 * b * r) + lam * eps
+
+
+def test_abp_population_argmin_explains_criterion_7():
+    # criterion 7 asks median |eps_hat - 1| <= 0.3 from abp at noise half-width
+    # r = 6 with lam = 1/n = 1e-4; the penalized population objective already
+    # has its minimum below 0.7, so the shortfall is the estimator's, not noise
+    from scipy.optimize import brentq, minimize_scalar
+
+    prog, r, lam = BoxQuadraticProgram(), 6.0, 1e-4
+    res = minimize_scalar(
+        lambda e: _population_abp_objective(prog, e, r, lam),
+        bounds=(0.1, 1.0),
+        method="bounded",
+        options={"xatol": 1e-10},
+    )
+    # stationarity of (1 - m)^4 / (24 r) + lam m^2 in m = sqrt(eps)
+    m = brentq(lambda m: (1.0 - m) ** 3 - 12.0 * r * lam * m, 0.0, 1.0, xtol=1e-15)
+    assert abs(res.x - m * m) <= 1e-6
+    assert 0.67 < m * m < 0.68
+    prior = PriorRegion(eps_range=(0.1, 10.0), w_set=interval(-r, r), d_eps=0.05)
+    axis = prior.eps_axis()
+    cell = axis[int(np.argmin([_population_abp_objective(prog, e, r, lam) for e in axis]))]
+    assert math.isclose(cell, 0.65) and abs(cell - 1.0) > 0.3  # the 0.35 criterion 7 reports
+
+
 def test_via_closed_form_singletons():
     quad = BoxQuadraticProgram()
     ds = ObservationDataset(np.zeros((1, 0)), np.array([1.0]))

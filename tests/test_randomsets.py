@@ -547,6 +547,42 @@ def test_jensen_gap_small_for_identity():
     assert abs(gap) <= 0.05
 
 
+def _per_draw_jensen_gap(set_map, model, n, seed, n_directions=360):
+    # jensen_inclusion_gap before the family path: map every draw, then fold
+    samples = sample_translated_sets(model, n, seed)
+    mean = minkowski_sample_mean([set_map.apply_to_set(s) for s in samples])
+    target = set_map.apply_to_set(selection_expectation(model))
+    dirs = direction_grid(mean.dim, n_directions)
+    return float(np.max([mean.support(u) - target.support(u) for u in dirs]))
+
+
+_SHEAR = np.array([[1.5, 0.4], [-0.3, 0.8]])
+_JENSEN_MAPS = {
+    "affine": AffineSetMap(np.eye(2), Box([-0.5, -0.5], [0.5, 0.5])),
+    "affine-shear": AffineSetMap(_SHEAR, VertexPolytope([[0.0, 0.0], [0.4, 0.1], [0.1, 0.3]])),
+    "sum": MinkowskiSumMap(Zonotope([0.0, 0.1], [[1.0, 0.5]], [0.3])),
+    "scale": LinearScaleMap(-1.5),
+    "scale-matrix": LinearScaleMap(_SHEAR),
+    "identity": IdentityMap(),
+}
+
+
+# a ball body stays a ball only under scalar scaling and the identity; the
+# other maps make 360-vertex polygons whose per-draw fold is too slow here
+_JENSEN_CASES = [(m, b) for m in sorted(_JENSEN_MAPS) for b in ("box", "polygon", "zonotope")]
+_JENSEN_CASES += [("identity", "ball"), ("scale", "ball")]
+
+
+@pytest.mark.parametrize(("map_name", "body_kind"), _JENSEN_CASES)
+def test_jensen_family_gap_matches_per_draw_oracle(map_name, body_kind):
+    set_map = _JENSEN_MAPS[map_name]
+    model = RandomlyTranslatedSet(_ORACLE_BODIES[body_kind][0], _NOISE_C)
+    for n in (7, 50):
+        seed = RngSeed(33, n)
+        got = jensen_inclusion_gap(set_map, model, n_samples=n, seed=seed)
+        assert abs(got - _per_draw_jensen_gap(set_map, model, n, seed)) <= 1e-12
+
+
 def test_delta_method_linear_scale_identity():
     model = _square_model()
     mapped, base = delta_method_statistics(LinearScaleMap(2.0), model, 200, 10, RngSeed(5))
