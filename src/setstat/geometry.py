@@ -65,7 +65,8 @@ HULL_COLLINEARITY_TOL = 1e-12
 
 _SUPPORT_GAP_TOL = 1e-10
 
-# Iteration caps of the projection solvers; reaching one raises SolverLimitError.
+# Iteration caps of the projection solvers; reaching one raises SolverLimitError
+# (a 2-D zonotope projects onto its vertex ring instead).
 _MIN_NORM_MAX_ITER = 10_000
 _ZONOTOPE_NEAREST_MAX_ITER = 20_000
 
@@ -909,7 +910,8 @@ _DOT2_TINY = 1e-300  # absolute slack for products in the subnormal range
 
 
 def _zonogon_nearest(z: Zonotope, x: np.ndarray, tol: float = _SUPPORT_GAP_TOL) -> np.ndarray:
-    """_zonotope_nearest in the plane, bit for bit, at about a third of its cost.
+    """_zonotope_nearest in the plane, bit for bit, at about a third of its cost;
+    where that loop would stop at its cap, the projection onto the vertex ring.
 
     It takes the same steps:
     - coordinates are Python floats, which round as numpy's elementwise
@@ -1022,8 +1024,8 @@ def _zonogon_nearest(z: Zonotope, x: np.ndarray, tol: float = _SUPPORT_GAP_TOL) 
         for w, (_, q0, q1) in zip(weights[1:], active[1:]):
             z0 += w * q0
             z1 += w * q1
-    else:
-        raise SolverLimitError("zonotope projection hit its iteration cap")
+    else:  # a rare stall; the vertex ring's hull gives the exact projection
+        return project_point(x, VertexPolytope(_zonogon_vertices(z), prune=False))[0]
     return np.array((z0, z1))
 
 

@@ -650,7 +650,7 @@ def _run_kernel_fit(config, emit):
             err,
         )
 
-    rows = _ordered_map(fit_one, u_grid)
+    rows = [fit_one(u) for u in u_grid]  # a pool does not pay for these scans
     emit.table(
         "fit",
         ["u", "truth_lo", "truth_hi", "est_lo", "est_hi", "hausdorff"],

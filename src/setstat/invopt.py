@@ -120,7 +120,7 @@ class BoxLinearProgram(ParametricProgram):
 
     def constraints(self, x, u, theta):
         x = np.asarray(x, dtype=float)
-        return np.concatenate([x - self.bound, -x - self.bound])
+        return np.concatenate([x - self.bound, -x - self.bound], axis=-1)
 
     def constraint_grads_x(self, x, u, theta):
         eye = np.eye(self.x_dim)
@@ -155,7 +155,7 @@ class BoxQuadraticProgram(ParametricProgram):
 
     def constraints(self, x, u, theta):
         x = np.asarray(x, dtype=float)
-        return np.concatenate([x - self.bound, -x - self.bound])
+        return np.concatenate([x - self.bound, -x - self.bound], axis=-1)
 
     def constraint_grads_x(self, x, u, theta):
         eye = np.eye(self.x_dim)
@@ -226,14 +226,9 @@ def eps_argmin_set(prog: ParametricProgram, u, eps: float, theta):
     if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     if isinstance(prog, BoxLinearProgram) and prog.x_dim == 1:
-        # Python floats round as the float64 arrays of _boxlinear_lower do
-        c = float(np.ravel(theta)[0]) + float(np.ravel(u)[0])
-        b, eps = prog.bound, float(eps)
-        if c > 0:
-            return interval(max(-b, b - eps / c), b)
-        if c < 0:
-            return interval(-b, min(b, -b + eps / -c))
-        return interval(-b, b)
+        c = np.ravel(np.asarray(theta, dtype=float) + np.asarray(u, dtype=float))[:1]
+        m, b = _boxlinear_lower(np.empty(1), prog.bound, c, eps)[0], prog.bound
+        return interval(m, b) if c[0] >= 0 else interval(-b, 0.0 - m)
     if isinstance(prog, BoxLinearProgram) and prog.x_dim == 2:
         c = np.asarray(theta, dtype=float) + np.asarray(u, dtype=float)
         b = prog.bound
@@ -271,8 +266,9 @@ def _boxlinear_lower(out, bound, c, eps):
 
     M is the lower endpoint of the c > 0 eps-argmin interval [M, b].  IEEE
     round-to-nearest is sign-symmetric, so the c < 0 interval
-    [-b, min(b, -b + eps/|c|)] is [-b, -M] bit for bit, and c == 0 gives the
-    whole box [-b, b]: one block of M serves samples of either sign.
+    [-b, min(b, -b + eps/|c|)] is [-b, 0.0 - M] bit for bit (-M would turn an
+    exact 0.0 into -0.0), and c == 0 gives the whole box [-b, b]: one block
+    of M serves samples of either sign.
     """
     zero = c == 0
     np.divide(eps, np.abs(np.where(zero, 1.0, c)), out=out)
@@ -548,11 +544,9 @@ def via_estimate(prog, dataset: ObservationDataset, theta=None) -> EstimationRes
     """
     theta = _default_theta(prog, theta)
     b = _program_bound(prog)
-    total = 0.0
-    for u, y in zip(dataset.us, dataset.ys):
-        grad = prog.objective_grad_x(y, u, theta)
-        total += float(grad @ y) + b * float(np.abs(grad).sum())
-    eps_hat = total / len(dataset)
+    grad = prog.objective_grad_x(dataset.ys, dataset.us, theta)
+    dots = np.matmul(grad[:, None, :], dataset.ys[:, :, None])[:, 0, 0]  # grad @ y, a ddot per row
+    eps_hat = float(_sum_rows(dots + b * np.abs(grad).sum(axis=1))) / len(dataset)
     return EstimationResult(
         estimator="via", eps_hat=eps_hat, theta_hat=theta, objective=eps_hat
     )
@@ -568,30 +562,26 @@ def kkt_estimate(prog, dataset: ObservationDataset, theta=None) -> EstimationRes
     feasibility, stationarity, and complementarity residual groups.
     """
     theta = _default_theta(prog, theta)
-    b = _program_bound(prog)
-    n = len(dataset)
-    p = prog.x_dim
-    feas = np.zeros(2 * p)
-    stat = np.zeros(p)
-    comp = np.zeros(2 * p)
-    for u, y in zip(dataset.us, dataset.ys):
-        a = prog.objective_grad_x(y, u, theta)
-        g = prog.constraints(y, u, theta)
-        feas += np.maximum(g, 0.0)
-        for j in range(p):
-            g1, g2 = g[j], g[p + j]
-            cand0 = abs(a[j])
-            l1, l2 = max(-a[j], 0.0), max(a[j], 0.0)
-            cand1 = l1 * abs(g1) + l2 * abs(g2)
-            if cand1 < cand0:
-                comp[j] += l1 * abs(g1)
-                comp[p + j] += l2 * abs(g2)
-            else:
-                stat[j] += abs(a[j])
-    eps_hat = float(max(feas.max(), stat.max(), comp.max()) / n)
+    _program_bound(prog)
+    a = prog.objective_grad_x(dataset.ys, dataset.us, theta)
+    g = prog.constraints(dataset.ys, dataset.us, theta)
+    comp = np.maximum(np.hstack([-a, a]), 0.0) * np.abs(g)
+    chosen = comp[:, : prog.x_dim] + comp[:, prog.x_dim :] < np.abs(a)
+    # the candidate not chosen adds +0.0, which leaves a sum's bits alone
+    feas = _sum_rows(np.maximum(g, 0.0))
+    stat = _sum_rows(np.where(chosen, 0.0, np.abs(a)))
+    comp = _sum_rows(np.where(np.tile(chosen, 2), comp, 0.0))
+    eps_hat = float(max(feas.max(), stat.max(), comp.max()) / len(dataset))
     return EstimationResult(
         estimator="kkt", eps_hat=eps_hat, theta_hat=theta, objective=eps_hat
     )
+
+
+def _sum_rows(block):
+    """Sum over axis 0, the rows added left to right from 0.0 as a loop adds
+    them; ndarray.sum adds pairwise and Python's sum() compensates (3.12+)."""
+    zero = np.zeros((1, *block.shape[1:]))
+    return np.add.accumulate(np.concatenate([zero, block]), axis=0)[-1]
 
 
 def _default_theta(prog, theta):

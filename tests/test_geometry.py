@@ -570,17 +570,50 @@ def test_zonogon_projection_matches_general_loop_bit_for_bit():
 
 
 def test_projection_solvers_raise_at_their_iteration_cap(monkeypatch):
-    # both nearest points lie inside an edge, which takes more than one step
+    # every nearest point lies inside an edge or facet, which takes more than one step
     tri = VertexPolytope([[1.0, 0.0], [2.0, 0.0], [1.0, 1.0]])
     z = Zonotope([3.0, 0.0], [[1.0, 1.0], [1.0, -1.0]], [1.0, 1.0])
+    z3 = Zonotope([3.0, 0.0, 0.0], [[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 1.0]],
+                  [1.0, 1.0, 1.0])
     np.testing.assert_allclose(project_point([1.5, -2.0], tri)[0], [1.5, 0.0], atol=1e-9)
     np.testing.assert_allclose(project_point([1.0, 3.0], z)[0], [2.5, 1.5], atol=1e-6)
-    monkeypatch.setattr(geometry, "_MIN_NORM_MAX_ITER", 1)
-    with pytest.raises(SolverLimitError):
-        project_point([1.5, -2.0], tri)
+    np.testing.assert_allclose(project_point([1.0, 3.0, 0.5], z3)[0], [2.5, 1.5, 0.5], atol=1e-6)
     monkeypatch.setattr(geometry, "_ZONOTOPE_NEAREST_MAX_ITER", 1)
     with pytest.raises(SolverLimitError):
-        project_point([1.0, 3.0], z)
+        project_point([1.0, 3.0, 0.5], z3)
+    # in the plane, a capped zonotope solver hands over to the vertex ring
+    np.testing.assert_allclose(project_point([1.0, 3.0], z)[0], [2.5, 1.5], atol=1e-9)
+    monkeypatch.setattr(geometry, "_MIN_NORM_MAX_ITER", 1)
+    for c, x in ((tri, [1.5, -2.0]), (z, [1.0, 3.0])):
+        with pytest.raises(SolverLimitError):
+            project_point(x, c)
+
+
+def test_zonogon_projection_survives_a_stalled_solver():
+    # the conditional-gradient loop stalls at its cap on this interior point;
+    # the planar solver projects onto the vertex ring instead: distance zero
+    z = Zonotope(
+        [-0.009901593207925753, -0.4989800146605004],
+        [
+            [-1.1363717473018193, -0.28279808615742297],
+            [1.3815115502564752, 0.27851097151700016],
+            [0.3052025792513889, 0.7632429543788991],
+            [-0.5202841267176, -1.2573870613828708],
+            [-1.1290874083033622, -0.5077383582484369],
+        ],
+        [1.3772096657810007, 1.2292087458517813, 1.127175517362408,
+         0.35130256779975866, 1.278473138031692],
+    )
+    x = np.array([2.4944842039441326, 1.621946908042947])
+    ring = geometry._zonogon_vertices(z)
+    edges = np.roll(ring, -1, axis=0) - ring
+    # inside, about 0.01 from the nearest edge: left of every counterclockwise edge
+    assert np.all(edges[:, 0] * (x - ring)[:, 1] - edges[:, 1] * (x - ring)[:, 0] > 0.0)
+    with pytest.raises(SolverLimitError):
+        geometry._zonotope_nearest(z, x)
+    p, d = project_point(x, z)
+    assert d <= 1e-12
+    np.testing.assert_allclose(p, x, rtol=0.0, atol=1e-12)
 
 
 def test_distance_to_ball_and_box_closed_forms():

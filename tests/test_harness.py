@@ -316,12 +316,17 @@ def test_byte_determinism_across_reruns(tmp_path):
 
 
 def test_thread_cap_does_not_change_bytes(tmp_path, monkeypatch):
+    # compare-estimators is the kind that maps its replicates on the pool
+    params = {"estimators": ["abp", "kkt", "via"], "n_values": [50], "replicates": 4}
     out1, out2 = tmp_path / "a", tmp_path / "b"
     monkeypatch.setenv("SETSTAT_THREADS", "1")
-    run(config_from_dict({"kind": "kernel-fit", "out": str(out1), "params": {"n": 200}}))
+    run(config_from_dict({"kind": "compare-estimators", "out": str(out1), "params": params}))
     monkeypatch.setenv("SETSTAT_THREADS", "4")
-    run(config_from_dict({"kind": "kernel-fit", "out": str(out2), "params": {"n": 200}}))
-    assert (out1 / "fit.csv").read_bytes() == (out2 / "fit.csv").read_bytes()
+    run(config_from_dict({"kind": "compare-estimators", "out": str(out2), "params": params}))
+    names = sorted(f.name for f in out1.iterdir() if f.name != "summary.json")  # echoes out
+    assert names == sorted(f.name for f in out2.iterdir() if f.name != "summary.json")
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 # ---------------------------------------------------------------------- CLI

@@ -144,22 +144,29 @@ def test_eps_argmin_linear_1d_closed_form():
     assert (lo[0], hi[0]) == (-2.0, 2.0)
 
 
+def _scalar_interval(b, c, eps):
+    """The 1-D box-linear eps-argmin interval in Python floats: the oracle."""
+    if c > 0:
+        return max(-b, b - eps / c), b
+    if c < 0:
+        return -b, min(b, -b + eps / -c)
+    return -b, b
+
+
 def test_eps_argmin_linear_1d_keeps_scalar_formula_bits():
-    # the scalar path writes c < 0 as -b + eps/(-c), which is -b - eps/c
-    # exactly in IEEE arithmetic
     p = BoxLinearProgram()
     rng = np.random.default_rng(13)
     b = p.bound
-    for c in np.concatenate([rng.normal(scale=3.0, size=200), [0.0]]).tolist():
-        eps = float(rng.uniform(0.0, 5.0))
-        if c > 0:
-            want = (max(-b, b - eps / c), b)
-        elif c < 0:
-            want = (-b, min(b, -b - eps / c))
-        else:
-            want = (-b, b)
-        lo, hi = bounds_of(eps_argmin_set(p, [c], eps, [0.0]))
-        assert (lo[0], hi[0]) == want
+    cases = [(c, float(rng.uniform(0.0, 5.0)), float(rng.uniform(-1.0, 1.0)))
+             for c in rng.normal(scale=3.0, size=200).tolist()]
+    # c = +-0, eps = 0, eps/|c| == b (an exact zero endpoint), eps/|c| == 2b
+    cases += [(c, eps, 0.0) for c in (0.0, -0.0, 1.0, -1.0, 0.5, -0.5)
+              for eps in (0.0, 1.0, 2.0, 4.0)]
+    cases += [(-0.25, 0.0, 0.25), (0.25, 1.0, -0.25), (-0.0, 0.5, 0.0)]
+    for u, eps, theta in cases:
+        want = _scalar_interval(b, theta + u, eps)
+        s = eps_argmin_set(p, [u], eps, [theta])  # a Box; bounds_of would turn 0.0 into -0.0
+        assert np.array_equal(_bits([s.lower[0], s.upper[0]]), _bits(want)), (u, eps, theta)
 
 
 def test_eps_argmin_linear_2d_degenerate_sets():
@@ -434,6 +441,78 @@ def test_abp_population_argmin_explains_criterion_7():
     assert math.isclose(cell, 0.65) and abs(cell - 1.0) > 0.3  # the 0.35 criterion 7 reports
 
 
+def _gl_pieces(ends, k):
+    """k-point Gauss-Legendre nodes and weights on every gap between the
+    sorted breakpoints along the last axis of ends."""
+    x, w = np.polynomial.legendre.leggauss(k)
+    a, z = ends[..., :-1, None], ends[..., 1:, None]
+    half = 0.5 * (z - a)
+    shape = (*ends.shape[:-1], -1)
+    return (0.5 * (a + z) + half * x).reshape(shape), (half * w).reshape(shape)
+
+
+def _population_boxlinear(kind, eps, theta, nodes=(8, 6)):
+    """Population abp fit term (kind "abp") or likelihood objective ("mle") of
+    the 1-D box-linear program at the cells (eps_k, theta), under the law of
+    generate_boxlinear_observations: u ~ U(-2, 2), x ~ U(S(u, 1, 0)) and
+    y = x + w with w ~ U(-1, 1), with noise support W = [-1, 1].
+
+    Gauss-Legendre quadrature, in u on the pieces between the kinks of both
+    solution sets (c = 0, |c| = eps/(2b)), and in y on the pieces between the
+    kinks of the density of y and of the integrand; that makes the inner abp
+    integral exact.  A cell whose set misses part of the true set at some u
+    node has zero likelihood there: +inf.  Against 64 u and 24 y nodes per
+    piece, the default nodes move an abp cell by under 3e-7 and a likelihood
+    cell by under 2e-4, far less than the gaps between neighbouring cells.
+    """
+    b = 2.0
+    eps = np.asarray(eps, dtype=float)[:, None]
+    kinks = np.broadcast_to([-2.0, -0.25, 0.0, 0.25, 2.0, -theta], (len(eps), 6))
+    kinks = np.hstack([kinks, -theta - eps / (2 * b), -theta + eps / (2 * b)])
+    u, wu = _gl_pieces(np.sort(np.clip(kinks, -2.0, 2.0)), nodes[0])
+    a, z = _two_endpoint_interval(b, u, 1.0)
+    lo, hi = _two_endpoint_interval(b, theta + u, eps)
+    out = np.full(len(eps), np.inf)
+    keep = ~((a < lo) | (z > hi)).any(axis=1) if kind == "mle" else np.ones(len(eps), bool)
+    a, z, lo, hi, u, wu = (v[keep] for v in (a, z, lo, hi, u, wu))
+    ends = np.stack([a - 1, a + 1, z - 1, z + 1, lo - 1, lo + 1, hi - 1, hi + 1], axis=-1)
+    y, wy = _gl_pieces(np.sort(np.clip(ends, (a - 1)[..., None], (z + 1)[..., None])), nodes[1])
+    a, z, lo, hi = (v[..., None] for v in (a, z, lo, hi))
+    dens = np.maximum(np.minimum(y + 1, z) - np.maximum(y - 1, a), 0.0) / (2 * (z - a))
+    if kind == "abp":
+        gap = np.maximum(np.maximum((lo - 1) - y, y - (hi + 1)), 0.0)
+        term = gap * gap
+    else:
+        overlap = np.maximum(np.minimum(hi, y + 1) - np.maximum(lo, y - 1), 0.0) / 2
+        term = np.log(hi - lo) - np.log(np.where(dens > 0, overlap, 1.0))
+    out[keep] = (wu * (wy * dens * term).sum(axis=-1)).sum(axis=-1) / 4.0
+    return out
+
+
+def test_population_argmins_explain_criterion_8():
+    # criterion 8 asks abp and mle to land within one 0.05 grid cell in 16 of
+    # 20 replicates at n = 1000; on the population objectives themselves the
+    # lam = 1/n penalty already puts abp two cells below the likelihood's eps = 1
+    prior = PriorRegion(eps_range=(0.1, 10.0), w_set=interval(-1.0, 1.0),
+                        theta_box=Box([-2.0], [2.0]), d_eps=0.05, d_theta=0.05)
+    eps_axis, thetas, lam = prior.eps_axis(), prior.theta_points()[:, 0], 1e-3
+    truth = int(np.argmin(np.abs(eps_axis - 1.0)))
+    # with eps >= 1 at theta = 0 every y lies in S + W: the fit is 0 and the
+    # objective lam eps, so no cell above eps = 1 can beat the truth cell
+    head = eps_axis[: truth + 1]
+    abp = np.column_stack([_population_boxlinear("abp", head, t) for t in thetas])
+    abp += lam * head[:, None]
+    assert abp[truth, np.argmin(np.abs(thetas))] == lam * eps_axis[truth]
+    mle = np.column_stack([_population_boxlinear("mle", eps_axis, t) for t in thetas])
+    i_abp, j_abp = np.unravel_index(np.argmin(abp), abp.shape)
+    i_mle, j_mle = np.unravel_index(np.argmin(mle), mle.shape)
+    eps_abp, eps_mle = eps_axis[i_abp], eps_axis[i_mle]
+    assert thetas[j_abp] == thetas[j_mle] == 0.0
+    assert math.isclose(eps_mle, 1.0)
+    assert 0.80 - 1e-9 <= eps_abp <= 0.95 + 1e-9  # the README's range
+    assert abs(eps_abp - eps_mle) > 0.05 + 1e-9  # more than one grid cell apart
+
+
 def test_via_closed_form_singletons():
     quad = BoxQuadraticProgram()
     ds = ObservationDataset(np.zeros((1, 0)), np.array([1.0]))
@@ -471,6 +550,88 @@ def test_baselines_reject_unknown_programs():
         via_estimate(MiniLinear(), ds)
     with pytest.raises(ValueError):
         kkt_estimate(MiniLinear(), ds)
+
+
+def _via_loop(prog, dataset, theta):
+    """via_estimate with one loop iteration per observation: the oracle."""
+    total = 0.0
+    for u, y in zip(dataset.us, dataset.ys):
+        grad = prog.objective_grad_x(y, u, theta)
+        total += float(grad @ y) + prog.bound * float(np.abs(grad).sum())
+    return total / len(dataset)
+
+
+def _kkt_loop(prog, dataset, theta):
+    """kkt_estimate with one loop iteration per observation: the oracle."""
+    p = prog.x_dim
+    feas, stat, comp = np.zeros(2 * p), np.zeros(p), np.zeros(2 * p)
+    for u, y in zip(dataset.us, dataset.ys):
+        a = prog.objective_grad_x(y, u, theta)
+        g = prog.constraints(y, u, theta)
+        feas += np.maximum(g, 0.0)
+        for j in range(p):
+            g1, g2 = g[j], g[p + j]
+            l1, l2 = max(-a[j], 0.0), max(a[j], 0.0)
+            if l1 * abs(g1) + l2 * abs(g2) < abs(a[j]):
+                comp[j] += l1 * abs(g1)
+                comp[p + j] += l2 * abs(g2)
+            else:
+                stat[j] += abs(a[j])
+    return float(max(feas.max(), stat.max(), comp.max()) / len(dataset))
+
+
+def _edge_observations(rng, n, p, bound):
+    """Observations rounded to 0.1, with +-0.0 and +-bound entries mixed in."""
+    ys = np.round(rng.uniform(-1.5 * bound, 1.5 * bound, size=(n, p)), 1)
+    ys[rng.random((n, p)) < 0.1] = 0.0
+    ys[rng.random((n, p)) < 0.1] = -0.0
+    ys[rng.random((n, p)) < 0.1] = bound
+    ys[rng.random((n, p)) < 0.1] = -bound
+    return ys
+
+
+def _baseline_cases():
+    rng = np.random.default_rng(29)
+    quad, lin, lin2 = BoxQuadraticProgram(), BoxLinearProgram(), BoxLinearProgram(x_dim=2)
+    yield quad, generate_boxquadratic_observations(10_000, 6.0, RngSeed(7)), None
+    yield quad, ObservationDataset(np.zeros((400, 0)), _edge_observations(rng, 400, 1, 1.0)), None
+    quad2 = BoxQuadraticProgram(x_dim=2)
+    yield quad2, ObservationDataset(np.zeros((400, 0)), _edge_observations(rng, 400, 2, 1.0)), None
+    yield lin, generate_boxlinear_observations(1000, RngSeed(3)), [0.35]
+    # theta + u == +-0 in some rows: a zero gradient of either sign
+    us = np.round(rng.uniform(-2.0, 2.0, size=(400, 1)), 1)
+    yield lin, ObservationDataset(us, _edge_observations(rng, 400, 1, 2.0)), [0.3]
+    us = np.round(rng.uniform(-2.0, 2.0, size=(600, 2)), 1)
+    yield lin2, ObservationDataset(us, _edge_observations(rng, 600, 2, 2.0)), [0.1, -0.3]
+    yield lin2, ObservationDataset(us[:1], np.array([[-0.0, 2.0]])), [0.0, 0.0]
+
+
+def test_baselines_bit_identical_to_per_observation_loops():
+    for prog, ds, theta in _baseline_cases():
+        th = np.zeros(prog.theta_dim) if theta is None else np.asarray(theta)
+        via = via_estimate(prog, ds, theta).eps_hat
+        kkt = kkt_estimate(prog, ds, theta).eps_hat
+        assert _bits(np.array([via, kkt])).tolist() == _bits(
+            np.array([_via_loop(prog, ds, th), _kkt_loop(prog, ds, th)])
+        ).tolist(), (type(prog).__name__, prog.x_dim, len(ds))
+
+
+def test_baselines_evaluate_the_program_once_per_dataset():
+    calls = []
+
+    class Counting(BoxLinearProgram):
+        def objective_grad_x(self, x, u, theta):
+            calls.append("grad")
+            return super().objective_grad_x(x, u, theta)
+
+        def constraints(self, x, u, theta):
+            calls.append("constraints")
+            return super().constraints(x, u, theta)
+
+    ds = generate_boxlinear_observations(500, RngSeed(9))
+    via_estimate(Counting(), ds)
+    kkt_estimate(Counting(), ds)
+    assert calls == ["grad", "grad", "constraints"]
 
 
 # ------------------------------------------------------------------- MLE
