@@ -66,7 +66,7 @@ HULL_COLLINEARITY_TOL = 1e-12
 _SUPPORT_GAP_TOL = 1e-10
 
 # Iteration caps of the projection solvers; reaching one raises SolverLimitError
-# (a 2-D zonotope projects onto its vertex ring instead).
+# (the planar zonotope loop hands over to the exact _zonotope_bvls instead).
 _MIN_NORM_MAX_ITER = 10_000
 _ZONOTOPE_NEAREST_MAX_ITER = 20_000
 
@@ -831,72 +831,22 @@ def _min_norm_point(points: np.ndarray, tol: float = _SUPPORT_GAP_TOL) -> np.nda
     return x
 
 
-def _zonotope_nearest(z: Zonotope, x: np.ndarray, tol: float = _SUPPORT_GAP_TOL) -> np.ndarray:
-    """Nearest point of a zonotope by away-step conditional gradient with the
-    exact support oracle (terminates on duality gap <= tol)."""
+def _zonotope_bvls(z: Zonotope, x: np.ndarray) -> np.ndarray:
+    """Nearest point of a zonotope to x, exactly: c + E't for the t in
+    [-1, 1]^p that minimizes |c + E't - x|, a bounded-variable least-squares
+    problem that BVLS solves by a finite active-set method (Stark & Parker,
+    Computational Statistics 10, 1995)."""
+    from scipy.optimize import lsq_linear  # imported here: it is slow to load
+
     e = z._effective()
-    e = e[np.linalg.norm(e, axis=1) > 0]
-    if e.shape[0] == 0:
+    p = e.shape[0]
+    if p == 0:
         return z.center.copy()
-
-    def extreme_min(direction: np.ndarray) -> tuple[bytes, np.ndarray]:
-        s = -np.sign(e @ direction)
-        s[s == 0] = 1.0
-        return s.tobytes(), z.center + s @ e
-
-    key0, p0 = extreme_min(-(x - z.center))
-    active: dict[bytes, np.ndarray] = {key0: p0}
-    weights: dict[bytes, float] = {key0: 1.0}
-    zc = p0.copy()
-    for _ in range(_ZONOTOPE_NEAREST_MAX_ITER):
-        grad = 2.0 * (zc - x)
-        key_s, p_s = extreme_min(grad)
-        gap_fw = float(grad @ (zc - p_s))
-        if gap_fw <= tol:
-            break
-        key_a = max(active, key=lambda k: float(grad @ active[k]))
-        p_a = active[key_a]
-        gap_away = float(grad @ (p_a - zc))
-        if gap_fw >= gap_away:
-            direction = p_s - zc
-            gamma_max = 1.0
-            is_fw = True
-        else:
-            direction = zc - p_a
-            w_a = weights[key_a]
-            if w_a >= 1.0:
-                direction = p_s - zc
-                gamma_max = 1.0
-                is_fw = True
-            else:
-                gamma_max = w_a / (1.0 - w_a)
-                is_fw = False
-        dd = float(direction @ direction)
-        if dd <= 0.0:
-            break
-        gamma = min(max(-float(grad @ direction) / (2.0 * dd), 0.0), gamma_max)
-        if gamma <= 0.0:
-            break
-        if is_fw:
-            for k in weights:
-                weights[k] *= 1.0 - gamma
-            weights[key_s] = weights.get(key_s, 0.0) + gamma
-            active[key_s] = p_s
-        else:
-            for k in weights:
-                weights[k] *= 1.0 + gamma
-            weights[key_a] -= gamma
-        drop = [k for k, w in weights.items() if w <= 1e-14]
-        for k in drop:
-            weights.pop(k)
-            active.pop(k)
-        total = sum(weights.values())
-        for k in weights:
-            weights[k] /= total
-        zc = np.sum([w * active[k] for k, w in weights.items()], axis=0)
-    else:
-        raise SolverLimitError("zonotope projection hit its iteration cap")
-    return zc
+    # scipy's default cap of p steps falls short on a few valid inputs
+    res = lsq_linear(e.T, x - z.center, bounds=(-1.0, 1.0), method="bvls", max_iter=10 * p + 10)
+    if res.status < 1:
+        raise SolverLimitError(f"zonotope projection failed: {res.message}")
+    return z.center + res.x @ e
 
 
 # A two-term dot product a0 b0 + a1 b1 evaluated in floats, fused or not,
@@ -910,10 +860,12 @@ _DOT2_TINY = 1e-300  # absolute slack for products in the subnormal range
 
 
 def _zonogon_nearest(z: Zonotope, x: np.ndarray, tol: float = _SUPPORT_GAP_TOL) -> np.ndarray:
-    """_zonotope_nearest in the plane, bit for bit, at about a third of its cost;
-    where that loop would stop at its cap, the projection onto the vertex ring.
+    """Nearest point of a zonogon by away-step conditional gradient with the
+    exact support oracle (terminates on duality gap <= tol); where the loop
+    would stop at its cap, the exact _zonotope_bvls.
 
-    It takes the same steps:
+    It keeps the bits of the general loop, which tests/test_geometry.py keeps
+    as its reference, at about a third of its cost, by taking the same steps:
     - coordinates are Python floats, which round as numpy's elementwise
       ops do, and the weighted vertex sum adds the rows in order, as
       np.add.reduce over axis 0 does;
@@ -1024,13 +976,20 @@ def _zonogon_nearest(z: Zonotope, x: np.ndarray, tol: float = _SUPPORT_GAP_TOL) 
         for w, (_, q0, q1) in zip(weights[1:], active[1:]):
             z0 += w * q0
             z1 += w * q1
-    else:  # a rare stall; the vertex ring's hull gives the exact projection
-        return project_point(x, VertexPolytope(_zonogon_vertices(z), prune=False))[0]
+    else:  # a rare stall
+        return _zonotope_bvls(z, x)
     return np.array((z0, z1))
 
 
 def project_point(x, c: ConvexSet) -> tuple[np.ndarray, float]:
-    """Nearest point of C to x and the Euclidean distance."""
+    """Nearest point of C to x and the Euclidean distance.
+
+    Boxes, balls and 1-D zonotopes use closed forms, a vertex polytope the
+    min-norm point of its vertices; a zonotope in three or more dimensions is
+    one bounded least-squares solve, and one in the plane runs the
+    conditional-gradient loop of _zonogon_nearest, whose bits the
+    geometry-mix2d benchmark digests.
+    """
     x = _as_vector(x, c.dim)
     if isinstance(c, Box):
         p = np.clip(x, c.lower, c.upper)
@@ -1050,7 +1009,7 @@ def project_point(x, c: ConvexSet) -> tuple[np.ndarray, float]:
             lo, hi = bounds_of(c)
             p = np.clip(x, lo, hi)
             return p, float(np.linalg.norm(x - p))
-        p = _zonogon_nearest(c, x) if c.dim == 2 else _zonotope_nearest(c, x)
+        p = _zonogon_nearest(c, x) if c.dim == 2 else _zonotope_bvls(c, x)
         return p, float(np.linalg.norm(x - p))
     raise TypeError(f"unsupported set variant: {type(c).__name__}")
 

@@ -92,24 +92,38 @@ class ParametricProgram:
         raise NotImplementedError
 
 
-class BoxLinearProgram(ParametricProgram):
-    """f = -(theta + u)' x over the box |x_j| <= bound.
+class _BoxProgram(ParametricProgram):
+    """A program over the box |x_j| <= bound, with the constraints stacked as
+    [x - bound; -x - bound] and the outer box |x_j| <= outer_bound."""
 
-    Constraints are stacked as [x - bound; -x - bound].  The value function
-    and epsilon-argmin sets are analytic.
-    """
-
-    def __init__(self, bound: float = 2.0, x_dim: int = 1, outer_bound: float = 3.0):
+    def __init__(self, bound: float, x_dim: int, outer_bound: float):
         if bound <= 0 or outer_bound <= bound:
             raise ValueError("need 0 < bound < outer_bound")
         self.bound = float(bound)
         self.x_dim = int(x_dim)
-        self.u_dim = self.x_dim
-        self.theta_dim = self.x_dim
         self.n_constraints = 2 * self.x_dim
         self.outer_box = Box(
             np.full(self.x_dim, -outer_bound), np.full(self.x_dim, outer_bound)
         )
+
+    def constraints(self, x, u, theta):
+        x = np.asarray(x, dtype=float)
+        return np.concatenate([x - self.bound, -x - self.bound], axis=-1)
+
+    def constraint_grads_x(self, x, u, theta):
+        eye = np.eye(self.x_dim)
+        return np.vstack([eye, -eye])
+
+
+class BoxLinearProgram(_BoxProgram):
+    """f = -(theta + u)' x over the box |x_j| <= bound.
+
+    The value function and epsilon-argmin sets are analytic.
+    """
+
+    def __init__(self, bound: float = 2.0, x_dim: int = 1, outer_bound: float = 3.0):
+        super().__init__(bound, x_dim, outer_bound)
+        self.u_dim = self.theta_dim = self.x_dim
 
     def objective(self, x, u, theta):
         c = np.asarray(theta, dtype=float) + np.asarray(u, dtype=float)
@@ -118,33 +132,17 @@ class BoxLinearProgram(ParametricProgram):
     def objective_grad_x(self, x, u, theta):
         return -(np.asarray(theta, dtype=float) + np.asarray(u, dtype=float))
 
-    def constraints(self, x, u, theta):
-        x = np.asarray(x, dtype=float)
-        return np.concatenate([x - self.bound, -x - self.bound], axis=-1)
-
-    def constraint_grads_x(self, x, u, theta):
-        eye = np.eye(self.x_dim)
-        return np.vstack([eye, -eye])
-
     def value(self, u, theta) -> float:
         c = np.asarray(theta, dtype=float) + np.asarray(u, dtype=float)
         return float(-self.bound * np.abs(c).sum())
 
 
-class BoxQuadraticProgram(ParametricProgram):
+class BoxQuadraticProgram(_BoxProgram):
     """f = |x|^2 over the box |x_j| <= bound; no u or theta dependence."""
 
     def __init__(self, bound: float = 1.0, x_dim: int = 1, outer_bound: float = 2.0):
-        if bound <= 0 or outer_bound <= bound:
-            raise ValueError("need 0 < bound < outer_bound")
-        self.bound = float(bound)
-        self.x_dim = int(x_dim)
-        self.u_dim = 0
-        self.theta_dim = 0
-        self.n_constraints = 2 * self.x_dim
-        self.outer_box = Box(
-            np.full(self.x_dim, -outer_bound), np.full(self.x_dim, outer_bound)
-        )
+        super().__init__(bound, x_dim, outer_bound)
+        self.u_dim = self.theta_dim = 0
 
     def objective(self, x, u, theta):
         x = np.asarray(x, dtype=float)
@@ -152,14 +150,6 @@ class BoxQuadraticProgram(ParametricProgram):
 
     def objective_grad_x(self, x, u, theta):
         return 2.0 * np.asarray(x, dtype=float)
-
-    def constraints(self, x, u, theta):
-        x = np.asarray(x, dtype=float)
-        return np.concatenate([x - self.bound, -x - self.bound], axis=-1)
-
-    def constraint_grads_x(self, x, u, theta):
-        eye = np.eye(self.x_dim)
-        return np.vstack([eye, -eye])
 
     def value(self, u, theta) -> float:
         return 0.0
@@ -594,7 +584,7 @@ def _default_theta(prog, theta):
 
 
 def _program_bound(prog) -> float:
-    if not isinstance(prog, (BoxLinearProgram, BoxQuadraticProgram)):
+    if not isinstance(prog, _BoxProgram):
         raise ValueError("estimator implemented for the box-constrained built-ins")
     return prog.bound
 

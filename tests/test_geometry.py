@@ -534,6 +534,77 @@ def test_zonotope_projection_matches_vertex_polytope_path():
         assert abs(dz - dv) <= 1e-8
 
 
+# The away-step conditional-gradient loop that projected onto every zonotope
+# in two or more dimensions: the reference of _zonogon_nearest's bits and
+# an oracle for the bounded least-squares projection in higher dimensions.
+def _zonotope_nearest(z: Zonotope, x: np.ndarray, tol: float = geometry._SUPPORT_GAP_TOL) -> np.ndarray:
+    """Nearest point of a zonotope by away-step conditional gradient with the
+    exact support oracle (terminates on duality gap <= tol)."""
+    e = z._effective()
+    e = e[np.linalg.norm(e, axis=1) > 0]
+    if e.shape[0] == 0:
+        return z.center.copy()
+
+    def extreme_min(direction: np.ndarray) -> tuple[bytes, np.ndarray]:
+        s = -np.sign(e @ direction)
+        s[s == 0] = 1.0
+        return s.tobytes(), z.center + s @ e
+
+    key0, p0 = extreme_min(-(x - z.center))
+    active: dict[bytes, np.ndarray] = {key0: p0}
+    weights: dict[bytes, float] = {key0: 1.0}
+    zc = p0.copy()
+    for _ in range(geometry._ZONOTOPE_NEAREST_MAX_ITER):
+        grad = 2.0 * (zc - x)
+        key_s, p_s = extreme_min(grad)
+        gap_fw = float(grad @ (zc - p_s))
+        if gap_fw <= tol:
+            break
+        key_a = max(active, key=lambda k: float(grad @ active[k]))
+        p_a = active[key_a]
+        gap_away = float(grad @ (p_a - zc))
+        if gap_fw >= gap_away:
+            direction = p_s - zc
+            gamma_max = 1.0
+            is_fw = True
+        else:
+            direction = zc - p_a
+            w_a = weights[key_a]
+            if w_a >= 1.0:
+                direction = p_s - zc
+                gamma_max = 1.0
+                is_fw = True
+            else:
+                gamma_max = w_a / (1.0 - w_a)
+                is_fw = False
+        dd = float(direction @ direction)
+        if dd <= 0.0:
+            break
+        gamma = min(max(-float(grad @ direction) / (2.0 * dd), 0.0), gamma_max)
+        if gamma <= 0.0:
+            break
+        if is_fw:
+            for k in weights:
+                weights[k] *= 1.0 - gamma
+            weights[key_s] = weights.get(key_s, 0.0) + gamma
+            active[key_s] = p_s
+        else:
+            for k in weights:
+                weights[k] *= 1.0 + gamma
+            weights[key_a] -= gamma
+        drop = [k for k, w in weights.items() if w <= 1e-14]
+        for k in drop:
+            weights.pop(k)
+            active.pop(k)
+        total = sum(weights.values())
+        for k in weights:
+            weights[k] /= total
+        zc = np.sum([w * active[k] for k, w in weights.items()], axis=0)
+    else:
+        raise SolverLimitError("zonotope projection hit its iteration cap")
+    return zc
+
+
 def test_zonogon_projection_matches_general_loop_bit_for_bit():
     rng = np.random.default_rng(47)
     cases = []
@@ -566,27 +637,41 @@ def test_zonogon_projection_matches_general_loop_bit_for_bit():
     flat = Zonotope([0.5, -0.5], np.zeros((2, 2)), [1.0, 1.0])
     cases.append((flat, np.array([3.0, 1.0])))
     for z, x in cases:
-        assert _bits(geometry._zonogon_nearest(z, x)) == _bits(geometry._zonotope_nearest(z, x))
+        assert _bits(geometry._zonogon_nearest(z, x)) == _bits(_zonotope_nearest(z, x))
 
 
 def test_projection_solvers_raise_at_their_iteration_cap(monkeypatch):
     # every nearest point lies inside an edge or facet, which takes more than one step
     tri = VertexPolytope([[1.0, 0.0], [2.0, 0.0], [1.0, 1.0]])
     z = Zonotope([3.0, 0.0], [[1.0, 1.0], [1.0, -1.0]], [1.0, 1.0])
-    z3 = Zonotope([3.0, 0.0, 0.0], [[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 1.0]],
-                  [1.0, 1.0, 1.0])
     np.testing.assert_allclose(project_point([1.5, -2.0], tri)[0], [1.5, 0.0], atol=1e-9)
     np.testing.assert_allclose(project_point([1.0, 3.0], z)[0], [2.5, 1.5], atol=1e-6)
-    np.testing.assert_allclose(project_point([1.0, 3.0, 0.5], z3)[0], [2.5, 1.5, 0.5], atol=1e-6)
     monkeypatch.setattr(geometry, "_ZONOTOPE_NEAREST_MAX_ITER", 1)
+    monkeypatch.setattr(geometry, "_MIN_NORM_MAX_ITER", 1)
+    with pytest.raises(SolverLimitError):
+        project_point([1.5, -2.0], tri)
+    # in the plane, a capped zonotope loop hands over to the bounded least-squares solve
+    np.testing.assert_allclose(project_point([1.0, 3.0], z)[0], [2.5, 1.5], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("status", [0, -1])
+def test_zonotope_least_squares_failure_raises(monkeypatch, status):
+    import scipy.optimize
+
+    solve = scipy.optimize.lsq_linear
+
+    def failing(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        res.status = status
+        return res
+
+    z3 = Zonotope([3.0, 0.0, 0.0], [[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 1.0]],
+                  [1.0, 1.0, 1.0])
+    np.testing.assert_allclose(project_point([1.0, 3.0, 0.5], z3)[0], [2.5, 1.5, 0.5],
+                               rtol=0.0, atol=1e-12)
+    monkeypatch.setattr(scipy.optimize, "lsq_linear", failing)
     with pytest.raises(SolverLimitError):
         project_point([1.0, 3.0, 0.5], z3)
-    # in the plane, a capped zonotope solver hands over to the vertex ring
-    np.testing.assert_allclose(project_point([1.0, 3.0], z)[0], [2.5, 1.5], atol=1e-9)
-    monkeypatch.setattr(geometry, "_MIN_NORM_MAX_ITER", 1)
-    for c, x in ((tri, [1.5, -2.0]), (z, [1.0, 3.0])):
-        with pytest.raises(SolverLimitError):
-            project_point(x, c)
 
 
 def test_zonogon_projection_survives_a_stalled_solver():
@@ -610,10 +695,68 @@ def test_zonogon_projection_survives_a_stalled_solver():
     # inside, about 0.01 from the nearest edge: left of every counterclockwise edge
     assert np.all(edges[:, 0] * (x - ring)[:, 1] - edges[:, 1] * (x - ring)[:, 0] > 0.0)
     with pytest.raises(SolverLimitError):
-        geometry._zonotope_nearest(z, x)
+        _zonotope_nearest(z, x)
     p, d = project_point(x, z)
     assert d <= 1e-12
     np.testing.assert_allclose(p, x, rtol=0.0, atol=1e-12)
+
+
+def _assert_nearest_point(z, x, p, tol=1e-12):
+    # p = c + E't with t in the box lies in Z, so it is the nearest point of Z
+    # to x exactly when the support certificate h_Z(v) - v.p, v = x - p, is zero
+    v = x - p
+    size = np.linalg.norm(x) + np.abs(z.center).sum() + np.abs(z._effective()).sum()
+    assert z.support(v) - v @ p <= tol * (1.0 + np.linalg.norm(v) * size)
+
+
+def _sign_vertex_distance(z, x):
+    # the min-norm point of all 2^p sign vertices: an exact oracle for small p
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=z.generators.shape[0])))
+    return project_point(x, VertexPolytope(z.center + signs @ z._effective(), prune=False))[1]
+
+
+def test_zonotope_projection_in_higher_dimensions_is_exact():
+    # the conditional-gradient loop stalls at its cap on calls 655 and 1122
+    rng = np.random.default_rng(7)
+    for i in range(1500):
+        d, p = int(rng.choice([3, 4])), int(rng.integers(1, 8))
+        c, g = rng.normal(size=d), rng.normal(size=(p, d))
+        z, x = Zonotope(c, g, rng.uniform(0.1, 1.5, p)), rng.uniform(-4, 4, d)
+        q, dist = project_point(x, z)
+        _assert_nearest_point(z, x, q)
+        assert abs(dist - _sign_vertex_distance(z, x)) <= 1e-9
+        if i % 10 == 0:  # the loop takes about 9 ms a call
+            assert abs(dist - np.linalg.norm(x - _zonotope_nearest(z, x))) <= 1e-8
+
+
+def test_zonotope_projection_degenerate_cases_in_higher_dimensions():
+    rng = np.random.default_rng(12)
+    c = np.array([0.5, 0.0, -1.0])
+    x = np.array([1.0, -2.0, 0.5])
+    for g in (np.zeros((0, 3)), np.zeros((2, 3))):  # no generators, zero generators
+        p, d = project_point(x, Zonotope(c, g, np.ones(g.shape[0])))
+        assert _bits(p) == _bits(c)
+        assert d == float(np.linalg.norm(x - c))
+    g = rng.normal(size=(3, 3))
+    zonotopes = [
+        Zonotope(c, np.vstack([g[:2], np.zeros(3)]), [1.0, 0.5, 2.0]),  # a zero generator
+        Zonotope(c, [g[0], -2.0 * g[0], g[1], 0.5 * g[1]], [1.0, 0.5, 0.7, 1.3]),  # parallel
+        Zonotope(c, g[:1], [1.5]),  # a segment
+        Zonotope(c, g[:2], [1.0, 0.8]),  # a flat zonogon in 3-D
+        Zonotope(rng.normal(size=5), rng.normal(size=(3, 5)), [1.0, 0.5, 1.2]),
+    ]
+    for z in zonotopes:
+        e = z._effective()
+        for _ in range(30):
+            x = z.center + rng.normal(scale=3.0, size=z.dim)
+            q, dist = project_point(x, z)
+            _assert_nearest_point(z, x, q)
+            assert abs(dist - np.linalg.norm(x - _zonotope_nearest(z, x))) <= 1e-8
+            # a point of the zonotope projects to itself
+            inside = z.center + rng.uniform(-1.0, 1.0, e.shape[0]) @ e
+            q, dist = project_point(inside, z)
+            assert dist <= 1e-12
+            np.testing.assert_allclose(q, inside, rtol=0.0, atol=1e-12)
 
 
 def test_distance_to_ball_and_box_closed_forms():

@@ -128,13 +128,17 @@ def test_truncated_gaussian_covariance_has_scipy_stats_bits(dim):
 def test_import_setstat_leaves_scipy_stats_unloaded():
     src = str(Path(setstat.__file__).resolve().parents[1])
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, setstat; print('scipy.stats' in sys.modules)"],
+        [
+            sys.executable,
+            "-c",
+            "import sys, setstat; print('scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules)",
+        ],
         capture_output=True,
         text=True,
         check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 def test_noise_validation():
