@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -232,6 +233,157 @@ def test_minkowski_sum_of_boxes_is_box():
     assert isinstance(s, Box)
     np.testing.assert_allclose(s.lower, [-1, 1])
     np.testing.assert_allclose(s.upper, [1, 5])
+
+
+def _all_pairs_sum(a, b, n_directions=360):
+    # minkowski_sum of two non-closed-form 2-D operands before the cone
+    # filter: a singleton translates the other side, else the hull of all
+    # m n vertex sums; kept as the oracle of the filtered sum
+    for p, q in ((b, a), (a, b)):
+        point = geometry._is_singleton(p)
+        if point is not None:
+            return q.translate(point)
+    va = geometry._to_vertex_polytope(a, n_directions).vertices
+    vb = geometry._to_vertex_polytope(b, n_directions).vertices
+    return VertexPolytope((va[:, None, :] + vb[None, :, :]).reshape(-1, 2))
+
+
+def _ellipse_polygon(rng, k):
+    # as the geometry-mix2d benchmark draws them: all k points extreme
+    th = (np.arange(k) + rng.uniform(-0.3, 0.3, k)) * (2.0 * math.pi / k)
+    ring = np.column_stack([np.cos(th), np.sin(th)]) * rng.uniform(0.6, 1.6, 2)
+    angle = rng.uniform(0.0, math.pi)
+    turn = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    return VertexPolytope(ring @ turn.T + rng.uniform(-1.0, 1.0, 2))
+
+
+def _sum_cases(rng):
+    def lattice(k, step=1.0):
+        return VertexPolytope(step * rng.integers(-4, 5, size=(k, 2)))
+
+    def zonogon(p):
+        gens = rng.integers(-3, 4, size=(p, 2)).astype(float)
+        gens = np.vstack([gens, 2.0 * gens[:1], -0.5 * gens[-1:]])  # parallel generators
+        return Zonotope(rng.normal(size=2), gens, rng.uniform(0.2, 1.0, p + 2))
+
+    def rotated(c, angle):
+        turn = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+        return VertexPolytope(c.vertices @ turn.T)
+
+    # an edge 1e-10 rad off vertical, parallel within the slack to a vertical
+    # edge: the hull's sweep in x meets their four sums out of line order
+    a = np.array([[0, 0], [9, 1], [9, 4], [4, 9], [2, 9], [1, 6]]) * 1e-4 + [0.0094, -2.98]
+    a[2, 0] -= 3e-14
+    b = np.array([[0, 0], [1.8, -0.6], [3.1, 0.05], [3.1, 6.9], [1.3, 7.5], [0, 6.9]])
+    yield VertexPolytope(a), VertexPolytope(b * 1e-4 + [0.046, 0.46]), 360
+    for _ in range(30):
+        k = rng.integers(6, 21)
+        ellipse = _ellipse_polygon(rng, k)
+        yield ellipse, _ellipse_polygon(rng, rng.integers(6, 21)), 360
+        yield ellipse, Ball(rng.uniform(-1, 1, 2), rng.uniform(0.3, 1.2)), 360
+        yield Ball(rng.normal(size=2), rng.choice([1e-4, 0.02, 3.0])), ellipse, rng.choice([8, 90, 360])
+        yield ellipse, _random_box(rng, 2), 360
+        yield zonogon(rng.integers(1, 4)), ellipse, 360
+        yield lattice(rng.integers(3, 12)), lattice(rng.integers(3, 12)), 360
+        yield lattice(rng.integers(3, 12)), zonogon(rng.integers(1, 4)), 360
+        yield Box([-1.0, 0.0], [2.0, 1.0]), lattice(rng.integers(3, 12)), 360
+        rounded = VertexPolytope(np.round(rng.normal(size=(rng.integers(3, 15), 2)), 1))
+        yield rounded, VertexPolytope(np.round(rng.normal(size=(rng.integers(3, 15), 2)), 1)), 360
+        yield rounded, Ball(np.round(rng.normal(size=2), 1), 1e-4), 360
+        thin = rng.normal(size=(rng.integers(3, 9), 2)) * [1.0, 1e-7]
+        yield VertexPolytope(thin), ellipse, 360
+        yield VertexPolytope(thin), VertexPolytope(thin[::-1] * [1.0, -3.0]), 360
+        # edges 3e-10 rad from parallel: sum vertices whose arcs overlap less than the slack
+        yield ellipse, rotated(ellipse, rng.choice([3e-10, -5e-10])), 360
+        # edges 2e-9 rad apart, beyond the slack, and short: their sums turn
+        # by less than the hull's collinearity tolerance
+        small = lattice(rng.integers(3, 9), 0.002)
+        yield small, rotated(small, rng.choice([1.5e-9, -2e-9])), 360
+        yield VertexPolytope(rng.normal(size=(3, 2))), VertexPolytope(rng.normal(size=(3, 2))), 360
+        segment = VertexPolytope(rng.normal(size=(2, 2)))
+        yield segment, ellipse, 360
+        yield segment, VertexPolytope(rng.normal(size=(2, 2))), 360
+        yield point_set(rng.normal(size=2)), ellipse, 360
+        yield ellipse, point_set(rng.normal(size=2)), 360
+    # lattices at 2^-20, whose cross products sit at the 1e-12 collinearity
+    # tolerance: there the all-pairs hull depends on the interior sums, so
+    # most of these take the all-pairs path
+    for _ in range(300):
+        yield lattice(rng.integers(3, 12), 2.0**-20), lattice(rng.integers(3, 12), 2.0**-20), 360
+
+
+def test_minkowski_sum_2d_cone_pairs_match_all_pairs_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(47)
+    filtered = []
+    cone_pair_sums = geometry._cone_pair_sums
+
+    def spy(va, vb):
+        sums = cone_pair_sums(va, vb)
+        filtered.append(sums is not None)
+        return sums
+
+    monkeypatch.setattr(geometry, "_cone_pair_sums", spy)
+    n_cases = 0
+    for a, b, n_dir in _sum_cases(rng):
+        got, want = minkowski_sum(a, b, n_dir), _all_pairs_sum(a, b, n_dir)
+        assert got.vertices.shape == want.vertices.shape, (a, b)
+        assert _bits(got.vertices) == _bits(want.vertices), (a, b)
+        n_cases += 1
+    assert n_cases == 871 and 400 <= sum(filtered) < len(filtered) - 200
+
+    # a 2-D fold of weighted_minkowski_average sums polygons pairwise
+    polygons = [_ellipse_polygon(rng, k) for k in (6, 9, 14, 20)]
+    polygons += [VertexPolytope(rng.integers(-3, 4, size=(7, 2))), _random_box(rng, 2)]
+    w = rng.uniform(0.1, 1.0, len(polygons))
+    want = scale(w[0], polygons[0])
+    for wi, p in zip(w[1:], polygons[1:]):
+        want = _all_pairs_sum(want, scale(wi, p))
+    got = weighted_minkowski_average(w, polygons)
+    assert _bits(got.vertices) == _bits(want.vertices)
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [
+        # scale keeps the four equal rows of a zero-scaled square (prune=False)
+        scale(0.0, VertexPolytope([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])).vertices,
+        [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]],  # a collinear vertex
+        [[0.0, 0.0], [1.0, 0.0], [2.0, 1e-13], [1.0, 1.0]],  # a turn below the hull tolerance
+        [[0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]],  # clockwise
+        direction_grid(2, 5)[[0, 2, 4, 1, 3]],  # a star that winds twice
+        [[0.0, 0.0], [1.0, 0.0], [-1.0, 1e-9]],  # turns within 1e-9 of a half turn
+    ],
+    ids=["repeated", "collinear", "nearly-collinear", "clockwise", "star", "spike"],
+)
+def test_minkowski_sum_rings_the_cone_filter_refuses_take_the_all_pairs_path(ring):
+    ring = VertexPolytope(ring, prune=False)
+    pentagon = VertexPolytope([[0.1, -1.0], [1.2, -0.3], [0.9, 0.8], [-0.5, 1.1], [-1.1, 0.2]])
+    assert geometry._cone_pair_sums(ring.vertices, pentagon.vertices) is None
+    assert geometry._cone_pair_sums(pentagon.vertices, ring.vertices) is None
+    ball = Ball([0.3, -0.2], 0.5)
+    for a, b in ((ring, ball), (ball, ring), (ring, pentagon), (pentagon, ring)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = minkowski_sum(a, b)
+        assert _bits(got.vertices) == _bits(_all_pairs_sum(a, b).vertices)
+
+
+def test_minkowski_sum_2d_hulls_about_m_plus_n_points(monkeypatch):
+    # a guard against the O(m n) path: a 20-gon plus a 360-sampled ball
+    # must not hull all 7,200 vertex sums
+    polygon = _ellipse_polygon(np.random.default_rng(48), 20)
+    assert polygon.vertices.shape == (20, 2)
+    hull_rows = []
+    hull = geometry.convex_hull_2d
+
+    def counting_hull(points, *args, **kwargs):
+        hull_rows.append(np.asarray(points).shape[0])
+        return hull(points, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "convex_hull_2d", counting_hull)
+    minkowski_sum(polygon, Ball([0.2, -0.1], 0.8))
+    assert hull_rows[0] == 360  # the sampled ball
+    assert len(hull_rows) == 2 and hull_rows[1] <= 20 + 360 + 8
 
 
 def test_sum_then_erode_recovers_left_operand():
@@ -977,10 +1129,27 @@ def test_dist_points_batch_matches_per_edge_path_bit_for_bit():
         xs = np.vstack([pts, grid, v, np.array(on_edges), v.mean(axis=0)])
         got = geometry._dist_points_batch(xs, c)
         assert _bits(got) == _bits(_per_edge_dist_batch(xs, c)), c
-    for dim in (3, 9):  # boxes and balls in more dimensions; d >= 8 keeps np.linalg.norm
-        xs = rng.normal(scale=2.0, size=(300, dim))
-        for c in (_random_box(rng, dim), Ball(rng.normal(size=dim), 0.7)):
-            assert _bits(geometry._dist_points_batch(xs, c)) == _bits(_per_edge_dist_batch(xs, c))
+    # the column-wise box, ball and single-point paths against the broadcast
+    # forms, in 1 to 9 dimensions (d >= 8 keeps np.linalg.norm)
+    n_cases = 0
+    for dim in (1, 2, 3, 8, 9):
+        for _ in range(400):
+            lo = rng.choice([-2.0, -0.5, -0.0, 0.0, 0.75], size=dim)
+            hi = lo + rng.choice([0.0, 0.0, 0.5, 2.0], size=dim)  # some flat axes
+            hi = np.where(hi == 0.0, rng.choice([0.0, -0.0], size=dim), hi)
+            center = rng.choice([-1.0, -0.0, 0.0, 0.5], size=dim)
+            xs = rng.normal(scale=2.0, size=(40, dim))
+            pick = rng.random((15, dim))
+            xs[:15] = np.where(pick < 0.4, lo, np.where(pick < 0.8, hi, xs[:15]))  # on faces
+            xs[15:25] = rng.choice([0.0, -0.0, 1.0], size=(10, dim))  # signed zeros
+            xs[25:28] = center
+            shapes = [Box(lo, hi), Box(lo, lo), Ball(center, rng.choice([0.0, 0.6]))]
+            if dim == 2:
+                shapes.append(point_set(center))
+            for c in shapes:
+                assert _bits(geometry._dist_points_batch(xs, c)) == _bits(_per_edge_dist_batch(xs, c))
+                n_cases += 1
+    assert n_cases == 6400
 
 
 def test_hausdorff_one_dimensional_exact():
@@ -1044,6 +1213,75 @@ def test_integrated_distance_bounded_by_hausdorff():
         a = _random_polygon(rng)
         b = _random_polygon(rng)
         assert integrated_distance(a, b) <= hausdorff(a, b) + 1e-9
+
+
+def _integrated_distance_per_call(c, d, n_radii, n_angles, n_points_1d, n_quadrature, r_cutoff):
+    # integrated_distance before its grid was cached: nodes, directions and
+    # point stack rebuilt on every call; kept as its oracle
+    dim = c.dim
+    nodes, wts = np.polynomial.laguerre.laggauss(n_quadrature)
+    keep = nodes <= r_cutoff
+    nodes, wts = nodes[keep], wts[keep]
+    if dim > 1:
+        dirs = direction_grid(dim, n_angles)
+        steps = np.arange(1, n_radii + 1) / n_radii
+    blocks = []
+    for r in nodes:
+        if dim == 1:
+            pts = np.linspace(-r, r, n_points_1d).reshape(-1, 1)
+        else:
+            pts = ((r * steps)[:, None, None] * dirs[None, :, :]).reshape(-1, dim)
+            pts = np.vstack([np.zeros((1, dim)), pts])
+        blocks.append(pts)
+    sizes = [b.shape[0] for b in blocks]
+    allpts = np.vstack(blocks)
+    gap = np.abs(geometry._dist_points_batch(allpts, c) - geometry._dist_points_batch(allpts, d))
+    total = 0.0
+    at = 0
+    for w, size in zip(wts, sizes):
+        total += w * float(gap[at : at + size].max())
+        at += size
+    return total
+
+
+def test_integrated_distance_grid_is_built_once_with_the_same_bits():
+    rng = np.random.default_rng(49)
+    pairs = [
+        (_random_polygon(rng), Ball(rng.normal(size=2), 0.7)),
+        (_random_box(rng, 2), Zonotope([0.1, -0.3], rng.normal(size=(3, 2)), [0.5, 1.0, 0.2])),
+        (point_set([0.3, -0.2]), _random_polygon(rng, 5)),
+        (interval(-0.5, 1.0), interval(0.25, 0.5)),
+        (_random_box(rng, 3), Ball(rng.normal(size=3), 0.4)),
+    ]
+    resolutions = [(64, 64, 128, 32, 20.0), (5, 7, 9, 6, 3.0), (3, 4, 17, 40, 100.0)]
+    for (c, d), res in itertools.product(pairs, resolutions):
+        for _ in range(2):  # built, then read from the cache
+            assert _bits(integrated_distance(c, d, *res)) == _bits(_integrated_distance_per_call(c, d, *res))
+    grid, wts = geometry._distance_grid(2, 64, 64, 128, 32, 20.0)
+    assert not grid.flags.writeable and not wts.flags.writeable
+    assert geometry._distance_grid(2, 64, 64, 128, 32, 20.0)[0] is grid
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"n_radii": 0},
+        {"n_angles": 0},
+        {"n_points_1d": 0},
+        {"n_quadrature": 0},
+        {"n_radii": -2},
+        {"r_cutoff": 0.01},  # below the first of 32 Laguerre nodes, about 0.044
+        {"r_cutoff": -1.0},
+        {"r_cutoff": float("nan")},
+        {"r_cutoff": float("inf")},
+    ],
+)
+def test_integrated_distance_rejects_bad_resolution(bad):
+    # at 0 radii or angles the grid was empty and the value 0.0; at a cutoff
+    # below the first node numpy raised "need at least one array to concatenate"
+    (name,) = bad
+    with pytest.raises(ValueError, match=name):
+        integrated_distance(Box([0.0, 0.0], [1.0, 1.0]), Ball([0.5, 0.5], 0.4), **bad)
 
 
 # ------------------------------------------------------------ membership
