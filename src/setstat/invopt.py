@@ -679,6 +679,17 @@ def mle_estimate(prog, dataset: ObservationDataset, prior: PriorRegion,
     q = y - U, p = min(b, y - L) for c >= 0 and q = L - y,
     p = -max(-b, y - U) for c < 0, and the width of S is b - M.  The grid is
     bit-identical to evaluating both interval endpoints for every cell.
+
+    Every step from eps to a sample's overlap (eps/|c|, b - it, the max and
+    min, the division by U - L) is nondecreasing in eps, and the eps axis
+    is nondecreasing, so per theta the rows holding a zero overlap form a
+    prefix of the axis.  Each such row is +inf: its mean has a +inf term, or
+    is NaN (log 0 - log 0 where S is a point, or +inf and -inf terms), and
+    NaN maps to +inf.  A search over rows (one 8-row window around the
+    previous theta's answer, then bisection over single rows) finds the
+    first row whose overlaps are all positive; the rows before it are set
+    to +inf unevaluated and only the rest run through the buffers, with
+    the bits of evaluating the whole grid.
     """
     eps_axis = prior.eps_axis()
     theta_points = prior.theta_points()
@@ -692,23 +703,58 @@ def mle_estimate(prog, dataset: ObservationDataset, prior: PriorRegion,
         p_pos, p_neg = np.minimum(b, ys - lo_w), -np.maximum(-b, ys - hi_w)
         ov = np.empty((len(eps_axis), len(ys)))  # per call: replicates run in threads
         terms = np.empty_like(ov)
+
+        def overlap(rows, c, q, p, width=None):
+            """Fill ov[rows] with the overlaps at eps_axis[rows] (and width
+            with b - M, the width of S) and return it."""
+            out = ov[rows]
+            _boxlinear_lower(out, b, c, eps_col[rows])
+            if width is not None:
+                np.subtract(b, out, out=width)
+            np.maximum(out, q, out=out)
+            np.subtract(p, out, out=out)
+            np.maximum(out, 0.0, out=out)
+            out /= hi_w - lo_w
+            return out
+
+        def first_positive_row(c, q, p, hint):
+            """First row whose overlaps are all positive, or n_eps; the rows
+            before it hold a zero overlap.  One pass over the 8 rows around
+            hint, the previous theta's answer (the likelihood's support
+            moves a few rows per theta step), then bisection over single
+            rows in what that window leaves open."""
+            lo, hi = 0, len(eps_axis)  # rows < lo fail, rows >= hi pass
+            s = min(max(hint - 4, 0), hi)
+            e = min(s + 8, hi)
+            ok = np.all(overlap(slice(s, e), c, q, p) > 0, axis=1)
+            k = int(np.argmax(ok)) if ok.any() else e - s
+            if k > 0:
+                lo = s + k
+            if k < e - s:
+                hi = s + k
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if np.all(overlap(slice(mid, mid + 1), c, q, p) > 0):
+                    hi = mid
+                else:
+                    lo = mid + 1
+            return lo
+
+        first = len(eps_axis) // 2
         for j, th in enumerate(theta_points):
             c = th[0] + us
             neg = c < 0
-            _boxlinear_lower(ov, b, c, eps_col)
-            np.subtract(b, ov, out=terms)  # width of S
-            np.maximum(ov, np.where(neg, q_neg, q_pos), out=ov)
-            np.subtract(np.where(neg, p_neg, p_pos), ov, out=ov)
-            np.maximum(ov, 0.0, out=ov)
-            ov /= hi_w - lo_w
+            q, p = np.where(neg, q_neg, q_pos), np.where(neg, p_neg, p_pos)
+            first = first_positive_row(c, q, p, first)
+            values[:first, j] = np.inf
+            ov_j, terms_j = ov[first:], terms[first:]
+            overlap(slice(first, None), c, q, p, width=terms_j)
             with np.errstate(divide="ignore", invalid="ignore"):
-                np.log(terms, out=terms)
-                np.log(ov, out=ov)
-                terms -= ov
-            row = terms.mean(axis=1)
-            # a zero overlap (as any point S has) makes its row +inf, or NaN
-            # when S is a point: log 0 - log 0
-            values[:, j] = np.where(np.isnan(row), np.inf, row)
+                np.log(terms_j, out=terms_j)
+                np.log(ov_j, out=ov_j)
+                terms_j -= ov_j
+            row = terms_j.mean(axis=1)
+            values[first:, j] = np.where(np.isnan(row), np.inf, row)
     elif isinstance(prog, BoxQuadraticProgram) and prog.x_dim == 1 and uniform:
         ys = dataset.ys[:, 0]
         m = np.minimum(prog.bound, np.sqrt(eps_axis))[:, None]

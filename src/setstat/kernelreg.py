@@ -139,11 +139,13 @@ class SetRegressionDataset:
     inputs and the (n, q) lower and upper corners of box responses.  An
     array-backed dataset holds no per-sample objects; ``samples`` and
     iteration materialize Box responses on access, and ``estimate`` averages
-    the corner arrays directly.
+    the corner arrays directly.  ``inputs`` is read-only, so the order of its
+    first coordinate, sorted once on first use, never goes stale.
     """
 
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
+    _sorted_first: tuple[np.ndarray, np.ndarray] | None = None
 
     def __init__(self, samples):
         samples = list(samples)
@@ -158,11 +160,13 @@ class SetRegressionDataset:
         self.input_dim = d
         self.set_dim = q
         self.inputs = np.array([smp.x for smp in samples])
+        self.inputs.setflags(write=False)
 
     @classmethod
     def from_boxes(cls, inputs, lower, upper) -> "SetRegressionDataset":
         """Array-backed dataset of box responses [lower_i, upper_i] at x_i."""
-        x, lo, hi = (np.asarray(a, dtype=float) for a in (inputs, lower, upper))
+        x = np.array(inputs, dtype=float)  # never the caller's array: made read-only below
+        lo, hi = (np.asarray(a, dtype=float) for a in (lower, upper))
         if x.ndim != 2 or lo.ndim != 2 or lo.shape != hi.shape or lo.shape[0] != x.shape[0]:
             raise ValueError("need (n, d) inputs and matching (n, q) lower and upper arrays")
         if x.shape[0] == 0:
@@ -175,7 +179,19 @@ class SetRegressionDataset:
         ds._samples = None
         ds.inputs, ds.lower, ds.upper = x, lo, hi
         ds.input_dim, ds.set_dim = x.shape[1], lo.shape[1]
+        x.setflags(write=False)
         return ds
+
+    def _sorted_first_coordinate(self) -> tuple[np.ndarray, np.ndarray]:
+        """(stable argsort of inputs[:, 0], that column sorted), built once.
+
+        Two threads may both build it on first use; they build equal arrays
+        and the pair is stored in one assignment.
+        """
+        if self._sorted_first is None:
+            order = np.argsort(self.inputs[:, 0], kind="stable")
+            self._sorted_first = (order, self.inputs[order, 0])
+        return self._sorted_first
 
     @property
     def samples(self) -> list[LabeledSetSample]:
@@ -222,14 +238,38 @@ def estimate(
     responses of an array-backed dataset are averaged as the (k, q) corner
     arrays, which is the arithmetic weighted_minkowski_average applies to
     the kept Box objects.
+
+    The kernel is evaluated only on the window of samples whose first input
+    coordinate lies within 2h of u[0], found by bisecting the dataset's
+    sorted first coordinate.  The KernelSpec contract (the profile vanishes
+    for t >= 1) and |x_1 - u_1| <= |x - u| make every weight outside the
+    window exactly 0; the factor 2 only keeps rounding from dropping a
+    sample the profile weights, and the profile still sets every weight.
+    The window's values are scattered into a length-n zero array before
+    summing, so the normalizer, and with it the result, has the bits of
+    the full scan that kernel_weights makes.
     """
-    w = kernel_weights(kernel, dataset.inputs, u, h)
+    if h <= 0:
+        raise ValueError("bandwidth h must be positive")
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    order, first = dataset._sorted_first_coordinate()
+    start = np.searchsorted(first, u[0] - 2.0 * h, side="left")
+    stop = np.searchsorted(first, u[0] + 2.0 * h, side="right")
+    idx = np.sort(order[start:stop])  # back in dataset order
+    r = np.linalg.norm(dataset.inputs[idx] - u[None, :], axis=1)
+    part = kernel.profile(r / h)
+    raw = np.zeros(len(dataset))
+    raw[idx] = part
+    total = raw.sum()  # over all n: numpy's pairwise grouping sets the bits
+    if total <= 0:
+        raise NoLocalDataError(f"no samples within bandwidth {h} of {u}")
+    w = part / total
     keep = w > 0
+    kept, wk = idx[keep], w[keep]
     if dataset.lower is not None:
-        wk = w[keep]
-        return Box(wk @ dataset.lower[keep], wk @ dataset.upper[keep])
-    sets = [smp.s for smp, k in zip(dataset.samples, keep) if k]
-    return weighted_minkowski_average(w[keep], sets)
+        return Box(wk @ dataset.lower[kept], wk @ dataset.upper[kept])
+    samples = dataset.samples
+    return weighted_minkowski_average(wk, [samples[i].s for i in kept])
 
 
 def local_mass_diagnostics(

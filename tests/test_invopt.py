@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from setstat import geometry
+from setstat import geometry, invopt
 from setstat.geometry import (
     Box,
     VertexPolytope,
@@ -768,6 +768,87 @@ def test_boxlinear_grids_match_per_point_objectives(seed, n, w):
         assert abs(abp[i, j] - want) <= 1e-12
         want = mle_objective(prog, ds, eps, pts[j], density)
         assert mle[i, j] == want == math.inf or abs(mle[i, j] - want) <= 1e-12
+
+
+def _full_block_mle_grid(prog, ds, prior, density):
+    """The 1-D box-linear likelihood grid with every row of every theta run
+    through the (n_eps, n) buffers: the evaluation the infinite-prefix skip
+    replaced."""
+    eps_axis = prior.eps_axis()
+    theta_points = prior.theta_points()
+    values = np.empty((len(eps_axis), len(theta_points)))
+    us, ys = ds.us[:, 0], ds.ys[:, 0]
+    eps_col = eps_axis[:, None]
+    b, lo_w, hi_w = prog.bound, density.lower, density.upper
+    q_pos, q_neg = ys - hi_w, lo_w - ys
+    p_pos, p_neg = np.minimum(b, ys - lo_w), -np.maximum(-b, ys - hi_w)
+    ov = np.empty((len(eps_axis), len(ys)))
+    terms = np.empty_like(ov)
+    for j, th in enumerate(theta_points):
+        c = th[0] + us
+        neg = c < 0
+        invopt._boxlinear_lower(ov, b, c, eps_col)
+        np.subtract(b, ov, out=terms)
+        np.maximum(ov, np.where(neg, q_neg, q_pos), out=ov)
+        np.subtract(np.where(neg, p_neg, p_pos), ov, out=ov)
+        np.maximum(ov, 0.0, out=ov)
+        ov /= hi_w - lo_w
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log(terms, out=terms)
+            np.log(ov, out=ov)
+            terms -= ov
+        row = terms.mean(axis=1)
+        values[:, j] = np.where(np.isnan(row), np.inf, row)
+    return values
+
+
+@pytest.mark.parametrize("n", [1, 100, 1000])
+@pytest.mark.parametrize(
+    "seed, w, eps_lo",
+    [(0, (-1.0, 1.0), 0.0), (1, (-1.3, 0.4), 0.1), (2, (-0.2, 0.9), 0.05), (3, (-1.0, 1.0), 0.0)],
+)
+def test_mle_infinite_prefix_skip_matches_full_block_bit_for_bit(seed, w, eps_lo, n, monkeypatch):
+    rng = np.random.default_rng(100 + seed)
+    prog = BoxLinearProgram()
+    prior = PriorRegion(eps_range=(eps_lo, eps_lo + 4.0), w_set=interval(*w),
+                        theta_box=Box([-1.0], [1.0]), d_eps=0.05, d_theta=0.125)
+    pts = prior.theta_points()
+    us = rng.uniform(-2.0, 2.0, size=n)
+    us[::3] = -pts[rng.integers(0, len(pts), size=len(us[::3])), 0]  # c = theta + u == 0
+    lo, hi = _two_endpoint_interval(prog.bound, us, rng.uniform(0.2, 3.0))
+    ys = rng.uniform(lo, hi) + rng.uniform(w[0], w[1], size=n)
+    if seed == 3:  # for theta < 0.9 reachable only where eps >= 3.95 |c|
+        us[-1], ys[-1] = -0.9, prog.bound + w[1] - 0.05
+    ds = ObservationDataset(us, ys)
+    density = UniformNoiseDensity(*w)
+    want = _full_block_mle_grid(prog, ds, prior, density)
+    rows = []
+    lower = invopt._boxlinear_lower
+    monkeypatch.setattr(invopt, "_boxlinear_lower",
+                        lambda out, *a: rows.append(out.shape[0]) or lower(out, *a))
+    got = mle_estimate(prog, ds, prior, density).grid_values
+    assert np.array_equal(_bits(got), _bits(want))
+    inf = np.isinf(want)
+    # the +inf prefix is not evaluated: each theta costs its finite rows,
+    # an 8-row window and at most bit_length(n_eps) one-row bisection passes
+    n_eps, n_theta = want.shape
+    prefix = np.argmin(inf, axis=0) + n_eps * inf.all(axis=0)
+    assert sum(rows) <= (n_eps - prefix).sum() + n_theta * (8 + n_eps.bit_length())
+    assert inf[0].any() and not inf[-1].all()  # a skipped prefix and evaluated rows
+    if seed == 3:
+        assert inf.all(axis=0).any()  # theta columns with no finite row at all
+
+
+def test_mle_all_infinite_grid_still_raises():
+    prog = BoxLinearProgram()
+    prior = PriorRegion(eps_range=(0.0, 2.0), w_set=interval(-1.0, 1.0),
+                        theta_box=Box([-0.5], [0.5]), d_eps=0.1, d_theta=0.25)
+    ds = generate_boxlinear_observations(50, RngSeed(3))
+    far = ObservationDataset(ds.us, ds.ys + 10.0)
+    density = UniformNoiseDensity(-1.0, 1.0)
+    assert np.isposinf(_full_block_mle_grid(prog, far, prior, density)).all()
+    with pytest.raises(ValueError, match="no grid point produced a finite objective"):
+        mle_estimate(prog, far, prior, density)
 
 
 def test_eps_argmin_set_rejects_nan_eps():

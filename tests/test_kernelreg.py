@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from setstat.geometry import Box, bounds_of, hausdorff, interval
+from setstat.geometry import Box, bounds_of, hausdorff, interval, weighted_minkowski_average
 from setstat.kernelreg import (
     EPANECHNIKOV,
     INDICATOR,
@@ -276,6 +276,119 @@ def test_array_backed_estimate_matches_object_dataset(tmp_path):
         assert type(fast) is type(slow) is Box
         assert np.array_equal(fast.lower, slow.lower)
         assert np.array_equal(fast.upper, slow.upper)
+
+
+def _full_scan_estimate(dataset, kernel, u, h):
+    """estimate with the kernel evaluated on every input: the path the
+    bandwidth window replaced."""
+    w = kernel_weights(kernel, dataset.inputs, u, h)
+    keep = w > 0
+    if dataset.lower is not None:
+        wk = w[keep]
+        return Box(wk @ dataset.lower[keep], wk @ dataset.upper[keep])
+    sets = [smp.s for smp, k in zip(dataset.samples, keep) if k]
+    return weighted_minkowski_average(w[keep], sets)
+
+
+def _assert_window_matches_full_scan(ds, u, h):
+    for kernel in (EPANECHNIKOV, INDICATOR):
+        try:
+            want = _full_scan_estimate(ds, kernel, u, h)
+        except NoLocalDataError:
+            with pytest.raises(NoLocalDataError):
+                estimate(ds, kernel, u, h)
+            continue
+        got = estimate(ds, kernel, u, h)
+        assert type(got) is type(want) is Box
+        for a, b in ((got.lower, want.lower), (got.upper, want.upper)):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), (kernel.name, u, h)
+
+
+def _boxes(rng, n, q):
+    lo = rng.normal(size=(n, q))
+    return lo, lo + rng.uniform(0.0, 2.0, size=(n, q))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [1, 7, 500, 4000])
+def test_windowed_estimate_matches_full_scan_bit_for_bit(n, d):
+    rng = np.random.default_rng(10 * n + d)
+    x = rng.uniform(-2.0, 2.0, size=(n, d))
+    x[: n // 4] = x[n // 4 : 2 * (n // 4)]  # duplicate inputs
+    x = rng.permutation(x)
+    h = default_bandwidth(n, d)
+    lo, hi = _boxes(rng, n, 2)
+    arrays = SetRegressionDataset.from_boxes(x, lo, hi)
+    objects = SetRegressionDataset(arrays.samples)
+    assert objects.lower is None
+    ends = [x[:, 0].min(), x[:, 0].max()]
+    queries = [*ends, ends[0] - 0.5 * h, ends[1] + 0.999 * h, *rng.uniform(-2.2, 2.2, size=25)]
+    for u0 in queries:
+        u = np.concatenate([[u0], x[0, 1:]])
+        for ds in (arrays, objects):
+            _assert_window_matches_full_scan(ds, u, h)
+            _assert_window_matches_full_scan(ds, u + np.array([3.0 * h] + [0.0] * (d - 1)), h)
+
+
+def test_windowed_estimate_matches_full_scan_at_exactly_h():
+    # binary fractions: |x - u| / h is exactly 1, or one ulp either side of it
+    h, u = 0.25, 0.5
+    x = np.array([0.25, 0.75, np.nextafter(0.25, 1.0), np.nextafter(0.75, 0.0),
+                  np.nextafter(0.25, 0.0), np.nextafter(0.75, 1.0), 0.5, 0.5, -2.0, 3.0])
+    rng = np.random.default_rng(3)
+    lo, hi = _boxes(rng, len(x), 1)
+    arrays = SetRegressionDataset.from_boxes(x[:, None], lo, hi)
+    for ds in (arrays, SetRegressionDataset(arrays.samples)):
+        for q in (u, 0.25, 0.75, 0.0, 1.0, -2.0, 3.0, -2.25, 3.25):
+            _assert_window_matches_full_scan(ds, [q], h)
+    # on the boundary alone: the epanechnikov profile gives 0 at t = 1
+    edge = SetRegressionDataset.from_boxes(np.array([[0.25], [0.75]]), lo[:2], hi[:2])
+    with pytest.raises(NoLocalDataError):
+        estimate(edge, EPANECHNIKOV, [u], h)
+    with pytest.raises(NoLocalDataError):
+        _full_scan_estimate(edge, EPANECHNIKOV, [u], h)
+
+
+def test_windowed_estimate_without_local_mass_raises():
+    ds = generate_demo_dataset(2000, RngSeed(4))
+    # inputs lie in [-2, 2]: the 2h windows at +-2.5 hold samples, none within h
+    for u, h in (([2.5], 0.4), ([-2.5], 0.4), ([0.0], 1e-9)):
+        for kernel in (EPANECHNIKOV, INDICATOR):
+            with pytest.raises(NoLocalDataError):
+                estimate(ds, kernel, u, h)
+            with pytest.raises(NoLocalDataError):
+                kernel_weights(kernel, ds.inputs, u, h)
+
+
+def test_windowed_estimate_skips_non_finite_inputs_like_the_full_scan():
+    # LabeledSetSample admits nan and inf inputs; the kernel gives them weight 0
+    xs = [0.1, math.nan, -0.2, math.inf, 0.3, -math.inf, 0.1, math.nan]
+    ds = SetRegressionDataset(
+        [LabeledSetSample([x], interval(i, i + 1.5)) for i, x in enumerate(xs)]
+    )
+    for u in (0.0, 0.1, 0.3, -0.2, 5.0):
+        _assert_window_matches_full_scan(ds, [u], 0.35)
+    two = SetRegressionDataset(
+        [LabeledSetSample([x, 0.5 * i], Box([i], [i + 1.0])) for i, x in enumerate(xs)]
+    )
+    for u in ([0.0, 0.0], [0.1, 3.0], [0.3, 2.0]):
+        _assert_window_matches_full_scan(two, u, 0.8)
+
+
+def test_dataset_inputs_are_read_only():
+    x = np.linspace(-1.0, 1.0, 5)[:, None]
+    lo = np.zeros((5, 1))
+    arrays = SetRegressionDataset.from_boxes(x, lo, lo + 1.0)
+    objects = SetRegressionDataset(arrays.samples)
+    before = estimate(arrays, INDICATOR, [-1.0], 0.1)  # sorts the inputs
+    for ds in (arrays, objects):
+        with pytest.raises(ValueError):
+            ds.inputs[0, 0] = 9.0
+    x[0, 0] = 9.0  # the caller's array stays writable and is not shared
+    assert arrays.inputs[0, 0] == -1.0
+    assert np.array_equal(estimate(arrays, INDICATOR, [-1.0], 0.1).lower, before.lower)
+    with pytest.raises(NoLocalDataError):
+        estimate(arrays, INDICATOR, [9.0], 0.1)
 
 
 def test_dataset_jsonl_bytes_match_object_writer(tmp_path):
