@@ -119,6 +119,26 @@ def _row_dots(u: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.matmul(u[:, None, :], m)[:, 0]
 
 
+def _ddot_norms(v: np.ndarray) -> np.ndarray:
+    """Norms of the rows of v (any leading axes), each sqrt(ddot(v_i, v_i)):
+    the bits of np.linalg.norm on each row as a 1-D vector."""
+    return np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
+
+
+def _box_support(lower: np.ndarray, upper: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Support values of the box [lower, upper] on the rows of u; corners with
+    leading axes (..., d) give (..., m)."""
+    return np.sum(np.where(u >= 0, upper[..., None, :], lower[..., None, :]) * u, axis=-1)
+
+
+def _ball_support(center: np.ndarray, radius, u: np.ndarray) -> np.ndarray:
+    """Support values of the ball (center, radius) on the rows of u; centers
+    with leading axes (..., d) give (..., m).  The stacked matmul runs one
+    ddot per (center, row) pair, the call of center @ u_i."""
+    dots = np.matmul(u[:, None, :], center[..., None, :, None])[..., 0, 0]
+    return dots + radius * _ddot_norms(u)
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
     a.flags.writeable = False
@@ -309,10 +329,7 @@ class Ball(ConvexSet):
         return float(self.center @ u + self.radius * np.linalg.norm(u))
 
     def support_many(self, dirs) -> np.ndarray:
-        # the norm of a 1-D vector is sqrt(ddot(u, u))
-        u = _as_directions(dirs, self.dim)
-        norms = np.sqrt(np.matmul(u[:, None, :], u[:, :, None])[:, 0, 0])
-        return _row_dots(u, self.center) + self.radius * norms
+        return _ball_support(self.center, self.radius, _as_directions(dirs, self.dim))
 
     def support_point(self, u) -> np.ndarray:
         u = _as_vector(u, self.dim)
@@ -346,8 +363,7 @@ class Box(ConvexSet):
         return float(np.sum(np.where(u >= 0, self.upper, self.lower) * u))
 
     def support_many(self, dirs) -> np.ndarray:
-        u = _as_directions(dirs, self.dim)
-        return np.sum(np.where(u >= 0, self.upper, self.lower) * u, axis=1)
+        return _box_support(self.lower, self.upper, _as_directions(dirs, self.dim))
 
     def support_point(self, u) -> np.ndarray:
         u = _as_vector(u, self.dim)
@@ -435,9 +451,14 @@ def bounds_of(c: ConvexSet) -> tuple[np.ndarray, np.ndarray]:
     so the bounds are bit-identical to the per-axis loop, signed zeros
     included.
     """
-    d = c.dim
-    h = c.support_many(_signed_axes(d))
-    return -h[d:], h[:d]
+    return _axis_bounds(c.support_many(_signed_axes(c.dim)))
+
+
+def _axis_bounds(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) from the support values h on _signed_axes(d), which may
+    carry leading axes."""
+    d = h.shape[-1] // 2
+    return -h[..., d:], h[..., :d]
 
 
 def support(c: ConvexSet, u) -> float:
@@ -785,7 +806,32 @@ def _max_abs_bound(c: ConvexSet) -> float:
 
 def _erosion_tol(c: ConvexSet, d: ConvexSet) -> float:
     """Emptiness slack absorbing accumulated rounding in width comparisons."""
-    return 1e-12 * max(1.0, _max_abs_bound(c), _max_abs_bound(d))
+    return _erosion_slack(_max_abs_bound(c), _max_abs_bound(d))
+
+
+def _erosion_slack(c_bound, d_bound):
+    """1e-12 * max(1, c_bound, d_bound), elementwise over arrays of bounds."""
+    return 1e-12 * np.maximum(np.maximum(1.0, c_bound), d_bound)
+
+
+def _box_erosion(clo, chi, dlo, dhi, tol):
+    """Corners of the box erosion [clo, chi] - [dlo, dhi], or None if it is
+    empty beyond tol.  Corners may carry leading axes, with tol broadcast
+    against them."""
+    lo, hi = clo - dlo, chi - dhi
+    if np.any(lo > hi + tol):
+        return None
+    return np.minimum(lo, hi), np.maximum(lo, hi)
+
+
+def _ball_erosion(cc, cr: float, dc, dr: float, tol):
+    """(center, radius) of the ball erosion B(cc, cr) - B(dc, dr), or None if
+    it is empty beyond tol.  Centers may carry leading axes, with tol
+    broadcast against them."""
+    r = cr - dr
+    if np.any(r < -tol):
+        return None
+    return cc - dc, max(r, 0.0)
 
 
 def minkowski_diff(c: ConvexSet, d: ConvexSet, n_directions: int = 360) -> ConvexSet | None:
@@ -798,17 +844,11 @@ def minkowski_diff(c: ConvexSet, d: ConvexSet, n_directions: int = 360) -> Conve
     """
     dim = _check_same_dim(c, d)
     if isinstance(c, Box) and isinstance(d, Box):
-        lo = c.lower - d.lower
-        hi = c.upper - d.upper
-        tol = _erosion_tol(c, d)
-        if np.any(lo > hi + tol):
-            return None
-        return Box(np.minimum(lo, hi), np.maximum(lo, hi))
+        box = _box_erosion(c.lower, c.upper, d.lower, d.upper, _erosion_tol(c, d))
+        return None if box is None else Box(*box)
     if isinstance(c, Ball) and isinstance(d, Ball):
-        r = c.radius - d.radius
-        if r < -_erosion_tol(c, d):
-            return None
-        return Ball(c.center - d.center, max(r, 0.0))
+        ball = _ball_erosion(c.center, c.radius, d.center, d.radius, _erosion_tol(c, d))
+        return None if ball is None else Ball(*ball)
     if dim == 1:
         clo, chi = bounds_of(c)
         dlo, dhi = bounds_of(d)
@@ -1190,13 +1230,23 @@ def _dist_points_batch(xs: np.ndarray, c: ConvexSet) -> np.ndarray:
     return best
 
 
-def _box_directed_hausdorff(p: Box, q: Box) -> np.floating:
-    """max over the corners x of p of d(x, q), without listing the corners."""
-    gap = np.maximum(
-        np.abs(p.lower - np.clip(p.lower, q.lower, q.upper)),
-        np.abs(p.upper - np.clip(p.upper, q.lower, q.upper)),
-    )
-    return np.sqrt(np.add.reduce(gap * gap))
+def _box_directed_hausdorff(plo, phi, qlo, qhi):
+    """max over the corners x of the box [plo, phi] of d(x, [qlo, qhi]),
+    without listing the corners.  Corners may carry leading axes."""
+    gap = np.maximum(np.abs(plo - np.clip(plo, qlo, qhi)), np.abs(phi - np.clip(phi, qlo, qhi)))
+    return np.sqrt(np.add.reduce(gap * gap, axis=-1))
+
+
+def _ball_hausdorff(cc, cr, dc, dr):
+    """Hausdorff distance of the balls B(cc, cr) and B(dc, dr); centers may
+    carry leading axes."""
+    return _ddot_norms(cc - dc) + abs(cr - dr)
+
+
+def _interval_hausdorff(clo, chi, dlo, dhi):
+    """Hausdorff distance of the 1-D sets with bounds [clo, chi] and
+    [dlo, dhi]; bounds may carry leading axes, (..., 1) gives (...)."""
+    return np.maximum(np.abs(clo[..., 0] - dlo[..., 0]), np.abs(chi[..., 0] - dhi[..., 0]))
 
 
 def hausdorff(c: ConvexSet, d: ConvexSet, n_directions: int = 360) -> float:
@@ -1221,13 +1271,12 @@ def hausdorff(c: ConvexSet, d: ConvexSet, n_directions: int = 360) -> float:
     """
     dim = _check_same_dim(c, d)
     if dim == 1:
-        clo, chi = bounds_of(c)
-        dlo, dhi = bounds_of(d)
-        return max(abs(clo[0] - dlo[0]), abs(chi[0] - dhi[0]))
+        return _interval_hausdorff(*bounds_of(c), *bounds_of(d))
     if isinstance(c, Box) and isinstance(d, Box):
-        return float(max(_box_directed_hausdorff(c, d), _box_directed_hausdorff(d, c)))
+        cb, db = (c.lower, c.upper), (d.lower, d.upper)
+        return float(max(_box_directed_hausdorff(*cb, *db), _box_directed_hausdorff(*db, *cb)))
     if isinstance(c, Ball) and isinstance(d, Ball):
-        return float(np.linalg.norm(c.center - d.center)) + abs(c.radius - d.radius)
+        return float(_ball_hausdorff(c.center, c.radius, d.center, d.radius))
     vertex_kinds = (VertexPolytope, Box)
     if isinstance(c, vertex_kinds) and isinstance(d, vertex_kinds):
         vc = vertices_of(c)

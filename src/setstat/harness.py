@@ -378,30 +378,6 @@ def _ordered_map(fn, tasks):
 # --- file writers --------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def _json_value(value):
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    return value
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
 _JSON_SPECIAL_FLOATS = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
@@ -471,6 +447,22 @@ def _write_json(path: Path, obj) -> None:
         fh.write("".join(out))
 
 
+def _cell_texts(value) -> tuple[str, str]:
+    """CSV and JSON text of one table cell.  A float is formatted once, by
+    float.__repr__, and JSON spells inf and nan as json.dump does; numpy
+    integers and bools are written as Python ones."""
+    if isinstance(value, (float, np.floating)):
+        text = float.__repr__(float(value))
+        return text, _JSON_SPECIAL_FLOATS.get(text, text)
+    if isinstance(value, np.bool_):
+        value = bool(value)
+    elif isinstance(value, np.integer):
+        value = int(value)
+    out: list[str] = []
+    _json_chunks(value, "    ", out)
+    return str(value), "".join(out)
+
+
 class _Emitter:
     """Collects output files.
 
@@ -486,17 +478,25 @@ class _Emitter:
         self.dir.mkdir(parents=True, exist_ok=True)
 
     def table(self, stem: str, header, rows):
-        rows = list(rows)
+        """Write rows as csv.writer would and their JSON twin, a list of
+        {header: cell} objects, as json.dump(indent=2, sort_keys=True) would,
+        formatting each cell once."""
+        cells = [[_cell_texts(v) for v in row] for row in rows]
         if "csv" in self.formats:
             path = self.dir / f"{stem}.csv"
-            _write_csv(path, header, rows)
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows([text for text, _ in row] for row in cells)
             self.files.append(str(path))
         if "json" in self.formats:
             path = self.dir / f"{stem}.json"
-            _write_json(
-                path,
-                [{k: _json_value(v) for k, v in zip(header, row)} for row in rows],
-            )
+            keys = sorted({k: i for i, k in enumerate(header)}.items())  # last column wins
+            fields = [f"    {encode_basestring_ascii(k).replace('%', '%%')}: %s" for k, _ in keys]
+            template = "{\n" + ",\n".join(fields) + "\n  }" if fields else "{}"
+            objects = [template % tuple(row[i][1] for _, i in keys) for row in cells]
+            with open(path, "w") as fh:
+                fh.write("[\n  " + ",\n  ".join(objects) + "\n]\n" if objects else "[]\n")
             self.files.append(str(path))
 
     def json(self, name: str, obj):
@@ -597,13 +597,13 @@ def _run_clt(config, emit):
     emit.table(
         "clt_vectors",
         ["replicate"] + [f"v{j}" for j in range(d)],
-        [(r, *map(float, vectors[r])) for r in range(reps)],
+        [(r, *v) for r, v in enumerate(vectors.tolist())],
     )
     norms = np.linalg.norm(vectors, axis=1)
     emit.table(
         "clt_statistics",
         ["replicate", "scaled_hausdorff", "vector_norm"],
-        [(r, float(stats[r]), float(norms[r])) for r in range(reps)],
+        list(zip(range(reps), stats.tolist(), norms.tolist())),
     )
     target = model.noise.covariance
     emp = (vectors.T @ vectors) / reps

@@ -31,6 +31,7 @@ import numpy as np
 
 from . import geometry
 from .geometry import (
+    Ball,
     Box,
     ConvexSet,
     TranslatedFamily,
@@ -342,35 +343,109 @@ def slln_curve(
     """Hausdorff error of the Minkowski sample mean versus sample size.
 
     Returns summary points (n, mean error over replicates) plus the flat
-    (n, replicate, error) records.  Replicate r at size index i draws
-    from the derived stream seed.derive(1_000_000 * i + r).
+    (n, replicate, error) records, replicate-major.  Replicate r at size
+    index i draws from the derived stream seed.derive(1_000_000 * i + r).
+    Box and Ball bodies take the replicate blocks of clt_replicates, one
+    pass per n.
     """
     expectation = selection_expectation(model)
-    records: list[tuple[int, int, float]] = []
-    points: list[SllnPoint] = []
-    errors = np.zeros((len(n_values), replicates))
-    for r in range(replicates):
-        for i, n in enumerate(n_values):
-            samples = sample_translated_sets(model, n, seed.derive(1_000_000 * i + r))
-            err = hausdorff(minkowski_sample_mean(samples), expectation)
-            errors[i, r] = err
-            records.append((n, r, err))
+    errors = np.empty((len(n_values), replicates))
     for i, n in enumerate(n_values):
-        points.append(SllnPoint(n=n, mean_error=float(errors[i].mean())))
+        offsets = range(1_000_000 * i, 1_000_000 * i + replicates)
+        if isinstance(model.body, (Box, Ball)):
+            errors[i] = _mean_residuals(model, n, seed, offsets)[1]
+            continue
+        for r, k in enumerate(offsets):
+            samples = sample_translated_sets(model, n, seed.derive(k))
+            errors[i, r] = hausdorff(minkowski_sample_mean(samples), expectation)
+    records = [
+        (n, r, err) for r, row in enumerate(errors.T.tolist()) for n, err in zip(n_values, row)
+    ]
+    points = [SllnPoint(n=n, mean_error=float(errors[i].mean())) for i, n in enumerate(n_values)]
     return points, records
 
 
-def _difference_vector(mean_set: ConvexSet, expectation: ConvexSet) -> np.ndarray:
-    """Extract v from {v} = mean_set - expectation, which must be a singleton."""
-    diff = minkowski_diff(mean_set, expectation)
-    if diff is None:
+def _residual_vector(bounds: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
+    """v from the bounds of {v} = M - E(X) (None: an empty erosion), which
+    must be a singleton; bounds may carry a leading replicate axis."""
+    if bounds is None:
         raise InternalConsistencyError("translated-set residual erosion came back empty")
-    lo, hi = bounds_of(diff)
+    lo, hi = bounds
     if np.any(hi - lo > 1e-8):
         raise InternalConsistencyError(
             f"translated-set residual is not a singleton (extent {hi - lo})"
         )
     return 0.5 * (lo + hi)
+
+
+def _difference_vector(mean_set: ConvexSet, expectation: ConvexSet) -> np.ndarray:
+    """Extract v from {v} = mean_set - expectation, which must be a singleton."""
+    diff = minkowski_diff(mean_set, expectation)
+    return _residual_vector(None if diff is None else bounds_of(diff))
+
+
+# Noise draws held at once by _mean_residuals: k replicates of n draws in d
+# dimensions, with k * n * d at most this (and k at least 1).
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _mean_residuals(
+    model: RandomlyTranslatedSet, n: int, seed: RngSeed, offsets: range
+) -> tuple[np.ndarray, np.ndarray]:
+    """Residual vectors v_r, {v_r} = M_r - E(X), and distances
+    Hausdorff(M_r, E(X)) of the Minkowski means M_r of a Box or Ball body.
+
+    Replicate r draws n points from seed.derive(offsets[r]).  The draws of k
+    replicates fill one (k, n, d) block, and each step runs over the block's
+    leading replicate axis with the bits of the one-set chain it replaces:
+    the means are one dgemv per replicate, np.matmul of w against
+    body + draws as in weighted_minkowski_average; the erosion, its bounds
+    and the distance are geometry's own array closed forms, taken in
+    minkowski_diff's and hausdorff's dispatch order (1-D sets first).
+    """
+    if n < 1:
+        raise ValueError("need n >= 1 samples")
+    body, d = model.body, model.body.dim
+    e = selection_expectation(model)
+    box = isinstance(body, Box)
+    if box:
+        support, erode, ep = geometry._box_support, geometry._box_erosion, (e.lower, e.upper)
+    else:
+        support, erode, ep = geometry._ball_support, geometry._ball_erosion, (e.center, e.radius)
+    axes = geometry._signed_axes(d)
+    e_bound = geometry._max_abs_bound(e)
+    w = np.full(n, 1.0 / n)
+    radius = None if box else float(w @ np.full(n, body.radius))  # the same for every mean
+    k = max(1, _BLOCK_ELEMENTS // (n * d))
+    xi = np.empty((min(k, len(offsets)), n, d))
+    vectors, dists = np.empty((len(offsets), d)), np.empty(len(offsets))
+    for start in range(0, len(offsets), k):
+        chunk = offsets[start : start + k]
+        block = xi[: len(chunk)]
+        for row, j in zip(block, chunk):
+            row[...] = model.noise.sample(seed.derive(j).generator(), n)
+        wk = np.broadcast_to(w, (len(chunk), 1, n))
+        if box:
+            mp = (np.matmul(wk, body.lower + block)[:, 0], np.matmul(wk, body.upper + block)[:, 0])
+        else:
+            mp = (np.matmul(wk, body.center + block)[:, 0], radius)
+        hm = support(*mp, axes)  # on the signed axes: the means' bounds, as bounds_of reads them
+        if not np.isfinite(hm).all():
+            raise ValueError("vector entries must be finite")
+        tol = geometry._erosion_slack(np.abs(hm).max(axis=-1), e_bound)
+        diff = erode(*mp, *ep, tol[:, None])
+        h = None if diff is None else support(*diff, axes)
+        rows = slice(start, start + len(chunk))
+        vectors[rows] = _residual_vector(None if h is None else geometry._axis_bounds(h))
+        if d == 1:
+            e_bounds = geometry._axis_bounds(support(*ep, axes))
+            dists[rows] = geometry._interval_hausdorff(*geometry._axis_bounds(hm), *e_bounds)
+        elif box:
+            fwd = geometry._box_directed_hausdorff(*mp, *ep)
+            dists[rows] = np.maximum(fwd, geometry._box_directed_hausdorff(*ep, *mp))
+        else:
+            dists[rows] = geometry._ball_hausdorff(*mp, *ep)
+    return vectors, dists
 
 
 def clt_replicates(
@@ -385,9 +460,20 @@ def clt_replicates(
     InternalConsistencyError), so each statistic equals the norm of its
     vector.  Returns the (replicates, d) vectors and the (replicates,)
     statistics.
+
+    Box and Ball bodies build no set objects: the draws of k replicates fill
+    one (k, n, d) array with k * n * d at most _BLOCK_ELEMENTS (2**16), so
+    memory does not grow with replicates, and the means, erosions and
+    distances run over that block with the bits of the per-replicate chain.
+    Other bodies (polytopes, zonotopes) keep that chain, one replicate at a
+    time: their erosion runs the 2-D halfplane routine, whose bits a batched
+    form would not keep.
     """
-    expectation = selection_expectation(model)
     root_n = math.sqrt(n)
+    if isinstance(model.body, (Box, Ball)):
+        vectors, dists = _mean_residuals(model, n, seed, range(replicates))
+        return root_n * vectors, root_n * dists
+    expectation = selection_expectation(model)
     vectors = np.empty((replicates, model.body.dim))
     stats = np.empty(replicates)
     for r in range(replicates):

@@ -1169,6 +1169,17 @@ def test_hausdorff_ball_pair_closed_form():
     a = Ball([0.0, 0.0], 1.0)
     b = Ball([3.0, 4.0], 2.5)
     assert math.isclose(hausdorff(a, b), 5.0 + 1.5, abs_tol=1e-12)
+    # the stacked-ddot norm keeps np.linalg.norm's bits, one pair or many
+    rng = np.random.default_rng(12)
+    for d in (2, 3, 5, 9):
+        cs = rng.standard_normal((200, d)) * rng.uniform(0.1, 10.0, (200, 1))
+        rs = rng.uniform(0.0, 3.0, 200)
+        e = Ball(rng.standard_normal(d), 1.25)
+        want = [float(np.linalg.norm(c - e.center)) + abs(r - e.radius) for c, r in zip(cs, rs)]
+        got = [hausdorff(Ball(c, r), e) for c, r in zip(cs, rs)]
+        assert _bits(np.array(got)) == _bits(np.array(want))
+        rows = geometry._ddot_norms(cs - e.center)
+        assert _bits(rows) == _bits(np.array([np.linalg.norm(c - e.center) for c in cs]))
 
 
 def test_hausdorff_axioms_on_random_pairs():

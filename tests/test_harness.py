@@ -19,6 +19,7 @@ from setstat.harness import (
 )
 from setstat.invopt import read_observations_jsonl
 from setstat.kernelreg import read_dataset_jsonl
+from setstat.randomsets import RngSeed
 
 
 # ------------------------------------------------------------------- writers
@@ -62,6 +63,44 @@ def test_write_json_bytes_match_json_dump(tmp_path):
             json.dumps(bad, indent=2, sort_keys=True)
         with pytest.raises(TypeError):
             harness._write_json(tmp_path / "bad.json", bad)
+
+
+def test_table_bytes_match_csv_writer_and_json_dump(tmp_path):
+    inf, nan = float("inf"), float("nan")
+    header = ["z_last", "count", "flag", "name", "value", "100%", "np_value"]
+    rows = [
+        (1.5, 3, np.bool_(True), "plain", -0.0, inf, np.float64(0.1)),
+        (-inf, np.int64(-7), np.bool_(False), 'comma, "quote"', nan, 2**70, np.float32(0.5)),
+        (5e-324, 0, True, "ünïcødé", 1e22, -2.5e300, np.float64(-0.0)),
+    ]
+
+    def plain(v):  # what the rows stand for as Python scalars
+        if isinstance(v, np.floating):
+            return float(v)
+        if isinstance(v, np.bool_):
+            return bool(v)
+        return int(v) if isinstance(v, np.integer) else v
+
+    for k, table_rows in enumerate([rows, []]):
+        config = harness.ExperimentConfig(
+            kind="sets-demo", params={}, seed=RngSeed(0), out_dir=str(tmp_path / f"t{k}"),
+            formats=("csv", "json"),
+        )
+        harness._Emitter(config).table("t", header, table_rows)
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows([str(v) if isinstance(v, np.bool_) else plain(v) for v in row]
+                             for row in table_rows)
+        with open(tmp_path / "ref.json", "w") as fh:
+            json.dump(
+                [{h: plain(v) for h, v in zip(header, row)} for row in table_rows],
+                fh, indent=2, sort_keys=True,
+            )
+            fh.write("\n")
+        out = tmp_path / f"t{k}"
+        assert (out / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert (out / "t.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
 
 # ------------------------------------------------------------------- config

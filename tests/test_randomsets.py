@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -298,21 +299,116 @@ def _two_pass_clt(model, n, reps, seed):
     return vectors, stats_vals
 
 
-@pytest.mark.parametrize(
-    "body",
-    [
-        Box([-1.0, -0.5], [1.0, 0.5]),
-        Ball([0.25, 0.0], 1.0),
-        VertexPolytope([[0, 0], [1, 0], [1.5, 0.75], [0, 1]]),
-    ],
-    ids=["box", "ball", "polygon"],
-)
-def test_clt_replicates_match_two_pass_reference_bit_for_bit(body):
-    model = RandomlyTranslatedSet(body, UniformBoxNoise([-0.5, -0.5], [0.5, 0.5]))
-    vectors, stats_vals = clt_replicates(model, 40, 6, RngSeed(17))
-    want_vectors, want_stats = _two_pass_clt(model, 40, 6, RngSeed(17))
+_SQUARE_NOISE = UniformBoxNoise([-0.5, -0.5], [0.5, 0.5])
+_BALL_NOISE_3D = UniformBallNoise(0.8, 3)
+
+# (body, noise, n, replicates); in the "-block" cases replicates is an
+# offset added to the block size k of n draws, giving k - 1, k and k + 1
+_CLT_CASES = {
+    "box": (Box([-1.0, -0.5], [1.0, 0.5]), _SQUARE_NOISE, 40, 6),
+    "ball": (Ball([0.25, 0.0], 1.0), _SQUARE_NOISE, 40, 6),
+    "polygon": (VertexPolytope([[0, 0], [1, 0], [1.5, 0.75], [0, 1]]), _SQUARE_NOISE, 40, 6),
+    "box-block-minus-1": (Box([-1.0, -1.0], [1.0, 1.0]), _SQUARE_NOISE, 500, -1),
+    "box-block": (Box([-1.0, -1.0], [1.0, 1.0]), _SQUARE_NOISE, 500, 0),
+    "box-block-plus-1": (Box([-1.0, -1.0], [1.0, 1.0]), _SQUARE_NOISE, 500, 1),
+    "ball-block-plus-1": (Ball([0.5, -0.25], 0.75), _SQUARE_NOISE, 500, 1),
+    "box-1d-triangular": (interval(-1.0, 2.0), TriangularNoise(0.7), 300, 9),
+    "ball-1d-triangular": (Ball([0.3], 0.5), TriangularNoise(0.7), 300, 9),
+    "box-3d-ball-noise": (Box([-1.0, -2.0, 0.0], [1.0, 0.0, 0.0]), _BALL_NOISE_3D, 60, 9),
+    "ball-3d-ball-noise": (Ball([0.0, 1.0, -2.0], 0.4), _BALL_NOISE_3D, 60, 9),
+    "box-truncated-gaussian": (
+        Box([0.0, 0.0], [1.0, 3.0]),
+        TruncatedGaussianNoise([[1.0, 0.3], [0.3, 0.5]], 2.0),
+        80,
+        9,
+    ),
+    "box-zero-width-noise": (
+        Box([-0.0, 0.0], [0.0, 0.5]),
+        UniformBoxNoise([-0.0, 0.0], [-0.0, 0.0]),
+        7,
+        5,
+    ),
+    "ball-zero-width-noise": (
+        Ball([-0.0, 0.0], 0.0),
+        UniformBoxNoise([0.0, -0.0], [0.0, -0.0]),
+        7,
+        5,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_CLT_CASES), ids=list(_CLT_CASES))
+def test_clt_replicates_match_two_pass_reference_bit_for_bit(case, monkeypatch):
+    body, noise, n, reps = _CLT_CASES[case]
+    if case.startswith(("box-block", "ball-block")):
+        k = randomsets._BLOCK_ELEMENTS // (n * body.dim)
+        assert 1 < k < 200
+        reps += k
+    model = RandomlyTranslatedSet(body, noise)
+    if isinstance(body, (Box, Ball)):
+        # the block path builds no per-replicate families
+        monkeypatch.setattr(randomsets, "sample_translated_sets", None)
+    vectors, stats_vals = clt_replicates(model, n, reps, RngSeed(17))
+    monkeypatch.undo()
+    want_vectors, want_stats = _two_pass_clt(model, n, reps, RngSeed(17))
     assert vectors.tobytes() == want_vectors.tobytes()
     assert stats_vals.tobytes() == want_stats.tobytes()
+
+
+@pytest.mark.parametrize(
+    "body, wrong_expectation, message",
+    [
+        (Ball([0.0, 0.0], 1.0), Ball([0.0, 0.0], 2.0), "empty"),
+        (Box([-1.0, -1.0], [1.0, 1.0]), Box([-0.5, -0.5], [0.5, 0.5]), "not a singleton"),
+    ],
+    ids=["ball-empty", "box-not-singleton"],
+)
+def test_clt_block_keeps_the_residual_checks(monkeypatch, body, wrong_expectation, message):
+    # a residual erosion against the wrong expectation is empty or wider
+    # than a point: the block raises as the one-set chain does
+    monkeypatch.setattr(randomsets, "selection_expectation", lambda m: wrong_expectation)
+    model = RandomlyTranslatedSet(body, _SQUARE_NOISE)
+    with pytest.raises(randomsets.InternalConsistencyError, match=message):
+        clt_replicates(model, 10, 3, RngSeed(0))
+
+
+@pytest.mark.parametrize(
+    "body",
+    [Box([-1.0, -1.0], [1.0, 1.0]), Ball([0.0, 0.5], 1.0)],
+    ids=["box", "ball"],
+)
+def test_slln_curve_block_matches_per_replicate_chain_bit_for_bit(body):
+    model = RandomlyTranslatedSet(body, _SQUARE_NOISE)
+    n_values, reps, seed = [3, 100, 1500], 50, RngSeed(4, 1)
+    points, records = slln_curve(model, n_values, reps, seed)
+    expectation = selection_expectation(model)
+    want = []
+    for r in range(reps):
+        for i, n in enumerate(n_values):
+            samples = sample_translated_sets(model, n, seed.derive(1_000_000 * i + r))
+            want.append((n, r, hausdorff(minkowski_sample_mean(samples), expectation)))
+    assert [(n, r, float(e).hex()) for n, r, e in records] == [
+        (n, r, float(e).hex()) for n, r, e in want
+    ]
+    for i, p in enumerate(points):
+        errs = np.array([e for _, _, e in want[i :: len(n_values)]])
+        assert p.mean_error == float(errs.mean())
+
+
+def test_clt_replicates_memory_does_not_grow_with_replicates():
+    # the (k, n, d) draw block is capped, so 8x the replicates adds only
+    # the (R, d) outputs and no (R, n, d) array
+    model = _square_model()
+    clt_replicates(model, 500, 2, RngSeed(3))  # first-call allocations
+    peaks = []
+    for reps in (500, 4000):
+        tracemalloc.start()
+        try:
+            clt_replicates(model, 500, reps, RngSeed(3))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 1 << 20, peaks
 
 
 # ------------------------------------------------------- expectation algebra
