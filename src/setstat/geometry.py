@@ -145,7 +145,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def convex_hull_2d(points, tol: float = HULL_COLLINEARITY_TOL) -> np.ndarray:
+def convex_hull_2d(points) -> np.ndarray:
     """Extreme points of a 2-D point cloud, counterclockwise from the
     lexicographic minimum, via the monotone chain construction."""
     pts = _as_points(points)
@@ -162,9 +162,9 @@ def convex_hull_2d(points, tol: float = HULL_COLLINEARITY_TOL) -> np.ndarray:
     def chain(seq):
         out: list[list[float]] = []
         for p in seq:
-            # pop until a strict right turn survives; ties within tol are
-            # collinear and the middle point is dropped
-            while len(out) >= 2 and cross(out[-2], out[-1], p) <= tol:
+            # pop until a strict left turn survives; turns within
+            # HULL_COLLINEARITY_TOL are collinear and the middle point is dropped
+            while len(out) >= 2 and cross(out[-2], out[-1], p) <= HULL_COLLINEARITY_TOL:
                 out.pop()
             out.append(p)
         return out
@@ -172,7 +172,7 @@ def convex_hull_2d(points, tol: float = HULL_COLLINEARITY_TOL) -> np.ndarray:
     lower = chain(rows)
     upper = chain(rows[::-1])
     hull = lower[:-1] + upper[:-1]
-    if not hull:  # all points collinear within tol: keep the two extremes
+    if not hull:  # all points collinear: keep the two extremes
         hull = [rows[0], rows[-1]]
     return np.asarray(hull, dtype=float)
 
@@ -190,20 +190,21 @@ def _prune_vertices(v: np.ndarray) -> np.ndarray:
 
 
 class ConvexSet:
-    """Base class; concrete variants implement support evaluation."""
+    """Base class; concrete variants implement support_many."""
 
     dim: int
 
     def support(self, u) -> float:
-        raise NotImplementedError
+        """h(u, C): support_many on the single row u."""
+        return float(self.support_many(_as_vector(u, self.dim)[None, :])[0])
 
     def support_many(self, dirs) -> np.ndarray:
         """Support values on the rows of an (m, d) direction array.
 
-        Every variant gives the bits of [self.support(u) for u in dirs] on a
-        C-contiguous float64 array; this default is that loop.
+        Every variant runs one BLAS call per row, so each value has the bits
+        of support_many on that row alone.
         """
-        return np.array([self.support(u) for u in dirs], dtype=float)
+        raise NotImplementedError
 
     def support_point(self, u) -> np.ndarray:
         raise NotImplementedError
@@ -233,10 +234,6 @@ class VertexPolytope(ConvexSet):
             v = _prune_vertices(v)
         self.vertices = _readonly(v)
         self.dim = v.shape[1]
-
-    def support(self, u) -> float:
-        u = _as_vector(u, self.dim)
-        return float(np.max(self.vertices @ u))
 
     def support_many(self, dirs) -> np.ndarray:
         u = _as_directions(dirs, self.dim)
@@ -276,12 +273,6 @@ class Zonotope(ConvexSet):
 
     def _effective(self) -> np.ndarray:
         return self.weights[:, None] * self.generators
-
-    def support(self, u) -> float:
-        u = _as_vector(u, self.dim)
-        if self.generators.shape[0] == 0:
-            return float(self.center @ u)
-        return float(self.center @ u + np.sum(np.abs(self._effective() @ u)))
 
     def support_many(self, dirs) -> np.ndarray:
         # a row sum over contiguous rows is the pairwise sum of the 1-D np.sum
@@ -324,10 +315,6 @@ class Ball(ConvexSet):
         self.radius = r
         self.dim = c.shape[0]
 
-    def support(self, u) -> float:
-        u = _as_vector(u, self.dim)
-        return float(self.center @ u + self.radius * np.linalg.norm(u))
-
     def support_many(self, dirs) -> np.ndarray:
         return _ball_support(self.center, self.radius, _as_directions(dirs, self.dim))
 
@@ -357,10 +344,6 @@ class Box(ConvexSet):
         self.lower = _readonly(lo)
         self.upper = _readonly(hi)
         self.dim = lo.shape[0]
-
-    def support(self, u) -> float:
-        u = _as_vector(u, self.dim)
-        return float(np.sum(np.where(u >= 0, self.upper, self.lower) * u))
 
     def support_many(self, dirs) -> np.ndarray:
         return _box_support(self.lower, self.upper, _as_directions(dirs, self.dim))
@@ -416,15 +399,11 @@ def vertices_of(c: ConvexSet) -> np.ndarray:
     if isinstance(c, VertexPolytope):
         return np.asarray(c.vertices)
     if isinstance(c, Box):
-        if c.dim == 1:
-            return _prune_vertices(np.array([c.lower, c.upper]))
         corners = np.array(list(itertools.product(*zip(c.lower, c.upper))))
         return _prune_vertices(corners)
     if isinstance(c, Zonotope):
         if c.dim == 1:
-            lo = -c.support(np.array([-1.0]))
-            hi = c.support(np.array([1.0]))
-            return _prune_vertices(np.array([[lo], [hi]]))
+            return _prune_vertices(np.array(bounds_of(c)))
         if c.dim == 2:
             return _zonogon_vertices(c)
         raise ValueError("zonotope vertex enumeration only implemented for dim <= 2")
@@ -446,9 +425,9 @@ def bounds_of(c: ConvexSet) -> tuple[np.ndarray, np.ndarray]:
     """Componentwise support bounds (the tightest axis-aligned box).
 
     The bounds are hi_j = h(e_j, C) and lo_j = -h(-e_j, C), read from one
-    support_many call on all 2d signed axis directions.  support_many keeps
-    the bits of one support call per direction (one ddot or dgemv per row),
-    so the bounds are bit-identical to the per-axis loop, signed zeros
+    support_many call on all 2d signed axis directions.  support_many runs
+    one ddot or dgemv per row and support is support_many on one row, so the
+    bounds are bit-identical to the per-axis support loop, signed zeros
     included.
     """
     return _axis_bounds(c.support_many(_signed_axes(c.dim)))

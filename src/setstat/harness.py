@@ -682,8 +682,8 @@ def _invopt_prior(params, program) -> invopt.PriorRegion:
     )
 
 
-def _generate_observations(params, program, seed):
-    if isinstance(program, invopt.BoxLinearProgram):
+def _generate_observations(params, kind, seed):
+    if kind == "box-linear":
         return invopt.generate_boxlinear_observations(
             params["n"], seed, eps0=params["eps0"], theta0=params["theta0"]
         )
@@ -731,7 +731,7 @@ def _run_invopt_fit(config, emit):
     params = config.params
     program = _invopt_program(params)
     prior = _invopt_prior(params, program)
-    dataset = _generate_observations(params, program, config.seed)
+    dataset = _generate_observations(params, params["program"], config.seed)
     emit.jsonl(
         "observations.jsonl",
         lambda p: invopt.write_observations_jsonl(dataset, p),
@@ -773,7 +773,7 @@ def _run_compare_estimators(config, emit):
 
         def one_replicate(r, _gp=gen_params, _ni=ni):
             seed = config.seed.derive(10_000 * _ni + r)
-            dataset = _generate_observations(_gp, program, seed)
+            dataset = _generate_observations(_gp, _gp["program"], seed)
             return {
                 est: _run_estimator(est, program, dataset, prior, _gp, seed)
                 for est in params["estimators"]
@@ -824,18 +824,11 @@ def _run_gen_data(config, emit):
     if params["dataset"] == "set-regression":
         dataset = kernelreg.generate_demo_dataset(params["n"], config.seed)
         emit.jsonl("dataset.jsonl", lambda p: kernelreg.write_dataset_jsonl(dataset, p))
-    elif params["dataset"] == "box-linear":
-        obs = invopt.generate_boxlinear_observations(
-            params["n"], config.seed, eps0=params["eps0"], theta0=params["theta0"]
-        )
-        emit.jsonl("dataset.jsonl", lambda p: invopt.write_observations_jsonl(obs, p))
-        meta.update({"eps0": params["eps0"], "theta0": params["theta0"]})
     else:
-        obs = invopt.generate_boxquadratic_observations(
-            params["n"], params["noise_radius"], config.seed
-        )
+        obs = _generate_observations(params, params["dataset"], config.seed)
         emit.jsonl("dataset.jsonl", lambda p: invopt.write_observations_jsonl(obs, p))
-        meta.update({"noise_radius": params["noise_radius"]})
+        keys = ("eps0", "theta0") if params["dataset"] == "box-linear" else ("noise_radius",)
+        meta.update({k: params[k] for k in keys})
     return meta, {}
 
 

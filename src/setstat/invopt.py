@@ -429,14 +429,31 @@ class EstimationResult:
     extras: dict = field(default_factory=dict)
 
 
-def _grid_argmin(eps_axis, theta_points, values):
-    """First flat minimum: smallest eps, then lexicographically smallest theta."""
-    flat = np.asarray(values).reshape(len(eps_axis), len(theta_points))
-    if not np.isfinite(flat.min()):
+def _grid_result(estimator, prior, values, lam=None, extras=None) -> EstimationResult:
+    """The result at the first flat minimum of the (n_eps, n_theta) grid
+    values: smallest eps, then lexicographically smallest theta."""
+    if not np.isfinite(values.min()):
         raise ValueError("no grid point produced a finite objective")
-    idx = int(np.argmin(flat))
-    i, j = divmod(idx, len(theta_points))
-    return float(eps_axis[i]), theta_points[j].copy(), float(flat[i, j])
+    eps_axis, theta_axes = prior.eps_axis(), prior.theta_axes()
+    i, j = divmod(int(np.argmin(values)), values.shape[1])
+    return EstimationResult(
+        estimator=estimator,
+        eps_hat=float(eps_axis[i]),
+        theta_hat=theta_mesh(theta_axes)[j].copy(),
+        objective=float(values[i, j]),
+        lam=None if lam is None else float(lam),
+        eps_axis=eps_axis,
+        theta_axes=theta_axes,
+        grid_values=values,
+        extras=extras or {},
+    )
+
+
+def _penalty(lam, dataset) -> float:
+    """The eps penalty weight lam, 1/n by default; negative lam is an error."""
+    if lam is not None and lam < 0:
+        raise ValueError("lam must be nonnegative")
+    return 1.0 / len(dataset) if lam is None else lam
 
 
 def abp_objective(prog, dataset: ObservationDataset, eps, theta, lam,
@@ -476,10 +493,7 @@ def abp_estimate(prog, dataset: ObservationDataset, prior: PriorRegion,
     eps-free k.  The grid is bit-identical to evaluating both interval
     endpoints for every cell.
     """
-    if lam is None:
-        lam = 1.0 / len(dataset)
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    lam = _penalty(lam, dataset)
     eps_axis = prior.eps_axis()
     theta_points = prior.theta_points()
     values = np.empty((len(eps_axis), len(theta_points)))
@@ -512,17 +526,7 @@ def abp_estimate(prog, dataset: ObservationDataset, prior: PriorRegion,
                 values[i, j] = abp_objective(prog, dataset, float(eps), th, 0.0,
                                              prior.w_set)
     values += lam * eps_col
-    eps_hat, theta_hat, objective = _grid_argmin(eps_axis, theta_points, values)
-    return EstimationResult(
-        estimator="abp",
-        eps_hat=eps_hat,
-        theta_hat=theta_hat,
-        objective=objective,
-        lam=float(lam),
-        eps_axis=eps_axis,
-        theta_axes=prior.theta_axes(),
-        grid_values=values,
-    )
+    return _grid_result("abp", prior, values, lam=lam)
 
 
 def via_estimate(prog, dataset: ObservationDataset, theta=None) -> EstimationResult:
@@ -768,16 +772,7 @@ def mle_estimate(prog, dataset: ObservationDataset, prior: PriorRegion,
         for i, eps in enumerate(eps_axis):
             for j, th in enumerate(theta_points):
                 values[i, j] = mle_objective(prog, dataset, float(eps), th, density)
-    eps_hat, theta_hat, objective = _grid_argmin(eps_axis, theta_points, values)
-    return EstimationResult(
-        estimator="mle",
-        eps_hat=eps_hat,
-        theta_hat=theta_hat,
-        objective=objective,
-        eps_axis=eps_axis,
-        theta_axes=prior.theta_axes(),
-        grid_values=values,
-    )
+    return _grid_result("mle", prior, values)
 
 
 # --- regularized dual function ----------------------------------------------
@@ -839,8 +834,7 @@ def presmooth_estimate(prog, dataset: ObservationDataset, h: float,
         raise ValueError("presmoothing is implemented for the 1-D linear program")
     if h < 0:
         raise ValueError("neighborhood radius h must be nonnegative")
-    if lam is None:
-        lam = 1.0 / len(dataset)
+    lam = _penalty(lam, dataset)
     w_lo, w_hi = _interval_w(prior.w_set)
     us, ys = dataset.us[:, 0], dataset.ys[:, 0]
     rng = seed.generator()
@@ -871,18 +865,8 @@ def presmooth_estimate(prog, dataset: ObservationDataset, h: float,
         eps_min = float(gaps.max())
         feasible = eps_axis >= eps_min - 1e-12
         values[feasible, j] = fit + lam * eps_axis[feasible]
-    eps_hat, theta_hat, objective = _grid_argmin(eps_axis, theta_points, values)
-    return EstimationResult(
-        estimator="presmooth",
-        eps_hat=eps_hat,
-        theta_hat=theta_hat,
-        objective=objective,
-        lam=float(lam),
-        eps_axis=eps_axis,
-        theta_axes=prior.theta_axes(),
-        grid_values=values,
-        extras={"n_skipped": n_skipped, "n_used": int(len(ku)), "h": float(h)},
-    )
+    extras = {"n_skipped": n_skipped, "n_used": int(len(ku)), "h": float(h)}
+    return _grid_result("presmooth", prior, values, lam=lam, extras=extras)
 
 
 # --- data generation and noise heuristics ------------------------------------

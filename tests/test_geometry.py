@@ -1020,6 +1020,20 @@ def _direction_sets(rng, dim, sets):
         yield np.ascontiguousarray(ConvexHull(rng.normal(size=(30, dim))).equations[:, :-1])
 
 
+def _scalar_support(c, u):
+    # the per-variant scalar formulas support() ran before it became
+    # support_many on one row: an oracle independent of both
+    if isinstance(c, VertexPolytope):
+        return float(np.max(c.vertices @ u))
+    if isinstance(c, Zonotope):
+        if c.generators.shape[0] == 0:
+            return float(c.center @ u)
+        return float(c.center @ u + np.sum(np.abs(c._effective() @ u)))
+    if isinstance(c, Ball):
+        return float(c.center @ u + c.radius * np.linalg.norm(u))
+    return float(np.sum(np.where(u >= 0, c.upper, c.lower) * u))
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_support_many_matches_per_direction_support_bit_for_bit(dim):
     rng = np.random.default_rng(30 + dim)
@@ -1027,25 +1041,27 @@ def test_support_many_matches_per_direction_support_bit_for_bit(dim):
     kinds = set()
     for dirs in _direction_sets(rng, dim, sets):
         for c in sets:
-            want = [c.support(u) for u in dirs]
-            assert _bits(c.support_many(dirs)) == _bits(want), (type(c).__name__, dirs.shape)
+            want = _bits([_scalar_support(c, u) for u in dirs])
+            assert _bits(c.support_many(dirs)) == want, (type(c).__name__, dirs.shape)
+            assert _bits([c.support(u) for u in dirs]) == want, (type(c).__name__, dirs.shape)
             kinds.add(type(c))
     assert kinds == {VertexPolytope, Zonotope, Ball, Box}
 
 
 def test_support_many_default_and_validation():
-    class Segment(geometry.ConvexSet):  # a variant with only a scalar support
+    class Bare(geometry.ConvexSet):  # the base class has no support_many
         dim = 2
 
-        def support(self, u):
-            return float(abs(np.asarray(u)[0]))
-
-    dirs = direction_grid(2, 12)
-    assert _bits(Segment().support_many(dirs)) == _bits([abs(u[0]) for u in dirs])
+    with pytest.raises(NotImplementedError):
+        Bare().support([1.0, 0.0])
     box = Box([0.0, 0.0], [1.0, 1.0])
     for bad in (np.ones(2), np.ones((3, 3)), [[0.0, np.nan]], [[np.inf, 0.0]]):
         with pytest.raises(ValueError):
             box.support_many(bad)
+    for bad in (np.ones(3), np.ones((1, 2)), [0.0, np.nan], 1.0):
+        with pytest.raises(ValueError):
+            box.support(bad)
+    assert interval(-1.0, 2.0).support(-3.0) == 3.0  # a 1-D direction may be a scalar
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])

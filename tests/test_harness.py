@@ -17,7 +17,11 @@ from setstat.harness import (
     run,
     worker_count,
 )
-from setstat.invopt import read_observations_jsonl
+from setstat.invopt import (
+    generate_boxlinear_observations,
+    generate_boxquadratic_observations,
+    read_observations_jsonl,
+)
 from setstat.kernelreg import read_dataset_jsonl
 from setstat.randomsets import RngSeed
 
@@ -311,12 +315,18 @@ def test_compare_estimators_runner(tmp_path):
 
 
 def test_gen_data_runner_variants(tmp_path):
-    run(_small("gen-data", tmp_path, dataset="box-linear", n=40))
+    rep = run(_small("gen-data", tmp_path, seed=7, dataset="box-linear", n=40, eps0=1.5,
+                     theta0=0.25))
     obs = read_observations_jsonl(tmp_path / "gen-data" / "dataset.jsonl")
     assert len(obs) == 40 and obs.u_dim == 1
-    run(_small("gen-data", tmp_path, dataset="box-quadratic", n=30))
+    assert rep.metrics == {"dataset": "box-linear", "n": 40, "eps0": 1.5, "theta0": 0.25}
+    want = generate_boxlinear_observations(40, RngSeed(7), eps0=1.5, theta0=0.25)
+    assert np.array_equal(obs.us, want.us) and np.array_equal(obs.ys, want.ys)
+    rep = run(_small("gen-data", tmp_path, seed=7, dataset="box-quadratic", n=30))
     obs2 = read_observations_jsonl(tmp_path / "gen-data" / "dataset.jsonl")
     assert len(obs2) == 30 and obs2.u_dim == 0
+    assert rep.metrics == {"dataset": "box-quadratic", "n": 30, "noise_radius": 3.0}
+    assert np.array_equal(obs2.ys, generate_boxquadratic_observations(30, 3.0, RngSeed(7)).ys)
     run(_small("gen-data", tmp_path, dataset="set-regression", n=20))
     ds = read_dataset_jsonl(tmp_path / "gen-data" / "dataset.jsonl")
     assert len(ds) == 20

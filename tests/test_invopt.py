@@ -989,6 +989,23 @@ def test_presmooth_recovers_plausible_parameters():
     assert res.extras["h"] == 0.2
 
 
+def test_presmooth_and_abp_share_the_lam_check():
+    ds = generate_boxlinear_observations(50, RngSeed(9))
+    prior = PriorRegion(eps_range=(0.1, 2.0), w_set=interval(-1.0, 1.0),
+                        theta_box=Box([-1.0], [1.0]), d_eps=0.1, d_theta=0.25)
+    with pytest.raises(ValueError, match="lam"):
+        presmooth_estimate(BoxLinearProgram(), ds, 0.2, prior, RngSeed(10), lam=-0.5)
+    with pytest.raises(ValueError, match="lam"):
+        abp_estimate(BoxLinearProgram(), ds, prior, lam=-0.5)
+    for estimate in (lambda lam: presmooth_estimate(BoxLinearProgram(), ds, 0.2, prior,
+                                                    RngSeed(10), lam=lam),
+                     lambda lam: abp_estimate(BoxLinearProgram(), ds, prior, lam=lam)):
+        default, explicit = estimate(None), estimate(1.0 / 50)
+        assert default.lam == explicit.lam == 1.0 / 50
+        assert np.array_equal(default.grid_values, explicit.grid_values)
+        assert estimate(0.0).lam == 0.0
+
+
 def test_presmooth_all_skipped_raises():
     # W far wider than the data spread erodes every neighborhood hull away
     ds = ObservationDataset(np.array([0.0, 0.1]), np.array([0.0, 0.05]))

@@ -16,6 +16,7 @@ from setstat import randomsets
 from setstat.geometry import (
     Ball,
     Box,
+    SolverLimitError,
     VertexPolytope,
     Zonotope,
     bounds_of,
@@ -440,6 +441,7 @@ def test_all_expectation_laws_pass_on_standard_config():
         assert report.passed, f"{law}: metric {report.metric} > {report.tolerance}"
         expected_kind = "equality" if law in ("deterministic", "sum", "scale") else "inclusion"
         assert report.kind == expected_kind
+        assert report.tolerance == (0.05 if law in ("sum", "scale") else 1e-9)
 
 
 # Per-draw oracles: the law's Monte-Carlo side from one materialized set per
@@ -630,6 +632,22 @@ def test_concave_interval_map_peaks():
     m2 = SymmetricConcaveIntervalMap(lambda x: 1.0 - x * x)
     out2 = m2.apply_to_set(interval(-0.5, 0.5))  # interior peak at zero
     assert math.isclose(bounds_of(out2)[1][0], 1.0, abs_tol=1e-6)
+
+
+def test_concave_interval_map_raises_when_the_peak_search_stops_unconverged(monkeypatch):
+    import scipy.optimize
+    from scipy.optimize import OptimizeResult
+
+    def capped(fun, bounds=None, method=None, **kwargs):
+        return OptimizeResult(x=bounds[0], fun=fun(bounds[0]), success=False, status=1,
+                              message="Maximum number of function calls reached.", nfev=500)
+
+    m = SymmetricConcaveIntervalMap(lambda x: 1.0 - x * x)
+    monkeypatch.setattr(scipy.optimize, "minimize_scalar", capped)
+    with pytest.raises(SolverLimitError, match="Maximum number"):
+        m.apply_to_set(interval(-0.5, 0.5))
+    # a degenerate interval needs no search
+    assert bounds_of(m.apply_to_set(interval(0.5, 0.5)))[1][0] == 0.75
 
 
 def test_jensen_gap_nonpositive_for_graph_convex_maps():
