@@ -476,17 +476,12 @@ def _is_singleton(c: ConvexSet) -> np.ndarray | None:
 
 
 def _to_vertex_polytope(c: ConvexSet, n_directions: int) -> VertexPolytope:
-    """Vertex form of a set; exact except for balls of positive radius in
-    dimension two and above, which are sampled on a direction grid."""
+    """Vertex form of a set of dimension two or more; exact except for balls
+    of positive radius, which are sampled on a direction grid."""
     if isinstance(c, VertexPolytope):
         return c
     if isinstance(c, Ball) and c.radius > 0.0:
-        if c.dim == 1:
-            return VertexPolytope(
-                [[c.center[0] - c.radius], [c.center[0] + c.radius]], prune=False
-            )
-        pts = c.center + c.radius * direction_grid(c.dim, n_directions)
-        return VertexPolytope(pts)
+        return VertexPolytope(c.center + c.radius * direction_grid(c.dim, n_directions))
     return VertexPolytope(vertices_of(c), prune=False)
 
 
@@ -593,12 +588,9 @@ def minkowski_sum(a: ConvexSet, b: ConvexSet, n_directions: int = 360) -> Convex
             np.concatenate([a.weights, b.weights]),
         )
     if d == 1:
-        alo, ahi = bounds_of(a)
-        blo, bhi = bounds_of(b)
-        return interval(alo[0] + blo[0], ahi[0] + bhi[0])
-    if d == 2 or (
-        not isinstance(a, Ball) and not isinstance(b, Ball)
-    ):
+        (alo, ahi), (blo, bhi) = bounds_of(a), bounds_of(b)
+        return Box(alo + blo, ahi + bhi)
+    if d == 2 or not (isinstance(a, Ball) or isinstance(b, Ball)):
         va = _to_vertex_polytope(a, n_directions).vertices
         vb = _to_vertex_polytope(b, n_directions).vertices
         sums = _cone_pair_sums(va, vb) if d == 2 else None
@@ -776,10 +768,7 @@ def _halfplane_vertices(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray 
 
 
 def _max_abs_bound(c: ConvexSet) -> float:
-    """max_j max(|lo_j|, |hi_j|) over bounds_of(c).  A Box reads its own
-    arrays: they differ from its bounds only in the sign of a zero."""
-    if isinstance(c, Box):
-        return float(max(np.max(np.abs(c.lower)), np.max(np.abs(c.upper))))
+    """max_j max(|lo_j|, |hi_j|) over bounds_of(c)."""
     return float(np.max(np.abs(bounds_of(c))))
 
 
@@ -829,12 +818,8 @@ def minkowski_diff(c: ConvexSet, d: ConvexSet, n_directions: int = 360) -> Conve
         ball = _ball_erosion(c.center, c.radius, d.center, d.radius, _erosion_tol(c, d))
         return None if ball is None else Ball(*ball)
     if dim == 1:
-        clo, chi = bounds_of(c)
-        dlo, dhi = bounds_of(d)
-        lo, hi = clo[0] - dlo[0], chi[0] - dhi[0]
-        if lo > hi + _erosion_tol(c, d):
-            return None
-        return interval(min(lo, hi), max(lo, hi))
+        box = _box_erosion(*bounds_of(c), *bounds_of(d), _erosion_tol(c, d))
+        return None if box is None else Box(*box)
     if dim == 2:
         a, b = _facets_2d(c, n_directions)
         bt = b - d.support_many(a)
@@ -947,16 +932,6 @@ def _zonotope_bvls(z: Zonotope, x: np.ndarray) -> np.ndarray:
     return z.center + res.x @ e
 
 
-# A two-term dot product a0 b0 + a1 b1 evaluated in floats, fused or not,
-# lies within 2u (|a0 b0| + |a1 b1|) of its exact value (u = 2^-53), so a
-# plain-float evaluation and the BLAS one differ by at most 4u times that
-# sum.  A plain-float value that clears zero, or another such value, by more
-# than _DOT2_MARGIN (32u) times the larger sum decides the sign or the
-# comparison as the BLAS values would.
-_DOT2_MARGIN = 2.0**-48
-_DOT2_TINY = 1e-300  # absolute slack for products in the subnormal range
-
-
 def _zonogon_nearest(z: Zonotope, x: np.ndarray, tol: float = _SUPPORT_GAP_TOL) -> np.ndarray:
     """Nearest point of a zonogon by away-step conditional gradient with the
     exact support oracle (terminates on duality gap <= tol); where the loop
@@ -967,12 +942,11 @@ def _zonogon_nearest(z: Zonotope, x: np.ndarray, tol: float = _SUPPORT_GAP_TOL) 
     - coordinates are Python floats, which round as numpy's elementwise
       ops do, and the weighted vertex sum adds the rows in order, as
       np.add.reduce over axis 0 does;
-    - the products whose bits enter an iterate, the step's slope and
-      squared length, stay BLAS ddots;
-    - products that only choose (the generator signs of the forward vertex,
-      the away vertex, forward or away) are plain floats when
-      _DOT2_MARGIN decides them and the BLAS products of the general loop
-      when it does not;
+    - every product whose bits enter an iterate or a choice is the general
+      loop's BLAS product: the slope and squared length of a step, the
+      generator signs of the forward vertex (one dgemv), the away vertex
+      (the first argmax of one stacked np.matmul) and forward or away (the
+      ddot of the away gap);
     - each vertex is built once per call;
     - the slope is the gap already at hand: the step direction is minus the
       vector that gap was taken on, and the ddot of a negated vector is the
@@ -982,64 +956,38 @@ def _zonogon_nearest(z: Zonotope, x: np.ndarray, tol: float = _SUPPORT_GAP_TOL) 
     e = e[np.linalg.norm(e, axis=1) > 0]
     if e.shape[0] == 0:
         return z.center.copy()
-    generators = e.tolist()
-    vertices: dict[tuple, tuple] = {}
+    vertices: dict[bytes, tuple] = {}
 
-    def vertex(g0: float, g1: float) -> tuple:
-        # (signs, p0, p1) of the vertex minimizing g . p: generator sign -1
-        # where e_i . g > 0, else +1
-        signs = []
-        for e0, e1 in generators:
-            u, v = e0 * g0, e1 * g1
-            # |u| + |v| is |u - v| when the signs differ and |u + v| when not
-            if abs(u + v) <= _DOT2_MARGIN * abs(u - v) + _DOT2_TINY:
-                signs = (e.dot(np.array((g0, g1))) > 0.0).tolist()
-                break
-            signs.append(u + v > 0.0)
-        key = tuple(signs)
+    def vertex(grad: np.ndarray) -> tuple:
+        # (key, p0, p1) of the vertex minimizing grad . p: generator sign -1
+        # where e_i . grad > 0, else +1
+        up = e.dot(grad) > 0.0
+        key = up.tobytes()
         p = vertices.get(key)
         if p is None:
-            s = np.array([-1.0 if up else 1.0 for up in key])
-            p = vertices[key] = (key, *(z.center + s @ e).tolist())
+            p = vertices[key] = (key, *(z.center + np.where(up, -1.0, 1.0) @ e).tolist())
         return p
 
     x0, x1 = x.tolist()
-    c0, c1 = z.center.tolist()
-    active = [vertex(-(x0 - c0), -(x1 - c1))]
+    active = [vertex(-(x - z.center))]
     weights = [1.0]
     _, z0, z1 = active[0]
     stacked = None  # the active vertices as (k, 1, 2), built when needed
     for _ in range(_ZONOTOPE_NEAREST_MAX_ITER):
-        g0, g1 = 2.0 * (z0 - x0), 2.0 * (z1 - x1)
-        grad = np.array((g0, g1))
-        p_s = vertex(g0, g1)
+        grad = np.array((2.0 * (z0 - x0), 2.0 * (z1 - x1)))
+        p_s = vertex(grad)
         to_s = np.array((z0 - p_s[1], z1 - p_s[2]))
         gap_fw = float(grad.dot(to_s))
         if gap_fw <= tol:
             break
-        a = 0  # the away vertex: the first maximizer of grad . p
-        if len(active) > 1:
-            best = second = -math.inf
-            scale = 0.0
-            for i, (_, q0, q1) in enumerate(active):
-                u, v = g0 * q0, g1 * q1
-                scale = max(scale, abs(u) + abs(v))
-                if u + v > best:
-                    a, best, second = i, u + v, best
-                elif u + v > second:
-                    second = u + v
-            if best - second <= _DOT2_MARGIN * scale + _DOT2_TINY:
-                if stacked is None:
-                    stacked = np.array([p[1:] for p in active])[:, None, :]
-                a = int(np.matmul(stacked, grad).argmax())
+        if stacked is None:
+            stacked = np.array([p[1:] for p in active])[:, None, :]
+        a = int(np.matmul(stacked, grad).argmax())  # the away vertex: first maximizer of grad . p
         _, a0, a1 = active[a]
         w_a = weights[a]
-        u, v = g0 * (a0 - z0), g1 * (a1 - z1)
-        is_fw = w_a >= 1.0 or gap_fw - (u + v) > _DOT2_MARGIN * (abs(u) + abs(v)) + _DOT2_TINY
-        if not is_fw:
-            from_a = np.array((a0 - z0, a1 - z1))
-            gap_away = float(grad.dot(from_a))
-            is_fw = gap_fw >= gap_away
+        from_a = np.array((a0 - z0, a1 - z1))
+        gap_away = float(grad.dot(from_a))
+        is_fw = w_a >= 1.0 or gap_fw >= gap_away
         if is_fw:  # toward p_s
             slope, dd, gamma_max = gap_fw, float(to_s.dot(to_s)), 1.0
         else:  # away from active[a]
@@ -1085,7 +1033,8 @@ def project_point(x, c: ConvexSet) -> tuple[np.ndarray, float]:
     Boxes, balls and 1-D zonotopes use closed forms, a vertex polytope the
     min-norm point of its vertices; a zonotope in three or more dimensions is
     one bounded least-squares solve, and one in the plane runs the
-    conditional-gradient loop of _zonogon_nearest, whose bits the
+    conditional-gradient loop of _zonogon_nearest, whose bits (each step
+    and each choice made by the reference loop's BLAS products) the
     geometry-mix2d benchmark digests.
     """
     x = _as_vector(x, c.dim)

@@ -12,11 +12,10 @@ from __future__ import annotations
 import copy
 import csv
 import json
-import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -202,6 +201,13 @@ def _coerce(name: str, kind: type, value):
         raise ConfigError(f"parameter {name!r} must be {kind.__name__}") from None
 
 
+def _parse_field(name: str, parse, value):
+    try:
+        return parse(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"parameter {name!r}: {exc}") from None
+
+
 def _validate_params(kind: str, params: dict) -> dict:
     """Merge user params over the kind preset; reject unknown keys."""
     if kind not in PRESETS:
@@ -267,12 +273,12 @@ def _validate_params(kind: str, params: dict) -> dict:
         raise ConfigError(
             "parameter 'dataset' must be set-regression, box-linear, or box-quadratic"
         )
-    if "body" in merged:
-        merged["body"] = set_to_dict(set_from_dict(merged["body"]))
-    if "noise" in merged:
-        merged["noise"] = randomsets.noise_to_dict(
-            randomsets.noise_from_dict(merged["noise"])
-        )
+    if "body" in merged:  # slln and clt: a body and a noise law of its dimension
+        body = _parse_field("body", set_from_dict, merged["body"])
+        noise = _parse_field("noise", randomsets.noise_from_dict, merged["noise"])
+        if body.dim != noise.dim:
+            raise ConfigError(f"parameter 'noise' has dimension {noise.dim}, 'body' {body.dim}")
+        merged["body"], merged["noise"] = set_to_dict(body), randomsets.noise_to_dict(noise)
     return merged
 
 

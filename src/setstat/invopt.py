@@ -24,7 +24,6 @@ from .geometry import (
     VertexPolytope,
     _halfplane_vertices,
     bounds_of,
-    contains,
     interval,
     minkowski_sum,
     project_point,
@@ -328,6 +327,8 @@ class ObservationDataset:
             ys = ys[:, None]
         if ys.shape[0] < 1 or us.shape[0] != ys.shape[0]:
             raise ValueError("need matching nonempty u and y arrays")
+        if not (np.isfinite(us).all() and np.isfinite(ys).all()):
+            raise ValueError("observations must be finite")
         self.us = us
         self.ys = ys
 

@@ -10,7 +10,6 @@ through additive uniform translation noise.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,6 +129,8 @@ class LabeledSetSample:
         )
         if self.x.ndim != 1:
             raise ValueError("sample input x must be a vector")
+        if not np.isfinite(self.x).all():
+            raise ValueError("sample input x must be finite")
 
 
 class SetRegressionDataset:

@@ -22,7 +22,6 @@ Jensen gaps of maps that commute with translation: A (K + s_i) + K0 =
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -126,8 +125,9 @@ class UniformBoxNoise(NoiseDistribution):
     def __init__(self, lower, upper):
         lo = np.atleast_1d(np.asarray(lower, dtype=float))
         hi = np.atleast_1d(np.asarray(upper, dtype=float))
-        if lo.shape != hi.shape or lo.ndim != 1 or np.any(lo > hi):
-            raise ValueError("need lower <= upper vectors of equal length")
+        finite = np.isfinite(lo).all() and np.isfinite(hi).all()
+        if lo.shape != hi.shape or lo.ndim != 1 or not finite or np.any(lo > hi):
+            raise ValueError("need finite lower <= upper vectors of equal length")
         self.lower, self.upper = lo, hi
         self.dim = lo.shape[0]
 
@@ -147,8 +147,8 @@ class UniformBallNoise(NoiseDistribution):
     """Uniform on a centered Euclidean ball."""
 
     def __init__(self, radius: float, dim: int):
-        if radius < 0:
-            raise ValueError("radius must be nonnegative")
+        if not 0 <= radius < math.inf:
+            raise ValueError("radius must be finite and nonnegative")
         self.radius = float(radius)
         self.dim = int(dim)
 
@@ -173,8 +173,8 @@ class TriangularNoise(NoiseDistribution):
     """Symmetric triangular on [-halfwidth, halfwidth], one-dimensional."""
 
     def __init__(self, halfwidth: float):
-        if halfwidth < 0:
-            raise ValueError("halfwidth must be nonnegative")
+        if not 0 <= halfwidth < math.inf:
+            raise ValueError("halfwidth must be finite and nonnegative")
         self.halfwidth = float(halfwidth)
         self.dim = 1
 
@@ -202,13 +202,14 @@ class TruncatedGaussianNoise(NoiseDistribution):
 
     def __init__(self, sigma, radius: float):
         s = np.atleast_2d(np.asarray(sigma, dtype=float))
-        if s.shape[0] != s.shape[1] or not np.allclose(s, s.T, atol=1e-12):
-            raise ValueError("sigma must be a symmetric matrix")
+        finite = np.isfinite(s).all()
+        if s.shape[0] != s.shape[1] or not finite or not np.allclose(s, s.T, atol=1e-12):
+            raise ValueError("sigma must be a finite symmetric matrix")
         eigvals = np.linalg.eigvalsh(s)
         if np.any(eigvals < -1e-12):
             raise ValueError("sigma must be positive semidefinite")
-        if radius <= 0:
-            raise ValueError("truncation radius must be positive")
+        if not 0 < radius < math.inf:
+            raise ValueError("truncation radius must be positive and finite")
         self.sigma = s
         self.radius = float(radius)
         self.dim = s.shape[0]
@@ -345,19 +346,13 @@ def slln_curve(
     Returns summary points (n, mean error over replicates) plus the flat
     (n, replicate, error) records, replicate-major.  Replicate r at size
     index i draws from the derived stream seed.derive(1_000_000 * i + r).
-    Box and Ball bodies take the replicate blocks of clt_replicates, one
-    pass per n.
+    The errors are the distances of _mean_residuals, one call per n, so
+    every replicate also checks that its residual erosion is a singleton.
     """
-    expectation = selection_expectation(model)
-    errors = np.empty((len(n_values), replicates))
-    for i, n in enumerate(n_values):
-        offsets = range(1_000_000 * i, 1_000_000 * i + replicates)
-        if isinstance(model.body, (Box, Ball)):
-            errors[i] = _mean_residuals(model, n, seed, offsets)[1]
-            continue
-        for r, k in enumerate(offsets):
-            samples = sample_translated_sets(model, n, seed.derive(k))
-            errors[i, r] = hausdorff(minkowski_sample_mean(samples), expectation)
+    errors = np.array([
+        _mean_residuals(model, n, seed, range(1_000_000 * i, 1_000_000 * i + replicates))[1]
+        for i, n in enumerate(n_values)
+    ])
     records = [
         (n, r, err) for r, row in enumerate(errors.T.tolist()) for n, err in zip(n_values, row)
     ]
@@ -378,12 +373,6 @@ def _residual_vector(bounds: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray
     return 0.5 * (lo + hi)
 
 
-def _difference_vector(mean_set: ConvexSet, expectation: ConvexSet) -> np.ndarray:
-    """Extract v from {v} = mean_set - expectation, which must be a singleton."""
-    diff = minkowski_diff(mean_set, expectation)
-    return _residual_vector(None if diff is None else bounds_of(diff))
-
-
 # Noise draws held at once by _mean_residuals: k replicates of n draws in d
 # dimensions, with k * n * d at most this (and k at least 1).
 _BLOCK_ELEMENTS = 1 << 16
@@ -393,20 +382,32 @@ def _mean_residuals(
     model: RandomlyTranslatedSet, n: int, seed: RngSeed, offsets: range
 ) -> tuple[np.ndarray, np.ndarray]:
     """Residual vectors v_r, {v_r} = M_r - E(X), and distances
-    Hausdorff(M_r, E(X)) of the Minkowski means M_r of a Box or Ball body.
+    Hausdorff(M_r, E(X)) of the Minkowski means M_r of n draws from
+    seed.derive(offsets[r]); an erosion that is not a singleton raises
+    InternalConsistencyError.
 
-    Replicate r draws n points from seed.derive(offsets[r]).  The draws of k
-    replicates fill one (k, n, d) block, and each step runs over the block's
-    leading replicate axis with the bits of the one-set chain it replaces:
-    the means are one dgemv per replicate, np.matmul of w against
-    body + draws as in weighted_minkowski_average; the erosion, its bounds
-    and the distance are geometry's own array closed forms, taken in
-    minkowski_diff's and hausdorff's dispatch order (1-D sets first).
+    Polytope and zonotope bodies run the one-set chain per replicate: their
+    erosion runs the 2-D halfplane routine, whose bits a batched form would
+    not keep.  Box and Ball bodies build no set objects: the draws of k
+    replicates fill one (k, n, d) block, and each step runs over its leading
+    replicate axis with the chain's bits: the means are one dgemv per
+    replicate, np.matmul of w against body + draws as in
+    weighted_minkowski_average; the erosion, its bounds and the distance are
+    geometry's own array closed forms, in minkowski_diff's and hausdorff's
+    dispatch order (1-D sets first).
     """
     if n < 1:
         raise ValueError("need n >= 1 samples")
     body, d = model.body, model.body.dim
     e = selection_expectation(model)
+    vectors, dists = np.empty((len(offsets), d)), np.empty(len(offsets))
+    if not isinstance(body, (Box, Ball)):
+        for r, j in enumerate(offsets):
+            mean_set = minkowski_sample_mean(sample_translated_sets(model, n, seed.derive(j)))
+            diff = minkowski_diff(mean_set, e)
+            vectors[r] = _residual_vector(None if diff is None else bounds_of(diff))
+            dists[r] = hausdorff(mean_set, e)
+        return vectors, dists
     box = isinstance(body, Box)
     if box:
         support, erode, ep = geometry._box_support, geometry._box_erosion, (e.lower, e.upper)
@@ -418,7 +419,6 @@ def _mean_residuals(
     radius = None if box else float(w @ np.full(n, body.radius))  # the same for every mean
     k = max(1, _BLOCK_ELEMENTS // (n * d))
     xi = np.empty((min(k, len(offsets)), n, d))
-    vectors, dists = np.empty((len(offsets), d)), np.empty(len(offsets))
     for start in range(0, len(offsets), k):
         chunk = offsets[start : start + k]
         block = xi[: len(chunk)]
@@ -453,35 +453,17 @@ def clt_replicates(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Replicated CLT residuals of the Minkowski mean of n draws.
 
-    Replicate r draws one family from seed.derive(r), takes its Minkowski
-    mean M once, and returns both sqrt(n) * v, where {v} = M - E(X), and
-    the statistic sqrt(n) * Hausdorff(M, E(X)).  For translated sets the
-    erosion is a singleton translate by construction (anything else raises
-    InternalConsistencyError), so each statistic equals the norm of its
-    vector.  Returns the (replicates, d) vectors and the (replicates,)
-    statistics.
-
-    Box and Ball bodies build no set objects: the draws of k replicates fill
-    one (k, n, d) array with k * n * d at most _BLOCK_ELEMENTS (2**16), so
-    memory does not grow with replicates, and the means, erosions and
-    distances run over that block with the bits of the per-replicate chain.
-    Other bodies (polytopes, zonotopes) keep that chain, one replicate at a
-    time: their erosion runs the 2-D halfplane routine, whose bits a batched
-    form would not keep.
+    Replicate r draws one family from seed.derive(r) and takes its
+    Minkowski mean M once; _mean_residuals gives v, {v} = M - E(X), and
+    Hausdorff(M, E(X)), which for translated sets is the norm of v.  Returns
+    the (replicates, d) vectors sqrt(n) v and the (replicates,) statistics
+    sqrt(n) Hausdorff(M, E(X)).  Box and Ball bodies hold at most
+    _BLOCK_ELEMENTS (2**16) draws at once, so memory does not grow with
+    replicates.
     """
     root_n = math.sqrt(n)
-    if isinstance(model.body, (Box, Ball)):
-        vectors, dists = _mean_residuals(model, n, seed, range(replicates))
-        return root_n * vectors, root_n * dists
-    expectation = selection_expectation(model)
-    vectors = np.empty((replicates, model.body.dim))
-    stats = np.empty(replicates)
-    for r in range(replicates):
-        samples = sample_translated_sets(model, n, seed.derive(r))
-        mean_set = minkowski_sample_mean(samples)
-        vectors[r] = root_n * _difference_vector(mean_set, expectation)
-        stats[r] = root_n * hausdorff(mean_set, expectation)
-    return vectors, stats
+    vectors, dists = _mean_residuals(model, n, seed, range(replicates))
+    return root_n * vectors, root_n * dists
 
 
 # --- selection-expectation algebra ---------------------------------------

@@ -792,6 +792,26 @@ def test_zonogon_projection_matches_general_loop_bit_for_bit():
         assert _bits(geometry._zonogon_nearest(z, x)) == _bits(_zonotope_nearest(z, x))
 
 
+def test_zonogon_projection_keeps_the_general_loop_bits_at_near_ties():
+    # Exact ties of the bit test above, scaled by inexact factors: each
+    # choice then hangs on a near-tie (for a generator sign, round(e0 g0) ==
+    # -round(e1 g1) with a nonzero exact sum) that a fused multiply-add, as
+    # in OpenBLAS's x86-64 dgemv and ddot, can decide otherwise than plain
+    # float products.  Where it does, a plain-float generator sign fails the
+    # diamond cases and a plain-float away gap the forward-or-away cases.
+    cases = [
+        (Zonotope([0.5 * s, 0.5 * s], [[s, s], [s, -s]], [0.5, 0.5]), np.array([0.0, 0.0]))
+        for s in (1.1, 3.7)
+    ]
+    shift = np.array([-0.1, 0.0])
+    for s in (0.3, 1.7):
+        g = s * np.array([[-1.0, 2.0], [-1.0, -2.0], [-2.0, 2.0]])
+        z = Zonotope(s * np.array([0.5, 0.0]) + shift, g, [0.5, 0.5, 1.0])
+        cases.append((z, s * np.array([-1.5, 1.5]) + shift))
+    for z, x in cases:
+        assert _bits(geometry._zonogon_nearest(z, x)) == _bits(_zonotope_nearest(z, x))
+
+
 def test_projection_solvers_raise_at_their_iteration_cap(monkeypatch):
     # every nearest point lies inside an edge or facet, which takes more than one step
     tri = VertexPolytope([[1.0, 0.0], [2.0, 0.0], [1.0, 1.0]])
@@ -1381,3 +1401,83 @@ def test_dimension_mismatch_rejected():
         minkowski_sum(Ball([0.0], 1.0), Ball([0.0, 0.0], 1.0))
     with pytest.raises(ValueError):
         support(Box([0, 0], [1, 1]), [1.0])
+
+
+def _interval_of(c):
+    lo, hi = bounds_of(c)
+    return float(lo[0]), float(hi[0])
+
+
+def test_one_dimensional_mixed_sums_and_erosions_follow_interval_arithmetic():
+    # dyadic data, so every bound is exact: [a, b] + [c, d] = [a + c, b + d],
+    # and [a, b] - [c, d] = [a - c, b - d] when a - c <= b - d, else empty
+    sets = {
+        "ball": (Ball([0.5], 1.25), (-0.75, 1.75)),
+        "zonotope": (Zonotope([-1.0], [[1.0], [-2.0]], [0.25, 0.125]), (-1.5, -0.5)),
+        "vpoly": (VertexPolytope([[2.0], [0.25], [1.0]]), (0.25, 2.0)),
+        "box": (interval(-3.0, 0.5), (-3.0, 0.5)),
+        "point": (point_set([0.75]), (0.75, 0.75)),
+    }
+    for (na, (a, (alo, ahi))), (nb, (b, (blo, bhi))) in itertools.permutations(sets.items(), 2):
+        if type(a) is type(b):
+            continue  # same-variant pairs take their own closed forms
+        assert _interval_of(a) == (alo, ahi)
+        assert _interval_of(minkowski_sum(a, b)) == (alo + blo, ahi + bhi), (na, nb)
+        diff = minkowski_diff(a, b)
+        if alo - blo <= ahi - bhi:
+            assert _interval_of(diff) == (alo - blo, ahi - bhi), (na, nb)
+        else:
+            assert diff is None, (na, nb)
+    # equal widths erode to a single point
+    assert _interval_of(minkowski_diff(Ball([0.5], 0.75), interval(-1.0, 0.5))) == (0.75, 0.75)
+
+
+def test_one_dimensional_zonotope_projection_and_integrated_distance():
+    z = Zonotope([0.5], [[1.0], [-2.0]], [0.25, 0.5])  # the interval [-0.75, 1.75]
+    same = interval(-0.75, 1.75)
+    for x, nearest in [(3.0, 1.75), (0.25, 0.25), (-2.0, -0.75), (1.75, 1.75)]:
+        p, dist = project_point([x], z)
+        assert p.tolist() == [nearest] and dist == abs(x - nearest)
+    for other in (Ball([2.0], 0.5), interval(-0.5, 0.0), Zonotope([1.0], [[3.0]], [0.5])):
+        want = integrated_distance(same, other)
+        assert want > 0.0
+        assert integrated_distance(z, other) == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert integrated_distance(other, z) == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert integrated_distance(z, same) == 0.0
+
+
+def test_sampled_three_dimensional_ball_plus_polytope_sum_is_an_inner_hull():
+    # the sum of the support points on each grid direction u: an inner
+    # approximation of B + P that is exact on the grid, h(u) = h(u, B) + h(u, P)
+    ball = Ball([0.5, -1.0, 0.25], 0.75)
+    corners = np.array(list(itertools.product([-1.0, 1.0], repeat=3)))
+    cube = VertexPolytope(corners + [0.0, 0.5, 0.0])
+    for a, b in ((ball, cube), (cube, ball)):
+        s = minkowski_sum(a, b, n_directions=120)
+        assert isinstance(s, VertexPolytope) and s.vertices.shape == (120, 3)
+        grid = direction_grid(3, 120)
+        exact = ball.support_many(grid) + cube.support_many(grid)
+        np.testing.assert_allclose(s.support_many(grid), exact, rtol=0.0, atol=1e-12)
+        probe = direction_grid(3, 1000)[::7]  # other directions: never above B + P
+        outer = ball.support_many(probe) + cube.support_many(probe)
+        assert np.all(s.support_many(probe) <= outer + 1e-12)
+
+
+def test_matrix_scale_of_a_ball_isometry_and_sampled_ellipse():
+    ball = Ball([1.0, -0.5], 0.75)
+    rot = np.array([[0.6, -0.8], [0.8, 0.6]])
+    img = scale(2.0 * rot, ball)  # a scaled isometry maps the ball to a ball
+    assert isinstance(img, Ball)
+    np.testing.assert_allclose(img.center, 2.0 * rot @ ball.center, rtol=0.0, atol=1e-15)
+    assert img.radius == pytest.approx(1.5, rel=1e-15)
+    stretch = np.array([[2.0, 0.0], [0.5, 1.0]])
+    ellipse = scale(stretch, ball, n_directions=90)  # sampled boundary points P(c + r u)
+    assert isinstance(ellipse, VertexPolytope) and len(ellipse.vertices) == 90
+    back = np.linalg.solve(stretch, (ellipse.vertices - stretch @ ball.center).T).T
+    np.testing.assert_allclose(np.linalg.norm(back, axis=1), 0.75, rtol=1e-13)
+    u = direction_grid(2, 360)  # inside P B: h(u, P B) = u . P c + r |P' u|
+    exact = u @ (stretch @ ball.center) + 0.75 * np.linalg.norm(u @ stretch, axis=1)
+    assert np.all(ellipse.support_many(u) <= exact + 1e-12)
+    # a 90-gon in a circle of radius r lies within r (1 - cos(pi / 90)) of it;
+    # P, of norm below 2.5, stretches that gap at most 2.5 times
+    assert np.max(exact - ellipse.support_many(u)) < 0.75 * 2.5 * (1.0 - math.cos(math.pi / 90))

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from setstat import cli, harness
+from setstat import cli, harness, invopt
 from setstat.harness import (
     EXPERIMENT_KINDS,
     ConfigError,
@@ -287,6 +287,26 @@ def test_invopt_fit_runner_with_mle(tmp_path):
     assert header[0] == "eps" and header[-1] == "objective"
 
 
+def test_invopt_fit_runner_with_presmooth(tmp_path):
+    cfg = _small("invopt-fit", tmp_path, n=200, estimator="presmooth")
+    rep = run(cfg)
+    assert set(rep.checks) == {"eps_error_within_bound", "theta_error_within_bound"}
+    params = cfg.params
+    prog = invopt.BoxLinearProgram()
+    direct = invopt.presmooth_estimate(
+        prog,
+        invopt.generate_boxlinear_observations(200, cfg.seed),
+        params["h"],
+        harness._invopt_prior(params, prog),
+        cfg.seed.derive(500_000),
+        lam=params["lam"],
+    )
+    written = json.loads((tmp_path / "invopt-fit" / "result_presmooth.json").read_text())
+    assert written == json.loads(json.dumps(invopt.result_to_dict(direct)))
+    assert written["extras"]["n_used"] + written["extras"]["n_skipped"] == 200
+    assert rep.metrics["eps_hat"] == direct.eps_hat and rep.metrics["objective"] == direct.objective
+
+
 def test_invopt_fit_runner_via_baseline_has_no_error_checks(tmp_path):
     rep = run(_small("invopt-fit", tmp_path, n=200, estimator="via"))
     assert "eps_error_within_bound" not in rep.checks
@@ -425,6 +445,19 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     path4.write_text('{"kind": "invopt-fit", "params": {"prior": {"eps_lo": 5, "eps_hi": 1}}}')
     assert cli.main(["invopt-fit", "--config", str(path4)]) == 2
     assert "must not exceed" in capsys.readouterr().err
+    # body and noise errors name their field (JSON NaN parses to a float nan)
+    for params, field in [
+        ('{"body": {"type": "box", "lower": [1, 1], "upper": [-1, -1]}}', "'body'"),
+        ('{"noise": {"type": "laplace", "scale": 1}}', "'noise'"),
+        ('{"body": {"type": "box", "lower": [-1], "upper": [1]}}', "dimension"),
+        ('{"noise": {"type": "uniform-box", "lower": [NaN, -1], "upper": [1, 1]}}', "'noise'"),
+        ('{"noise": {"type": "uniform-ball", "radius": Infinity, "dim": 2}}', "'noise'"),
+    ]:
+        path5 = tmp_path / "bad_model.json"
+        path5.write_text(f'{{"kind": "clt", "params": {params}, "out": "{tmp_path / "clt"}"}}')
+        assert cli.main(["clt", "--config", str(path5)]) == 2, params
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err, (params, err)
 
 
 def test_cli_failed_check_exits_1(tmp_path, capsys):

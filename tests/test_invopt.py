@@ -274,6 +274,17 @@ def test_observation_dataset_shapes():
         ObservationDataset(np.zeros(3), np.ones(4))
 
 
+def test_observation_datasets_reject_non_finite_entries(tmp_path):
+    bad = [([0.0, math.nan], [1.0, 2.0]), ([0.0, 1.0], [1.0, math.inf]), ([-math.inf], [0.0])]
+    for us, ys in bad:
+        with pytest.raises(ValueError, match="finite"):
+            ObservationDataset(np.array(us), np.array(ys))
+    path = tmp_path / "obs.jsonl"
+    path.write_text('{"u": [0.5], "y": [1.0]}\n{"u": [0.5], "y": [NaN]}\n')  # json parses NaN
+    with pytest.raises(ValueError, match="finite"):
+        read_observations_jsonl(path)
+
+
 def test_prior_region_axes():
     prior = PriorRegion(
         eps_range=(0.1, 10.0),
@@ -1076,3 +1087,55 @@ def test_result_to_dict_json_ready():
     assert d["grid"]["eps_axis"] == [0.5, 1.0, 1.5]
     via = result_to_dict(via_estimate(BoxLinearProgram(), ds, theta=[0.0]))
     assert via["grid"] is None
+
+
+def test_mle_quadratic_grid_matches_per_cell_objective():
+    # The closed-form grid takes the logs of the same widths and overlaps as
+    # mle_objective but sums them in another order: equal within 1e-12
+    # relative.  Small eps leaves samples with zero likelihood (|y| > 1 +
+    # sqrt(eps)) and eps = 0 a zero-width S: +inf in both, cell for cell.
+    p = BoxQuadraticProgram()
+    ds = generate_boxquadratic_observations(25, 1.0, RngSeed(6))
+    density = UniformNoiseDensity(-1.0, 1.0)
+    prior = PriorRegion(eps_range=(0.0, 1.5), w_set=interval(-1.0, 1.0), d_eps=0.05)
+    got = mle_estimate(p, ds, prior, density).grid_values[:, 0]
+    want = np.array([mle_objective(p, ds, float(e), _NO_ARGS, density) for e in prior.eps_axis()])
+    inf = np.isinf(want)
+    assert inf[0] and inf.sum() > 1 and not inf[-1]
+    assert np.array_equal(np.isinf(got), inf)
+    np.testing.assert_allclose(got[~inf], want[~inf], rtol=1e-12, atol=0.0)
+
+
+class PlainBoxLinear(ParametricProgram):
+    """BoxLinearProgram's f = -(theta + u) x on |x| <= 2 without its type, so
+    the estimators take their per-cell generic paths."""
+
+    def __init__(self):
+        self.x_dim = self.u_dim = self.theta_dim = 1
+        self.n_constraints = 2
+        self.outer_box = Box([-3.0], [3.0])
+
+    def objective(self, x, u, theta):
+        return float(-(theta[0] + u[0]) * x[0])
+
+    def objective_grad_x(self, x, u, theta):
+        return np.array([-(theta[0] + u[0])])
+
+    def constraints(self, x, u, theta):
+        return np.array([x[0] - 2.0, -x[0] - 2.0])
+
+    def constraint_grads_x(self, x, u, theta):
+        return np.array([[1.0], [-1.0]])
+
+
+def test_abp_per_cell_fallback_matches_the_box_linear_grid():
+    # The fallback solves each S(u, eps, theta) numerically and projects by
+    # alternating projections with 1e-8 tolerances; 1e-6 absolute covers them.
+    ds = ObservationDataset(np.array([0.9, -1.3, 1.7, -0.4]), np.array([1.5, -2.2, 0.4, 0.1]))
+    prior = PriorRegion(eps_range=(0.5, 1.5), w_set=interval(-1.0, 1.0),
+                        theta_box=Box([-0.2], [0.2]), d_eps=0.5, d_theta=0.2)
+    fast = abp_estimate(BoxLinearProgram(), ds, prior, lam=0.1)
+    slow = abp_estimate(PlainBoxLinear(), ds, prior, lam=0.1)
+    assert fast.grid_values.shape == slow.grid_values.shape == (3, 3)
+    np.testing.assert_allclose(slow.grid_values, fast.grid_values, rtol=0.0, atol=1e-6)
+    assert (slow.eps_hat, slow.theta_hat.tolist()) == (fast.eps_hat, fast.theta_hat.tolist())

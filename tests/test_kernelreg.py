@@ -159,6 +159,14 @@ def test_estimate_handles_two_dimensional_sets():
     np.testing.assert_allclose(hi, [1.5, 1.5])
 
 
+def test_labeled_sample_rejects_non_finite_input():
+    for x in ([math.nan], [0.0, math.inf], -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            LabeledSetSample(x, interval(0.0, 1.0))
+    with pytest.raises(ValueError, match="finite"):  # the same rule as the array constructor
+        SetRegressionDataset.from_boxes([[math.nan]], [[0.0]], [[1.0]])
+
+
 def test_dataset_validation():
     with pytest.raises(ValueError):
         SetRegressionDataset([])
@@ -358,21 +366,6 @@ def test_windowed_estimate_without_local_mass_raises():
                 estimate(ds, kernel, u, h)
             with pytest.raises(NoLocalDataError):
                 kernel_weights(kernel, ds.inputs, u, h)
-
-
-def test_windowed_estimate_skips_non_finite_inputs_like_the_full_scan():
-    # LabeledSetSample admits nan and inf inputs; the kernel gives them weight 0
-    xs = [0.1, math.nan, -0.2, math.inf, 0.3, -math.inf, 0.1, math.nan]
-    ds = SetRegressionDataset(
-        [LabeledSetSample([x], interval(i, i + 1.5)) for i, x in enumerate(xs)]
-    )
-    for u in (0.0, 0.1, 0.3, -0.2, 5.0):
-        _assert_window_matches_full_scan(ds, [u], 0.35)
-    two = SetRegressionDataset(
-        [LabeledSetSample([x, 0.5 * i], Box([i], [i + 1.0])) for i, x in enumerate(xs)]
-    )
-    for u in ([0.0, 0.0], [0.1, 3.0], [0.3, 2.0]):
-        _assert_window_matches_full_scan(two, u, 0.8)
 
 
 def test_dataset_inputs_are_read_only():

@@ -157,6 +157,25 @@ def test_noise_validation():
 
 
 @pytest.mark.parametrize(
+    "make",
+    [
+        lambda: UniformBoxNoise([math.nan, 0.0], [1.0, 1.0]),
+        lambda: UniformBoxNoise([0.0], [math.inf]),
+        lambda: UniformBallNoise(math.nan, 2),
+        lambda: UniformBallNoise(math.inf, 2),
+        lambda: TriangularNoise(math.nan),
+        lambda: TriangularNoise(math.inf),
+        lambda: TruncatedGaussianNoise([[1.0, math.nan], [math.nan, 1.0]], 1.0),
+        lambda: TruncatedGaussianNoise(np.eye(2), math.nan),
+        lambda: TruncatedGaussianNoise(np.eye(2), math.inf),
+    ],
+)
+def test_noise_laws_reject_non_finite_parameters(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
+@pytest.mark.parametrize(
     "noise",
     [
         UniformBoxNoise([-1.0, 0.0], [2.0, 3.0]),
@@ -292,7 +311,9 @@ def _two_pass_clt(model, n, reps, seed):
     vectors = np.empty((reps, model.body.dim))
     for r in range(reps):
         mean = minkowski_sample_mean(sample_translated_sets(model, n, seed.derive(r)))
-        vectors[r] = math.sqrt(n) * randomsets._difference_vector(mean, expectation)
+        diff = minkowski_diff(mean, expectation)
+        v = randomsets._residual_vector(None if diff is None else bounds_of(diff))
+        vectors[r] = math.sqrt(n) * v
     stats_vals = np.empty(reps)
     for r in range(reps):
         mean = minkowski_sample_mean(sample_translated_sets(model, n, seed.derive(r)))
@@ -736,3 +757,20 @@ def test_affine_map_matches_direct_arithmetic():
     for _ in range(30):
         u = rng.normal(size=2)
         assert math.isclose(support(out, u), support(want, u), abs_tol=1e-9)
+
+
+def test_slln_curve_on_a_polygon_matches_the_per_replicate_chain_bit_for_bit():
+    triangle = VertexPolytope([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]])
+    model = RandomlyTranslatedSet(triangle, UniformBoxNoise([-1.0, -0.5], [1.0, 0.5]))
+    n_values, seed = [4, 30], RngSeed(12, stream=3)
+    points, records = slln_curve(model, n_values, 3, seed)
+    expectation = selection_expectation(model)
+    want = {}
+    for i, n in enumerate(n_values):
+        for r in range(3):
+            family = sample_translated_sets(model, n, seed.derive(1_000_000 * i + r))
+            want[n, r] = hausdorff(minkowski_sample_mean(family), expectation)
+    assert [(n, r) for n, r, _ in records] == [(n, r) for r in range(3) for n in n_values]
+    assert all(np.float64(e).tobytes() == np.float64(want[n, r]).tobytes() for n, r, e in records)
+    means = [float(np.mean([want[n, r] for r in range(3)])) for n in n_values]
+    assert [p.mean_error for p in points] == means
