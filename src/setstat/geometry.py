@@ -131,14 +131,6 @@ def _box_support(lower: np.ndarray, upper: np.ndarray, u: np.ndarray) -> np.ndar
     return np.sum(np.where(u >= 0, upper[..., None, :], lower[..., None, :]) * u, axis=-1)
 
 
-def _ball_support(center: np.ndarray, radius, u: np.ndarray) -> np.ndarray:
-    """Support values of the ball (center, radius) on the rows of u; centers
-    with leading axes (..., d) give (..., m).  The stacked matmul runs one
-    ddot per (center, row) pair, the call of center @ u_i."""
-    dots = np.matmul(u[:, None, :], center[..., None, :, None])[..., 0, 0]
-    return dots + radius * _ddot_norms(u)
-
-
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
     a.flags.writeable = False
@@ -316,7 +308,10 @@ class Ball(ConvexSet):
         self.dim = c.shape[0]
 
     def support_many(self, dirs) -> np.ndarray:
-        return _ball_support(self.center, self.radius, _as_directions(dirs, self.dim))
+        # the stacked matmul runs one ddot per row, the call of center @ u_i
+        u = _as_directions(dirs, self.dim)
+        dots = np.matmul(u[:, None, :], self.center[None, :, None])[..., 0, 0]
+        return dots + self.radius * _ddot_norms(u)
 
     def support_point(self, u) -> np.ndarray:
         u = _as_vector(u, self.dim)
@@ -792,16 +787,6 @@ def _box_erosion(clo, chi, dlo, dhi, tol):
     return np.minimum(lo, hi), np.maximum(lo, hi)
 
 
-def _ball_erosion(cc, cr: float, dc, dr: float, tol):
-    """(center, radius) of the ball erosion B(cc, cr) - B(dc, dr), or None if
-    it is empty beyond tol.  Centers may carry leading axes, with tol
-    broadcast against them."""
-    r = cr - dr
-    if np.any(r < -tol):
-        return None
-    return cc - dc, max(r, 0.0)
-
-
 def minkowski_diff(c: ConvexSet, d: ConvexSet, n_directions: int = 360) -> ConvexSet | None:
     """Minkowski difference (erosion) C - D = {x : x + D subset of C}.
 
@@ -815,8 +800,8 @@ def minkowski_diff(c: ConvexSet, d: ConvexSet, n_directions: int = 360) -> Conve
         box = _box_erosion(c.lower, c.upper, d.lower, d.upper, _erosion_tol(c, d))
         return None if box is None else Box(*box)
     if isinstance(c, Ball) and isinstance(d, Ball):
-        ball = _ball_erosion(c.center, c.radius, d.center, d.radius, _erosion_tol(c, d))
-        return None if ball is None else Ball(*ball)
+        r = c.radius - d.radius
+        return None if r < -_erosion_tol(c, d) else Ball(c.center - d.center, max(r, 0.0))
     if dim == 1:
         box = _box_erosion(*bounds_of(c), *bounds_of(d), _erosion_tol(c, d))
         return None if box is None else Box(*box)
@@ -1165,18 +1150,6 @@ def _box_directed_hausdorff(plo, phi, qlo, qhi):
     return np.sqrt(np.add.reduce(gap * gap, axis=-1))
 
 
-def _ball_hausdorff(cc, cr, dc, dr):
-    """Hausdorff distance of the balls B(cc, cr) and B(dc, dr); centers may
-    carry leading axes."""
-    return _ddot_norms(cc - dc) + abs(cr - dr)
-
-
-def _interval_hausdorff(clo, chi, dlo, dhi):
-    """Hausdorff distance of the 1-D sets with bounds [clo, chi] and
-    [dlo, dhi]; bounds may carry leading axes, (..., 1) gives (...)."""
-    return np.maximum(np.abs(clo[..., 0] - dlo[..., 0]), np.abs(chi[..., 0] - dhi[..., 0]))
-
-
 def hausdorff(c: ConvexSet, d: ConvexSet, n_directions: int = 360) -> float:
     """Hausdorff distance between two compact convex sets.
 
@@ -1199,12 +1172,13 @@ def hausdorff(c: ConvexSet, d: ConvexSet, n_directions: int = 360) -> float:
     """
     dim = _check_same_dim(c, d)
     if dim == 1:
-        return _interval_hausdorff(*bounds_of(c), *bounds_of(d))
+        (clo, chi), (dlo, dhi) = bounds_of(c), bounds_of(d)
+        return np.maximum(np.abs(clo[0] - dlo[0]), np.abs(chi[0] - dhi[0]))
     if isinstance(c, Box) and isinstance(d, Box):
         cb, db = (c.lower, c.upper), (d.lower, d.upper)
         return float(max(_box_directed_hausdorff(*cb, *db), _box_directed_hausdorff(*db, *cb)))
     if isinstance(c, Ball) and isinstance(d, Ball):
-        return float(_ball_hausdorff(c.center, c.radius, d.center, d.radius))
+        return float(_ddot_norms(c.center - d.center) + abs(c.radius - d.radius))
     vertex_kinds = (VertexPolytope, Box)
     if isinstance(c, vertex_kinds) and isinstance(d, vertex_kinds):
         vc = vertices_of(c)

@@ -52,17 +52,6 @@ __all__ = [
     "worker_count",
 ]
 
-EXPERIMENT_KINDS = (
-    "sets-demo",
-    "slln",
-    "clt",
-    "kernel-fit",
-    "invopt-fit",
-    "compare-estimators",
-    "gen-data",
-)
-
-
 class ConfigError(ValueError):
     """Invalid experiment configuration; message names the offending field."""
 
@@ -170,11 +159,12 @@ PRESETS: dict[str, dict] = {
         "noise_radius": 3.0,
     },
 }
+EXPERIMENT_KINDS = tuple(PRESETS)
 
 _SCALAR_TYPES = {
-    "n": int,
-    "replicates": int,
-    "n_directions": int,
+    "n": randomsets._integral,
+    "replicates": randomsets._integral,
+    "n_directions": randomsets._integral,
     "eps0": float,
     "theta0": float,
     "noise_radius": float,
@@ -194,17 +184,10 @@ _RANGES = (("eps_lo", "eps_hi"), ("theta_lo", "theta_hi"), ("w_lo", "w_hi"), ("l
 _ESTIMATORS = ("abp", "mle", "via", "kkt", "presmooth")
 
 
-def _coerce(name: str, kind: type, value):
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"parameter {name!r} must be {kind.__name__}") from None
-
-
 def _parse_field(name: str, parse, value):
     try:
         return parse(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"parameter {name!r}: {exc}") from None
 
 
@@ -225,7 +208,7 @@ def _validate_params(kind: str, params: dict) -> dict:
             for k2, v2 in value.items():
                 if k2 not in sub:
                     raise ConfigError(f"unknown field {key}.{k2}")
-                sub[k2] = _coerce(f"{key}.{k2}", float, v2)
+                sub[k2] = _parse_field(f"{key}.{k2}", float, v2)
             for k2 in ("step", "d_eps", "d_theta"):  # grid steps
                 if k2 in sub and not sub[k2] > 0:
                     raise ConfigError(f"parameter '{key}.{k2}' must be positive")
@@ -237,16 +220,16 @@ def _validate_params(kind: str, params: dict) -> dict:
             merged[key] = value
     for key, value in merged.items():
         if key in _SCALAR_TYPES and value is not None:
-            merged[key] = _coerce(key, _SCALAR_TYPES[key], value)
+            merged[key] = _parse_field(key, _SCALAR_TYPES[key], value)
             if key in _POSITIVE_FIELDS and merged[key] <= 0:
                 raise ConfigError(f"parameter {key!r} must be positive")
     if "n_values" in merged:
         vals = merged["n_values"]
         try:
-            counts = [int(v) for v in vals]
+            counts = [randomsets._integral(v) for v in vals]
         except (TypeError, ValueError):
             counts = []
-        if not isinstance(vals, list) or not counts or min(counts) <= 0 or vals != sorted(counts):
+        if not isinstance(vals, list) or not counts or min(counts) <= 0 or counts != sorted(counts):
             raise ConfigError("parameter 'n_values' must be an increasing list of positive counts")
         merged["n_values"] = counts
     if merged.get("lam") is not None and merged["lam"] < 0:
@@ -267,6 +250,17 @@ def _validate_params(kind: str, params: dict) -> dict:
         for est in merged["estimators"]:
             if est not in _ESTIMATORS:
                 raise ConfigError(f"unknown estimator {est!r} in 'estimators'")
+    quadratic = merged.get("program") == "box-quadratic"
+    if quadratic and merged.get("estimator") == "presmooth":
+        raise ConfigError("parameter 'estimator': presmooth needs the box-linear program")
+    if quadratic and "presmooth" in merged.get("estimators", []):
+        raise ConfigError("parameter 'estimators': presmooth needs the box-linear program")
+    window = merged.get("slope_window", [0, 0])  # slln only
+    numbers = isinstance(window, list) and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) < np.inf for v in window
+    )
+    if not (numbers and len(window) == 2 and window[0] <= window[1]):
+        raise ConfigError("parameter 'slope_window' must be two finite numbers lo <= hi")
     if "dataset" in merged and merged["dataset"] not in (
         "set-regression", "box-linear", "box-quadratic",
     ):
@@ -530,18 +524,13 @@ def _run_sets_demo(config, emit):
         "box": Box([-1.0, -1.0], [1.0, 1.0]),
     }
     names = sorted(shapes)
-    rows = []
-    for a in names:
-        for b in names:
-            rows.append(
-                (
-                    a,
-                    b,
-                    hausdorff(shapes[a], shapes[b], nd),
-                    integrated_distance(shapes[a], shapes[b]),
-                )
-            )
+    rows = [
+        (a, b, hausdorff(shapes[a], shapes[b], nd), integrated_distance(shapes[a], shapes[b]))
+        for a in names
+        for b in names
+    ]
     emit.table("distances", ["set_a", "set_b", "hausdorff", "integrated"], rows)
+    dist = {(a, b): h for a, b, h, _ in rows}
 
     square, box = shapes["square"], shapes["box"]
     inflated = minkowski_sum(square, box)
@@ -551,11 +540,7 @@ def _run_sets_demo(config, emit):
     metrics = {
         "roundtrip_gap": roundtrip_gap,
         "doubling_gap": doubling_gap,
-        "hausdorff_symmetry_gap": max(
-            abs(hausdorff(shapes[a], shapes[b], nd) - hausdorff(shapes[b], shapes[a], nd))
-            for a in names
-            for b in names
-        ),
+        "hausdorff_symmetry_gap": max(abs(h - dist[b, a]) for (a, b), h in dist.items()),
     }
     checks = {
         "sum_then_erode_roundtrip": roundtrip_gap <= 1e-9,
@@ -641,22 +626,12 @@ def _run_kernel_fit(config, emit):
     count = int(round((grid_spec["hi"] - grid_spec["lo"]) / grid_spec["step"])) + 1
     u_grid = grid_spec["lo"] + grid_spec["step"] * np.arange(count)
 
-    def fit_one(u):
-        truth = kernelreg.demo_truth(float(u))
-        est = kernelreg.estimate(dataset, kernel, u, h)
-        t_lo, t_hi = bounds_of(truth)
-        e_lo, e_hi = bounds_of(est)
-        err = hausdorff(est, truth)
-        return (
-            float(u),
-            float(t_lo[0]),
-            float(t_hi[0]),
-            float(e_lo[0]),
-            float(e_hi[0]),
-            err,
-        )
-
-    rows = [fit_one(u) for u in u_grid]  # a pool does not pay for these scans
+    rows = []
+    for u in u_grid:
+        truth, est = kernelreg.demo_truth(float(u)), kernelreg.estimate(dataset, kernel, u, h)
+        (t_lo, t_hi), (e_lo, e_hi) = bounds_of(truth), bounds_of(est)
+        rows.append((float(u), float(t_lo[0]), float(t_hi[0]), float(e_lo[0]), float(e_hi[0]),
+                     hausdorff(est, truth)))
     emit.table(
         "fit",
         ["u", "truth_lo", "truth_hi", "est_lo", "est_hi", "hausdorff"],

@@ -277,8 +277,6 @@ def sq_dist_to_inflated_set(prog, y, u, eps, theta, w_set: ConvexSet,
     bisection-based projection onto the membership set (approximate,
     tolerance recorded in the signature).
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
     y = np.atleast_1d(np.asarray(y, dtype=float))
     s = eps_argmin_set(prog, u, eps, theta)
     if isinstance(s, ConvexSet):
@@ -459,9 +457,9 @@ def _penalty(lam, dataset) -> float:
 
 def abp_objective(prog, dataset: ObservationDataset, eps, theta, lam,
                   w_set: ConvexSet) -> float:
-    """(1/n) sum_i d^2(y_i, S(u_i, eps, theta) + W) + lam * eps."""
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    """(1/n) sum_i d^2(y_i, S(u_i, eps, theta) + W) + lam * eps, where
+    lam = None means 1/n."""
+    lam = _penalty(lam, dataset)
     total = 0.0
     for u, y in zip(dataset.us, dataset.ys):
         total += sq_dist_to_inflated_set(prog, y, u, eps, theta, w_set)
@@ -654,8 +652,6 @@ def mle_objective(prog, dataset: ObservationDataset, eps, theta, density) -> flo
     Equals -(1/n) sum log integral_S f_W(y_i - x) dx + (1/n) sum log |S_i|;
     any zero integral (or zero-width S) returns the +inf sentinel.
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
     total = 0.0
     for u, y in zip(dataset.us, dataset.ys):
         s = eps_argmin_set(prog, u, eps, theta)

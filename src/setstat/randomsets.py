@@ -30,7 +30,6 @@ import numpy as np
 
 from . import geometry
 from .geometry import (
-    Ball,
     Box,
     ConvexSet,
     TranslatedFamily,
@@ -143,6 +142,14 @@ class UniformBoxNoise(NoiseDistribution):
         return rng.uniform(self.lower, self.upper, size=(n, self.dim))
 
 
+def _integral(value, what: str = "value") -> int:
+    """int(value) for an integral number or digit string: 3, 3.0 and "3"
+    give 3; a bool, a fraction, an infinity or a NaN raises ValueError."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 class UniformBallNoise(NoiseDistribution):
     """Uniform on a centered Euclidean ball."""
 
@@ -150,7 +157,9 @@ class UniformBallNoise(NoiseDistribution):
         if not 0 <= radius < math.inf:
             raise ValueError("radius must be finite and nonnegative")
         self.radius = float(radius)
-        self.dim = int(dim)
+        self.dim = _integral(dim, "dim")
+        if self.dim < 1:
+            raise ValueError("dim must be at least 1")
 
     @property
     def mean(self) -> np.ndarray:
@@ -346,8 +355,9 @@ def slln_curve(
     Returns summary points (n, mean error over replicates) plus the flat
     (n, replicate, error) records, replicate-major.  Replicate r at size
     index i draws from the derived stream seed.derive(1_000_000 * i + r).
-    The errors are the distances of _mean_residuals, one call per n, so
-    every replicate also checks that its residual erosion is a singleton.
+    The errors are the distances of _mean_residuals, one call per n (a
+    draw block for Box bodies, the one-set chain for others), so every
+    replicate also checks that its residual erosion is a singleton.
     """
     errors = np.array([
         _mean_residuals(model, n, seed, range(1_000_000 * i, 1_000_000 * i + replicates))[1]
@@ -386,37 +396,30 @@ def _mean_residuals(
     seed.derive(offsets[r]); an erosion that is not a singleton raises
     InternalConsistencyError.
 
-    Polytope and zonotope bodies run the one-set chain per replicate: their
-    erosion runs the 2-D halfplane routine, whose bits a batched form would
-    not keep.  Box and Ball bodies build no set objects: the draws of k
-    replicates fill one (k, n, d) block, and each step runs over its leading
-    replicate axis with the chain's bits: the means are one dgemv per
-    replicate, np.matmul of w against body + draws as in
-    weighted_minkowski_average; the erosion, its bounds and the distance are
-    geometry's own array closed forms, in minkowski_diff's and hausdorff's
-    dispatch order (1-D sets first).
+    Bodies other than boxes run the one-set chain per replicate.  Box bodies
+    build no set objects: the draws of k replicates fill one (k, n, d)
+    block, and each step runs over its leading replicate axis with the
+    chain's bits: the means are one dgemv per replicate, np.matmul of w
+    against body + draws as in weighted_minkowski_average; the erosion, its
+    bounds and the distance are geometry's box closed forms.  In 1-D the
+    box distance sqrt(max gap**2) is hausdorff's interval form max |gap|:
+    sqrt(fl(x * x)) = |x| for the endpoint gaps, and rounding is monotone.
     """
     if n < 1:
         raise ValueError("need n >= 1 samples")
     body, d = model.body, model.body.dim
     e = selection_expectation(model)
     vectors, dists = np.empty((len(offsets), d)), np.empty(len(offsets))
-    if not isinstance(body, (Box, Ball)):
+    if not isinstance(body, Box):
         for r, j in enumerate(offsets):
             mean_set = minkowski_sample_mean(sample_translated_sets(model, n, seed.derive(j)))
             diff = minkowski_diff(mean_set, e)
             vectors[r] = _residual_vector(None if diff is None else bounds_of(diff))
             dists[r] = hausdorff(mean_set, e)
         return vectors, dists
-    box = isinstance(body, Box)
-    if box:
-        support, erode, ep = geometry._box_support, geometry._box_erosion, (e.lower, e.upper)
-    else:
-        support, erode, ep = geometry._ball_support, geometry._ball_erosion, (e.center, e.radius)
     axes = geometry._signed_axes(d)
     e_bound = geometry._max_abs_bound(e)
     w = np.full(n, 1.0 / n)
-    radius = None if box else float(w @ np.full(n, body.radius))  # the same for every mean
     k = max(1, _BLOCK_ELEMENTS // (n * d))
     xi = np.empty((min(k, len(offsets)), n, d))
     for start in range(0, len(offsets), k):
@@ -425,26 +428,17 @@ def _mean_residuals(
         for row, j in zip(block, chunk):
             row[...] = model.noise.sample(seed.derive(j).generator(), n)
         wk = np.broadcast_to(w, (len(chunk), 1, n))
-        if box:
-            mp = (np.matmul(wk, body.lower + block)[:, 0], np.matmul(wk, body.upper + block)[:, 0])
-        else:
-            mp = (np.matmul(wk, body.center + block)[:, 0], radius)
-        hm = support(*mp, axes)  # on the signed axes: the means' bounds, as bounds_of reads them
+        lo, hi = np.matmul(wk, body.lower + block)[:, 0], np.matmul(wk, body.upper + block)[:, 0]
+        hm = geometry._box_support(lo, hi, axes)  # the means' bounds, as bounds_of reads them
         if not np.isfinite(hm).all():
             raise ValueError("vector entries must be finite")
         tol = geometry._erosion_slack(np.abs(hm).max(axis=-1), e_bound)
-        diff = erode(*mp, *ep, tol[:, None])
-        h = None if diff is None else support(*diff, axes)
+        diff = geometry._box_erosion(lo, hi, e.lower, e.upper, tol[:, None])
+        h = None if diff is None else geometry._box_support(*diff, axes)
         rows = slice(start, start + len(chunk))
         vectors[rows] = _residual_vector(None if h is None else geometry._axis_bounds(h))
-        if d == 1:
-            e_bounds = geometry._axis_bounds(support(*ep, axes))
-            dists[rows] = geometry._interval_hausdorff(*geometry._axis_bounds(hm), *e_bounds)
-        elif box:
-            fwd = geometry._box_directed_hausdorff(*mp, *ep)
-            dists[rows] = np.maximum(fwd, geometry._box_directed_hausdorff(*ep, *mp))
-        else:
-            dists[rows] = geometry._ball_hausdorff(*mp, *ep)
+        fwd = geometry._box_directed_hausdorff(lo, hi, e.lower, e.upper)
+        dists[rows] = np.maximum(fwd, geometry._box_directed_hausdorff(e.lower, e.upper, lo, hi))
     return vectors, dists
 
 
@@ -457,9 +451,8 @@ def clt_replicates(
     Minkowski mean M once; _mean_residuals gives v, {v} = M - E(X), and
     Hausdorff(M, E(X)), which for translated sets is the norm of v.  Returns
     the (replicates, d) vectors sqrt(n) v and the (replicates,) statistics
-    sqrt(n) Hausdorff(M, E(X)).  Box and Ball bodies hold at most
-    _BLOCK_ELEMENTS (2**16) draws at once, so memory does not grow with
-    replicates.
+    sqrt(n) Hausdorff(M, E(X)).  Box bodies hold at most _BLOCK_ELEMENTS
+    (2**16) draws at once, so memory does not grow with replicates.
     """
     root_n = math.sqrt(n)
     vectors, dists = _mean_residuals(model, n, seed, range(replicates))

@@ -166,6 +166,7 @@ def test_config_rejects_bad_values():
         ("invopt-fit", {"lam": "x"}),
         ("invopt-fit", {"h": "x"}),
         ("kernel-fit", {"h": "x"}),
+        ("kernel-fit", {"h": 10**400}),  # an int too large for a float
         ("kernel-fit", {"kernel": ["x"]}),
         ("kernel-fit", {"u_grid": {"step": 0}}),
         ("kernel-fit", {"u_grid": {"step": -0.1}}),
@@ -180,6 +181,41 @@ def test_config_rejects_bad_values():
     ]:
         with pytest.raises(ConfigError):
             config_from_dict({"kind": kind, "params": params})
+
+
+def test_config_counts_must_be_integral():
+    for value in (3, 3.0, "3"):
+        cfg = config_from_dict({"kind": "clt", "params": {"n": value, "replicates": value}})
+        assert cfg.params["n"] == cfg.params["replicates"] == 3
+        assert json.dumps(config_to_dict(cfg)["params"]["n"]) == "3"
+    cfg = config_from_dict({"kind": "slln", "params": {"n_values": [10.0, "100"]}})
+    assert json.dumps(cfg.params["n_values"]) == "[10, 100]"
+    ball = {"type": "uniform-ball", "radius": 1.0, "dim": 2.0}
+    assert config_from_dict({"kind": "clt", "params": {"noise": ball}}).params["noise"]["dim"] == 2
+    for kind, params, field in [
+        ("clt", {"n": 2.7}, "'n'"),
+        ("clt", {"n": True}, "'n'"),
+        ("clt", {"n": float("inf")}, "'n'"),
+        ("clt", {"n": float("nan")}, "'n'"),
+        ("clt", {"replicates": 9.5}, "'replicates'"),
+        ("slln", {"replicates": False}, "'replicates'"),
+        ("sets-demo", {"n_directions": 360.5}, "'n_directions'"),
+        ("slln", {"n_values": [10, 100.5]}, "'n_values'"),
+        ("slln", {"n_values": [True, 10]}, "'n_values'"),
+        ("clt", {"noise": dict(ball, dim=2.7)}, "'noise': dim"),
+        ("clt", {"noise": dict(ball, dim=True)}, "'noise': dim"),
+    ]:
+        with pytest.raises(ConfigError, match=field):
+            config_from_dict({"kind": kind, "params": params})
+
+
+def test_config_validates_the_slope_window():
+    for window in ("ab", [1], [1, 2, 3], [-0.3, -0.6], [None, 1], ["-1", "0"],
+                   [float("nan"), 0], [0, float("inf")], [True, True], {"lo": 0}):
+        with pytest.raises(ConfigError, match="slope_window"):
+            config_from_dict({"kind": "slln", "params": {"slope_window": window}})
+    cfg = config_from_dict({"kind": "slln", "params": {"slope_window": [-1, 0.5]}})
+    assert json.dumps(config_to_dict(cfg)["params"]["slope_window"]) == "[-1, 0.5]"  # as given
 
 
 def test_config_seed_shorthand():
@@ -456,6 +492,23 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
         path5 = tmp_path / "bad_model.json"
         path5.write_text(f'{{"kind": "clt", "params": {params}, "out": "{tmp_path / "clt"}"}}')
         assert cli.main(["clt", "--config", str(path5)]) == 2, params
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err, (params, err)
+    # values a run would fail on or truncate are config errors too
+    for kind, params, field in [
+        ("invopt-fit", {"program": "box-quadratic", "estimator": "presmooth", "n": 20},
+         "'estimator'"),
+        ("compare-estimators", {"program": "box-quadratic", "estimators": ["abp", "presmooth"],
+                                "n_values": [10], "replicates": 1}, "'estimators'"),
+        ("clt", {"n": 2.7, "replicates": 20}, "'n'"),
+        ("clt", {"noise": {"type": "uniform-ball", "radius": 1.0, "dim": 2.7},
+                 "replicates": 20}, "'noise'"),
+        ("slln", {"slope_window": "ab", "replicates": 2}, "'slope_window'"),
+        ("slln", {"slope_window": [-0.3, -0.6], "replicates": 2}, "'slope_window'"),
+    ]:
+        path6 = tmp_path / "late_failure.json"
+        path6.write_text(json.dumps({"kind": kind, "params": params, "out": str(tmp_path / kind)}))
+        assert cli.main([kind, "--config", str(path6)]) == 2, params
         err = capsys.readouterr().err
         assert "config error" in err and field in err, (params, err)
 

@@ -97,6 +97,13 @@ def test_uniform_ball_noise_moments_and_support():
     np.testing.assert_allclose(np.cov(x.T), np.eye(2), atol=0.02)
 
 
+def test_uniform_ball_noise_needs_an_integral_dimension():
+    assert UniformBallNoise(1.0, 3.0).dim == 3 and UniformBallNoise(1.0, "2").dim == 2
+    for dim in (2.7, True, 0, -1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="dim"):
+            UniformBallNoise(1.0, dim)
+
+
 def test_triangular_noise_moments_and_support():
     noise = TriangularNoise(3.0)
     assert math.isclose(noise.covariance[0, 0], 1.5)  # a^2/6
@@ -367,14 +374,50 @@ def test_clt_replicates_match_two_pass_reference_bit_for_bit(case, monkeypatch):
         assert 1 < k < 200
         reps += k
     model = RandomlyTranslatedSet(body, noise)
-    if isinstance(body, (Box, Ball)):
-        # the block path builds no per-replicate families
+    if isinstance(body, Box):
+        # the Box block builds no per-replicate families
         monkeypatch.setattr(randomsets, "sample_translated_sets", None)
     vectors, stats_vals = clt_replicates(model, n, reps, RngSeed(17))
     monkeypatch.undo()
     want_vectors, want_stats = _two_pass_clt(model, n, reps, RngSeed(17))
     assert vectors.tobytes() == want_vectors.tobytes()
     assert stats_vals.tobytes() == want_stats.tobytes()
+
+
+@pytest.mark.parametrize("width", [0.0, 1e-9, 1.0], ids=["zero", "1e-9", "unit"])
+@pytest.mark.parametrize("law", ["triangular", "uniform-box"])
+def test_interval_block_matches_the_hausdorff_chain_bit_for_bit(law, width):
+    # the 1-D block takes the box distance sqrt(max gap**2); the chain's
+    # hausdorff takes the interval form max |gap|
+    rng = np.random.default_rng([int(width * 1e9), len(law)])
+    for case in range(12):
+        lo, scale_ = rng.uniform(-2.0, 2.0), rng.uniform(0.5, 2.0)
+        body = interval(lo, lo + width * scale_)
+        a = rng.uniform(0.0, 1.0) if case % 4 else 0.0  # every fourth law is a point mass
+        noise = TriangularNoise(a) if law == "triangular" else UniformBoxNoise([-a], [0.5 * a])
+        model = RandomlyTranslatedSet(body, noise)
+        n, reps = int(rng.integers(1, 60)), int(rng.integers(1, 12))
+        vectors, stats_vals = clt_replicates(model, n, reps, RngSeed(case))
+        want_vectors, want_stats = _two_pass_clt(model, n, reps, RngSeed(case))
+        assert vectors.tobytes() == want_vectors.tobytes(), (case, n, reps)
+        assert stats_vals.tobytes() == want_stats.tobytes(), (case, n, reps)
+
+
+@pytest.mark.parametrize(
+    "body, families",
+    [(Ball([0.25, 0.0], 1.0), 7), (Box([-1.0, -0.5], [1.0, 0.5]), 0)],
+    ids=["ball-runs-the-chain", "box-runs-the-block"],
+)
+def test_only_box_bodies_take_the_draw_block(monkeypatch, body, families):
+    seeds = []
+
+    def spy(model, n, seed):
+        seeds.append(seed)
+        return sample_translated_sets(model, n, seed)
+
+    monkeypatch.setattr(randomsets, "sample_translated_sets", spy)
+    clt_replicates(RandomlyTranslatedSet(body, _SQUARE_NOISE), 40, 7, RngSeed(2))
+    assert seeds == [RngSeed(2).derive(r) for r in range(families)]
 
 
 @pytest.mark.parametrize(
