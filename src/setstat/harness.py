@@ -161,21 +161,30 @@ PRESETS: dict[str, dict] = {
 }
 EXPERIMENT_KINDS = tuple(PRESETS)
 
+
+def _real(value) -> float:
+    """float(value) for a number or numeric string; a bool or a NaN raises
+    ValueError (infinities pass, for the field checks to judge)."""
+    if isinstance(value, bool) or np.isnan(out := float(value)):
+        raise ValueError(f"must be a number (not a bool or NaN), got {value!r}")
+    return out
+
+
 _SCALAR_TYPES = {
     "n": randomsets._integral,
     "replicates": randomsets._integral,
     "n_directions": randomsets._integral,
-    "eps0": float,
-    "theta0": float,
-    "noise_radius": float,
-    "baseline_theta": float,
-    "max_cov_rel_error": float,
-    "max_identity_gap": float,
-    "max_median_error": float,
-    "max_eps_error": float,
-    "max_theta_error": float,
-    "lam": float,
-    "h": float,
+    "eps0": _real,
+    "theta0": _real,
+    "noise_radius": _real,
+    "baseline_theta": _real,
+    "max_cov_rel_error": _real,
+    "max_identity_gap": _real,
+    "max_median_error": _real,
+    "max_eps_error": _real,
+    "max_theta_error": _real,
+    "lam": _real,
+    "h": _real,
 }
 
 _POSITIVE_FIELDS = {"n", "replicates", "n_directions", "noise_radius", "h"}
@@ -208,7 +217,7 @@ def _validate_params(kind: str, params: dict) -> dict:
             for k2, v2 in value.items():
                 if k2 not in sub:
                     raise ConfigError(f"unknown field {key}.{k2}")
-                sub[k2] = _parse_field(f"{key}.{k2}", float, v2)
+                sub[k2] = _parse_field(f"{key}.{k2}", _real, v2)
             for k2 in ("step", "d_eps", "d_theta"):  # grid steps
                 if k2 in sub and not sub[k2] > 0:
                     raise ConfigError(f"parameter '{key}.{k2}' must be positive")
@@ -291,15 +300,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError("'params' must be an object")
     params = _validate_params(kind, params)
     seed_spec = data.get("seed", {"seed": 0, "stream": 0})
-    if isinstance(seed_spec, int):
-        seed_spec = {"seed": seed_spec, "stream": 0}
-    if (
-        not isinstance(seed_spec, dict)
-        or set(seed_spec) - {"seed", "stream"}
-        or not isinstance(seed_spec.get("seed", 0), int)
-        or not isinstance(seed_spec.get("stream", 0), int)
-        or seed_spec.get("seed", 0) < 0
-        or seed_spec.get("stream", 0) < 0
+    if not isinstance(seed_spec, dict):
+        seed_spec = {"seed": seed_spec}
+    if set(seed_spec) - {"seed", "stream"} or not all(
+        type(v) is int and v >= 0 for v in seed_spec.values()  # type(True) is bool
     ):
         raise ConfigError("'seed' must be a nonnegative int or {seed, stream} object")
     seed = RngSeed(seed_spec.get("seed", 0), seed_spec.get("stream", 0))

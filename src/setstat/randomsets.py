@@ -23,7 +23,7 @@ Jensen gaps of maps that commute with translation: A (K + s_i) + K0 =
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,6 +101,97 @@ class RngSeed:
         return {"seed": self.seed, "stream": self.stream}
 
 
+# numpy's SeedSequence pool hash (pool size 4, 32-bit words) and PCG64
+# seeding, fixed by numpy's stream-stability policy (NEP 19).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+
+
+def _uint32_words(value: int) -> list[int]:
+    """SeedSequence's little-endian 32-bit words of a nonnegative int."""
+    if value < 0:
+        raise ValueError(f"expected a nonnegative integer, got {value}")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _pool_state_words(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(...).generate_state(8) of each row of a (k, m) uint32
+    entropy array, m >= 4 (run entropy padded to the pool size, then the
+    spawn key), computed for all rows at once with 32-bit wraparound."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> 16)
+
+    pool = [hashmix(entropy[:, i]) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, entropy.shape[1]):
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    out, hash_const = [], _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        out.append(value ^ (value >> 16))
+    return np.stack(out, axis=1)
+
+
+# Streams hashed at once by _derived_generators, which bounds its memory.
+_SEED_CHUNK = 1 << 10
+
+
+def _derived_generators(seed: RngSeed, offsets: range) -> Iterator[np.random.Generator]:
+    """For each j in offsets, a Generator in the state of
+    seed.derive(j).generator(): one Generator, reseeded before each yield,
+    so a replicate must finish its draws before it asks for the next.
+
+    Per _SEED_CHUNK offsets the SeedSequence hash runs once over arrays,
+    one pass per spawn-key word count (keys of 2**32 or more take two
+    words), and each stream's PCG64 (state, inc) pair is set in Python ints
+    as PCG64.__init__ sets it from the four 64-bit words (s, s', q, q') of
+    generate_state: inc = (q << 1) | 1, state = ((inc + s) MULT + inc)
+    mod 2**128 with q = q:q' and s = s:s'.  No SeedSequence, PCG64 or
+    Generator is built per stream.
+    """
+    rng = np.random.Generator(np.random.PCG64(0))
+    run = _uint32_words(seed.seed)
+    run += [0] * (4 - len(run))  # as SeedSequence pads run entropy before a spawn key
+    for start in range(0, len(offsets), _SEED_CHUNK):
+        keys = [_uint32_words(seed.stream + j) for j in offsets[start : start + _SEED_CHUNK]]
+        words = np.empty((len(keys), 8), dtype=np.uint32)
+        for size in {len(key) for key in keys}:
+            rows = [r for r, key in enumerate(keys) if len(key) == size]
+            words[rows] = _pool_state_words(np.array([run + keys[r] for r in rows], np.uint32))
+        for s_hi, s_lo, q_hi, q_lo in words.astype("<u4").view("<u8").tolist():
+            inc = ((q_hi << 65) | (q_lo << 1) | 1) & _MASK128
+            state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+            rng.bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield rng
+
+
 class NoiseDistribution:
     """Bounded-support noise with closed-form mean and covariance."""
 
@@ -119,14 +210,21 @@ class NoiseDistribution:
 
 
 class UniformBoxNoise(NoiseDistribution):
-    """Uniform on an axis-aligned box (degenerate widths give point mass)."""
+    """Uniform on an axis-aligned box (degenerate widths give point mass).
+
+    A draw is lower + (upper - lower) * u for u from rng.random, the same
+    per-element operations, in the same order, as rng.uniform(lower, upper),
+    so the two agree bit for bit.  The widths upper - lower must be finite.
+    """
 
     def __init__(self, lower, upper):
         lo = np.atleast_1d(np.asarray(lower, dtype=float))
         hi = np.atleast_1d(np.asarray(upper, dtype=float))
-        finite = np.isfinite(lo).all() and np.isfinite(hi).all()
-        if lo.shape != hi.shape or lo.ndim != 1 or not finite or np.any(lo > hi):
-            raise ValueError("need finite lower <= upper vectors of equal length")
+        shaped = lo.shape == hi.shape and lo.ndim == 1
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN widths are refused
+            finite = shaped and np.isfinite(hi - lo).all()
+        if not finite or np.any(lo > hi):
+            raise ValueError("need lower <= upper vectors of equal length with finite widths")
         self.lower, self.upper = lo, hi
         self.dim = lo.shape[0]
 
@@ -139,7 +237,7 @@ class UniformBoxNoise(NoiseDistribution):
         return np.diag((self.upper - self.lower) ** 2 / 12.0)
 
     def sample(self, rng, n):
-        return rng.uniform(self.lower, self.upper, size=(n, self.dim))
+        return self.lower + (self.upper - self.lower) * rng.random((n, self.dim))
 
 
 def _integral(value, what: str = "value") -> int:
@@ -397,13 +495,15 @@ def _mean_residuals(
     InternalConsistencyError.
 
     Bodies other than boxes run the one-set chain per replicate.  Box bodies
-    build no set objects: the draws of k replicates fill one (k, n, d)
-    block, and each step runs over its leading replicate axis with the
-    chain's bits: the means are one dgemv per replicate, np.matmul of w
-    against body + draws as in weighted_minkowski_average; the erosion, its
-    bounds and the distance are geometry's box closed forms.  In 1-D the
-    box distance sqrt(max gap**2) is hausdorff's interval form max |gap|:
-    sqrt(fl(x * x)) = |x| for the endpoint gaps, and rounding is monotone.
+    build no set objects and no per-replicate generator: the draws of k
+    replicates, each from the stream of seed.derive(offsets[r]) as
+    _derived_generators seeds it, fill one (k, n, d) block, and each step
+    runs over its leading replicate axis with the chain's bits: the means
+    are one dgemv per replicate, np.matmul of w against body + draws as in
+    weighted_minkowski_average; the erosion, its bounds and the distance
+    are geometry's box closed forms.  In 1-D the box distance
+    sqrt(max gap**2) is hausdorff's interval form max |gap|: sqrt(fl(x * x))
+    = |x| for the endpoint gaps, and rounding is monotone.
     """
     if n < 1:
         raise ValueError("need n >= 1 samples")
@@ -422,11 +522,12 @@ def _mean_residuals(
     w = np.full(n, 1.0 / n)
     k = max(1, _BLOCK_ELEMENTS // (n * d))
     xi = np.empty((min(k, len(offsets)), n, d))
+    rngs = _derived_generators(seed, offsets)
     for start in range(0, len(offsets), k):
         chunk = offsets[start : start + k]
         block = xi[: len(chunk)]
-        for row, j in zip(block, chunk):
-            row[...] = model.noise.sample(seed.derive(j).generator(), n)
+        for row, rng in zip(block, rngs):
+            row[...] = model.noise.sample(rng, n)
         wk = np.broadcast_to(w, (len(chunk), 1, n))
         lo, hi = np.matmul(wk, body.lower + block)[:, 0], np.matmul(wk, body.upper + block)[:, 0]
         hm = geometry._box_support(lo, hi, axes)  # the means' bounds, as bounds_of reads them
@@ -452,7 +553,8 @@ def clt_replicates(
     Hausdorff(M, E(X)), which for translated sets is the norm of v.  Returns
     the (replicates, d) vectors sqrt(n) v and the (replicates,) statistics
     sqrt(n) Hausdorff(M, E(X)).  Box bodies hold at most _BLOCK_ELEMENTS
-    (2**16) draws at once, so memory does not grow with replicates.
+    (2**16) draws and hash at most _SEED_CHUNK (2**10) seeds at once, so
+    memory does not grow with replicates.
     """
     root_n = math.sqrt(n)
     vectors, dists = _mean_residuals(model, n, seed, range(replicates))

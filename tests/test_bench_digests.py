@@ -1,10 +1,13 @@
-"""Output digests of the four benchmark workloads at seed 0.
+"""Output digests of the four benchmark workloads and the presets at seed 0.
 
 Each workload runs once and its digest is compared with the one recorded in
 perfbench/reference.json, so a change that moves output bits fails here
-before the benchmark runs.  The reference holds for one environment stamp
-(Python, numpy, scipy, BLAS build and core, SIMD features); under another
-stamp the comparison is skipped.  Nothing under perfbench/ is written.
+before the benchmark runs; each harness preset runs once and the sha256 of
+every file it writes is compared with the reference's "presets" entry, as
+`perfbench/run.py --check-presets` does.  The reference holds for one
+environment stamp (Python, numpy, scipy, BLAS build and core, SIMD
+features); under another stamp the comparison is skipped.  Nothing under
+perfbench/ is written.
 """
 
 import json
@@ -17,18 +20,32 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
 import env  # noqa: E402
+import run  # noqa: E402
 import workloads  # noqa: E402
+
+from setstat import harness  # noqa: E402
 
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
 
 
-@pytest.mark.parametrize("name", workloads.WORKLOAD_NAMES)
-def test_workload_digest_matches_reference_at_seed_0(name, monkeypatch, tmp_path):
+def _skip_under_another_stamp():
     if env.stamp()["digest_keys"] != REFERENCE["digest_keys"]:
         pytest.skip("reference digests were recorded under another environment stamp")
+
+
+@pytest.mark.parametrize("name", workloads.WORKLOAD_NAMES)
+def test_workload_digest_matches_reference_at_seed_0(name, monkeypatch, tmp_path):
+    _skip_under_another_stamp()
     # outputs go to the relative .bench_out/ the reference was recorded with,
     # since summary.json records that path
     monkeypatch.chdir(tmp_path)
     outcome = workloads.prepare(name, 0).run()
     assert outcome.correct
     assert outcome.digest == REFERENCE["workloads"][name]["0"]
+
+
+@pytest.mark.parametrize("kind", list(harness.PRESETS))
+def test_preset_file_digests_match_reference_at_seed_0(kind, monkeypatch, tmp_path):
+    _skip_under_another_stamp()
+    monkeypatch.chdir(tmp_path)  # the reference ran in .bench_out/presets/<kind>
+    assert run.preset_digests(harness, kind) == REFERENCE["presets"][kind]

@@ -150,6 +150,11 @@ def test_config_rejects_bad_values():
         config_from_dict({"kind": "slln", "seed": -1})
     with pytest.raises(ConfigError):
         config_from_dict({"kind": "slln", "seed": {"seed": 0, "phase": 1}})
+    # bools are ints to isinstance, but not seeds
+    for seed in (True, False, {"seed": True}, {"stream": True}, {"seed": 0, "stream": False},
+                 2.0, {"seed": "3"}):
+        with pytest.raises(ConfigError, match="'seed'"):
+            config_from_dict({"kind": "gen-data", "seed": seed})
     with pytest.raises(ConfigError):
         config_from_dict({"kind": "slln", "formats": ["yaml"]})
     with pytest.raises(ConfigError):
@@ -181,6 +186,29 @@ def test_config_rejects_bad_values():
     ]:
         with pytest.raises(ConfigError):
             config_from_dict({"kind": kind, "params": params})
+
+    # float fields refuse bools and NaN, and name the field
+    nan = float("nan")
+    for kind, params, field in [
+        ("kernel-fit", {"h": True}, "'h'"),
+        ("kernel-fit", {"max_median_error": nan}, "'max_median_error'"),
+        ("kernel-fit", {"max_median_error": False}, "'max_median_error'"),
+        ("kernel-fit", {"u_grid": {"lo": True}}, "'u_grid.lo'"),
+        ("invopt-fit", {"lam": nan}, "'lam'"),
+        ("invopt-fit", {"eps0": "nan"}, "'eps0'"),
+        ("invopt-fit", {"prior": {"w_hi": nan}}, "'prior.w_hi'"),
+        ("invopt-fit", {"prior": {"eps_lo": True}}, "'prior.eps_lo'"),
+        ("compare-estimators", {"baseline_theta": True}, "'baseline_theta'"),
+        ("clt", {"max_cov_rel_error": nan}, "'max_cov_rel_error'"),
+        ("gen-data", {"noise_radius": nan}, "'noise_radius'"),
+        ("clt", {"noise": {"type": "uniform-box", "lower": [-1e308, 0], "upper": [1e308, 1]}},
+         "'noise'"),
+    ]:
+        with pytest.raises(ConfigError, match=field):
+            config_from_dict({"kind": kind, "params": params})
+    # infinities still parse; the field checks judge them as before
+    cfg = config_from_dict({"kind": "kernel-fit", "params": {"max_median_error": "inf"}})
+    assert cfg.params["max_median_error"] == float("inf")
 
 
 def test_config_counts_must_be_integral():
@@ -505,12 +533,22 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
                  "replicates": 20}, "'noise'"),
         ("slln", {"slope_window": "ab", "replicates": 2}, "'slope_window'"),
         ("slln", {"slope_window": [-0.3, -0.6], "replicates": 2}, "'slope_window'"),
+        ("kernel-fit", {"n": 200, "max_median_error": float("nan")}, "'max_median_error'"),
+        ("kernel-fit", {"n": 200, "h": True}, "'h'"),
+        ("clt", {"noise": {"type": "uniform-box", "lower": [-1e308, -1], "upper": [1e308, 1]},
+                 "replicates": 20}, "'noise'"),
     ]:
         path6 = tmp_path / "late_failure.json"
         path6.write_text(json.dumps({"kind": kind, "params": params, "out": str(tmp_path / kind)}))
         assert cli.main([kind, "--config", str(path6)]) == 2, params
         err = capsys.readouterr().err
         assert "config error" in err and field in err, (params, err)
+    for seed in (True, {"seed": 0, "stream": True}):
+        path7 = tmp_path / "bool_seed.json"
+        path7.write_text(json.dumps({"kind": "gen-data", "seed": seed, "params": {"n": 10},
+                                     "out": str(tmp_path / "g")}))
+        assert cli.main(["gen-data", "--config", str(path7)]) == 2, seed
+        assert "'seed'" in capsys.readouterr().err
 
 
 def test_cli_failed_check_exits_1(tmp_path, capsys):

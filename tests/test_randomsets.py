@@ -76,6 +76,46 @@ def test_rng_seed_reproducible_and_streams_distinct():
     assert RngSeed(7, 3).to_dict() == {"seed": 7, "stream": 3}
 
 
+_ENTROPIES = [0, 11, 2**32 - 1, 2**32, 2**64 + 3]
+
+
+def _assert_streams_match_seed_sequence(seed, offsets):
+    rngs = randomsets._derived_generators(seed, offsets)
+    for j, rng in zip(offsets, rngs, strict=True):
+        ss = np.random.SeedSequence(seed.seed, spawn_key=(seed.stream + j,))
+        want = np.random.default_rng(ss)
+        assert rng.bit_generator.state == want.bit_generator.state, (seed, j)
+        assert rng.random() == want.random(), (seed, j)
+
+
+@pytest.mark.parametrize("entropy", _ENTROPIES)
+def test_derived_generators_match_seed_sequence_streams(entropy):
+    for stream, offsets in [
+        (0, range(601)),
+        (3, range(10_000, 10_025)),
+        (0, range(1_000_000, 1_000_025)),
+    ]:
+        _assert_streams_match_seed_sequence(RngSeed(entropy, stream), offsets)
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 10], ids=["chunk-7", "default-chunk"])
+def test_derived_generators_straddle_two_word_spawn_keys(monkeypatch, chunk):
+    # keys from 2**32 on take two uint32 words: a chunk holding both widths
+    # hashes them in two passes and keeps the stream order
+    monkeypatch.setattr(randomsets, "_SEED_CHUNK", chunk)
+    for entropy in _ENTROPIES:
+        _assert_streams_match_seed_sequence(RngSeed(entropy, 2**32 - 10), range(20))
+    _assert_streams_match_seed_sequence(RngSeed(5, 2**64 - 2), range(4))  # three words
+
+
+def test_derived_generators_refuse_negative_seeds_as_seed_sequence_does():
+    for seed in (RngSeed(-1), RngSeed(0, -1)):
+        with pytest.raises(ValueError):
+            seed.generator()
+        with pytest.raises(ValueError):
+            next(randomsets._derived_generators(seed, range(1)))
+
+
 # ------------------------------------------------------------------ noise
 
 
@@ -148,6 +188,35 @@ def test_import_setstat_leaves_scipy_stats_unloaded():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.strip() == "False False"
+
+
+def test_uniform_box_sample_matches_generator_uniform_bit_for_bit():
+    pick = np.random.default_rng(99)
+    cases = [([-0.0, 0.0, -0.0], [0.0, 0.0, -0.0]), ([-1e307], [1e308])]
+    for _ in range(30):
+        d = int(pick.integers(1, 5))
+        lower = pick.normal(size=d) * 10.0 ** pick.integers(-8, 8, size=d)
+        width = np.abs(pick.normal(size=d)) * 10.0 ** pick.integers(-8, 8, size=d)
+        width[pick.random(d) < 0.3] = 0.0
+        cases.append((lower, lower + width))
+    for case, (lower, upper) in enumerate(cases):
+        n = int(pick.integers(1, 300))
+        got = UniformBoxNoise(lower, upper).sample(RngSeed(case).generator(), n)
+        want = RngSeed(case).generator().uniform(lower, upper, size=(n, len(lower)))
+        assert got.tobytes() == want.tobytes(), case
+    # rng.uniform refuses the width -0.0 of [0.0, -0.0]; the law draws its point
+    point = UniformBoxNoise([0.0], [-0.0]).sample(RngSeed(0).generator(), 5)
+    assert point.tobytes() == np.zeros((5, 1)).tobytes()
+
+
+def test_uniform_box_noise_refuses_widths_that_overflow():
+    # rng.uniform raises OverflowError on such bounds; the affine draw would
+    # return infinities, so the law refuses them
+    for lower, upper in [([-1e308], [1e308]), ([0.0, -1e308], [1.0, 1.7e308])]:
+        with pytest.raises(ValueError, match="finite widths"):
+            UniformBoxNoise(lower, upper)
+        with pytest.raises(ValueError, match="finite widths"):
+            noise_from_dict({"type": "uniform-box", "lower": lower, "upper": upper})
 
 
 def test_noise_validation():
