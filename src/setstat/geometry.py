@@ -64,6 +64,17 @@ __all__ = [
 HULL_COLLINEARITY_TOL = 1e-12
 
 _SUPPORT_GAP_TOL = 1e-10
+_CONTAINS_TOL = 1e-9
+
+# Directions of every sampled path: balls, d > 2 sums and erosions, hausdorff, law checks.
+_N_DIRECTIONS = 360
+
+# The point grid and Laguerre nodes of integrated_distance.
+_DISTANCE_RADII = 64
+_DISTANCE_ANGLES = 64
+_DISTANCE_POINTS_1D = 128
+_DISTANCE_QUADRATURE = 32
+_DISTANCE_R_CUTOFF = 20.0
 
 # Iteration caps of the projection solvers; reaching one raises SolverLimitError
 # (the planar zonotope loop hands over to the exact _zonotope_bvls instead).
@@ -470,13 +481,13 @@ def _is_singleton(c: ConvexSet) -> np.ndarray | None:
     return None
 
 
-def _to_vertex_polytope(c: ConvexSet, n_directions: int) -> VertexPolytope:
+def _to_vertex_polytope(c: ConvexSet) -> VertexPolytope:
     """Vertex form of a set of dimension two or more; exact except for balls
-    of positive radius, which are sampled on a direction grid."""
+    of positive radius, which are sampled on _N_DIRECTIONS directions."""
     if isinstance(c, VertexPolytope):
         return c
     if isinstance(c, Ball) and c.radius > 0.0:
-        return VertexPolytope(c.center + c.radius * direction_grid(c.dim, n_directions))
+        return VertexPolytope(c.center + c.radius * direction_grid(c.dim, _N_DIRECTIONS))
     return VertexPolytope(vertices_of(c), prune=False)
 
 
@@ -546,7 +557,7 @@ def _cone_pair_sums(va: np.ndarray, vb: np.ndarray) -> np.ndarray | None:
     return va[i] + vb[j]
 
 
-def minkowski_sum(a: ConvexSet, b: ConvexSet, n_directions: int = 360) -> ConvexSet:
+def minkowski_sum(a: ConvexSet, b: ConvexSet) -> ConvexSet:
     """Minkowski sum A + B.
 
     Matching variants use closed forms (boxes add bounds, balls add radii,
@@ -586,24 +597,24 @@ def minkowski_sum(a: ConvexSet, b: ConvexSet, n_directions: int = 360) -> Convex
         (alo, ahi), (blo, bhi) = bounds_of(a), bounds_of(b)
         return Box(alo + blo, ahi + bhi)
     if d == 2 or not (isinstance(a, Ball) or isinstance(b, Ball)):
-        va = _to_vertex_polytope(a, n_directions).vertices
-        vb = _to_vertex_polytope(b, n_directions).vertices
+        va = _to_vertex_polytope(a).vertices
+        vb = _to_vertex_polytope(b).vertices
         sums = _cone_pair_sums(va, vb) if d == 2 else None
         if sums is None:
             sums = (va[:, None, :] + vb[None, :, :]).reshape(-1, d)
         return VertexPolytope(sums)  # pruned for d <= 2, redundant above
     # d > 2 with a positive-radius ball: inner support-sampled polytope
-    dirs = direction_grid(d, n_directions)
+    dirs = direction_grid(d, _N_DIRECTIONS)
     pts = np.array([a.support_point(u) + b.support_point(u) for u in dirs])
     return VertexPolytope(pts, prune=False)
 
 
-def scale(psi, c: ConvexSet, n_directions: int = 360) -> ConvexSet:
+def scale(psi, c: ConvexSet) -> ConvexSet:
     """Image psi * C for a scalar or a matrix psi.
 
     Scalar scaling and matrix images of vertex-based variants are exact;
     matrix images of balls are exact only when the matrix is a scaled
-    isometry, otherwise the ball is sampled on a direction grid.
+    isometry, otherwise the ball is sampled on _N_DIRECTIONS directions.
     """
     p = np.asarray(psi, dtype=float)
     if not np.all(np.isfinite(p)):
@@ -629,7 +640,7 @@ def scale(psi, c: ConvexSet, n_directions: int = 360) -> ConvexSet:
         s2 = q[0, 0]
         if np.allclose(q, s2 * np.eye(c.dim), atol=1e-12):
             return Ball(p @ c.center, c.radius * math.sqrt(max(s2, 0.0)))
-        pts = c.center + c.radius * direction_grid(c.dim, n_directions)
+        pts = c.center + c.radius * direction_grid(c.dim, _N_DIRECTIONS)
         return VertexPolytope(pts @ p.T)  # approximate: sampled boundary
     verts = vertices_of(c)
     return VertexPolytope(verts @ p.T)
@@ -687,14 +698,14 @@ def _family_average(w: np.ndarray, family: TranslatedFamily) -> ConvexSet:
     return scale(float(w.sum()), body).translate(w @ s)
 
 
-def _facets_2d(c: ConvexSet, n_directions: int) -> tuple[np.ndarray, np.ndarray]:
+def _facets_2d(c: ConvexSet) -> tuple[np.ndarray, np.ndarray]:
     """Outer halfplane description A x <= b of a 2-D set.
 
     Exact for polytopes, boxes, and zonotopes; balls are described by
-    n_directions tangent halfplanes (approximate).
+    _N_DIRECTIONS tangent halfplanes (approximate).
     """
     if isinstance(c, Ball) and c.radius > 0.0:
-        dirs = direction_grid(2, n_directions)
+        dirs = direction_grid(2, _N_DIRECTIONS)
         return dirs, dirs @ c.center + c.radius
     v = np.array([c.lower, c.upper]) if isinstance(c, Box) else vertices_of(c)
     if isinstance(c, Box) or v.shape[0] == 1:  # the four axis facets
@@ -787,7 +798,7 @@ def _box_erosion(clo, chi, dlo, dhi, tol):
     return np.minimum(lo, hi), np.maximum(lo, hi)
 
 
-def minkowski_diff(c: ConvexSet, d: ConvexSet, n_directions: int = 360) -> ConvexSet | None:
+def minkowski_diff(c: ConvexSet, d: ConvexSet) -> ConvexSet | None:
     """Minkowski difference (erosion) C - D = {x : x + D subset of C}.
 
     Returns None when the erosion is empty.  Exact for 1-D intervals, box
@@ -806,7 +817,7 @@ def minkowski_diff(c: ConvexSet, d: ConvexSet, n_directions: int = 360) -> Conve
         box = _box_erosion(*bounds_of(c), *bounds_of(d), _erosion_tol(c, d))
         return None if box is None else Box(*box)
     if dim == 2:
-        a, b = _facets_2d(c, n_directions)
+        a, b = _facets_2d(c)
         bt = b - d.support_many(a)
         verts = _halfplane_vertices(a, bt, 1e-9 * (1.0 + np.max(np.abs(bt))))
         return None if verts is None else VertexPolytope(verts)
@@ -814,7 +825,7 @@ def minkowski_diff(c: ConvexSet, d: ConvexSet, n_directions: int = 360) -> Conve
     from scipy.optimize import linprog
     from scipy.spatial import HalfspaceIntersection
 
-    dirs = direction_grid(dim, max(n_directions, 4 * dim * dim))
+    dirs = direction_grid(dim, max(_N_DIRECTIONS, 4 * dim * dim))
     b = c.support_many(dirs) - d.support_many(dirs)
     norms = np.ones(len(dirs))
     res = linprog(
@@ -852,9 +863,9 @@ def _affine_minimizer(b: np.ndarray) -> np.ndarray:
     return sol[:m]
 
 
-def _min_norm_point(points: np.ndarray, tol: float = _SUPPORT_GAP_TOL) -> np.ndarray:
+def _min_norm_point(points: np.ndarray) -> np.ndarray:
     """Least-norm point of a convex hull via iterative affine-minimizer
-    refinement over active vertex subsets (terminates on support gap <= tol)."""
+    refinement over active vertex subsets (stops at a support gap <= _SUPPORT_GAP_TOL)."""
     pts = np.asarray(points, dtype=float)
     k = pts.shape[0]
     if k == 1:
@@ -866,8 +877,8 @@ def _min_norm_point(points: np.ndarray, tol: float = _SUPPORT_GAP_TOL) -> np.nda
     for _ in range(_MIN_NORM_MAX_ITER):
         dots = pts @ x
         j = int(np.argmin(dots))
-        # optimality certificate: min_j p_j.x >= |x|^2 - tol
-        if dots[j] >= x @ x - tol or j in active:
+        # optimality certificate: min_j p_j.x >= |x|^2 - _SUPPORT_GAP_TOL
+        if dots[j] >= x @ x - _SUPPORT_GAP_TOL or j in active:
             break
         active.append(j)
         lam = np.append(lam, 0.0)
@@ -917,9 +928,9 @@ def _zonotope_bvls(z: Zonotope, x: np.ndarray) -> np.ndarray:
     return z.center + res.x @ e
 
 
-def _zonogon_nearest(z: Zonotope, x: np.ndarray, tol: float = _SUPPORT_GAP_TOL) -> np.ndarray:
+def _zonogon_nearest(z: Zonotope, x: np.ndarray) -> np.ndarray:
     """Nearest point of a zonogon by away-step conditional gradient with the
-    exact support oracle (terminates on duality gap <= tol); where the loop
+    exact support oracle (terminates on duality gap <= _SUPPORT_GAP_TOL); where the loop
     would stop at its cap, the exact _zonotope_bvls.
 
     It keeps the bits of the general loop, which tests/test_geometry.py keeps
@@ -935,7 +946,7 @@ def _zonogon_nearest(z: Zonotope, x: np.ndarray, tol: float = _SUPPORT_GAP_TOL) 
     - each vertex is built once per call;
     - the slope is the gap already at hand: the step direction is minus the
       vector that gap was taken on, and the ddot of a negated vector is the
-      negated ddot, nonzero since the gap exceeds tol.
+      negated ddot, nonzero since the gap exceeds _SUPPORT_GAP_TOL.
     """
     e = z._effective()
     e = e[np.linalg.norm(e, axis=1) > 0]
@@ -963,7 +974,7 @@ def _zonogon_nearest(z: Zonotope, x: np.ndarray, tol: float = _SUPPORT_GAP_TOL) 
         p_s = vertex(grad)
         to_s = np.array((z0 - p_s[1], z1 - p_s[2]))
         gap_fw = float(grad.dot(to_s))
-        if gap_fw <= tol:
+        if gap_fw <= _SUPPORT_GAP_TOL:
             break
         if stacked is None:
             stacked = np.array([p[1:] for p in active])[:, None, :]
@@ -1056,9 +1067,9 @@ def sq_dist_point(x, c: ConvexSet) -> float:
     return dist_point(x, c) ** 2
 
 
-def contains(c: ConvexSet, x, tol: float = 1e-9) -> bool:
-    """Membership test d(x, C) <= tol."""
-    return dist_point(x, c) <= tol
+def contains(c: ConvexSet, x) -> bool:
+    """Membership test d(x, C) <= _CONTAINS_TOL (1e-9)."""
+    return dist_point(x, c) <= _CONTAINS_TOL
 
 
 def _gap_norms(xs: np.ndarray, lo: np.ndarray, hi: np.ndarray | None = None) -> np.ndarray:
@@ -1150,7 +1161,7 @@ def _box_directed_hausdorff(plo, phi, qlo, qhi):
     return np.sqrt(np.add.reduce(gap * gap, axis=-1))
 
 
-def hausdorff(c: ConvexSet, d: ConvexSet, n_directions: int = 360) -> float:
+def hausdorff(c: ConvexSet, d: ConvexSet, n_directions: int = _N_DIRECTIONS) -> float:
     """Hausdorff distance between two compact convex sets.
 
     Exact in 1-D and for vertex-listed pairs (polytopes and boxes, where the
@@ -1173,7 +1184,7 @@ def hausdorff(c: ConvexSet, d: ConvexSet, n_directions: int = 360) -> float:
     dim = _check_same_dim(c, d)
     if dim == 1:
         (clo, chi), (dlo, dhi) = bounds_of(c), bounds_of(d)
-        return np.maximum(np.abs(clo[0] - dlo[0]), np.abs(chi[0] - dhi[0]))
+        return float(np.maximum(np.abs(clo[0] - dlo[0]), np.abs(chi[0] - dhi[0])))
     if isinstance(c, Box) and isinstance(d, Box):
         cb, db = (c.lower, c.upper), (d.lower, d.upper)
         return float(max(_box_directed_hausdorff(*cb, *db), _box_directed_hausdorff(*db, *cb)))
@@ -1191,23 +1202,19 @@ def hausdorff(c: ConvexSet, d: ConvexSet, n_directions: int = 360) -> float:
 
 
 @functools.lru_cache(maxsize=8)
-def _distance_grid(
-    dim: int, n_radii: int, n_angles: int, n_points_1d: int, n_quadrature: int, r_cutoff: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The Gauss-Laguerre weights kept at r_cutoff and the point grid of
+def _distance_grid(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Laguerre weights kept at _DISTANCE_R_CUTOFF and the point grid of
     integrated_distance, one equal block of points per kept node, read-only."""
-    nodes, wts = np.polynomial.laguerre.laggauss(n_quadrature)
-    if r_cutoff < nodes[0]:
-        raise ValueError(f"r_cutoff {r_cutoff} is below the first Laguerre node {nodes[0]}")
-    keep = nodes <= r_cutoff
+    nodes, wts = np.polynomial.laguerre.laggauss(_DISTANCE_QUADRATURE)
+    keep = nodes <= _DISTANCE_R_CUTOFF
     nodes, wts = nodes[keep], wts[keep]
     if dim > 1:
-        dirs = direction_grid(dim, n_angles)
-        steps = np.arange(1, n_radii + 1) / n_radii
+        dirs = direction_grid(dim, _DISTANCE_ANGLES)
+        steps = np.arange(1, _DISTANCE_RADII + 1) / _DISTANCE_RADII
     blocks = []
     for r in nodes:
         if dim == 1:
-            pts = np.linspace(-r, r, n_points_1d).reshape(-1, 1)
+            pts = np.linspace(-r, r, _DISTANCE_POINTS_1D).reshape(-1, 1)
         else:
             pts = ((r * steps)[:, None, None] * dirs[None, :, :]).reshape(-1, dim)
             pts = np.vstack([np.zeros((1, dim)), pts])
@@ -1215,33 +1222,19 @@ def _distance_grid(
     return _readonly(np.vstack(blocks)), _readonly(wts)
 
 
-def integrated_distance(
-    c: ConvexSet,
-    d: ConvexSet,
-    n_radii: int = 64,
-    n_angles: int = 64,
-    n_points_1d: int = 128,
-    n_quadrature: int = 32,
-    r_cutoff: float = 20.0,
-) -> float:
+def integrated_distance(c: ConvexSet, d: ConvexSet) -> float:
     """Exponentially weighted integral of windowed distance-function gaps.
 
     Computes int_0^inf D_r(C, D) e^{-r} dr where D_r is the maximum of
     |d(x, C) - d(x, D)| over the ball of radius r.  The inner maximum is
-    evaluated on a radial-angular grid (a symmetric point grid in 1-D) and
-    the outer integral uses Gauss-Laguerre nodes truncated at r_cutoff, so
-    the result is a grid approximation controlled by the resolution
-    arguments.  The counts must be positive, and r_cutoff finite and at
-    least the first node; the grid is built once per argument set.
+    evaluated on a radial-angular grid of _DISTANCE_RADII radii and
+    _DISTANCE_ANGLES directions (_DISTANCE_POINTS_1D points in 1-D), and the
+    outer integral uses the _DISTANCE_QUADRATURE Gauss-Laguerre nodes up to
+    _DISTANCE_R_CUTOFF, so the result is a grid approximation.  The grid is
+    built once per dimension.
     """
     dim = _check_same_dim(c, d)
-    names = ("n_radii", "n_angles", "n_points_1d", "n_quadrature")
-    for name, n in zip(names, (n_radii, n_angles, n_points_1d, n_quadrature)):
-        if not n >= 1:
-            raise ValueError(f"{name} must be positive, got {n}")
-    if not math.isfinite(r_cutoff):
-        raise ValueError(f"r_cutoff must be finite, got {r_cutoff}")
-    allpts, wts = _distance_grid(dim, n_radii, n_angles, n_points_1d, n_quadrature, r_cutoff)
+    allpts, wts = _distance_grid(dim)
     gap = np.abs(_dist_points_batch(allpts, c) - _dist_points_batch(allpts, d))
     total = 0.0
     for w, peak in zip(wts, gap.reshape(wts.shape[0], -1).max(axis=1).tolist()):
@@ -1249,9 +1242,7 @@ def integrated_distance(
     return total
 
 
-def weighted_minkowski_average(
-    weights, sets, allow_zero_total: bool = False, n_directions: int = 360
-) -> ConvexSet:
+def weighted_minkowski_average(weights, sets, allow_zero_total: bool = False) -> ConvexSet:
     """Weighted Minkowski combination sum_i w_i * S_i for nonnegative weights.
 
     Shared-generator zonotopes combine by summing weights per generator, and
@@ -1306,8 +1297,8 @@ def weighted_minkowski_average(
     for wi, si in zip(w, sets):
         if wi == 0.0:  # 0 * S = {0}, the Minkowski identity element
             continue
-        term = scale(wi, si, n_directions)
-        acc = term if acc is None else _extreme_rows(minkowski_sum(acc, term, n_directions))
+        term = scale(wi, si)
+        acc = term if acc is None else _extreme_rows(minkowski_sum(acc, term))
     assert acc is not None
     return acc
 

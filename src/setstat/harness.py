@@ -162,11 +162,17 @@ PRESETS: dict[str, dict] = {
 EXPERIMENT_KINDS = tuple(PRESETS)
 
 
-def _real(value) -> float:
-    """float(value) for a number or numeric string; a bool or a NaN raises
-    ValueError (infinities pass, for the field checks to judge)."""
+def _bound(value) -> float:
+    """float(value) for a number or numeric string, not a bool or NaN; +inf is no bound."""
     if isinstance(value, bool) or np.isnan(out := float(value)):
         raise ValueError(f"must be a number (not a bool or NaN), got {value!r}")
+    return out
+
+
+def _real(value) -> float:
+    """_bound(value), refusing infinities: every float field but a check bound."""
+    if np.isinf(out := _bound(value)):
+        raise ValueError(f"must be finite, got {value!r}")
     return out
 
 
@@ -178,11 +184,11 @@ _SCALAR_TYPES = {
     "theta0": _real,
     "noise_radius": _real,
     "baseline_theta": _real,
-    "max_cov_rel_error": _real,
-    "max_identity_gap": _real,
-    "max_median_error": _real,
-    "max_eps_error": _real,
-    "max_theta_error": _real,
+    "max_cov_rel_error": _bound,
+    "max_identity_gap": _bound,
+    "max_median_error": _bound,
+    "max_eps_error": _bound,
+    "max_theta_error": _bound,
     "lam": _real,
     "h": _real,
 }

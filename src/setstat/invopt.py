@@ -170,8 +170,14 @@ class MembershipSet:
         return bool(self.member(np.asarray(x, dtype=float)))
 
 
-def value_function(prog: ParametricProgram, u, theta, tol: float = 1e-8,
-                   max_iter: int = 100_000) -> float:
+# Stopping tolerance and iteration caps of the generic SLSQP solve and of the
+# alternating projections (the tolerance also ends their bisection).
+_SOLVER_TOL = 1e-8
+_SLSQP_MAX_ITER = 1000
+_PROJECTION_MAX_ITER = 100_000
+
+
+def value_function(prog: ParametricProgram, u, theta) -> float:
     """Optimal value V(u, theta); analytic for built-ins.
 
     The generic path solves the smooth constrained program numerically and
@@ -179,10 +185,10 @@ def value_function(prog: ParametricProgram, u, theta, tol: float = 1e-8,
     """
     if hasattr(prog, "value"):
         return prog.value(u, theta)
-    return float(_solve_generic(prog, u, theta, tol, max_iter).fun)
+    return float(_solve_generic(prog, u, theta).fun)
 
 
-def _solve_generic(prog, u, theta, tol, max_iter):
+def _solve_generic(prog, u, theta):
     from scipy.optimize import minimize
 
     x0 = 0.5 * (prog.outer_box.lower + prog.outer_box.upper)
@@ -199,7 +205,7 @@ def _solve_generic(prog, u, theta, tol, max_iter):
             }
         ],
         method="SLSQP",
-        options={"maxiter": int(min(max_iter, 1000)), "ftol": tol},
+        options={"maxiter": _SLSQP_MAX_ITER, "ftol": _SOLVER_TOL},
     )
     if not res.success:
         raise SolverLimitError(f"generic program solve failed: {res.message}")
@@ -246,7 +252,7 @@ def _argmin_point(prog, u, theta):
         return np.where(c >= 0, prog.bound, -prog.bound).astype(float)
     if isinstance(prog, BoxQuadraticProgram):
         return np.zeros(prog.x_dim)
-    return np.asarray(_solve_generic(prog, u, theta, 1e-8, 100_000).x, dtype=float)
+    return np.asarray(_solve_generic(prog, u, theta).x, dtype=float)
 
 
 def _boxlinear_lower(out, bound, c, eps):
@@ -268,14 +274,13 @@ def _boxlinear_lower(out, bound, c, eps):
     return out
 
 
-def sq_dist_to_inflated_set(prog, y, u, eps, theta, w_set: ConvexSet,
-                            tol: float = 1e-8, max_iter: int = 100_000) -> float:
+def sq_dist_to_inflated_set(prog, y, u, eps, theta, w_set: ConvexSet) -> float:
     """Squared distance d^2(y, S(u, eps, theta) + W).
 
     Exact via set arithmetic when the solution set has a ConvexSet
     representation; otherwise alternating projections between W and a
-    bisection-based projection onto the membership set (approximate,
-    tolerance recorded in the signature).
+    bisection-based projection onto the membership set (approximate, to
+    _SOLVER_TOL; SolverLimitError after _PROJECTION_MAX_ITER rounds).
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     s = eps_argmin_set(prog, u, eps, theta)
@@ -283,25 +288,25 @@ def sq_dist_to_inflated_set(prog, y, u, eps, theta, w_set: ConvexSet,
         return sq_dist_point(y, minkowski_sum(s, w_set))
     x = s.anchor.copy()
     prev = math.inf
-    for _ in range(max_iter):
+    for _ in range(_PROJECTION_MAX_ITER):
         w, _ = project_point(y - x, w_set)
         z = y - w
-        x = _project_membership(s, x, z, tol)
+        x = _project_membership(s, x, z)
         gap = float((y - x - w) @ (y - x - w))
-        if prev - gap < tol:
+        if prev - gap < _SOLVER_TOL:
             return gap
         prev = gap
     raise SolverLimitError("alternating projection hit its iteration cap")
 
 
-def _project_membership(s: MembershipSet, anchor, z, tol):
+def _project_membership(s: MembershipSet, anchor, z):
     """Point of [anchor, z] nearest z that stays in the membership set."""
     if s.contains(z):
         return np.asarray(z, dtype=float)
     lo_t, hi_t = 0.0, 1.0
     anchor = np.asarray(anchor, dtype=float)
     z = np.asarray(z, dtype=float)
-    while hi_t - lo_t > tol:
+    while hi_t - lo_t > _SOLVER_TOL:
         mid = 0.5 * (lo_t + hi_t)
         if s.contains(anchor + mid * (z - anchor)):
             lo_t = mid
@@ -870,17 +875,13 @@ def presmooth_estimate(prog, dataset: ObservationDataset, h: float,
 
 
 def generate_boxlinear_observations(n: int, seed: RngSeed, eps0: float = 1.0,
-                                    theta0: float = 0.0,
-                                    prog: BoxLinearProgram | None = None
-                                    ) -> ObservationDataset:
+                                    theta0: float = 0.0) -> ObservationDataset:
     """u ~ U(-2,2); x uniform on S(u, eps0, theta0); y = x + w, w ~ U(-1,1)."""
     if n < 1:
         raise ValueError("need n >= 1 observations")
-    if prog is None:
-        prog = BoxLinearProgram()
     rng = seed.generator()
     us = rng.uniform(-2.0, 2.0, size=n)
-    b, c = prog.bound, theta0 + us
+    b, c = BoxLinearProgram().bound, theta0 + us
     m = _boxlinear_lower(np.empty(n), b, c, eps0)
     neg = c < 0
     # the same draws, in order, as one call per sample
@@ -890,18 +891,15 @@ def generate_boxlinear_observations(n: int, seed: RngSeed, eps0: float = 1.0,
 
 
 def generate_boxquadratic_observations(n: int, noise_radius: float,
-                                       seed: RngSeed,
-                                       prog: BoxQuadraticProgram | None = None
-                                       ) -> ObservationDataset:
+                                       seed: RngSeed) -> ObservationDataset:
     """x uniform on [-bound, bound]; y = x + w, w ~ U(-r, r); u is empty."""
     if n < 1:
         raise ValueError("need n >= 1 observations")
     if noise_radius < 0:
         raise ValueError("noise_radius must be nonnegative")
-    if prog is None:
-        prog = BoxQuadraticProgram()
     rng = seed.generator()
-    xs = rng.uniform(-prog.bound, prog.bound, size=n)
+    b = BoxQuadraticProgram().bound
+    xs = rng.uniform(-b, b, size=n)
     ws = rng.uniform(-noise_radius, noise_radius, size=n)
     return ObservationDataset(np.zeros((n, 0)), (xs + ws)[:, None])
 

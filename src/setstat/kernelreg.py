@@ -76,13 +76,16 @@ INDICATOR = KernelSpec("indicator", _indicator)
 KERNELS = {"epanechnikov": EPANECHNIKOV, "indicator": INDICATOR}
 
 
-def validate_kernel(spec: KernelSpec, n_grid: int = 4097) -> None:
+_KERNEL_CHECK_POINTS = 4097
+
+
+def validate_kernel(spec: KernelSpec) -> None:
     """Check the kernel axioms on a dense grid; raises ValueError on failure.
 
     Axioms: nonnegative, bounded, zero for t >= 1, strictly positive near 0.
     Evenness holds by construction since only |t| enters.
     """
-    t = np.linspace(0.0, 2.0, n_grid)
+    t = np.linspace(0.0, 2.0, _KERNEL_CHECK_POINTS)
     vals = spec.profile(t)
     if np.any(vals < 0):
         raise ValueError(f"kernel {spec.name!r} takes negative values")

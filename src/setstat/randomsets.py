@@ -214,19 +214,19 @@ class UniformBoxNoise(NoiseDistribution):
 
     A draw is lower + (upper - lower) * u for u from rng.random, the same
     per-element operations, in the same order, as rng.uniform(lower, upper),
-    so the two agree bit for bit.  The widths upper - lower must be finite.
+    so the two agree bit for bit.  Its mean and covariance must be finite.
     """
 
     def __init__(self, lower, upper):
         lo = np.atleast_1d(np.asarray(lower, dtype=float))
         hi = np.atleast_1d(np.asarray(upper, dtype=float))
-        shaped = lo.shape == hi.shape and lo.ndim == 1
-        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN widths are refused
-            finite = shaped and np.isfinite(hi - lo).all()
-        if not finite or np.any(lo > hi):
-            raise ValueError("need lower <= upper vectors of equal length with finite widths")
         self.lower, self.upper = lo, hi
         self.dim = lo.shape[0]
+        shaped = lo.shape == hi.shape and lo.ndim == 1
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN moments are refused
+            finite = shaped and np.isfinite(self.mean).all() and np.isfinite(self.covariance).all()
+        if not finite or np.any(lo > hi):
+            raise ValueError("need lower <= upper of equal length with finite widths, mean and covariance")
 
     @property
     def mean(self) -> np.ndarray:
@@ -613,13 +613,14 @@ def _outer_polytope(dirs: np.ndarray, values: np.ndarray) -> ConvexSet:
     return geometry.VertexPolytope(geometry._halfplane_vertices(dirs, values, tol))
 
 
+_EQUALITY_TOL = 0.05
+
+
 def check_expectation_law(
     law: str,
     models: dict,
     n_samples: int = 10_000,
     seed: RngSeed = RngSeed(0),
-    n_directions: int = 360,
-    equality_tol: float = 0.05,
 ) -> LawReport:
     """Monte-Carlo check of one selection-expectation identity or inclusion.
 
@@ -627,15 +628,15 @@ def check_expectation_law(
     for the two-set laws, and "psi_values"/"psi_probs" for the scaling law
     (sign-definite values unless degenerate, since sign-mixing random scale
     factors void the identity).  Equality laws compare a Monte-Carlo
-    Minkowski average against the closed-form side in Hausdorff distance;
-    inclusion laws measure the maximum support slack of the nominally
-    smaller side over a direction grid and allow two Monte-Carlo standard
-    errors where a sampled side is involved.
+    Minkowski average against the closed-form side in Hausdorff distance,
+    within _EQUALITY_TOL; inclusion laws measure the maximum support slack
+    of the nominally smaller side over geometry's direction grid and allow
+    two Monte-Carlo standard errors where a sampled side is involved.
     """
     if law not in EXPECTATION_LAWS:
         raise ValueError(f"unknown expectation law {law!r}; choose from {EXPECTATION_LAWS}")
     c: RandomlyTranslatedSet = models["c"]
-    dirs = direction_grid(c.body.dim, n_directions)
+    dirs = direction_grid(c.body.dim, geometry._N_DIRECTIONS)
     eq_w = np.full(n_samples, 1.0 / n_samples)
 
     if law == "deterministic":
@@ -738,8 +739,8 @@ def check_expectation_law(
         se = (shifts @ dirs.T).std(axis=0, ddof=1) / math.sqrt(n_samples)
         metric = float(np.max(lhs.support_many(dirs) - rhs.support_many(dirs) - 2.0 * se))
     if law in _EQUALITY_LAWS:
-        metric = hausdorff(lhs, rhs, n_directions)
-        tol = 1e-9 if law == "deterministic" else equality_tol
+        metric = hausdorff(lhs, rhs)
+        tol = 1e-9 if law == "deterministic" else _EQUALITY_TOL
         return LawReport(law, "equality", lhs, rhs, metric, tol, metric <= tol, n_samples)
     return LawReport(law, "inclusion", lhs, rhs, metric, 1e-9, metric <= 1e-9, n_samples)
 
@@ -854,7 +855,6 @@ def jensen_inclusion_gap(
     model: RandomlyTranslatedSet,
     n_samples: int = 10_000,
     seed: RngSeed = RngSeed(0),
-    n_directions: int = 360,
 ) -> float:
     """Maximum support slack of E(S(X)) relative to S(E(X)).
 
@@ -872,7 +872,7 @@ def jensen_inclusion_gap(
         mapped = [set_map.apply_to_set(s) for s in samples]
     mc_mean = minkowski_sample_mean(mapped)
     target = set_map.apply_to_set(selection_expectation(model))
-    dirs = direction_grid(mc_mean.dim, n_directions)
+    dirs = direction_grid(mc_mean.dim, geometry._N_DIRECTIONS)
     return float(np.max(mc_mean.support_many(dirs) - target.support_many(dirs)))
 
 

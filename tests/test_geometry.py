@@ -193,7 +193,7 @@ def test_support_point_attains_support(s):
         u = rng.normal(size=2)
         p = support_point(s, u)
         assert math.isclose(float(p @ u), support(s, u), rel_tol=0, abs_tol=1e-10)
-        assert contains(s, p, tol=1e-9)
+        assert contains(s, p)
 
 
 def test_zonogon_vertex_enumeration_matches_support():
@@ -235,7 +235,13 @@ def test_minkowski_sum_of_boxes_is_box():
     np.testing.assert_allclose(s.upper, [1, 5])
 
 
-def _all_pairs_sum(a, b, n_directions=360):
+def _ball_ring(ball, n):
+    # a ball's boundary sampled on n grid directions, as geometry samples
+    # it on its own geometry._N_DIRECTIONS
+    return VertexPolytope(ball.center + ball.radius * direction_grid(ball.dim, n))
+
+
+def _all_pairs_sum(a, b):
     # minkowski_sum of two non-closed-form 2-D operands before the cone
     # filter: a singleton translates the other side, else the hull of all
     # m n vertex sums; kept as the oracle of the filtered sum
@@ -243,8 +249,8 @@ def _all_pairs_sum(a, b, n_directions=360):
         point = geometry._is_singleton(p)
         if point is not None:
             return q.translate(point)
-    va = geometry._to_vertex_polytope(a, n_directions).vertices
-    vb = geometry._to_vertex_polytope(b, n_directions).vertices
+    va = geometry._to_vertex_polytope(a).vertices
+    vb = geometry._to_vertex_polytope(b).vertices
     return VertexPolytope((va[:, None, :] + vb[None, :, :]).reshape(-1, 2))
 
 
@@ -275,41 +281,43 @@ def _sum_cases(rng):
     a = np.array([[0, 0], [9, 1], [9, 4], [4, 9], [2, 9], [1, 6]]) * 1e-4 + [0.0094, -2.98]
     a[2, 0] -= 3e-14
     b = np.array([[0, 0], [1.8, -0.6], [3.1, 0.05], [3.1, 6.9], [1.3, 7.5], [0, 6.9]])
-    yield VertexPolytope(a), VertexPolytope(b * 1e-4 + [0.046, 0.46]), 360
+    yield VertexPolytope(a), VertexPolytope(b * 1e-4 + [0.046, 0.46])
     for _ in range(30):
         k = rng.integers(6, 21)
         ellipse = _ellipse_polygon(rng, k)
-        yield ellipse, _ellipse_polygon(rng, rng.integers(6, 21)), 360
-        yield ellipse, Ball(rng.uniform(-1, 1, 2), rng.uniform(0.3, 1.2)), 360
-        yield Ball(rng.normal(size=2), rng.choice([1e-4, 0.02, 3.0])), ellipse, rng.choice([8, 90, 360])
-        yield ellipse, _random_box(rng, 2), 360
-        yield zonogon(rng.integers(1, 4)), ellipse, 360
-        yield lattice(rng.integers(3, 12)), lattice(rng.integers(3, 12)), 360
-        yield lattice(rng.integers(3, 12)), zonogon(rng.integers(1, 4)), 360
-        yield Box([-1.0, 0.0], [2.0, 1.0]), lattice(rng.integers(3, 12)), 360
+        yield ellipse, _ellipse_polygon(rng, rng.integers(6, 21))
+        yield ellipse, Ball(rng.uniform(-1, 1, 2), rng.uniform(0.3, 1.2))
+        ball = Ball(rng.normal(size=2), rng.choice([1e-4, 0.02, 3.0]))
+        n = rng.choice([8, 90, 360])
+        yield ball if n == geometry._N_DIRECTIONS else _ball_ring(ball, n), ellipse
+        yield ellipse, _random_box(rng, 2)
+        yield zonogon(rng.integers(1, 4)), ellipse
+        yield lattice(rng.integers(3, 12)), lattice(rng.integers(3, 12))
+        yield lattice(rng.integers(3, 12)), zonogon(rng.integers(1, 4))
+        yield Box([-1.0, 0.0], [2.0, 1.0]), lattice(rng.integers(3, 12))
         rounded = VertexPolytope(np.round(rng.normal(size=(rng.integers(3, 15), 2)), 1))
-        yield rounded, VertexPolytope(np.round(rng.normal(size=(rng.integers(3, 15), 2)), 1)), 360
-        yield rounded, Ball(np.round(rng.normal(size=2), 1), 1e-4), 360
+        yield rounded, VertexPolytope(np.round(rng.normal(size=(rng.integers(3, 15), 2)), 1))
+        yield rounded, Ball(np.round(rng.normal(size=2), 1), 1e-4)
         thin = rng.normal(size=(rng.integers(3, 9), 2)) * [1.0, 1e-7]
-        yield VertexPolytope(thin), ellipse, 360
-        yield VertexPolytope(thin), VertexPolytope(thin[::-1] * [1.0, -3.0]), 360
+        yield VertexPolytope(thin), ellipse
+        yield VertexPolytope(thin), VertexPolytope(thin[::-1] * [1.0, -3.0])
         # edges 3e-10 rad from parallel: sum vertices whose arcs overlap less than the slack
-        yield ellipse, rotated(ellipse, rng.choice([3e-10, -5e-10])), 360
+        yield ellipse, rotated(ellipse, rng.choice([3e-10, -5e-10]))
         # edges 2e-9 rad apart, beyond the slack, and short: their sums turn
         # by less than the hull's collinearity tolerance
         small = lattice(rng.integers(3, 9), 0.002)
-        yield small, rotated(small, rng.choice([1.5e-9, -2e-9])), 360
-        yield VertexPolytope(rng.normal(size=(3, 2))), VertexPolytope(rng.normal(size=(3, 2))), 360
+        yield small, rotated(small, rng.choice([1.5e-9, -2e-9]))
+        yield VertexPolytope(rng.normal(size=(3, 2))), VertexPolytope(rng.normal(size=(3, 2)))
         segment = VertexPolytope(rng.normal(size=(2, 2)))
-        yield segment, ellipse, 360
-        yield segment, VertexPolytope(rng.normal(size=(2, 2))), 360
-        yield point_set(rng.normal(size=2)), ellipse, 360
-        yield ellipse, point_set(rng.normal(size=2)), 360
+        yield segment, ellipse
+        yield segment, VertexPolytope(rng.normal(size=(2, 2)))
+        yield point_set(rng.normal(size=2)), ellipse
+        yield ellipse, point_set(rng.normal(size=2))
     # lattices at 2^-20, whose cross products sit at the 1e-12 collinearity
     # tolerance: there the all-pairs hull depends on the interior sums, so
     # most of these take the all-pairs path
     for _ in range(300):
-        yield lattice(rng.integers(3, 12), 2.0**-20), lattice(rng.integers(3, 12), 2.0**-20), 360
+        yield lattice(rng.integers(3, 12), 2.0**-20), lattice(rng.integers(3, 12), 2.0**-20)
 
 
 def test_minkowski_sum_2d_cone_pairs_match_all_pairs_bit_for_bit(monkeypatch):
@@ -324,8 +332,8 @@ def test_minkowski_sum_2d_cone_pairs_match_all_pairs_bit_for_bit(monkeypatch):
 
     monkeypatch.setattr(geometry, "_cone_pair_sums", spy)
     n_cases = 0
-    for a, b, n_dir in _sum_cases(rng):
-        got, want = minkowski_sum(a, b, n_dir), _all_pairs_sum(a, b, n_dir)
+    for a, b in _sum_cases(rng):
+        got, want = minkowski_sum(a, b), _all_pairs_sum(a, b)
         assert got.vertices.shape == want.vertices.shape, (a, b)
         assert _bits(got.vertices) == _bits(want.vertices), (a, b)
         n_cases += 1
@@ -422,9 +430,9 @@ def test_erosion_tolerates_float_thin_deficit():
     assert abs(lo[0]) < 1e-12 and abs(hi[0]) < 1e-12
 
 
-def _erode_2d_all_pairs(c, d, n_directions=360):
+def _erode_2d_all_pairs(c, d):
     """Reference erosion: every feasible crossing of two shifted facet lines."""
-    a, b = geometry._facets_2d(c, n_directions)
+    a, b = geometry._facets_2d(c)
     bt = b - np.array([d.support(row) for row in a])
     m = a.shape[0]
     cands = []
@@ -467,16 +475,15 @@ def _erosion_cases(rng):
     square = VertexPolytope([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]])
     yield square, square.translate([1.0, -3.0])
     ball = Ball([0.2, -0.1], 0.6)
-    yield minkowski_sum(poly(9), ball, 90), ball
+    yield minkowski_sum(poly(9), _ball_ring(ball, 90)), ball
 
 
 def test_halfplane_erosion_matches_all_pairs_scan():
     rng = np.random.default_rng(12)
     shapes = set()
     for c, d in _erosion_cases(rng):
-        n_dir = 90 if isinstance(d, Ball) else 360
-        got = minkowski_diff(c, d, n_dir)
-        want = _erode_2d_all_pairs(c, d, n_dir)
+        got = minkowski_diff(c, d)
+        want = _erode_2d_all_pairs(c, d)
         assert (got is None) == (want is None)
         if want is None:
             shapes.add("empty")
@@ -1033,7 +1040,7 @@ def _direction_sets(rng, dim, sets):
     yield from (direction_grid(dim, 360), geometry._signed_axes(dim), u, 3.0 * u)
     if dim == 2:  # facet normals, as minkowski_diff feeds them
         for c in sets:
-            yield geometry._facets_2d(c, 360)[0]
+            yield geometry._facets_2d(c)[0]
     elif dim > 2:
         from scipy.spatial import ConvexHull
 
@@ -1193,6 +1200,21 @@ def test_hausdorff_one_dimensional_exact():
     assert hausdorff(interval(-1, 1), interval(-1, 1)) == 0.0
 
 
+@pytest.mark.parametrize(
+    "c, d",
+    [
+        (interval(0.0, 1.0), Zonotope([2.0], [[1.0]], [0.5])),
+        (Box([0.0, 0.0], [1.0, 2.0]), Box([0.5, -1.0], [3.0, 1.0])),
+        (Ball([0.0, 0.0], 1.0), Ball([3.0, 4.0], 2.5)),
+        (VertexPolytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), Box([0.5, 0.5], [2.0, 1.0])),
+        (Ball([0.0, 0.0], 1.0), Box([-1.0, -1.0], [1.0, 1.0])),
+    ],
+    ids=["1d", "box-pair", "ball-pair", "vertex-pair", "sampled"],
+)
+def test_hausdorff_returns_a_python_float_on_every_branch(c, d):
+    assert type(hausdorff(c, d)) is float
+
+
 def test_hausdorff_translation_identity():
     rng = np.random.default_rng(8)
     for _ in range(10):
@@ -1291,7 +1313,16 @@ def _integrated_distance_per_call(c, d, n_radii, n_angles, n_points_1d, n_quadra
     return total
 
 
-def test_integrated_distance_grid_is_built_once_with_the_same_bits():
+_DISTANCE_GRID_CONSTANTS = (
+    "_DISTANCE_RADII",
+    "_DISTANCE_ANGLES",
+    "_DISTANCE_POINTS_1D",
+    "_DISTANCE_QUADRATURE",
+    "_DISTANCE_R_CUTOFF",
+)
+
+
+def test_integrated_distance_grid_is_built_once_with_the_same_bits(monkeypatch):
     rng = np.random.default_rng(49)
     pairs = [
         (_random_polygon(rng), Ball(rng.normal(size=2), 0.7)),
@@ -1300,35 +1331,22 @@ def test_integrated_distance_grid_is_built_once_with_the_same_bits():
         (interval(-0.5, 1.0), interval(0.25, 0.5)),
         (_random_box(rng, 3), Ball(rng.normal(size=3), 0.4)),
     ]
-    resolutions = [(64, 64, 128, 32, 20.0), (5, 7, 9, 6, 3.0), (3, 4, 17, 40, 100.0)]
-    for (c, d), res in itertools.product(pairs, resolutions):
-        for _ in range(2):  # built, then read from the cache
-            assert _bits(integrated_distance(c, d, *res)) == _bits(_integrated_distance_per_call(c, d, *res))
-    grid, wts = geometry._distance_grid(2, 64, 64, 128, 32, 20.0)
+    default = tuple(getattr(geometry, name) for name in _DISTANCE_GRID_CONSTANTS)
+    assert default == (64, 64, 128, 32, 20.0)
+    try:
+        for res in [(5, 7, 9, 6, 3.0), (3, 4, 17, 40, 100.0), default]:
+            for name, value in zip(_DISTANCE_GRID_CONSTANTS, res):
+                monkeypatch.setattr(geometry, name, value)
+            geometry._distance_grid.cache_clear()
+            for c, d in pairs:
+                for _ in range(2):  # built, then read from the cache
+                    assert _bits(integrated_distance(c, d)) == _bits(_integrated_distance_per_call(c, d, *res))
+    finally:
+        monkeypatch.undo()
+        geometry._distance_grid.cache_clear()
+    grid, wts = geometry._distance_grid(2)
     assert not grid.flags.writeable and not wts.flags.writeable
-    assert geometry._distance_grid(2, 64, 64, 128, 32, 20.0)[0] is grid
-
-
-@pytest.mark.parametrize(
-    "bad",
-    [
-        {"n_radii": 0},
-        {"n_angles": 0},
-        {"n_points_1d": 0},
-        {"n_quadrature": 0},
-        {"n_radii": -2},
-        {"r_cutoff": 0.01},  # below the first of 32 Laguerre nodes, about 0.044
-        {"r_cutoff": -1.0},
-        {"r_cutoff": float("nan")},
-        {"r_cutoff": float("inf")},
-    ],
-)
-def test_integrated_distance_rejects_bad_resolution(bad):
-    # at 0 radii or angles the grid was empty and the value 0.0; at a cutoff
-    # below the first node numpy raised "need at least one array to concatenate"
-    (name,) = bad
-    with pytest.raises(ValueError, match=name):
-        integrated_distance(Box([0.0, 0.0], [1.0, 1.0]), Ball([0.5, 0.5], 0.4), **bad)
+    assert geometry._distance_grid(2)[0] is grid
 
 
 # ------------------------------------------------------------ membership
@@ -1452,10 +1470,11 @@ def test_sampled_three_dimensional_ball_plus_polytope_sum_is_an_inner_hull():
     ball = Ball([0.5, -1.0, 0.25], 0.75)
     corners = np.array(list(itertools.product([-1.0, 1.0], repeat=3)))
     cube = VertexPolytope(corners + [0.0, 0.5, 0.0])
+    n = geometry._N_DIRECTIONS
     for a, b in ((ball, cube), (cube, ball)):
-        s = minkowski_sum(a, b, n_directions=120)
-        assert isinstance(s, VertexPolytope) and s.vertices.shape == (120, 3)
-        grid = direction_grid(3, 120)
+        s = minkowski_sum(a, b)
+        assert isinstance(s, VertexPolytope) and s.vertices.shape == (n, 3)
+        grid = direction_grid(3, n)
         exact = ball.support_many(grid) + cube.support_many(grid)
         np.testing.assert_allclose(s.support_many(grid), exact, rtol=0.0, atol=1e-12)
         probe = direction_grid(3, 1000)[::7]  # other directions: never above B + P
@@ -1471,13 +1490,14 @@ def test_matrix_scale_of_a_ball_isometry_and_sampled_ellipse():
     np.testing.assert_allclose(img.center, 2.0 * rot @ ball.center, rtol=0.0, atol=1e-15)
     assert img.radius == pytest.approx(1.5, rel=1e-15)
     stretch = np.array([[2.0, 0.0], [0.5, 1.0]])
-    ellipse = scale(stretch, ball, n_directions=90)  # sampled boundary points P(c + r u)
-    assert isinstance(ellipse, VertexPolytope) and len(ellipse.vertices) == 90
+    n = geometry._N_DIRECTIONS
+    ellipse = scale(stretch, ball)  # sampled boundary points P(c + r u)
+    assert isinstance(ellipse, VertexPolytope) and len(ellipse.vertices) == n
     back = np.linalg.solve(stretch, (ellipse.vertices - stretch @ ball.center).T).T
     np.testing.assert_allclose(np.linalg.norm(back, axis=1), 0.75, rtol=1e-13)
     u = direction_grid(2, 360)  # inside P B: h(u, P B) = u . P c + r |P' u|
     exact = u @ (stretch @ ball.center) + 0.75 * np.linalg.norm(u @ stretch, axis=1)
     assert np.all(ellipse.support_many(u) <= exact + 1e-12)
-    # a 90-gon in a circle of radius r lies within r (1 - cos(pi / 90)) of it;
+    # an n-gon in a circle of radius r lies within r (1 - cos(pi / n)) of it;
     # P, of norm below 2.5, stretches that gap at most 2.5 times
-    assert np.max(exact - ellipse.support_many(u)) < 0.75 * 2.5 * (1.0 - math.cos(math.pi / 90))
+    assert np.max(exact - ellipse.support_many(u)) < 0.75 * 2.5 * (1.0 - math.cos(math.pi / n))

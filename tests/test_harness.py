@@ -206,7 +206,27 @@ def test_config_rejects_bad_values():
     ]:
         with pytest.raises(ConfigError, match=field):
             config_from_dict({"kind": kind, "params": params})
-    # infinities still parse; the field checks judge them as before
+    # an infinity is a config error in every float field but a check bound
+    inf = float("inf")
+    for kind, params, field in [
+        ("kernel-fit", {"h": inf}, "'h'"),
+        ("kernel-fit", {"u_grid": {"hi": inf}}, "'u_grid.hi'"),
+        ("kernel-fit", {"u_grid": {"lo": -inf}}, "'u_grid.lo'"),
+        ("kernel-fit", {"u_grid": {"step": "inf"}}, "'u_grid.step'"),
+        ("invopt-fit", {"h": "Infinity"}, "'h'"),
+        ("invopt-fit", {"eps0": inf}, "'eps0'"),
+        ("invopt-fit", {"theta0": -inf}, "'theta0'"),
+        ("invopt-fit", {"lam": inf}, "'lam'"),
+        ("invopt-fit", {"noise_radius": inf}, "'noise_radius'"),
+        ("invopt-fit", {"prior": {"eps_hi": inf}}, "'prior.eps_hi'"),
+        ("invopt-fit", {"prior": {"d_theta": inf}}, "'prior.d_theta'"),
+        ("compare-estimators", {"baseline_theta": inf}, "'baseline_theta'"),
+        ("compare-estimators", {"prior": {"w_lo": -inf}}, "'prior.w_lo'"),
+        ("gen-data", {"eps0": inf}, "'eps0'"),
+    ]:
+        with pytest.raises(ConfigError, match=f"{field}: must be finite"):
+            config_from_dict({"kind": kind, "params": params})
+    # a check bound of +inf is no bound
     cfg = config_from_dict({"kind": "kernel-fit", "params": {"max_median_error": "inf"}})
     assert cfg.params["max_median_error"] == float("inf")
 
@@ -537,6 +557,18 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
         ("kernel-fit", {"n": 200, "h": True}, "'h'"),
         ("clt", {"noise": {"type": "uniform-box", "lower": [-1e308, -1], "upper": [1e308, 1]},
                  "replicates": 20}, "'noise'"),
+        ("clt", {"noise": {"type": "uniform-box", "lower": [-1e200, -1], "upper": [1e200, 1]},
+                 "replicates": 20}, "'noise'"),
+        ("kernel-fit", {"n": 200, "h": float("inf")}, "'h'"),
+        ("invopt-fit", {"n": 20, "eps0": float("inf")}, "'eps0'"),
+        ("invopt-fit", {"n": 20, "theta0": float("inf")}, "'theta0'"),
+        ("invopt-fit", {"n": 20, "lam": float("inf")}, "'lam'"),
+        ("invopt-fit", {"n": 20, "prior": {"eps_hi": float("inf")}}, "'prior.eps_hi'"),
+        ("kernel-fit", {"n": 200, "u_grid": {"hi": float("inf")}}, "'u_grid.hi'"),
+        ("compare-estimators", {"n_values": [10], "replicates": 1,
+                                "baseline_theta": float("inf")}, "'baseline_theta'"),
+        ("gen-data", {"dataset": "box-quadratic", "n": 10, "noise_radius": float("inf")},
+         "'noise_radius'"),
     ]:
         path6 = tmp_path / "late_failure.json"
         path6.write_text(json.dumps({"kind": kind, "params": params, "out": str(tmp_path / kind)}))

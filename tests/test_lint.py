@@ -95,3 +95,94 @@ def test_package_private_helpers_all_have_a_reader():
     sources = {path.name: path.read_text() for path in SOURCES}
     assert sum(len(_private_definitions(ast.parse(t))) for t in sources.values()) > 50
     assert _orphaned_private_names(sources) == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# Files whose calls count as uses of a parameter: the package, the demos and
+# the benchmark, not the tests.
+CALLERS = [*SOURCES, *sorted((ROOT / "demos").glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]
+
+# Defaulted parameters no call above passes, each kept for a stated reason.
+UNPASSED_DEFAULTS_ALLOWED = {
+    "cli.main(argv)": "the test seam: the console script reads sys.argv through the default",
+    "randomsets.check_expectation_law(n_samples)": "the Monte-Carlo sample size of the law check",
+    "randomsets.jensen_inclusion_gap(n_samples)": "the Monte-Carlo sample size of the Jensen check",
+    "invopt.noise_support_box(tail)": "a model choice of the paper: subgaussian or subexponential",
+    "kernelreg.consistency_curve(kernel)": "a model choice of the paper: the regression kernel",
+}
+
+
+def _defaulted_parameters(fn: ast.FunctionDef) -> list[tuple[str, int | None]]:
+    """The defaulted parameters of a function, each with its position (None
+    for a keyword-only one)."""
+    a = fn.args
+    positional = [*a.posonlyargs, *a.args]
+    first = len(positional) - len(a.defaults)
+    params = [(p.arg, i) for i, p in enumerate(positional) if i >= first]
+    return params + [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+
+
+def _unpassed_defaults(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """Defaulted parameters of the module-level functions in sources
+    ("module.py": text) that no call in callers (source texts) passes, by
+    keyword or by position.
+
+    A call counts when it names the function bare or as an attribute; calls
+    that unpack *args or **kwargs are skipped.  An argument that is the bare
+    name of a defaulted parameter of the enclosing module-level function
+    only forwards that parameter, so it counts once a call passes that one.
+    """
+    passes = []  # (callee, slot, None or the forwarded (function, name, position))
+    for text in callers:
+        for top in ast.parse(text).body:
+            own = {}
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                own = {p: (top.name, p, i) for p, i in _defaulted_parameters(top)}
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                if name is None or starred or any(k.arg is None for k in node.keywords):
+                    continue
+                for slot, value in [*enumerate(node.args), *((k.arg, k.value) for k in node.keywords)]:
+                    passes.append((name, slot, own.get(getattr(value, "id", None))))
+    passed: set = set()
+    while True:
+        new = {
+            (callee, slot)
+            for callee, slot, src in passes
+            if src is None or {(src[0], src[1]), (src[0], src[2])} & passed
+        } - passed
+        if not new:
+            break
+        passed |= new
+    return sorted(
+        f"{module.removesuffix('.py')}.{top.name}({p})"
+        for module, text in sources.items()
+        for top in ast.parse(text).body
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for p, i in _defaulted_parameters(top)
+        if not {(top.name, p), (top.name, i)} & passed
+    )
+
+
+def test_unpassed_default_check_flags_a_parameter_no_call_sets():
+    sources = {
+        "a.py": "def f(x, n=3, *, tol=1e-9):\n    pass\n"
+                "def g(x, k=1):\n    pass\n"
+                "def h(y=0):\n    pass\n"
+                "def fwd(m=2, z=0):\n    g(1, m)\n    f(1, tol=z)\n",
+    }
+    # f(n) is passed through an attribute, f(tol) through fwd's passed z;
+    # g(k) only receives fwd's unpassed m, and h's calls unpack arguments
+    callers = [sources["a.py"], "b.f(1, 4)\nh(*args)\nh(**kw)\nfwd(z=1)\n"]
+    assert _unpassed_defaults(sources, callers) == ["a.fwd(m)", "a.g(k)", "a.h(y)"]
+
+
+def test_every_defaulted_parameter_is_passed_by_a_caller():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    found = _unpassed_defaults(sources, [path.read_text() for path in CALLERS])
+    assert [f for f in found if f not in UNPASSED_DEFAULTS_ALLOWED] == []
+    assert sorted(UNPASSED_DEFAULTS_ALLOWED) == found  # no stale exception

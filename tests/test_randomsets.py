@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -192,7 +193,8 @@ def test_import_setstat_leaves_scipy_stats_unloaded():
 
 def test_uniform_box_sample_matches_generator_uniform_bit_for_bit():
     pick = np.random.default_rng(99)
-    cases = [([-0.0, 0.0, -0.0], [0.0, 0.0, -0.0]), ([-1e307], [1e308])]
+    # width**2 near the largest float: about the widest box with a finite covariance
+    cases = [([-0.0, 0.0, -0.0], [0.0, 0.0, -0.0]), ([-1e153], [1.2e154])]
     for _ in range(30):
         d = int(pick.integers(1, 5))
         lower = pick.normal(size=d) * 10.0 ** pick.integers(-8, 8, size=d)
@@ -211,12 +213,20 @@ def test_uniform_box_sample_matches_generator_uniform_bit_for_bit():
 
 def test_uniform_box_noise_refuses_widths_that_overflow():
     # rng.uniform raises OverflowError on such bounds; the affine draw would
-    # return infinities, so the law refuses them
-    for lower, upper in [([-1e308], [1e308]), ([0.0, -1e308], [1.0, 1.7e308])]:
-        with pytest.raises(ValueError, match="finite widths"):
-            UniformBoxNoise(lower, upper)
-        with pytest.raises(ValueError, match="finite widths"):
-            noise_from_dict({"type": "uniform-box", "lower": lower, "upper": upper})
+    # return infinities, so the law refuses them, and bounds whose mean or
+    # covariance overflows too, without an overflow warning
+    for lower, upper in [
+        ([-1e308], [1e308]),
+        ([0.0, -1e308], [1.0, 1.7e308]),
+        ([-1e200, -1.0], [1e200, 1.0]),  # covariance (2e200)**2 / 12
+        ([1e308, 0.0], [1.7e308, 1.0]),  # mean (1e308 + 1.7e308) / 2
+    ]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite widths, mean and covariance"):
+                UniformBoxNoise(lower, upper)
+            with pytest.raises(ValueError, match="finite widths, mean and covariance"):
+                noise_from_dict({"type": "uniform-box", "lower": lower, "upper": upper})
 
 
 def test_noise_validation():
