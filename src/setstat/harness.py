@@ -194,6 +194,7 @@ _SCALAR_TYPES = {
 }
 
 _POSITIVE_FIELDS = {"n", "replicates", "n_directions", "noise_radius", "h"}
+_NONNEGATIVE_FIELDS = {"lam", *(key for key, parse in _SCALAR_TYPES.items() if parse is _bound)}
 # (lower, upper) field pairs of the prior and u_grid objects
 _RANGES = (("eps_lo", "eps_hi"), ("theta_lo", "theta_hi"), ("w_lo", "w_hi"), ("lo", "hi"))
 _ESTIMATORS = ("abp", "mle", "via", "kkt", "presmooth")
@@ -238,6 +239,8 @@ def _validate_params(kind: str, params: dict) -> dict:
             merged[key] = _parse_field(key, _SCALAR_TYPES[key], value)
             if key in _POSITIVE_FIELDS and merged[key] <= 0:
                 raise ConfigError(f"parameter {key!r} must be positive")
+            if key in _NONNEGATIVE_FIELDS and merged[key] < 0:
+                raise ConfigError(f"parameter {key!r} must be nonnegative")
     if "n_values" in merged:
         vals = merged["n_values"]
         try:
@@ -247,8 +250,6 @@ def _validate_params(kind: str, params: dict) -> dict:
         if not isinstance(vals, list) or not counts or min(counts) <= 0 or counts != sorted(counts):
             raise ConfigError("parameter 'n_values' must be an increasing list of positive counts")
         merged["n_values"] = counts
-    if merged.get("lam") is not None and merged["lam"] < 0:
-        raise ConfigError("parameter 'lam' must be nonnegative")
     if "kernel" in merged and not (
         isinstance(merged["kernel"], str) and merged["kernel"] in kernelreg.KERNELS
     ):
@@ -433,7 +434,7 @@ def _json_chunks(obj, indent: str, out: list[str]) -> None:
             out.append((sep if i else "") + encode_basestring_ascii(name) + ": ")
             _json_chunks(value, inner, out)
         out.append("\n" + indent + "}")
-    elif all(type(x) is float for x in obj):  # grid rows: one join
+    elif set(map(type, obj)) == {float}:  # grid rows: one join
         text = sep.join(map(float.__repr__, obj))
         if "n" in text:  # no finite repr has an 'n' or an 'i'
             text = text.replace("inf", "Infinity").replace("nan", "NaN")
@@ -473,6 +474,19 @@ def _cell_texts(value) -> tuple[str, str]:
     return str(value), "".join(out)
 
 
+def _column_texts(column) -> tuple:
+    """(CSV texts, JSON texts) of one table column, the _cell_texts of each
+    cell: a column of exact floats, or of exact ints, is formatted in one map."""
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        texts = list(map(float.__repr__, column))
+        return texts, list(map(_JSON_SPECIAL_FLOATS.get, texts, texts))
+    if kinds == {int}:
+        texts = list(map(int.__repr__, column))
+        return texts, texts
+    return tuple(zip(*map(_cell_texts, column)))
+
+
 class _Emitter:
     """Collects output files.
 
@@ -490,21 +504,22 @@ class _Emitter:
     def table(self, stem: str, header, rows):
         """Write rows as csv.writer would and their JSON twin, a list of
         {header: cell} objects, as json.dump(indent=2, sort_keys=True) would,
-        formatting each cell once."""
-        cells = [[_cell_texts(v) for v in row] for row in rows]
+        formatting each column once."""
+        columns = [_column_texts(column) for column in zip(*rows)]
         if "csv" in self.formats:
             path = self.dir / f"{stem}.csv"
             with open(path, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(header)
-                writer.writerows([text for text, _ in row] for row in cells)
+                writer.writerows(zip(*(texts for texts, _ in columns)))
             self.files.append(str(path))
         if "json" in self.formats:
             path = self.dir / f"{stem}.json"
             keys = sorted({k: i for i, k in enumerate(header)}.items())  # last column wins
             fields = [f"    {encode_basestring_ascii(k).replace('%', '%%')}: %s" for k, _ in keys]
             template = "{\n" + ",\n".join(fields) + "\n  }" if fields else "{}"
-            objects = [template % tuple(row[i][1] for _, i in keys) for row in cells]
+            cells = zip(*(columns[i][1] for _, i in keys)) if columns else ()
+            objects = [template % row for row in cells]
             with open(path, "w") as fh:
                 fh.write("[\n  " + ",\n  ".join(objects) + "\n]\n" if objects else "[]\n")
             self.files.append(str(path))
@@ -636,18 +651,10 @@ def _run_kernel_fit(config, emit):
     count = int(round((grid_spec["hi"] - grid_spec["lo"]) / grid_spec["step"])) + 1
     u_grid = grid_spec["lo"] + grid_spec["step"] * np.arange(count)
 
-    rows = []
-    for u in u_grid:
-        truth, est = kernelreg.demo_truth(float(u)), kernelreg.estimate(dataset, kernel, u, h)
-        (t_lo, t_hi), (e_lo, e_hi) = bounds_of(truth), bounds_of(est)
-        rows.append((float(u), float(t_lo[0]), float(t_hi[0]), float(e_lo[0]), float(e_hi[0]),
-                     hausdorff(est, truth)))
-    emit.table(
-        "fit",
-        ["u", "truth_lo", "truth_hi", "est_lo", "est_hi", "hausdorff"],
-        rows,
-    )
-    median_err = float(np.median([r[5] for r in rows]))
+    columns = kernelreg._demo_fit(dataset, kernel, u_grid, h)
+    header = ["u", "truth_lo", "truth_hi", "est_lo", "est_hi", "hausdorff"]
+    emit.table("fit", header, zip(*(a.tolist() for a in (u_grid, *columns))))
+    median_err = float(np.median(columns[4]))
     metrics = {"median_hausdorff": median_err, "bandwidth": h}
     checks = {"median_error_within_bound": median_err <= params["max_median_error"]}
     return metrics, checks
@@ -709,13 +716,11 @@ def _baseline_theta(program, params):
 
 
 def _grid_csv_rows(res):
-    # flattened theta ordering matches the grid table's column order
-    theta_points = invopt.theta_mesh(res.theta_axes)
-    rows = []
-    for i, eps in enumerate(res.eps_axis):
-        for j, th in enumerate(theta_points):
-            rows.append((float(eps), *[float(v) for v in th], float(res.grid_values[i, j])))
-    return rows
+    # eps major, then theta_mesh's flattened order: the order of grid_values
+    n_eps, n_theta = res.grid_values.shape
+    theta = np.tile(invopt.theta_mesh(res.theta_axes), (n_eps, 1))
+    return zip(np.repeat(res.eps_axis, n_theta).tolist(), *theta.T.tolist(),
+               res.grid_values.ravel().tolist())
 
 
 def _run_invopt_fit(config, emit):

@@ -1,6 +1,7 @@
 """Experiment harness: configs, runners, file outputs, CLI exit codes."""
 
 import csv
+import io
 import json
 
 import numpy as np
@@ -105,6 +106,59 @@ def test_table_bytes_match_csv_writer_and_json_dump(tmp_path):
         out = tmp_path / f"t{k}"
         assert (out / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
         assert (out / "t.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+def _per_cell_table(header, rows) -> tuple[bytes, bytes]:
+    """CSV and JSON bytes of a table whose every cell is formatted by _cell_texts."""
+    cells = [[harness._cell_texts(v) for v in row] for row in rows]
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([text for text, _ in row] for row in cells)
+    keys = sorted({k: i for i, k in enumerate(header)}.items())
+    objects = [
+        "{\n" + ",\n".join(f"    {json.dumps(k)}: {row[i][1]}" for k, i in keys) + "\n  }"
+        for row in cells
+    ]
+    text = "[\n  " + ",\n  ".join(objects) + "\n]\n" if objects else "[]\n"
+    return buf.getvalue().encode(), text.encode()
+
+
+def test_table_columns_match_per_cell_formatting(tmp_path):
+    inf, nan = float("inf"), float("nan")
+    columns = {
+        "float": [1.5, -inf, inf, nan, -0.0, 5e-324, 1e22],
+        "int": [0, -7, 2**70, 3, 1, 10**30, -1],
+        "bool": [True, False, True, True, False, False, True],
+        "np_int": [np.int64(v) for v in (0, -7, 3, 1, 2, 5, -1)],
+        "np_bool": [np.bool_(v) for v in (1, 0, 1, 0, 1, 0, 1)],
+        "np_float": [np.float64(v) for v in (0.1, -inf, nan, -0.0, 2.5, inf, 1e300)],
+        "str": ["plain", 'comma, "quote"', "ünïcødé", "", "100%", "a\nb", "x"],
+        "float_int": [1.5, 2, -0.0, 3, inf, 0, nan],
+        "float_np_float": [0.1, np.float64(0.2), nan, np.float64(-inf), 1.0, 2.0, 3.0],
+        "int_bool": [1, True, 0, False, 2, 3, 4],
+        "str_float": ["a", 1.5, "b", nan, "c", -inf, "d"],
+    }
+    header = list(columns)
+    rows = list(zip(*columns.values()))
+    repeated = ["a", "b", "a", "c", "b"]  # the last column of a name wins in JSON
+    for k, (head, table_rows) in enumerate([
+        (header, rows),
+        (header, [list(row) for row in rows[:3]]),
+        (header, []),
+        (repeated, [row[:5] for row in rows]),
+        (repeated, []),
+        (["only"], [(v,) for v in columns["float"]]),
+    ]):
+        out = tmp_path / f"t{k}"
+        config = harness.ExperimentConfig(
+            kind="sets-demo", params={}, seed=RngSeed(0), out_dir=str(out),
+            formats=("csv", "json"),
+        )
+        harness._Emitter(config).table("t", head, iter(table_rows))
+        want_csv, want_json = _per_cell_table(head, table_rows)
+        assert (out / "t.csv").read_bytes() == want_csv, k
+        assert (out / "t.json").read_bytes() == want_json, k
 
 
 # ------------------------------------------------------------------- config
@@ -226,6 +280,20 @@ def test_config_rejects_bad_values():
     ]:
         with pytest.raises(ConfigError, match=f"{field}: must be finite"):
             config_from_dict({"kind": kind, "params": params})
+    # a check bound below 0, -inf too, is a config error; 0 and +inf are bounds
+    for kind, params, field in [
+        ("kernel-fit", {"max_median_error": -1}, "'max_median_error'"),
+        ("kernel-fit", {"max_median_error": "-inf"}, "'max_median_error'"),
+        ("clt", {"max_cov_rel_error": -0.1}, "'max_cov_rel_error'"),
+        ("clt", {"max_identity_gap": -5e-324}, "'max_identity_gap'"),
+        ("invopt-fit", {"max_eps_error": -inf}, "'max_eps_error'"),
+        ("invopt-fit", {"max_theta_error": "-2"}, "'max_theta_error'"),
+        ("invopt-fit", {"lam": -1e-3}, "'lam'"),
+    ]:
+        with pytest.raises(ConfigError, match=f"{field} must be nonnegative"):
+            config_from_dict({"kind": kind, "params": params})
+    cfg = config_from_dict({"kind": "kernel-fit", "params": {"max_median_error": 0}})
+    assert cfg.params["max_median_error"] == 0.0
     # a check bound of +inf is no bound
     cfg = config_from_dict({"kind": "kernel-fit", "params": {"max_median_error": "inf"}})
     assert cfg.params["max_median_error"] == float("inf")
@@ -555,6 +623,8 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
         ("slln", {"slope_window": [-0.3, -0.6], "replicates": 2}, "'slope_window'"),
         ("kernel-fit", {"n": 200, "max_median_error": float("nan")}, "'max_median_error'"),
         ("kernel-fit", {"n": 200, "h": True}, "'h'"),
+        ("kernel-fit", {"n": 200, "max_median_error": -1}, "'max_median_error'"),
+        ("clt", {"replicates": 20, "max_identity_gap": float("-inf")}, "'max_identity_gap'"),
         ("clt", {"noise": {"type": "uniform-box", "lower": [-1e308, -1], "upper": [1e308, 1]},
                  "replicates": 20}, "'noise'"),
         ("clt", {"noise": {"type": "uniform-box", "lower": [-1e200, -1], "upper": [1e200, 1]},

@@ -27,6 +27,7 @@ from setstat.kernelreg import (
     validate_kernel,
     write_dataset_jsonl,
 )
+from setstat.kernelreg import _demo_fit
 from setstat.randomsets import RngSeed
 
 
@@ -244,6 +245,55 @@ def test_estimate_tracks_demo_truth_at_moderate_n():
     for u in [-1.5, -0.5, 0.0, 0.5, 1.5]:
         err = hausdorff(estimate(ds, EPANECHNIKOV, [u], h), demo_truth(u))
         assert err < 0.35
+
+
+def _per_query_fit(ds, u_grid, h):
+    """The columns of the kernel-fit table, one query at a time."""
+    rows = []
+    for u in u_grid:
+        truth, est = demo_truth(float(u)), estimate(ds, EPANECHNIKOV, u, h)
+        (t_lo, t_hi), (e_lo, e_hi) = bounds_of(truth), bounds_of(est)
+        rows.append((t_lo[0], t_hi[0], e_lo[0], e_hi[0], hausdorff(est, truth)))
+    return [np.array(col, dtype=float) for col in zip(*rows)]
+
+
+def test_demo_fit_matches_the_per_query_loop_bit_for_bit():
+    ds = generate_demo_dataset(3000, RngSeed(3))
+    h = default_bandwidth(3000, 1)
+    preset = -1.5 + 0.1 * np.arange(31)
+    grids = [
+        preset,
+        -1.5 + 0.01 * np.arange(301),
+        np.random.default_rng(7).uniform(-2.0, 2.0, 250),
+        np.array([-2.0, -0.5, -0.25, 0.0, 0.25, 0.5, 2.0]),
+    ]
+    for u_grid in grids:
+        got = _demo_fit(ds, EPANECHNIKOV, u_grid, h)
+        for col, want in zip(got, _per_query_fit(ds, u_grid, h), strict=True):
+            assert col.tobytes() == want.tobytes()
+    # bounds_of writes the truth's lower endpoint +0.0 at u = 0.5 as -0.0
+    assert preset[20] == 0.5
+    assert math.copysign(1.0, _demo_fit(ds, EPANECHNIKOV, preset, h)[0][20]) == -1.0
+    with pytest.raises(ValueError, match=r"defined on \[-2, 2\]"):
+        _demo_fit(ds, EPANECHNIKOV, np.array([0.0, 2.5]), h)
+
+
+def test_consistency_curve_matches_the_per_query_loop_bit_for_bit():
+    u_grid = np.arange(-1.5, 1.5 + 1e-9, 0.25)
+    seed = RngSeed(23)
+    points, records = consistency_curve([100, 400], 2, u_grid, seed)
+    want = []
+    for i, n in enumerate([100, 400]):
+        h = default_bandwidth(n, 1)
+        for r in range(2):
+            errs = _per_query_fit(generate_demo_dataset(n, seed.derive(1_000_000 * i + r)),
+                                  u_grid, h)[4]
+            want += [(n, r, float(u), float(e)) for u, e in zip(u_grid, errs)]
+    assert [rec[:3] for rec in records] == [rec[:3] for rec in want]
+    assert np.array([rec[3] for rec in records]).tobytes() == np.array(
+        [rec[3] for rec in want]).tobytes()
+    for p, block in zip(points, (want[:2 * len(u_grid)], want[2 * len(u_grid):])):
+        assert p.median_error == float(np.median([rec[3] for rec in block]))
 
 
 def test_consistency_curve_improves_with_n():
