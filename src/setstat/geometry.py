@@ -192,7 +192,23 @@ def _prune_vertices(v: np.ndarray) -> np.ndarray:
     return v  # d > 2: stored vertices may be redundant (documented)
 
 
-class ConvexSet:
+class _Record:
+    """A value written as the record {"type": tag, field: value, ...}: the
+    fields its class declares, in order, arrays as nested lists.  The
+    constructor takes those fields by name."""
+
+    def __init_subclass__(cls, tag: str = "", fields: tuple[str, ...] = ()):
+        cls._tag, cls._fields = tag, fields
+
+    def to_dict(self) -> dict:
+        record = {"type": self._tag}
+        for name in self._fields:
+            value = getattr(self, name)
+            record[name] = value.tolist() if isinstance(value, np.ndarray) else value
+        return record
+
+
+class ConvexSet(_Record):
     """Base class; concrete variants implement support_many."""
 
     dim: int
@@ -215,14 +231,11 @@ class ConvexSet:
     def translate(self, v) -> "ConvexSet":
         raise NotImplementedError
 
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.to_dict()})"
 
 
-class VertexPolytope(ConvexSet):
+class VertexPolytope(ConvexSet, tag="vpoly", fields=("vertices",)):
     """Convex hull of finitely many stored vertices.
 
     For dimensions one and two the stored vertices are pruned to extreme
@@ -250,11 +263,8 @@ class VertexPolytope(ConvexSet):
         v = _as_vector(v, self.dim)
         return VertexPolytope(self.vertices + v, prune=False)
 
-    def to_dict(self) -> dict:
-        return {"type": "vpoly", "vertices": self.vertices.tolist()}
 
-
-class Zonotope(ConvexSet):
+class Zonotope(ConvexSet, tag="zonotope", fields=("center", "generators", "weights")):
     """Center plus weighted segment generators.
 
     The represented set is {c + sum_k t_k * w_k * g_k : t_k in [-1, 1]},
@@ -297,16 +307,8 @@ class Zonotope(ConvexSet):
         v = _as_vector(v, self.dim)
         return Zonotope(self.center + v, self.generators, self.weights)
 
-    def to_dict(self) -> dict:
-        return {
-            "type": "zonotope",
-            "center": self.center.tolist(),
-            "generators": self.generators.tolist(),
-            "weights": self.weights.tolist(),
-        }
 
-
-class Ball(ConvexSet):
+class Ball(ConvexSet, tag="ball", fields=("center", "radius")):
     """Euclidean ball with nonnegative radius."""
 
     def __init__(self, center, radius: float):
@@ -335,11 +337,8 @@ class Ball(ConvexSet):
         v = _as_vector(v, self.dim)
         return Ball(self.center + v, self.radius)
 
-    def to_dict(self) -> dict:
-        return {"type": "ball", "center": self.center.tolist(), "radius": self.radius}
 
-
-class Box(ConvexSet):
+class Box(ConvexSet, tag="box", fields=("lower", "upper")):
     """Axis-aligned box given by lower and upper corner vectors."""
 
     def __init__(self, lower, upper):
@@ -361,9 +360,6 @@ class Box(ConvexSet):
     def translate(self, v) -> "Box":
         v = _as_vector(v, self.dim)
         return Box(self.lower + v, self.upper + v)
-
-    def to_dict(self) -> dict:
-        return {"type": "box", "lower": self.lower.tolist(), "upper": self.upper.tolist()}
 
 
 def interval(lo: float, hi: float) -> Box:
@@ -1237,7 +1233,7 @@ def integrated_distance(c: ConvexSet, d: ConvexSet) -> float:
     allpts, wts = _distance_grid(dim)
     gap = np.abs(_dist_points_batch(allpts, c) - _dist_points_batch(allpts, d))
     total = 0.0
-    for w, peak in zip(wts, gap.reshape(wts.shape[0], -1).max(axis=1).tolist()):
+    for w, peak in zip(wts.tolist(), gap.reshape(wts.shape[0], -1).max(axis=1).tolist()):
         total += w * peak
     return total
 
@@ -1321,7 +1317,20 @@ def _extreme_rows(c: ConvexSet) -> ConvexSet:
     return VertexPolytope(c.vertices[np.sort(keep)], prune=False)
 
 
-_VARIANTS = {"vpoly", "zonotope", "ball", "box"}
+def _record_fields(d, classes, what: str) -> tuple[type, dict]:
+    """The class of classes tagged d["type"], and the other fields of d,
+    which must be exactly the fields that class declares."""
+    if not isinstance(d, dict) or "type" not in d:
+        raise ValueError(f"{what} record must be a dict with a 'type' field")
+    fields = dict(d)
+    kind = fields.pop("type")
+    cls = next((c for c in classes if c._tag == kind), None)
+    if cls is None:
+        raise ValueError(f"unknown {what} type {kind!r}")
+    if set(fields) != set(cls._fields):
+        want, got = sorted(cls._fields), sorted(fields)
+        raise ValueError(f"{what} type {kind!r} expects fields {want}, got {got}")
+    return cls, fields
 
 
 def set_to_dict(c: ConvexSet) -> dict:
@@ -1331,30 +1340,12 @@ def set_to_dict(c: ConvexSet) -> dict:
 
 def set_from_dict(d: dict) -> ConvexSet:
     """Set parsed from its dictionary form (inverse of set_to_dict)."""
-    if not isinstance(d, dict) or "type" not in d:
-        raise ValueError("set dictionary must contain a 'type' field")
-    kind = d["type"]
-    if kind not in _VARIANTS:
-        raise ValueError(f"unknown set type: {kind!r}")
-    fields = {k for k in d if k != "type"}
-    expected = {
-        "vpoly": {"vertices"},
-        "zonotope": {"center", "generators", "weights"},
-        "ball": {"center", "radius"},
-        "box": {"lower", "upper"},
-    }[kind]
-    if fields != expected:
-        raise ValueError(f"set type {kind!r} expects fields {sorted(expected)}, got {sorted(fields)}")
-    if kind == "vpoly":
-        return VertexPolytope(d["vertices"])
-    if kind == "zonotope":
-        g = np.asarray(d["generators"], dtype=float)
+    cls, fields = _record_fields(d, (VertexPolytope, Zonotope, Ball, Box), "set")
+    if cls is Zonotope:  # a flat list is one generator; an empty one has the center's length
+        g = np.asarray(fields["generators"], dtype=float)
         if g.ndim == 1:
-            g = g.reshape(0, 1) if g.size == 0 else g.reshape(1, -1)
-        return Zonotope(d["center"], g, d["weights"])
-    if kind == "ball":
-        return Ball(d["center"], d["radius"])
-    return Box(d["lower"], d["upper"])
+            fields["generators"] = g.reshape(-1, g.size or np.size(fields["center"]))
+    return cls(**fields)
 
 
 def set_to_json(c: ConvexSet) -> str:
@@ -1365,3 +1356,35 @@ def set_to_json(c: ConvexSet) -> str:
 def set_from_json(s: str) -> ConvexSet:
     """Set parsed from its JSON encoding."""
     return set_from_dict(json.loads(s))
+
+
+def _row_reprs(a: np.ndarray) -> list[str]:
+    """float.__repr__ of each row of a 2-D array, joined with ", ": for
+    finite entries, the text json writes for the row's list."""
+    flat = list(map(float.__repr__, a.ravel().tolist()))
+    k = a.shape[1]
+    if k == 1:
+        return flat
+    return [", ".join(flat[i * k:(i + 1) * k]) for i in range(a.shape[0])]
+
+
+def _jsonl_records(path, keys: tuple[str, ...]):
+    """The values of keys on each nonblank line of a JSON-lines file, whose
+    every record holds exactly those keys."""
+    with open(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            rec = json.loads(line)
+            if set(rec) != set(keys):
+                raise ValueError(
+                    f"line {line_no}: expected keys {' and '.join(keys)}, got {sorted(rec)}"
+                )
+            yield tuple(rec[k] for k in keys)
+
+
+def _grid_axis(lo: float, hi: float, step: float) -> np.ndarray:
+    """lo + step * k for k = 0, 1, ... up to the last point at or below hi,
+    which it may pass by a rounding error of about 1e-9 step."""
+    return lo + step * np.arange(math.floor((hi - lo) / step + 1e-9) + 1)

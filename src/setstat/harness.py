@@ -283,6 +283,11 @@ def _validate_params(kind: str, params: dict) -> dict:
         raise ConfigError(
             "parameter 'dataset' must be set-regression, box-linear, or box-quadratic"
         )
+    if "u_grid" in merged:  # kernel-fit: every query inside the demo truth's domain
+        lo, hi = kernelreg._DEMO_DOMAIN
+        u = geometry._grid_axis(**merged["u_grid"])
+        if not (lo <= u[0] and u[-1] <= hi):
+            raise ConfigError(f"parameter 'u_grid' leaves the demo truth's domain [{lo:g}, {hi:g}]")
     if "body" in merged:  # slln and clt: a body and a noise law of its dimension
         body = _parse_field("body", set_from_dict, merged["body"])
         noise = _parse_field("noise", randomsets.noise_from_dict, merged["noise"])
@@ -647,10 +652,7 @@ def _run_kernel_fit(config, emit):
     h = params["h"] if params["h"] is not None else kernelreg.default_bandwidth(n, 1)
     dataset = kernelreg.generate_demo_dataset(n, config.seed)
     emit.jsonl("dataset.jsonl", lambda p: kernelreg.write_dataset_jsonl(dataset, p))
-    grid_spec = params["u_grid"]
-    count = int(round((grid_spec["hi"] - grid_spec["lo"]) / grid_spec["step"])) + 1
-    u_grid = grid_spec["lo"] + grid_spec["step"] * np.arange(count)
-
+    u_grid = geometry._grid_axis(**params["u_grid"])
     columns = kernelreg._demo_fit(dataset, kernel, u_grid, h)
     header = ["u", "truth_lo", "truth_hi", "est_lo", "est_hi", "hausdorff"]
     emit.table("fit", header, zip(*(a.tolist() for a in (u_grid, *columns))))

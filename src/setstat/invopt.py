@@ -11,7 +11,6 @@ with exact gradients, and a presmoothing pipeline round out the toolkit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -22,7 +21,10 @@ from .geometry import (
     ConvexSet,
     SolverLimitError,
     VertexPolytope,
+    _grid_axis,
     _halfplane_vertices,
+    _jsonl_records,
+    _row_reprs,
     bounds_of,
     interval,
     minkowski_sum,
@@ -348,28 +350,18 @@ class ObservationDataset:
 
 
 def write_observations_jsonl(dataset: ObservationDataset, path) -> None:
-    """One observation per line: {"u": [...], "y": [...]}."""
+    """One observation per line: {"u": [...], "y": [...]}.  Observations are
+    finite, so each row is written as the float.__repr__ text json gives."""
     with open(path, "w") as fh:
-        for u, y in zip(dataset.us, dataset.ys):
-            rec = {"u": [float(v) for v in u], "y": [float(v) for v in y]}
-            fh.write(json.dumps(rec, separators=(", ", ": ")) + "\n")
+        fh.writelines(
+            '{"u": [%s], "y": [%s]}\n' % row
+            for row in zip(_row_reprs(dataset.us), _row_reprs(dataset.ys))
+        )
 
 
 def read_observations_jsonl(path) -> ObservationDataset:
-    us, ys = [], []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            if set(rec) != {"u", "y"}:
-                raise ValueError(
-                    f"line {line_no}: expected keys u and y, got {sorted(rec)}"
-                )
-            us.append(rec["u"])
-            ys.append(rec["y"])
-    return ObservationDataset(np.asarray(us), np.asarray(ys))
+    rows = list(_jsonl_records(path, ("u", "y")))
+    return ObservationDataset(np.asarray([u for u, _ in rows]), np.asarray([y for _, y in rows]))
 
 
 @dataclass(frozen=True)
@@ -391,18 +383,15 @@ class PriorRegion:
             raise ValueError("grid steps must be positive")
 
     def eps_axis(self) -> np.ndarray:
-        lo, hi = self.eps_range
-        count = int(round((hi - lo) / self.d_eps)) + 1
-        return lo + self.d_eps * np.arange(count)
+        return _grid_axis(*self.eps_range, self.d_eps)
 
     def theta_axes(self) -> list[np.ndarray]:
         if self.theta_box is None:
             return []
-        axes = []
-        for lo, hi in zip(self.theta_box.lower, self.theta_box.upper):
-            count = int(round((hi - lo) / self.d_theta)) + 1
-            axes.append(lo + self.d_theta * np.arange(count))
-        return axes
+        return [
+            _grid_axis(lo, hi, self.d_theta)
+            for lo, hi in zip(self.theta_box.lower, self.theta_box.upper)
+        ]
 
     def theta_points(self) -> np.ndarray:
         """Cartesian product of the theta axes, shape (count, p)."""

@@ -9,7 +9,6 @@ through additive uniform translation noise.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +18,12 @@ from .geometry import (
     ConvexSet,
     _axis_bounds,
     _box_support,
+    _jsonl_records,
+    _row_reprs,
     _signed_axes,
     interval,
     set_from_dict,
-    set_to_dict,
+    set_to_json,
     weighted_minkowski_average,
 )
 from .randomsets import RngSeed
@@ -297,11 +298,13 @@ def local_mass_diagnostics(
 
 # --- 1-D interval demo problem --------------------------------------------
 
+_DEMO_DOMAIN = (-2.0, 2.0)  # the demo truth's inputs, where the demo dataset draws x
+
 
 def _demo_truth_endpoints(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unclipped truth endpoints for an array of inputs in [-2, 2]."""
-    if not np.all((u >= -2.0) & (u <= 2.0)):
-        raise ValueError("truth is defined on [-2, 2]")
+    """Unclipped truth endpoints for an array of inputs in _DEMO_DOMAIN."""
+    if not np.all((u >= _DEMO_DOMAIN[0]) & (u <= _DEMO_DOMAIN[1])):
+        raise ValueError("truth is defined on [%g, %g]" % _DEMO_DOMAIN)
     left, right = u < -0.25, u > 0.25
     inv = np.divide(1.0, u, out=np.zeros_like(u), where=left | right)
     return np.where(right, 2.0 - inv, -2.0), np.where(left, -inv, 2.0)
@@ -333,7 +336,7 @@ def generate_demo_dataset(n: int, seed: RngSeed) -> SetRegressionDataset:
     if n < 1:
         raise ValueError("need n >= 1 samples")
     rng = seed.generator()
-    xs = rng.uniform(-2.0, 2.0, size=n)
+    xs = rng.uniform(*_DEMO_DOMAIN, size=n)
     ws = rng.uniform(-1.0, 1.0, size=n)
     lo, hi = _demo_truth_endpoints(xs)
     lo = np.maximum(lo, -2.0) + ws
@@ -395,21 +398,11 @@ def _demo_fit(dataset: SetRegressionDataset, kernel: KernelSpec, u_grid: np.ndar
 # --- dataset files ----------------------------------------------------------
 
 
-def _row_reprs(a: np.ndarray) -> list[str]:
-    """float.__repr__ of each row of a 2-D array, joined with ", "."""
-    flat = list(map(float.__repr__, a.ravel().tolist()))
-    k = a.shape[1]
-    if k == 1:
-        return flat
-    return [", ".join(flat[i * k:(i + 1) * k]) for i in range(a.shape[0])]
-
-
 def write_dataset_jsonl(dataset: SetRegressionDataset, path) -> None:
-    """One sample per line: {"x": [...], "set": {...}}.
+    """One sample per line: {"x": [...], "set": set_to_json(s)}.
 
-    An array-backed dataset is written by formatting its rows directly:
-    from_boxes admits only finite entries, which json encodes as
-    float.__repr__, so the bytes equal those of the json path.
+    Inputs admit only finite entries, whose json text is float.__repr__, so
+    rows are formatted directly; an array-backed dataset fills one box line.
     """
     with open(path, "w") as fh:
         if dataset.lower is not None:
@@ -421,25 +414,14 @@ def write_dataset_jsonl(dataset: SetRegressionDataset, path) -> None:
                 )
             )
             return
-        encode = json.JSONEncoder(separators=(", ", ": ")).encode
-        for smp in dataset.samples:
-            rec = {"x": [float(v) for v in smp.x], "set": set_to_dict(smp.s)}
-            fh.write(encode(rec) + "\n")
+        fh.writelines(
+            '{"x": [%s], "set": %s}\n' % (x, set_to_json(smp.s))
+            for x, smp in zip(_row_reprs(dataset.inputs), dataset.samples)
+        )
 
 
 def read_dataset_jsonl(path) -> SetRegressionDataset:
-    samples = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            if set(rec) != {"x", "set"}:
-                raise ValueError(
-                    f"line {line_no}: expected keys x and set, got {sorted(rec)}"
-                )
-            samples.append(
-                LabeledSetSample(np.asarray(rec["x"], dtype=float), set_from_dict(rec["set"]))
-            )
-    return SetRegressionDataset(samples)
+    return SetRegressionDataset([
+        LabeledSetSample(np.asarray(x, dtype=float), set_from_dict(s))
+        for x, s in _jsonl_records(path, ("x", "set"))
+    ])

@@ -192,7 +192,7 @@ def _derived_generators(seed: RngSeed, offsets: range) -> Iterator[np.random.Gen
             yield rng
 
 
-class NoiseDistribution:
+class NoiseDistribution(geometry._Record):
     """Bounded-support noise with closed-form mean and covariance."""
 
     dim: int
@@ -209,7 +209,7 @@ class NoiseDistribution:
         raise NotImplementedError
 
 
-class UniformBoxNoise(NoiseDistribution):
+class UniformBoxNoise(NoiseDistribution, tag="uniform-box", fields=("lower", "upper")):
     """Uniform on an axis-aligned box (degenerate widths give point mass).
 
     A draw is lower + (upper - lower) * u for u from rng.random, the same
@@ -248,7 +248,7 @@ def _integral(value, what: str = "value") -> int:
     return int(value)
 
 
-class UniformBallNoise(NoiseDistribution):
+class UniformBallNoise(NoiseDistribution, tag="uniform-ball", fields=("radius", "dim")):
     """Uniform on a centered Euclidean ball."""
 
     def __init__(self, radius: float, dim: int):
@@ -276,7 +276,7 @@ class UniformBallNoise(NoiseDistribution):
         return r * z / norms
 
 
-class TriangularNoise(NoiseDistribution):
+class TriangularNoise(NoiseDistribution, tag="triangular", fields=("halfwidth",)):
     """Symmetric triangular on [-halfwidth, halfwidth], one-dimensional."""
 
     def __init__(self, halfwidth: float):
@@ -299,7 +299,7 @@ class TriangularNoise(NoiseDistribution):
         return rng.triangular(-self.halfwidth, 0.0, self.halfwidth, size=(n, 1))
 
 
-class TruncatedGaussianNoise(NoiseDistribution):
+class TruncatedGaussianNoise(NoiseDistribution, tag="truncated-gaussian", fields=("sigma", "radius")):
     """Centered Gaussian conditioned on the Mahalanobis ball of a given radius.
 
     Truncation is elliptical (x' Sigma^-1 x <= radius^2), which keeps the
@@ -348,53 +348,14 @@ class TruncatedGaussianNoise(NoiseDistribution):
 
 def noise_to_dict(noise: NoiseDistribution) -> dict:
     """JSON-ready description of a noise law; inverse of noise_from_dict."""
-    if isinstance(noise, UniformBoxNoise):
-        return {
-            "type": "uniform-box",
-            "lower": [float(v) for v in noise.lower],
-            "upper": [float(v) for v in noise.upper],
-        }
-    if isinstance(noise, UniformBallNoise):
-        return {"type": "uniform-ball", "radius": noise.radius, "dim": noise.dim}
-    if isinstance(noise, TriangularNoise):
-        return {"type": "triangular", "halfwidth": noise.halfwidth}
-    if isinstance(noise, TruncatedGaussianNoise):
-        return {
-            "type": "truncated-gaussian",
-            "sigma": [[float(v) for v in row] for row in noise.sigma],
-            "radius": noise.radius,
-        }
-    raise ValueError(f"unknown noise distribution {type(noise).__name__}")
-
-
-_NOISE_FIELDS = {
-    "uniform-box": {"lower", "upper"},
-    "uniform-ball": {"radius", "dim"},
-    "triangular": {"halfwidth"},
-    "truncated-gaussian": {"sigma", "radius"},
-}
+    return noise.to_dict()
 
 
 def noise_from_dict(data: dict) -> NoiseDistribution:
-    if not isinstance(data, dict) or "type" not in data:
-        raise ValueError("noise description must be a dict with a 'type' field")
-    kind = data["type"]
-    if kind not in _NOISE_FIELDS:
-        raise ValueError(f"unknown noise type {kind!r}")
-    extra = set(data) - _NOISE_FIELDS[kind] - {"type"}
-    missing = _NOISE_FIELDS[kind] - set(data)
-    if extra or missing:
-        raise ValueError(
-            f"noise type {kind!r}: unexpected fields {sorted(extra)}, "
-            f"missing {sorted(missing)}"
-        )
-    if kind == "uniform-box":
-        return UniformBoxNoise(data["lower"], data["upper"])
-    if kind == "uniform-ball":
-        return UniformBallNoise(data["radius"], data["dim"])
-    if kind == "triangular":
-        return TriangularNoise(data["halfwidth"])
-    return TruncatedGaussianNoise(data["sigma"], data["radius"])
+    cls, fields = geometry._record_fields(
+        data, (UniformBoxNoise, UniformBallNoise, TriangularNoise, TruncatedGaussianNoise), "noise"
+    )
+    return cls(**fields)
 
 
 @dataclass(frozen=True)

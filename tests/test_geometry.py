@@ -1272,6 +1272,7 @@ def test_integrated_distance_zero_and_symmetry():
     a = Box([0, 0], [1, 1])
     b = Ball([0.5, 0.5], 0.4)
     assert integrated_distance(a, a) == 0.0
+    assert type(integrated_distance(a, b)) is float
     assert math.isclose(integrated_distance(a, b), integrated_distance(b, a), abs_tol=1e-12)
 
 
@@ -1386,14 +1387,108 @@ def test_serialization_round_trip(s):
 
 
 def test_serialization_rejects_malformed_dicts():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown set type 'pyramid'"):
         set_from_dict({"type": "pyramid"})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"expects fields \['lower', 'upper'\], got \['lower'\]"):
         set_from_dict({"type": "box", "lower": [0]})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"got \['center', 'extra', 'radius'\]"):
         set_from_dict({"type": "ball", "center": [0], "radius": 1, "extra": 2})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'type' field"):
         set_from_dict({"vertices": [[0, 0]]})
+    with pytest.raises(ValueError, match="'type' field"):
+        set_from_dict([("type", "box")])
+
+
+def _sets_of_every_variant(d):
+    rng = np.random.default_rng(40 + d)
+    return [
+        Box(-rng.random(d), rng.random(d)),
+        Ball(rng.normal(size=d), 0.75),
+        VertexPolytope(rng.normal(size=(d + 2, d))),
+        point_set(rng.normal(size=d)),
+        Zonotope(rng.normal(size=d), rng.normal(size=(3, d)), rng.random(3)),
+        Zonotope(rng.normal(size=d), rng.normal(size=(1, d)), [0.5]),
+        Zonotope(rng.normal(size=d), np.zeros((0, d)), []),
+    ]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_every_variant_round_trips_through_its_record(d):
+    # a zonotope without generators writes "generators": [], which parses
+    # back with the center's dimension
+    for s in _sets_of_every_variant(d):
+        rec = s.to_dict()
+        assert rec == set_to_dict(s) and list(rec)[0] == "type"
+        for back in (set_from_dict(rec), set_from_json(set_to_json(s))):
+            assert type(back) is type(s) and back.dim == d
+            assert back.to_dict() == rec
+            assert set_to_json(back) == set_to_json(s)
+
+
+def test_zonotope_record_accepts_a_flat_generator():
+    z = set_from_dict({"type": "zonotope", "center": [1, 2], "generators": [1, 0.5],
+                       "weights": [2]})
+    assert z.generators.tolist() == [[1.0, 0.5]] and z.weights.tolist() == [2.0]
+    with pytest.raises(ValueError, match="generators must have shape"):
+        set_from_dict({"type": "zonotope", "center": [1, 2], "generators": [1, 0.5, 3],
+                       "weights": [2]})
+
+
+def test_set_to_json_text_is_pinned():
+    # recorded with the per-variant encoders this record rule replaced
+    sets = [
+        Box([-1, 0.5], [2, 3.25]),
+        Zonotope([0.1, 0.2], [[1, 0], [0.3, 0.7]], [0.5, 2]),
+        Zonotope([0.0, 1e-300], np.zeros((0, 2)), []),
+        point_set([1e300, -0.0]),
+        VertexPolytope([[0, 0], [2, 1], [1, 3]]),
+        Ball([0.5, -0.5], 1.25),
+        interval(-2.0, 5.0),
+        Box([0.1], [0.30000000000000004]),
+    ]
+    assert [set_to_json(s) for s in sets] == [
+        '{"type": "box", "lower": [-1.0, 0.5], "upper": [2.0, 3.25]}',
+        '{"type": "zonotope", "center": [0.1, 0.2], "generators": [[1.0, 0.0], [0.3, 0.7]], '
+        '"weights": [0.5, 2.0]}',
+        '{"type": "zonotope", "center": [0.0, 1e-300], "generators": [], "weights": []}',
+        '{"type": "vpoly", "vertices": [[1e+300, -0.0]]}',
+        '{"type": "vpoly", "vertices": [[0.0, 0.0], [2.0, 1.0], [1.0, 3.0]]}',
+        '{"type": "ball", "center": [0.5, -0.5], "radius": 1.25}',
+        '{"type": "box", "lower": [-2.0], "upper": [5.0]}',
+        '{"type": "box", "lower": [0.1], "upper": [0.30000000000000004]}',
+    ]
+    assert repr(sets[5]) == "Ball({'type': 'ball', 'center': [0.5, -0.5], 'radius': 1.25})"
+
+
+def _rounded_axis(lo, hi, step):
+    # the axis formula before it stopped at hi: round() may step past hi
+    return lo + step * np.arange(int(round((hi - lo) / step)) + 1)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, step, count",
+    [(0.1, 10.0, 0.05, 199), (-2.0, 2.0, 0.05, 81), (-1.5, 1.5, 0.01, 301), (-1.5, 1.5, 0.1, 31)],
+)
+def test_grid_axes_in_use_keep_their_points_bit_for_bit(lo, hi, step, count):
+    axis = geometry._grid_axis(lo, hi, step)
+    assert axis.shape == (count,)
+    assert axis.tobytes() == _rounded_axis(lo, hi, step).tobytes()
+
+
+def test_grid_axis_never_ends_past_hi():
+    axis = geometry._grid_axis(-2.0, 2.0, 0.45)
+    assert axis.tobytes() == (-2.0 + 0.45 * np.arange(9)).tobytes() and axis[-1] <= 2.0
+    assert _rounded_axis(-2.0, 2.0, 0.45)[-1] > 2.0  # the old formula overshot to 2.05
+    assert geometry._grid_axis(0.5, 0.5, 0.1).tolist() == [0.5]
+    rng = np.random.default_rng(8)
+    for _ in range(2000):
+        lo = float(rng.uniform(-10, 10))
+        hi = lo + float(rng.choice([0.0, rng.uniform(0, 10), rng.integers(1, 50) * 0.1]))
+        step = float(rng.choice([rng.uniform(0.01, 3), 0.1, 0.05, 0.01]))
+        axis = geometry._grid_axis(lo, hi, step)
+        assert axis[0] == lo and np.all(np.diff(axis) > 0)
+        assert axis[-1] <= hi + 1e-9 * step + 4 * np.spacing(abs(hi) + abs(lo))
+        assert axis[-1] + step > hi  # no point below hi is left out
 
 
 # ------------------------------------------------------------- validation

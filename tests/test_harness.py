@@ -292,6 +292,13 @@ def test_config_rejects_bad_values():
     ]:
         with pytest.raises(ConfigError, match=f"{field} must be nonnegative"):
             config_from_dict({"kind": kind, "params": params})
+    # a u grid with a point outside the demo truth's domain [-2, 2]
+    outside = ({"lo": -1, "hi": 2.5, "step": 0.5}, {"lo": -2.5, "hi": 0}, {"hi": 2.3, "step": 0.2})
+    for grid in outside:
+        with pytest.raises(ConfigError, match="'u_grid' leaves the demo truth's domain"):
+            config_from_dict({"kind": "kernel-fit", "params": {"u_grid": grid}})
+    for grid in ({"lo": -2, "hi": 2, "step": 0.45}, {"lo": -1, "hi": 2.3, "step": 0.5}):
+        config_from_dict({"kind": "kernel-fit", "params": {"u_grid": grid}})  # stops at <= 2
     cfg = config_from_dict({"kind": "kernel-fit", "params": {"max_median_error": 0}})
     assert cfg.params["max_median_error"] == 0.0
     # a check bound of +inf is no bound
@@ -635,6 +642,8 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
         ("invopt-fit", {"n": 20, "lam": float("inf")}, "'lam'"),
         ("invopt-fit", {"n": 20, "prior": {"eps_hi": float("inf")}}, "'prior.eps_hi'"),
         ("kernel-fit", {"n": 200, "u_grid": {"hi": float("inf")}}, "'u_grid.hi'"),
+        ("kernel-fit", {"n": 200, "u_grid": {"lo": -1, "hi": 2.5, "step": 0.5}}, "'u_grid'"),
+        ("kernel-fit", {"n": 200, "u_grid": {"lo": -2.05, "hi": 1, "step": 0.5}}, "'u_grid'"),
         ("compare-estimators", {"n_values": [10], "replicates": 1,
                                 "baseline_theta": float("inf")}, "'baseline_theta'"),
         ("gen-data", {"dataset": "box-quadratic", "n": 10, "noise_radius": float("inf")},
@@ -651,6 +660,20 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
                                      "out": str(tmp_path / "g")}))
         assert cli.main(["gen-data", "--config", str(path7)]) == 2, seed
         assert "'seed'" in capsys.readouterr().err
+
+
+def test_cli_kernel_fit_runs_a_grid_whose_step_does_not_divide_the_range(tmp_path, capsys):
+    # (2 - -2) / 0.45 is not whole: the grid stops at 1.6 instead of leaving
+    # the truth's domain at 2.05
+    path = tmp_path / "grid.json"
+    params = {"n": 200, "u_grid": {"lo": -2, "hi": 2, "step": 0.45}}
+    config = {"kind": "kernel-fit", "params": params, "out": str(tmp_path / "k")}
+    path.write_text(json.dumps(config))
+    assert cli.main(["kernel-fit", "--config", str(path)]) in (0, 1)
+    capsys.readouterr()
+    with open(tmp_path / "k" / "fit.csv") as fh:
+        us = [float(row["u"]) for row in csv.DictReader(fh)]
+    assert us == (-2.0 + 0.45 * np.arange(9)).tolist()
 
 
 def test_cli_failed_check_exits_1(tmp_path, capsys):

@@ -301,6 +301,15 @@ def test_prior_region_axes():
     assert math.isclose(pts[0, 0], -2.0) and math.isclose(pts[-1, 0], 2.0)
 
 
+def test_prior_region_axes_stop_at_the_prior_box():
+    # round((2 - -2) / 0.45) = 9 steps would end at 2.05, outside the theta box
+    prior = PriorRegion(eps_range=(0.1, 1.0), w_set=interval(-1.0, 1.0),
+                        theta_box=Box([-2.0], [2.0]), d_eps=0.4, d_theta=0.45)
+    (theta,) = prior.theta_axes()
+    assert theta.tobytes() == (-2.0 + 0.45 * np.arange(9)).tobytes() and theta[-1] <= 2.0
+    assert prior.eps_axis().tobytes() == (0.1 + 0.4 * np.arange(3)).tobytes()
+
+
 def test_prior_region_theta_free_and_validation():
     prior = PriorRegion(eps_range=(0.0, 1.0), w_set=interval(-1, 1))
     assert prior.theta_points().shape == (1, 0)
@@ -1072,8 +1081,32 @@ def test_observations_jsonl_round_trip(tmp_path):
     np.testing.assert_allclose(back.us, ds.us)
     np.testing.assert_allclose(back.ys, ds.ys)
     path.write_text('{"u": [0.0]}\n')
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"line 1: expected keys u and y, got \['u'\]"):
         read_observations_jsonl(path)
+    path.write_text('\n')
+    with pytest.raises(ValueError, match="nonempty"):
+        read_observations_jsonl(path)
+
+
+@pytest.mark.parametrize(
+    "ds",
+    [
+        generate_boxlinear_observations(60, RngSeed(5)),
+        generate_boxquadratic_observations(40, 3.0, RngSeed(6)),  # u has no columns
+        ObservationDataset(np.array([[-0.0, 1e300], [5e-324, 1 / 3]]), np.array([1e16, -2.5])),
+    ],
+)
+def test_observation_lines_are_the_json_encoding(ds, tmp_path):
+    path = tmp_path / "obs.jsonl"
+    write_observations_jsonl(ds, path)
+    want = "".join(
+        json.dumps({"u": [float(v) for v in u], "y": [float(v) for v in y]},
+                   separators=(", ", ": ")) + "\n"
+        for u, y in zip(ds.us, ds.ys)
+    )
+    assert path.read_text() == want
+    back = read_observations_jsonl(path)
+    assert back.us.tobytes() == ds.us.tobytes() and back.ys.tobytes() == ds.ys.tobytes()
 
 
 def test_result_to_dict_json_ready():

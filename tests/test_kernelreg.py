@@ -1,11 +1,23 @@
 """Kernel regression of set-valued responses and the interval demo problem."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from setstat.geometry import Box, bounds_of, hausdorff, interval, weighted_minkowski_average
+from setstat.geometry import (
+    Ball,
+    Box,
+    VertexPolytope,
+    Zonotope,
+    bounds_of,
+    hausdorff,
+    interval,
+    point_set,
+    set_to_dict,
+    weighted_minkowski_average,
+)
 from setstat.kernelreg import (
     EPANECHNIKOV,
     INDICATOR,
@@ -316,6 +328,33 @@ def test_dataset_jsonl_round_trip(tmp_path):
     np.testing.assert_allclose(back.inputs, ds.inputs)
     for a, b in zip(ds, back):
         assert hausdorff(a.s, b.s) == 0.0
+
+
+def test_object_dataset_lines_are_the_json_encoding(tmp_path):
+    rng = np.random.default_rng(12)
+    sets = [
+        Box([-1, 0.5], [2, 3.25]),
+        Zonotope([0.1, 0.2], [[1, 0], [0.3, 0.7]], [0.5, 2]),
+        Zonotope([0.0, 1e-300], np.zeros((0, 2)), []),
+        point_set([1e300, -0.0]),
+        Ball([0.5, -0.5], 1.25),
+        VertexPolytope(rng.normal(size=(8, 2))),
+    ]
+    ds = SetRegressionDataset([LabeledSetSample(rng.normal(size=2), s) for s in sets])
+    path = tmp_path / "objects.jsonl"
+    write_dataset_jsonl(ds, path)
+    want = "".join(
+        json.dumps({"x": [float(v) for v in smp.x], "set": set_to_dict(smp.s)},
+                   separators=(", ", ": ")) + "\n"
+        for smp in ds
+    )
+    assert path.read_text() == want
+    back = read_dataset_jsonl(path)
+    assert [set_to_dict(smp.s) for smp in back] == [set_to_dict(s) for s in sets]
+    box = '{"type": "box", "lower": [0], "upper": [1]}'
+    path.write_text(f'{{"x": [0.0], "set": {box}}}\n\n{{"x": [0.0]}}\n')
+    with pytest.raises(ValueError, match=r"line 3: expected keys x and set, got \['x'\]"):
+        read_dataset_jsonl(path)
 
 
 def test_array_backed_estimate_matches_object_dataset(tmp_path):

@@ -1,5 +1,6 @@
 """Random translated sets: sampling, limit laws, expectation algebra."""
 
+import json
 import math
 import os
 import subprocess
@@ -271,10 +272,29 @@ def test_noise_laws_reject_non_finite_parameters(make):
     ],
 )
 def test_noise_serialization_round_trip(noise):
-    back = noise_from_dict(noise_to_dict(noise))
+    rec = noise_to_dict(noise)
+    back = noise_from_dict(rec)
     assert type(back) is type(noise)
+    assert noise_to_dict(back) == rec
+    assert noise_from_dict(json.loads(json.dumps(rec))).to_dict() == rec
     np.testing.assert_allclose(back.mean, noise.mean)
     np.testing.assert_allclose(back.covariance, noise.covariance)
+
+
+def test_noise_records_are_pinned():
+    # recorded with the isinstance ladder this record rule replaced
+    noises = [
+        UniformBoxNoise([-1.0, 0.0], [2.0, 3.0]),
+        UniformBallNoise(1.5, 3),
+        TriangularNoise(0.7),
+        TruncatedGaussianNoise([[1.0, 0.2], [0.2, 2.0]], 2.5),
+    ]
+    assert [json.dumps(noise_to_dict(n)) for n in noises] == [
+        '{"type": "uniform-box", "lower": [-1.0, 0.0], "upper": [2.0, 3.0]}',
+        '{"type": "uniform-ball", "radius": 1.5, "dim": 3}',
+        '{"type": "triangular", "halfwidth": 0.7}',
+        '{"type": "truncated-gaussian", "sigma": [[1.0, 0.2], [0.2, 2.0]], "radius": 2.5}',
+    ]
 
 
 def test_noise_from_dict_rejects_malformed():
@@ -282,8 +302,10 @@ def test_noise_from_dict_rejects_malformed():
         noise_from_dict({"type": "cauchy"})
     with pytest.raises(ValueError):
         noise_from_dict({"type": "triangular"})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"fields \['halfwidth'\], got \['halfwidth', 'mode'\]"):
         noise_from_dict({"type": "triangular", "halfwidth": 1.0, "mode": 0.0})
+    with pytest.raises(ValueError, match="unknown noise type"):
+        noise_from_dict({"type": ["uniform-box"]})
 
 
 # --------------------------------------------------------------- sampling
