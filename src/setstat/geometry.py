@@ -3,9 +3,11 @@
 Sets are represented by one of four variants: vertex polytopes, zonotopes
 (center plus weighted segment generators), Euclidean balls, and axis-aligned
 boxes.  Exact vertex and facet manipulation is implemented for dimensions one
-and two; higher dimensions fall back to support-function sampling and the
-affected routines document the approximation.  All coordinates are float64
-and instances are immutable once constructed.
+and two.  From d = 3, sums with a ball, erosions other than of box or ball
+pairs, hausdorff of pairs neither both vertex-listed nor both balls, and
+matrix images of balls sample support values on a direction grid (balls are
+sampled in 2-D too); each routine documents its approximation.  All
+coordinates are float64 and instances are immutable once constructed.
 
 A family of translates K + s_i of one body is a single TranslatedFamily
 value: the body plus an (n, d) shift array.  It is a sequence that
@@ -1377,10 +1379,9 @@ def _jsonl_records(path, keys: tuple[str, ...]):
             if not line:
                 continue
             rec = json.loads(line)
-            if set(rec) != set(keys):
-                raise ValueError(
-                    f"line {line_no}: expected keys {' and '.join(keys)}, got {sorted(rec)}"
-                )
+            if not isinstance(rec, dict) or set(rec) != set(keys):
+                got = sorted(rec) if isinstance(rec, dict) else line
+                raise ValueError(f"line {line_no}: expected keys {' and '.join(keys)}, got {got}")
             yield tuple(rec[k] for k in keys)
 
 

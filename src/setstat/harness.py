@@ -195,8 +195,10 @@ _SCALAR_TYPES = {
 
 _POSITIVE_FIELDS = {"n", "replicates", "n_directions", "noise_radius", "h"}
 _NONNEGATIVE_FIELDS = {"lam", *(key for key, parse in _SCALAR_TYPES.items() if parse is _bound)}
-# (lower, upper) field pairs of the prior and u_grid objects
-_RANGES = (("eps_lo", "eps_hi"), ("theta_lo", "theta_hi"), ("w_lo", "w_hi"), ("lo", "hi"))
+# (lower, upper, grid step) fields of the prior and u_grid objects (W has no grid)
+_RANGES = (("eps_lo", "eps_hi", "d_eps"), ("theta_lo", "theta_hi", "d_theta"),
+           ("w_lo", "w_hi", None), ("lo", "hi", "step"))
+_MAX_GRID_POINTS = 100_000  # per axis: 500 times the largest preset's (eps, 199 points)
 _ESTIMATORS = ("abp", "mle", "via", "kkt", "presmooth")
 
 
@@ -217,6 +219,8 @@ def _validate_params(kind: str, params: dict) -> dict:
     for key, value in params.items():
         if key not in merged:
             raise ConfigError(f"unknown parameter {key!r} for kind {kind!r}")
+        if value is None and merged[key] is not None:  # null only where the preset is
+            raise ConfigError(f"parameter {key!r} must not be null")
         if isinstance(merged[key], dict) and key in ("prior", "u_grid"):
             if not isinstance(value, dict):
                 raise ConfigError(f"parameter {key!r} must be an object")
@@ -225,12 +229,14 @@ def _validate_params(kind: str, params: dict) -> dict:
                 if k2 not in sub:
                     raise ConfigError(f"unknown field {key}.{k2}")
                 sub[k2] = _parse_field(f"{key}.{k2}", _real, v2)
-            for k2 in ("step", "d_eps", "d_theta"):  # grid steps
-                if k2 in sub and not sub[k2] > 0:
-                    raise ConfigError(f"parameter '{key}.{k2}' must be positive")
-            for lo, hi in _RANGES:
-                if lo in sub and not sub[lo] <= sub[hi]:
+            for lo, hi, step in (r for r in _RANGES if r[0] in sub):
+                if not sub[lo] <= sub[hi]:
                     raise ConfigError(f"parameter '{key}.{lo}' must not exceed '{key}.{hi}'")
+                if step and not sub[step] > 0:
+                    raise ConfigError(f"parameter '{key}.{step}' must be positive")
+                # geometry._grid_axis's point count, taken before any axis is built
+                if step and (sub[hi] - sub[lo]) / sub[step] + 1e-9 >= _MAX_GRID_POINTS:
+                    raise ConfigError(f"parameter '{key}.{step}' gives over {_MAX_GRID_POINTS} points")
             merged[key] = sub
         else:
             merged[key] = value

@@ -95,16 +95,14 @@ class ParametricProgram:
 
 class _BoxProgram(ParametricProgram):
     """A program over the box |x_j| <= bound, with the constraints stacked as
-    [x - bound; -x - bound] and the outer box |x_j| <= outer_bound."""
+    [x - bound; -x - bound] and the outer box |x_j| <= outer_bound; each
+    subclass fixes 0 < bound < outer_bound."""
 
-    def __init__(self, bound: float, x_dim: int, outer_bound: float):
-        if bound <= 0 or outer_bound <= bound:
-            raise ValueError("need 0 < bound < outer_bound")
-        self.bound = float(bound)
+    def __init__(self, x_dim: int = 1):
         self.x_dim = int(x_dim)
         self.n_constraints = 2 * self.x_dim
         self.outer_box = Box(
-            np.full(self.x_dim, -outer_bound), np.full(self.x_dim, outer_bound)
+            np.full(self.x_dim, -self.outer_bound), np.full(self.x_dim, self.outer_bound)
         )
 
     def constraints(self, x, u, theta):
@@ -117,14 +115,13 @@ class _BoxProgram(ParametricProgram):
 
 
 class BoxLinearProgram(_BoxProgram):
-    """f = -(theta + u)' x over the box |x_j| <= bound.
+    """f = -(theta + u)' x over the box |x_j| <= 2.
 
     The value function and epsilon-argmin sets are analytic.
     """
 
-    def __init__(self, bound: float = 2.0, x_dim: int = 1, outer_bound: float = 3.0):
-        super().__init__(bound, x_dim, outer_bound)
-        self.u_dim = self.theta_dim = self.x_dim
+    bound, outer_bound = 2.0, 3.0
+    u_dim = theta_dim = property(lambda self: self.x_dim)
 
     def objective(self, x, u, theta):
         c = np.asarray(theta, dtype=float) + np.asarray(u, dtype=float)
@@ -139,11 +136,9 @@ class BoxLinearProgram(_BoxProgram):
 
 
 class BoxQuadraticProgram(_BoxProgram):
-    """f = |x|^2 over the box |x_j| <= bound; no u or theta dependence."""
+    """f = |x|^2 over the box |x_j| <= 1; no u or theta dependence."""
 
-    def __init__(self, bound: float = 1.0, x_dim: int = 1, outer_bound: float = 2.0):
-        super().__init__(bound, x_dim, outer_bound)
-        self.u_dim = self.theta_dim = 0
+    bound, outer_bound, u_dim, theta_dim = 1.0, 2.0, 0, 0
 
     def objective(self, x, u, theta):
         x = np.asarray(x, dtype=float)
@@ -675,16 +670,15 @@ def mle_estimate(prog, dataset: ObservationDataset, prior: PriorRegion,
     p = -max(-b, y - U) for c < 0, and the width of S is b - M.  The grid is
     bit-identical to evaluating both interval endpoints for every cell.
 
-    Every step from eps to a sample's overlap (eps/|c|, b - it, the max and
-    min, the division by U - L) is nondecreasing in eps, and the eps axis
-    is nondecreasing, so per theta the rows holding a zero overlap form a
-    prefix of the axis.  Each such row is +inf: its mean has a +inf term, or
-    is NaN (log 0 - log 0 where S is a point, or +inf and -inf terms), and
-    NaN maps to +inf.  A search over rows (one 8-row window around the
-    previous theta's answer, then bisection over single rows) finds the
-    first row whose overlaps are all positive; the rows before it are set
-    to +inf unevaluated and only the rest run through the buffers, with
-    the bits of evaluating the whole grid.
+    A row where some sample's overlap is zero is +inf: its mean has a +inf
+    term, or is NaN (log 0 - log 0 where S is a point, or +inf and -inf
+    terms), and NaN maps to +inf.  A sample with q >= p or p <= -b has no
+    overlap at any eps.  Otherwise it has none at eps < (1 - 1e-9) (b - p)|c|:
+    there eps/|c| is short of b - p by more than its rounding, so
+    fl(eps/|c|) <= b - p, and as rounding is monotone and p is a float,
+    M >= fl(b - fl(eps/|c|)) >= p.  The rows below the largest such bound
+    are set to +inf unevaluated; the rest run through the buffers and map
+    their own zero overlaps to +inf, with the bits of the whole grid.
     """
     eps_axis = prior.eps_axis()
     theta_points = prior.theta_points()
@@ -698,52 +692,21 @@ def mle_estimate(prog, dataset: ObservationDataset, prior: PriorRegion,
         p_pos, p_neg = np.minimum(b, ys - lo_w), -np.maximum(-b, ys - hi_w)
         ov = np.empty((len(eps_axis), len(ys)))  # per call: replicates run in threads
         terms = np.empty_like(ov)
-
-        def overlap(rows, c, q, p, width=None):
-            """Fill ov[rows] with the overlaps at eps_axis[rows] (and width
-            with b - M, the width of S) and return it."""
-            out = ov[rows]
-            _boxlinear_lower(out, b, c, eps_col[rows])
-            if width is not None:
-                np.subtract(b, out, out=width)
-            np.maximum(out, q, out=out)
-            np.subtract(p, out, out=out)
-            np.maximum(out, 0.0, out=out)
-            out /= hi_w - lo_w
-            return out
-
-        def first_positive_row(c, q, p, hint):
-            """First row whose overlaps are all positive, or n_eps; the rows
-            before it hold a zero overlap.  One pass over the 8 rows around
-            hint, the previous theta's answer (the likelihood's support
-            moves a few rows per theta step), then bisection over single
-            rows in what that window leaves open."""
-            lo, hi = 0, len(eps_axis)  # rows < lo fail, rows >= hi pass
-            s = min(max(hint - 4, 0), hi)
-            e = min(s + 8, hi)
-            ok = np.all(overlap(slice(s, e), c, q, p) > 0, axis=1)
-            k = int(np.argmax(ok)) if ok.any() else e - s
-            if k > 0:
-                lo = s + k
-            if k < e - s:
-                hi = s + k
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if np.all(overlap(slice(mid, mid + 1), c, q, p) > 0):
-                    hi = mid
-                else:
-                    lo = mid + 1
-            return lo
-
-        first = len(eps_axis) // 2
         for j, th in enumerate(theta_points):
             c = th[0] + us
             neg = c < 0
             q, p = np.where(neg, q_neg, q_pos), np.where(neg, p_neg, p_pos)
-            first = first_positive_row(c, q, p, first)
+            # the eps below which a sample has no overlap: +inf if it has none at all
+            reach = np.where((q >= p) | (p <= -b), np.inf, (b - p) * np.abs(c))
+            first = np.searchsorted(eps_axis, (1 - 1e-9) * reach.max())
             values[:first, j] = np.inf
             ov_j, terms_j = ov[first:], terms[first:]
-            overlap(slice(first, None), c, q, p, width=terms_j)
+            _boxlinear_lower(ov_j, b, c, eps_col[first:])
+            np.subtract(b, ov_j, out=terms_j)  # the width of S
+            np.maximum(ov_j, q, out=ov_j)
+            np.subtract(p, ov_j, out=ov_j)
+            np.maximum(ov_j, 0.0, out=ov_j)
+            ov_j /= hi_w - lo_w
             with np.errstate(divide="ignore", invalid="ignore"):
                 np.log(terms_j, out=terms_j)
                 np.log(ov_j, out=ov_j)

@@ -292,6 +292,33 @@ def test_config_rejects_bad_values():
     ]:
         with pytest.raises(ConfigError, match=f"{field} must be nonnegative"):
             config_from_dict({"kind": kind, "params": params})
+    # null is a value only where the preset holds null (kernel-fit h, lam)
+    for kind, field in [
+        ("kernel-fit", "n"), ("slln", "replicates"), ("invopt-fit", "eps0"),
+        ("sets-demo", "n_directions"), ("clt", "max_cov_rel_error"), ("clt", "max_identity_gap"),
+        ("kernel-fit", "max_median_error"), ("invopt-fit", "max_eps_error"),
+        ("invopt-fit", "max_theta_error"), ("compare-estimators", "baseline_theta"),
+        ("invopt-fit", "h"), ("slln", "body"), ("compare-estimators", "prior"),
+    ]:
+        with pytest.raises(ConfigError, match=f"'{field}' must not be null"):
+            config_from_dict({"kind": kind, "params": {field: None}})
+    with pytest.raises(ConfigError, match="'prior.d_eps'"):
+        config_from_dict({"kind": "invopt-fit", "params": {"prior": {"d_eps": None}}})
+    for kind, field in [("kernel-fit", "h"), ("invopt-fit", "lam"), ("compare-estimators", "lam")]:
+        assert config_from_dict({"kind": kind, "params": {field: None}}).params[field] is None
+    # a grid step giving more than 10^5 points on an axis, counted before
+    # any axis is built
+    for kind, params, field in [
+        ("kernel-fit", {"u_grid": {"step": 1e-9}}, "'u_grid.step'"),
+        ("invopt-fit", {"prior": {"d_eps": 1e-9}}, "'prior.d_eps'"),
+        ("compare-estimators", {"prior": {"d_theta": 1e-300}}, "'prior.d_theta'"),
+        ("invopt-fit", {"prior": {"eps_lo": 0, "eps_hi": 1e308, "d_eps": 1e-300}}, "'prior.d_eps'"),
+        ("invopt-fit", {"prior": {"eps_lo": 0, "eps_hi": 100_000, "d_eps": 1}}, "'prior.d_eps'"),
+    ]:
+        with pytest.raises(ConfigError, match=f"{field} gives over 100000 points"):
+            config_from_dict({"kind": kind, "params": params})
+    grid = {"eps_lo": 0, "eps_hi": 99_999, "d_eps": 1}  # 10^5 points: at the cap
+    assert config_from_dict({"kind": "invopt-fit", "params": {"prior": grid}})
     # a u grid with a point outside the demo truth's domain [-2, 2]
     outside = ({"lo": -1, "hi": 2.5, "step": 0.5}, {"lo": -2.5, "hi": 0}, {"hi": 2.3, "step": 0.2})
     for grid in outside:
@@ -648,6 +675,10 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
                                 "baseline_theta": float("inf")}, "'baseline_theta'"),
         ("gen-data", {"dataset": "box-quadratic", "n": 10, "noise_radius": float("inf")},
          "'noise_radius'"),
+        ("clt", {"n": None, "replicates": 20}, "'n'"),
+        ("compare-estimators", {"n_values": [10], "replicates": 1, "baseline_theta": None},
+         "'baseline_theta'"),
+        ("kernel-fit", {"n": 200, "u_grid": {"step": 1e-9}}, "'u_grid.step'"),
     ]:
         path6 = tmp_path / "late_failure.json"
         path6.write_text(json.dumps({"kind": kind, "params": params, "out": str(tmp_path / kind)}))

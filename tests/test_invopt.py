@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -849,14 +850,29 @@ def test_mle_infinite_prefix_skip_matches_full_block_bit_for_bit(seed, w, eps_lo
     got = mle_estimate(prog, ds, prior, density).grid_values
     assert np.array_equal(_bits(got), _bits(want))
     inf = np.isinf(want)
-    # the +inf prefix is not evaluated: each theta costs its finite rows,
-    # an 8-row window and at most bit_length(n_eps) one-row bisection passes
+    # the +inf prefix is not evaluated: each theta costs its finite rows
+    # and at most one row more
     n_eps, n_theta = want.shape
     prefix = np.argmin(inf, axis=0) + n_eps * inf.all(axis=0)
-    assert sum(rows) <= (n_eps - prefix).sum() + n_theta * (8 + n_eps.bit_length())
+    assert sum(rows) <= (n_eps - prefix).sum() + n_theta
     assert inf[0].any() and not inf[-1].all()  # a skipped prefix and evaluated rows
     if seed == 3:
         assert inf.all(axis=0).any()  # theta columns with no finite row at all
+
+
+def test_mle_evaluates_the_row_just_past_a_samples_zero_overlap_bound():
+    # one sample, c = 2, whose zero-overlap bound (b - p)|c| lies 1e-7
+    # (relative) below the eps row 3.0: that row is finite and is evaluated
+    prog = BoxLinearProgram()
+    prior = PriorRegion(eps_range=(0.0, 4.0), w_set=interval(-1.0, 1.0),
+                        theta_box=Box([1.0], [1.0]), d_eps=0.05, d_theta=0.125)
+    p = prog.bound - 1.5 * (1 - 1e-7)  # y - L with y = p - 1
+    ds = ObservationDataset([1.0], [p - 1.0])
+    density = UniformNoiseDensity(-1.0, 1.0)
+    want = _full_block_mle_grid(prog, ds, prior, density)
+    got = mle_estimate(prog, ds, prior, density).grid_values
+    assert np.array_equal(_bits(got), _bits(want))
+    assert np.isinf(want[:60]).all() and np.isfinite(want[60:]).all()
 
 
 def test_mle_all_infinite_grid_still_raises():
@@ -1083,6 +1099,10 @@ def test_observations_jsonl_round_trip(tmp_path):
     path.write_text('{"u": [0.0]}\n')
     with pytest.raises(ValueError, match=r"line 1: expected keys u and y, got \['u'\]"):
         read_observations_jsonl(path)
+    for line in ("5", "[1]", '"x"', "null"):  # a line that is not a JSON object
+        path.write_text(f'{{"u": [0.0], "y": [1.0]}}\n{line}\n')
+        with pytest.raises(ValueError, match=rf"line 2: expected keys u and y, got {re.escape(line)}$"):
+            read_observations_jsonl(path)
     path.write_text('\n')
     with pytest.raises(ValueError, match="nonempty"):
         read_observations_jsonl(path)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -355,6 +356,10 @@ def test_object_dataset_lines_are_the_json_encoding(tmp_path):
     path.write_text(f'{{"x": [0.0], "set": {box}}}\n\n{{"x": [0.0]}}\n')
     with pytest.raises(ValueError, match=r"line 3: expected keys x and set, got \['x'\]"):
         read_dataset_jsonl(path)
+    for line in ("5", "[1]", '"x"', "null"):  # a line that is not a JSON object
+        path.write_text(f'{{"x": [0.0], "set": {box}}}\n{line}\n')
+        with pytest.raises(ValueError, match=rf"line 2: expected keys x and set, got {re.escape(line)}$"):
+            read_dataset_jsonl(path)
 
 
 def test_array_backed_estimate_matches_object_dataset(tmp_path):

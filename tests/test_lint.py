@@ -109,6 +109,7 @@ UNPASSED_DEFAULTS_ALLOWED = {
     "randomsets.jensen_inclusion_gap(n_samples)": "the Monte-Carlo sample size of the Jensen check",
     "invopt.noise_support_box(tail)": "a model choice of the paper: subgaussian or subexponential",
     "kernelreg.consistency_curve(kernel)": "a model choice of the paper: the regression kernel",
+    "invopt._BoxProgram(x_dim)": "both box programs run it; the tests build 2-D programs",
 }
 
 
@@ -122,12 +123,33 @@ def _defaulted_parameters(fn: ast.FunctionDef) -> list[tuple[str, int | None]]:
     return params + [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
 
 
-def _unpassed_defaults(sources: dict[str, str], callers: list[str]) -> list[str]:
-    """Defaulted parameters of the module-level functions in sources
-    ("module.py": text) that no call in callers (source texts) passes, by
-    keyword or by position.
+def _callables(tree: ast.Module):
+    """(name, callees, function, offset) for each module-level function and
+    for the __init__ of each module-level class.  A call runs that __init__
+    when it names one of callees, the class or a subclass in the module that
+    defines no __init__ of its own, and its arguments fill the parameters
+    from position offset = 1 on (after self)."""
+    classes = {c.name: c for c in tree.body if isinstance(c, ast.ClassDef)}
+    inits = {name: f for name, c in classes.items() for f in c.body
+             if isinstance(f, ast.FunctionDef) and f.name == "__init__"}
 
-    A call counts when it names the function bare or as an attribute; calls
+    def runs(name):  # the class whose __init__ a call to this one runs
+        bases = [b.id for b in classes[name].bases if isinstance(b, ast.Name) and b.id in classes]
+        return name if name in inits or not bases else runs(bases[0])
+
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield top.name, {top.name}, top, 0
+        elif isinstance(top, ast.ClassDef) and top.name in inits:
+            yield top.name, {c for c in classes if runs(c) == top.name}, inits[top.name], 1
+
+
+def _unpassed_defaults(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """Defaulted parameters of the module-level functions and class
+    constructors in sources ("module.py": text) that no call in callers
+    (source texts) passes, by keyword or by position.
+
+    A call counts when it names the function or class bare or as an attribute; calls
     that unpack *args or **kwargs are skipped.  An argument that is the bare
     name of a defaulted parameter of the enclosing module-level function
     only forwards that parameter, so it counts once a call passes that one.
@@ -159,12 +181,11 @@ def _unpassed_defaults(sources: dict[str, str], callers: list[str]) -> list[str]
             break
         passed |= new
     return sorted(
-        f"{module.removesuffix('.py')}.{top.name}({p})"
+        f"{module.removesuffix('.py')}.{name}({p})"
         for module, text in sources.items()
-        for top in ast.parse(text).body
-        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef))
-        for p, i in _defaulted_parameters(top)
-        if not {(top.name, p), (top.name, i)} & passed
+        for name, callees, fn, offset in _callables(ast.parse(text))
+        for p, i in _defaulted_parameters(fn)
+        if not {(c, s) for c in callees for s in (p, None if i is None else i - offset)} & passed
     )
 
 
@@ -173,12 +194,16 @@ def test_unpassed_default_check_flags_a_parameter_no_call_sets():
         "a.py": "def f(x, n=3, *, tol=1e-9):\n    pass\n"
                 "def g(x, k=1):\n    pass\n"
                 "def h(y=0):\n    pass\n"
-                "def fwd(m=2, z=0):\n    g(1, m)\n    f(1, tol=z)\n",
+                "def fwd(m=2, z=0):\n    g(1, m)\n    f(1, tol=z)\n"
+                "class P:\n    def __init__(self, dim=1, scale=2.0, tag=None):\n        pass\n"
+                "class Q(P):\n    pass\n",
     }
     # f(n) is passed through an attribute, f(tol) through fwd's passed z;
-    # g(k) only receives fwd's unpassed m, and h's calls unpack arguments
-    callers = [sources["a.py"], "b.f(1, 4)\nh(*args)\nh(**kw)\nfwd(z=1)\n"]
-    assert _unpassed_defaults(sources, callers) == ["a.fwd(m)", "a.g(k)", "a.h(y)"]
+    # g(k) only receives fwd's unpassed m, and h's calls unpack arguments;
+    # P(3) passes dim (self is not passed) and a.Q(tag=...) passes the tag
+    # of the __init__ Q inherits
+    callers = [sources["a.py"], "b.f(1, 4)\nh(*args)\nh(**kw)\nfwd(z=1)\nP(3)\na.Q(tag=1)\n"]
+    assert _unpassed_defaults(sources, callers) == ["a.P(scale)", "a.fwd(m)", "a.g(k)", "a.h(y)"]
 
 
 def test_every_defaulted_parameter_is_passed_by_a_caller():

@@ -716,6 +716,25 @@ def test_box_inclusion_laws_match_per_draw_oracle(n):
     assert abs(report.metric - metric) <= 1e-12
 
 
+def test_union_law_on_intervals_rebuilds_an_interval():
+    # 1-D: E(co(C u D)) is the interval from the mean of the per-draw lower
+    # ends min(lo_c, lo_d) to the mean of the upper ends max(hi_c, hi_d)
+    c = RandomlyTranslatedSet(interval(-0.5, 0.5), UniformBoxNoise([-0.5], [0.5]))
+    d = RandomlyTranslatedSet(interval(-1.0, 1.0), UniformBoxNoise([-0.5], [0.5]))
+    n, seed = 2000, RngSeed(3)
+    report = check_expectation_law("union", {"c": c, "d": d}, n_samples=n, seed=seed)
+    assert report.passed and report.metric < 0
+    assert isinstance(report.rhs, Box)
+    ends = np.array([
+        [bounds_of(a)[0][0], bounds_of(b)[0][0], bounds_of(a)[1][0], bounds_of(b)[1][0]]
+        for a, b in zip(sample_translated_sets(c, n, seed.derive(1)),
+                        sample_translated_sets(d, n, seed.derive(2)))
+    ])
+    lo, hi = bounds_of(report.rhs)
+    assert abs(lo[0] - ends[:, :2].min(axis=1).mean()) <= 1e-12
+    assert abs(hi[0] - ends[:, 2:].max(axis=1).mean()) <= 1e-12
+
+
 def test_scale_law_handles_negative_definite_factors():
     c = _square_model(0.5)
     report = check_expectation_law(
