@@ -12,7 +12,7 @@ import numpy as np
 from setstat.geometry import Box, interval
 from setstat.randomsets import (
     EXPECTATION_LAWS,
-    LinearScaleMap,
+    AffineSetMap,
     RandomlyTranslatedSet,
     RngSeed,
     SymmetricConcaveIntervalMap,
@@ -71,7 +71,7 @@ def main() -> None:
     print(f"max support slack of E(S(X)) inside S(E(X)) = {gap:.4f} (<= 0 certifies)")
 
     print("\n== delta method tail bound ==")
-    doubled = LinearScaleMap(2.0)
+    doubled = AffineSetMap(2.0, None)
     report = delta_method_tails(doubled, line, n=200, replicates=2000,
                                 seed=RngSeed(5), threshold=0.4)
     print(f"P(mapped statistic >= {report.threshold}) = "

@@ -26,14 +26,8 @@ from .harness import (
 __all__ = ["main", "build_parser"]
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(2, f"{self.prog}: error: {message}\n")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="setstat",
         description="Seeded experiments over convex-set statistics: "
         "set arithmetic demos, random-set limit laws, set-valued kernel "

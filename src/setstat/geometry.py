@@ -1319,9 +1319,21 @@ def _extreme_rows(c: ConvexSet) -> ConvexSet:
     return VertexPolytope(c.vertices[np.sort(keep)], prune=False)
 
 
+def _refuse_bools(fields: dict, where: str) -> None:
+    """Raise ValueError naming the first field of a parsed JSON record that
+    is or nests a true or false, which float() would read as 1 or 0."""
+    for key, value in fields.items():
+        nested = [value]
+        for v in nested:  # grows as lists and dicts are opened
+            if isinstance(v, bool):
+                raise ValueError(f"{where}{key} must hold numbers, not bools")
+            if isinstance(v, (list, dict)):
+                nested.extend(v.values() if isinstance(v, dict) else v)
+
+
 def _record_fields(d, classes, what: str) -> tuple[type, dict]:
     """The class of classes tagged d["type"], and the other fields of d,
-    which must be exactly the fields that class declares."""
+    which must be exactly the fields that class declares and hold no bool."""
     if not isinstance(d, dict) or "type" not in d:
         raise ValueError(f"{what} record must be a dict with a 'type' field")
     fields = dict(d)
@@ -1332,6 +1344,7 @@ def _record_fields(d, classes, what: str) -> tuple[type, dict]:
     if set(fields) != set(cls._fields):
         want, got = sorted(cls._fields), sorted(fields)
         raise ValueError(f"{what} type {kind!r} expects fields {want}, got {got}")
+    _refuse_bools(fields, "")
     return cls, fields
 
 
@@ -1382,6 +1395,7 @@ def _jsonl_records(path, keys: tuple[str, ...]):
             if not isinstance(rec, dict) or set(rec) != set(keys):
                 got = sorted(rec) if isinstance(rec, dict) else line
                 raise ValueError(f"line {line_no}: expected keys {' and '.join(keys)}, got {got}")
+            _refuse_bools(rec, f"line {line_no}: ")
             yield tuple(rec[k] for k in keys)
 
 

@@ -277,6 +277,9 @@ def _validate_params(kind: str, params: dict) -> dict:
         raise ConfigError("parameter 'estimator': presmooth needs the box-linear program")
     if quadratic and "presmooth" in merged.get("estimators", []):
         raise ConfigError("parameter 'estimators': presmooth needs the box-linear program")
+    mle = merged.get("estimator") == "mle" or "mle" in merged.get("estimators", [])
+    if mle and merged["prior"]["w_lo"] == merged["prior"]["w_hi"]:  # no uniform density
+        raise ConfigError("parameter 'prior.w_lo' must be below 'prior.w_hi' for the mle estimator")
     window = merged.get("slope_window", [0, 0])  # slln only
     numbers = isinstance(window, list) and all(
         isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) < np.inf for v in window

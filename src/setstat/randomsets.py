@@ -65,13 +65,10 @@ __all__ = [
     "check_expectation_law",
     "AffineSetMap",
     "SymmetricConcaveIntervalMap",
-    "MinkowskiSumMap",
-    "LinearScaleMap",
     "jensen_inclusion_gap",
     "DeltaTailReport",
     "delta_method_statistics",
     "delta_method_tails",
-    "IdentityMap",
 ]
 
 
@@ -335,15 +332,15 @@ class TruncatedGaussianNoise(NoiseDistribution, tag="truncated-gaussian", fields
         return shrink * self.sigma
 
     def sample(self, rng, n):
-        out = np.empty((n, self.dim))
-        got = 0
-        while got < n:
-            z = rng.standard_normal((max(n - got, 16), self.dim))
-            keep = z[np.einsum("ij,ij->i", z, z) <= self.radius**2]
-            take = min(keep.shape[0], n - got)
-            out[got : got + take] = keep[:take]
-            got += take
-        return out @ self._chol.T
+        # exact, no rejection: direction z / |z|, rho^2 = 2 P^-1(d/2, u P(d/2, radius^2 / 2))
+        # for P the regularized lower gamma, the chi-square law cut at radius^2
+        from scipy.special import gammainc, gammaincinv
+
+        z = rng.standard_normal((n, self.dim))
+        half = 0.5 * self.dim
+        rho = np.sqrt(2.0 * gammaincinv(half, rng.random(n) * gammainc(half, 0.5 * self.radius**2)))
+        rho = np.minimum(rho, self.radius)  # a rounding error must not leave the support
+        return ((rho / np.linalg.norm(z, axis=1))[:, None] * z) @ self._chol.T
 
 
 def noise_to_dict(noise: NoiseDistribution) -> dict:
@@ -723,18 +720,28 @@ def _expect_box(model: RandomlyTranslatedSet) -> Box:
 
 
 class AffineSetMap:
-    """S(x) = A x + K0 applied pointwise; graph-convex, so Jensen is tight."""
+    """G(C) = A C + K0 for a scalar or (m, d) matrix A and a set K0 (None adds none).
 
-    def __init__(self, matrix, offset_set: ConvexSet):
-        self.matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    Graph-convex, so Jensen is tight, and Lipschitz in Hausdorff distance with
+    kappa = |A| or the spectral norm of A: adding K0 moves no distance.
+    """
+
+    def __init__(self, linear, offset_set: ConvexSet | None):
+        a = np.asarray(linear, dtype=float)
+        if a.ndim not in (0, 2):
+            raise ValueError("linear part must be a scalar or an (m, d) matrix")
+        self.linear = a
         self.offset_set = offset_set
+        self.lipschitz = float(abs(a)) if a.ndim == 0 else float(np.linalg.norm(a, 2))
 
     def apply_to_set(self, c: ConvexSet) -> ConvexSet:
-        return minkowski_sum(scale(self.matrix, c), self.offset_set)
+        image = scale(self.linear, c)
+        return image if self.offset_set is None else minkowski_sum(image, self.offset_set)
 
     def apply_to_family(self, family: TranslatedFamily) -> TranslatedFamily:
         # A (K + s) + K0 = (A K + K0) + A s
-        return translated_family(self.apply_to_set(family.body), family.shifts @ self.matrix.T)
+        s, a = family.shifts, self.linear
+        return translated_family(self.apply_to_set(family.body), s * a if a.ndim == 0 else s @ a.T)
 
 
 class SymmetricConcaveIntervalMap:
@@ -767,50 +774,6 @@ class SymmetricConcaveIntervalMap:
         return geometry.interval(-peak, peak)
 
 
-class MinkowskiSumMap:
-    """G(C) = C + B0; nonexpansive in Hausdorff distance (kappa = 1)."""
-
-    def __init__(self, offset_set: ConvexSet):
-        self.offset_set = offset_set
-        self.lipschitz = 1.0
-
-    def apply_to_set(self, c: ConvexSet) -> ConvexSet:
-        return minkowski_sum(c, self.offset_set)
-
-    def apply_to_family(self, family: TranslatedFamily) -> TranslatedFamily:
-        return translated_family(self.apply_to_set(family.body), family.shifts)
-
-
-class LinearScaleMap:
-    """G(C) = Psi C; Lipschitz in Hausdorff distance with the spectral norm."""
-
-    def __init__(self, psi):
-        p = np.asarray(psi, dtype=float)
-        self.psi = p
-        self.lipschitz = float(abs(p)) if p.ndim == 0 else float(np.linalg.norm(p, 2))
-
-    def apply_to_set(self, c: ConvexSet) -> ConvexSet:
-        return scale(self.psi, c)
-
-    def apply_to_family(self, family: TranslatedFamily) -> TranslatedFamily:
-        s = family.shifts
-        return translated_family(
-            self.apply_to_set(family.body), s * self.psi if self.psi.ndim == 0 else s @ self.psi.T
-        )
-
-
-class IdentityMap:
-    """G(C) = C."""
-
-    lipschitz = 1.0
-
-    def apply_to_set(self, c: ConvexSet) -> ConvexSet:
-        return c
-
-    def apply_to_family(self, family: TranslatedFamily) -> TranslatedFamily:
-        return family
-
-
 def jensen_inclusion_gap(
     set_map,
     model: RandomlyTranslatedSet,
@@ -821,10 +784,10 @@ def jensen_inclusion_gap(
 
     Negative or near-zero values certify the Jensen inclusion
     E(S(X)) inside S(E(X)) for graph-convex set-valued maps; the expectation
-    of the mapped set is estimated by a Minkowski sample mean.  A map that
-    commutes with translation (one with apply_to_family: affine, sum, scale
-    and identity maps) sends the drawn family to one family, S(K + s_i) =
-    S(K) + L s_i, averaged from its arrays; other maps map each draw.
+    of the mapped set is estimated by a Minkowski sample mean.  AffineSetMap
+    commutes with translation: apply_to_family maps the drawn family to one
+    family, A (K + s_i) + K0 = (A K + K0) + A s_i, averaged from its arrays;
+    maps without it (SymmetricConcaveIntervalMap) map each draw.
     """
     samples = sample_translated_sets(model, n_samples, seed)
     if hasattr(set_map, "apply_to_family"):

@@ -257,9 +257,23 @@ def test_config_rejects_bad_values():
         ("gen-data", {"noise_radius": nan}, "'noise_radius'"),
         ("clt", {"noise": {"type": "uniform-box", "lower": [-1e308, 0], "upper": [1e308, 1]}},
          "'noise'"),
+        # JSON true and false inside set and noise records, at any depth
+        ("slln", {"body": {"type": "box", "lower": [False], "upper": [True]}}, "'body': lower"),
+        ("slln", {"noise": {"type": "triangular", "halfwidth": True}}, "'noise': halfwidth"),
+        ("clt", {"noise": {"type": "truncated-gaussian", "sigma": [[1, 0], [0, True]],
+                           "radius": 1}}, "'noise': sigma"),
+        ("clt", {"body": {"type": "zonotope", "center": [0, 0], "generators": [[1, False]],
+                          "weights": [1]}}, "'body': generators"),
+        # a zero-width W has no uniform density for mle
+        ("invopt-fit", {"estimator": "mle", "prior": {"w_lo": 0.5, "w_hi": 0.5}}, "'prior.w_lo'"),
+        ("compare-estimators", {"estimators": ["abp", "mle"], "prior": {"w_lo": 0, "w_hi": 0}},
+         "'prior.w_lo'"),
     ]:
         with pytest.raises(ConfigError, match=field):
             config_from_dict({"kind": kind, "params": params})
+    zero_width = {"w_lo": 0.5, "w_hi": 0.5}  # abp, kkt and via take a zero-width W
+    assert config_from_dict({"kind": "invopt-fit", "params": {"prior": zero_width}})
+    assert config_from_dict({"kind": "compare-estimators", "params": {"prior": zero_width}})
     # an infinity is a config error in every float field but a check bound
     inf = float("inf")
     for kind, params, field in [
@@ -679,6 +693,14 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
         ("compare-estimators", {"n_values": [10], "replicates": 1, "baseline_theta": None},
          "'baseline_theta'"),
         ("kernel-fit", {"n": 200, "u_grid": {"step": 1e-9}}, "'u_grid.step'"),
+        ("slln", {"body": {"type": "box", "lower": [False], "upper": [True]},
+                  "noise": {"type": "triangular", "halfwidth": 1}, "replicates": 2}, "'body'"),
+        ("slln", {"body": {"type": "box", "lower": [0], "upper": [1]},
+                  "noise": {"type": "triangular", "halfwidth": True}, "replicates": 2}, "'noise'"),
+        ("invopt-fit", {"n": 20, "estimator": "mle", "prior": {"w_lo": 0.5, "w_hi": 0.5}},
+         "'prior.w_lo'"),
+        ("compare-estimators", {"n_values": [10], "replicates": 1, "estimators": ["mle"],
+                                "prior": {"w_lo": 0, "w_hi": 0}}, "'prior.w_lo'"),
     ]:
         path6 = tmp_path / "late_failure.json"
         path6.write_text(json.dumps({"kind": kind, "params": params, "out": str(tmp_path / kind)}))

@@ -1103,6 +1103,12 @@ def test_observations_jsonl_round_trip(tmp_path):
         path.write_text(f'{{"u": [0.0], "y": [1.0]}}\n{line}\n')
         with pytest.raises(ValueError, match=rf"line 2: expected keys u and y, got {re.escape(line)}$"):
             read_observations_jsonl(path)
+    # JSON true and false are not numbers, at any depth
+    for line, field in (('{"u": [true], "y": [1.0]}', "u"), ('{"u": [0.0], "y": false}', "y"),
+                        ('{"u": [[0.0, true]], "y": [1.0]}', "u")):
+        path.write_text(f'{{"u": [0.0], "y": [1.0]}}\n{line}\n')
+        with pytest.raises(ValueError, match=f"line 2: {field} must hold numbers, not bools"):
+            read_observations_jsonl(path)
     path.write_text('\n')
     with pytest.raises(ValueError, match="nonempty"):
         read_observations_jsonl(path)

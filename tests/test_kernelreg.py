@@ -524,3 +524,10 @@ def test_dataset_jsonl_rejects_bad_records(tmp_path):
     path.write_text('{"x": [0.0], "set": {"type": "box", "lower": [0], "upper": [1]}, "y": 2}\n')
     with pytest.raises(ValueError):
         read_dataset_jsonl(path)
+    # JSON true and false are not numbers, in x or inside the set record
+    for line, field in (('{"x": [true], "set": {"type": "box", "lower": [0], "upper": [1]}}', "x"),
+                        ('{"x": [0.0], "set": {"type": "box", "lower": [false], "upper": [1]}}',
+                         "set")):
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError, match=f"line 1: {field} must hold numbers, not bools"):
+            read_dataset_jsonl(path)

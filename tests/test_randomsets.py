@@ -35,9 +35,6 @@ from setstat.geometry import (
 from setstat.randomsets import (
     EXPECTATION_LAWS,
     AffineSetMap,
-    IdentityMap,
-    LinearScaleMap,
-    MinkowskiSumMap,
     RandomlyTranslatedSet,
     RngSeed,
     SymmetricConcaveIntervalMap,
@@ -165,6 +162,22 @@ def test_truncated_gaussian_noise_moments_and_support():
     shrink = stats.chi2.cdf(radius**2, 4) / stats.chi2.cdf(radius**2, 2)
     np.testing.assert_allclose(noise.covariance, shrink * sigma, atol=1e-12)
     np.testing.assert_allclose(np.cov(x.T), shrink * sigma, atol=0.02)
+
+
+@pytest.mark.parametrize(("dim", "radius"), [(2, 1e-4), (7, 0.1)])
+def test_truncated_gaussian_noise_draws_a_small_ball_exactly(dim, radius):
+    # a rejection sampler keeps about chdtr(2, 1e-8) = 5e-9 of its draws at
+    # the first radius; the exact draw takes one pass at any radius
+    sigma = np.eye(dim) + 0.3 * np.ones((dim, dim))
+    noise = TruncatedGaussianNoise(sigma, radius)
+    x = noise.sample(RngSeed(8).generator(), 20_000)
+    mahal = np.einsum("ij,jk,ik->i", x, np.linalg.inv(sigma), x)
+    assert x.shape == (20_000, dim) and np.all(mahal <= radius**2 * (1 + 1e-9))
+    # the squared radius follows the chi-square law conditioned on [0, radius^2]
+    r2 = radius**2
+    law = stats.kstest(mahal, lambda t: stats.chi2.cdf(t, dim) / stats.chi2.cdf(r2, dim))
+    assert law.pvalue > 1e-3
+    np.testing.assert_allclose(np.cov(x.T), noise.covariance, atol=0.03 * noise.covariance.max())
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 7])
@@ -845,7 +858,7 @@ def test_jensen_gap_nonpositive_for_graph_convex_maps():
 
 
 def test_jensen_gap_small_for_identity():
-    gap = jensen_inclusion_gap(IdentityMap(), _square_model(), n_samples=10_000, seed=RngSeed(4))
+    gap = jensen_inclusion_gap(AffineSetMap(1.0, None), _square_model(), n_samples=10_000, seed=RngSeed(4))
     assert abs(gap) <= 0.05
 
 
@@ -862,10 +875,10 @@ _SHEAR = np.array([[1.5, 0.4], [-0.3, 0.8]])
 _JENSEN_MAPS = {
     "affine": AffineSetMap(np.eye(2), Box([-0.5, -0.5], [0.5, 0.5])),
     "affine-shear": AffineSetMap(_SHEAR, VertexPolytope([[0.0, 0.0], [0.4, 0.1], [0.1, 0.3]])),
-    "sum": MinkowskiSumMap(Zonotope([0.0, 0.1], [[1.0, 0.5]], [0.3])),
-    "scale": LinearScaleMap(-1.5),
-    "scale-matrix": LinearScaleMap(_SHEAR),
-    "identity": IdentityMap(),
+    "sum": AffineSetMap(1.0, Zonotope([0.0, 0.1], [[1.0, 0.5]], [0.3])),
+    "scale": AffineSetMap(-1.5, None),
+    "scale-matrix": AffineSetMap(_SHEAR, None),
+    "identity": AffineSetMap(1.0, None),
 }
 
 
@@ -887,20 +900,20 @@ def test_jensen_family_gap_matches_per_draw_oracle(map_name, body_kind):
 
 def test_delta_method_linear_scale_identity():
     model = _square_model()
-    mapped, base = delta_method_statistics(LinearScaleMap(2.0), model, 200, 10, RngSeed(5))
+    mapped, base = delta_method_statistics(AffineSetMap(2.0, None), model, 200, 10, RngSeed(5))
     np.testing.assert_allclose(mapped, 2.0 * base, atol=1e-10)
 
 
 def test_delta_method_sum_map_nonexpansive():
     model = _square_model()
-    m = MinkowskiSumMap(Box([-0.25, -0.25], [0.25, 0.25]))
+    m = AffineSetMap(1.0, Box([-0.25, -0.25], [0.25, 0.25]))
     mapped, base = delta_method_statistics(m, model, 200, 10, RngSeed(6))
     assert np.all(mapped <= base + 1e-10)
 
 
 def test_delta_method_tail_bound():
     model = _square_model()
-    for m in [LinearScaleMap(1.5), MinkowskiSumMap(Box([-0.5, -0.5], [0.5, 0.5]))]:
+    for m in [AffineSetMap(1.5, None), AffineSetMap(1.0, Box([-0.5, -0.5], [0.5, 0.5]))]:
         rep = delta_method_tails(m, model, 200, 400, RngSeed(7), threshold=0.6)
         slack = rep.lhs_tail - rep.rhs_tail
         assert slack <= 2.0 * (rep.lhs_se + rep.rhs_se) + 1e-12
@@ -920,6 +933,68 @@ def test_affine_map_matches_direct_arithmetic():
     for _ in range(30):
         u = rng.normal(size=2)
         assert math.isclose(support(out, u), support(want, u), abs_tol=1e-9)
+
+
+# float.hex of the Jensen gap (n = 50) and bytes of the mapped delta statistics
+# (n = 20, 2 replicates) that the separate sum, scale and identity map classes
+# gave before AffineSetMap took their place: 1.0 * C and 1.0 * s are exact
+_AFFINE_PINS = {
+    ("affine", "box"): ("0x1.3957bda9d95c0p-5", "75ed47be4e18b83fd5425405eabac83f"),
+    ("affine", "polygon"): ("0x1.3957bda9d95c0p-5", "a5ed47be4e18b83ff8425405eabac83f"),
+    ("affine", "zonotope"): ("0x1.3957bda9d95c0p-5", "75ed47be4e18b83ff8425405eabac83f"),
+    ("affine", "ball"): ("0x1.3957bda9d95c0p-5", "85ed47be4e18b83ff8425405eabac83f"),
+    ("affine-shear", "box"): ("0x1.c6e05bf7f3840p-5", "9042aaba16d8bf3f50aabe4791eed13f"),
+    ("affine-shear", "polygon"): ("0x1.c6e05bf7f3840p-5", "3043aaba16d8bf3f52aabe4791eed13f"),
+    ("affine-shear", "zonotope"): ("0x1.c6e05bf7f3860p-5", "e142aaba16d8bf3f56aabe4791eed13f"),
+    ("affine-shear", "ball"): ("0x1.c6e05bf7f3860p-5", "9542aaba16d8bf3f4eaabe4791eed13f"),
+    ("identity", "box"): ("0x1.3957bda9d95a0p-5", "65ed47be4e18b83ff6425405eabac83f"),
+    ("identity", "polygon"): ("0x1.3957bda9d95e0p-5", "a5ed47be4e18b83ff8425405eabac83f"),
+    ("identity", "zonotope"): ("0x1.3957bda9d95c0p-5", "d6131fc11818b83f60b57466e9bac83f"),
+    ("identity", "ball"): ("0x1.3957bda9d95c0p-5", "76ed47be4e18b83fee425405eabac83f"),
+    ("scale", "box"): ("0x1.d6039c7ec60c0p-5", "f8f1b50e3b12c23f3732ff832f8cd23f"),
+    ("scale", "polygon"): ("0x1.d6039c7ec60a0p-5", "5bf2b50e3b12c23f3932ff832f8cd23f"),
+    ("scale", "zonotope"): ("0x1.d6039c7ec60c0p-5", "fb4ed7901212c23fff87d70c2f8cd23f"),
+    ("scale", "ball"): ("0x1.d6039c7ec6080p-5", "1ef2b50e3b12c23f3532ff832f8cd23f"),
+    ("scale-matrix", "box"): ("0x1.c6e05bf7f3860p-5", "5242aaba16d8bf3f4eaabe4791eed13f"),
+    ("scale-matrix", "polygon"): ("0x1.c6e05bf7f3860p-5", "2043aaba16d8bf3f50aabe4791eed13f"),
+    ("scale-matrix", "zonotope"): ("0x1.c6e05bf7f3840p-5", "a579dfa805d8bf3f668c4c1a91eed13f"),
+    ("scale-matrix", "ball"): ("0x1.c6e05bf7f3840p-5", "8642aaba16d8bf3f4eaabe4791eed13f"),
+    ("sum", "box"): ("0x1.3957bda9d95c0p-5", "54ed47be4e18b83ff6425405eabac83f"),
+    ("sum", "polygon"): ("0x1.3957bda9d95a0p-5", "a5ed47be4e18b83ff8425405eabac83f"),
+    ("sum", "zonotope"): ("0x1.3957bda9d95c0p-5", "fa131fc11818b83f60b57466e9bac83f"),
+    ("sum", "ball"): ("0x1.3957bda9d95c0p-5", "aded47be4e18b83ff7425405eabac83f"),
+}
+
+
+def test_affine_map_keeps_the_pinned_gaps_and_delta_statistics_bit_for_bit():
+    for (map_name, body_kind), (gap_hex, mapped_hex) in _AFFINE_PINS.items():
+        set_map = _JENSEN_MAPS[map_name]
+        model = RandomlyTranslatedSet(_ORACLE_BODIES[body_kind][0], _NOISE_C)
+        gap = jensen_inclusion_gap(set_map, model, n_samples=50, seed=RngSeed(33, 50))
+        mapped, _ = delta_method_statistics(set_map, model, 20, 2, RngSeed(9))
+        assert (gap.hex(), mapped.tobytes().hex()) == (gap_hex, mapped_hex), (map_name, body_kind)
+
+
+def test_affine_map_lipschitz_constant_and_delta_tails():
+    k0 = Box([-0.5, -0.5], [0.5, 0.5])
+    m = AffineSetMap(_SHEAR, k0)
+    assert m.lipschitz == np.linalg.norm(_SHEAR, 2)
+    assert AffineSetMap(-1.5, k0).lipschitz == 1.5
+    assert AffineSetMap(1.0, None).lipschitz == 1.0
+    rep = delta_method_tails(m, _square_model(), 50, 40, RngSeed(7), threshold=0.6)
+    assert rep.replicates == 40
+    assert rep.lhs_tail - rep.rhs_tail <= 2.0 * (rep.lhs_se + rep.rhs_se) + 1e-12
+
+
+def test_affine_map_linear_part_is_a_scalar_or_a_matrix():
+    out = AffineSetMap(2.0, None).apply_to_set(Box([-1.0, 0.0], [1.0, 0.5]))
+    assert isinstance(out, Box)
+    assert out.lower.tolist() == [-2.0, 0.0] and out.upper.tolist() == [2.0, 1.0]
+    shifted = AffineSetMap(-1.0, Box([0.0, 0.0], [1.0, 1.0])).apply_to_set(Box([0.0, 0.0], [1.0, 2.0]))
+    assert isinstance(shifted, Box) and shifted.lower.tolist() == [-1.0, -2.0]
+    for linear in ([1.0, 2.0], np.ones((2, 2, 2))):
+        with pytest.raises(ValueError, match="scalar or an"):
+            AffineSetMap(linear, None)
 
 
 def test_slln_curve_on_a_polygon_matches_the_per_replicate_chain_bit_for_bit():
