@@ -23,7 +23,7 @@ Jensen gaps of maps that commute with translation: A (K + s_i) + K0 =
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,6 +205,12 @@ class NoiseDistribution(geometry._Record):
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         raise NotImplementedError
 
+    def sample_block(self, rngs: Iterable[np.random.Generator], block: np.ndarray) -> np.ndarray:
+        """Fill the rows of a C-contiguous (k, n, d) block from the next k rngs; return it."""
+        for row, rng in zip(block, rngs):  # block first: zip then takes no extra generator
+            row[...] = self.sample(rng, block.shape[1])
+        return block
+
 
 class UniformBoxNoise(NoiseDistribution, tag="uniform-box", fields=("lower", "upper")):
     """Uniform on an axis-aligned box (degenerate widths give point mass).
@@ -212,6 +218,7 @@ class UniformBoxNoise(NoiseDistribution, tag="uniform-box", fields=("lower", "up
     A draw is lower + (upper - lower) * u for u from rng.random, the same
     per-element operations, in the same order, as rng.uniform(lower, upper),
     so the two agree bit for bit.  Its mean and covariance must be finite.
+    A block maps its raw u in place per coordinate column; sample is one row.
     """
 
     def __init__(self, lower, upper):
@@ -234,7 +241,14 @@ class UniformBoxNoise(NoiseDistribution, tag="uniform-box", fields=("lower", "up
         return np.diag((self.upper - self.lower) ** 2 / 12.0)
 
     def sample(self, rng, n):
-        return self.lower + (self.upper - self.lower) * rng.random((n, self.dim))
+        return self.sample_block([rng], np.empty((1, n, self.dim)))[0]
+
+    def sample_block(self, rngs, block):
+        for row, rng in zip(block, rngs):
+            rng.random(out=row)
+        for col, lo, width in zip(np.moveaxis(block, -1, 0), self.lower, self.upper - self.lower):
+            np.add(np.multiply(col, width, out=col), lo, out=col)  # lower + width * u
+        return block
 
 
 def _integral(value, what: str = "value") -> int:
@@ -314,10 +328,16 @@ class TruncatedGaussianNoise(NoiseDistribution, tag="truncated-gaussian", fields
             raise ValueError("sigma must be positive semidefinite")
         if not 0 < radius < math.inf:
             raise ValueError("truncation radius must be positive and finite")
+        from scipy.special import chdtr  # chi-square cdf; scipy.stats is slow to import
+
         self.sigma = s
         self.radius = float(radius)
         self.dim = s.shape[0]
         self._chol = np.linalg.cholesky(s + 1e-15 * np.eye(self.dim))
+        with np.errstate(all="ignore"):  # 0/0 or an underflow to 0 at tiny radii
+            self._shrink = chdtr(self.dim + 2, self.radius**2) / chdtr(self.dim, self.radius**2)
+            if not 0 < self._shrink < math.inf:
+                raise ValueError(f"truncation radius {radius!r} is too small for a covariance")
 
     @property
     def mean(self) -> np.ndarray:
@@ -325,11 +345,7 @@ class TruncatedGaussianNoise(NoiseDistribution, tag="truncated-gaussian", fields
 
     @property
     def covariance(self) -> np.ndarray:
-        from scipy.special import chdtr  # chi-square cdf; scipy.stats is slow to import
-
-        r2 = self.radius**2
-        shrink = chdtr(self.dim + 2, r2) / chdtr(self.dim, r2)
-        return shrink * self.sigma
+        return self._shrink * self.sigma
 
     def sample(self, rng, n):
         # exact, no rejection: direction z / |z|, rho^2 = 2 P^-1(d/2, u P(d/2, radius^2 / 2))
@@ -453,11 +469,12 @@ def _mean_residuals(
     InternalConsistencyError.
 
     Bodies other than boxes run the one-set chain per replicate.  Box bodies
-    build no set objects and no per-replicate generator: the draws of k
-    replicates, each from the stream of seed.derive(offsets[r]) as
-    _derived_generators seeds it, fill one (k, n, d) block, and each step
+    build no set objects and no per-replicate generator: noise.sample_block
+    draws k replicates, each from the stream of seed.derive(offsets[r]) as
+    _derived_generators seeds it, into one (k, n, d) block, and each step
     runs over its leading replicate axis with the chain's bits: the means
-    are one dgemv per replicate, np.matmul of w against body + draws as in
+    are one dgemv per replicate, np.matmul of w against body + draws (added
+    a coordinate column at a time into one buffer) as in
     weighted_minkowski_average; the erosion, its bounds and the distance
     are geometry's box closed forms.  In 1-D the box distance
     sqrt(max gap**2) is hausdorff's interval form max |gap|: sqrt(fl(x * x))
@@ -480,14 +497,17 @@ def _mean_residuals(
     w = np.full(n, 1.0 / n)
     k = max(1, _BLOCK_ELEMENTS // (n * d))
     xi = np.empty((min(k, len(offsets)), n, d))
+    shifted = np.empty_like(xi)
     rngs = _derived_generators(seed, offsets)
     for start in range(0, len(offsets), k):
         chunk = offsets[start : start + k]
-        block = xi[: len(chunk)]
-        for row, rng in zip(block, rngs):
-            row[...] = model.noise.sample(rng, n)
-        wk = np.broadcast_to(w, (len(chunk), 1, n))
-        lo, hi = np.matmul(wk, body.lower + block)[:, 0], np.matmul(wk, body.upper + block)[:, 0]
+        block, out = model.noise.sample_block(rngs, xi[: len(chunk)]), shifted[: len(chunk)]
+        wk, means = np.broadcast_to(w, (len(chunk), 1, n)), []
+        for corner in (body.lower, body.upper):  # corner + draws, a coordinate column at a time
+            for c in range(d):
+                np.add(block[..., c], corner[c], out=out[..., c])
+            means.append(np.matmul(wk, out)[:, 0])
+        lo, hi = means
         hm = geometry._box_support(lo, hi, axes)  # the means' bounds, as bounds_of reads them
         if not np.isfinite(hm).all():
             raise ValueError("vector entries must be finite")

@@ -652,6 +652,8 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
         ('{"body": {"type": "box", "lower": [-1], "upper": [1]}}', "dimension"),
         ('{"noise": {"type": "uniform-box", "lower": [NaN, -1], "upper": [1, 1]}}', "'noise'"),
         ('{"noise": {"type": "uniform-ball", "radius": Infinity, "dim": 2}}', "'noise'"),
+        ('{"noise": {"type": "truncated-gaussian", "sigma": [[1, 0], [0, 1]], "radius": 1e-170}}',
+         "'noise'"),
     ]:
         path5 = tmp_path / "bad_model.json"
         path5.write_text(f'{{"kind": "clt", "params": {params}, "out": "{tmp_path / "clt"}"}}')

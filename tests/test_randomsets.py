@@ -183,10 +183,24 @@ def test_truncated_gaussian_noise_draws_a_small_ball_exactly(dim, radius):
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 7])
 def test_truncated_gaussian_covariance_has_scipy_stats_bits(dim):
     sigma = np.eye(dim) + 0.3 * np.ones((dim, dim))
-    for radius in (0.1, 0.9, 1.8, 3.0, 7.5):
+    for radius in (1e-4, 0.1, 0.9, 1.8, 3.0, 7.5):
         r2 = radius**2
         shrink = stats.chi2.cdf(r2, dim + 2) / stats.chi2.cdf(r2, dim)
         assert np.array_equal(TruncatedGaussianNoise(sigma, radius).covariance, shrink * sigma)
+
+
+def test_truncated_gaussian_refuses_radii_without_a_covariance():
+    # the chi-square ratio is 0/0 at the first two radii and underflows to 0
+    # at the others, where the covariance is about r^2 / (d + 2) Sigma
+    for radius in (1e-170, 1e-155, 1e-150, 1e-100):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="too small for a covariance"):
+                TruncatedGaussianNoise(np.eye(2), radius)
+    for dim, radius in [(1, 1e-100), (2, 1e-70), (7, 1e-30)]:
+        sigma = np.eye(dim) + 0.3 * np.ones((dim, dim))
+        cov = TruncatedGaussianNoise(sigma, radius).covariance
+        np.testing.assert_allclose(cov, radius**2 / (dim + 2) * sigma, rtol=1e-9)
 
 
 def test_import_setstat_leaves_scipy_stats_unloaded():
@@ -223,6 +237,41 @@ def test_uniform_box_sample_matches_generator_uniform_bit_for_bit():
     # rng.uniform refuses the width -0.0 of [0.0, -0.0]; the law draws its point
     point = UniformBoxNoise([0.0], [-0.0]).sample(RngSeed(0).generator(), 5)
     assert point.tobytes() == np.zeros((5, 1)).tobytes()
+
+
+_BLOCK_LAWS = {
+    "box-1d": UniformBoxNoise([-1.0], [2.0]),
+    "box-2d-zero-widths": UniformBoxNoise([0.5, -0.0], [0.5, -0.0]),
+    "box-3d-signed-zero-widths": UniformBoxNoise([0.0, -1.0, -0.0], [-0.0, 1.0, 0.0]),
+    "box-4d-mixed-widths": UniformBoxNoise([-1e-8, 0.0, -3.0, 1e6], [1e-8, 0.0, 4.0, 1e6 + 1.0]),
+    "ball-3d": UniformBallNoise(0.8, 3),
+    "triangular": TriangularNoise(0.7),
+    "truncated-gaussian": TruncatedGaussianNoise([[1.0, 0.3], [0.3, 0.5]], 2.0),
+}
+
+
+@pytest.mark.parametrize("law", list(_BLOCK_LAWS), ids=list(_BLOCK_LAWS))
+def test_sample_block_matches_per_row_sample_bit_for_bit(law):
+    # the rows of several blocks draw from one _derived_generators iterator,
+    # the last block shorter than k; a block must take exactly one generator
+    # per row (zip(block, rngs); zip(rngs, block) takes one more at the end
+    # of each block and shifts every later stream)
+    noise, seed, n, k, reps = _BLOCK_LAWS[law], RngSeed(5, 2), 37, 4, 11
+    rngs = randomsets._derived_generators(seed, range(reps))
+    xi, got = np.empty((k, n, noise.dim)), []
+    for start in range(0, reps, k):
+        block = xi[: min(k, reps - start)]
+        assert noise.sample_block(rngs, block) is block
+        got += [row.tobytes() for row in block]
+    assert next(rngs, None) is None
+    want = []
+    for r in range(reps):
+        rng = seed.derive(r).generator()
+        if isinstance(noise, UniformBoxNoise):  # the affine rule as a broadcast over rows
+            want.append(noise.lower + (noise.upper - noise.lower) * rng.random((n, noise.dim)))
+        else:
+            want.append(noise.sample(rng, n))
+    assert got == [w.tobytes() for w in want]
 
 
 def test_uniform_box_noise_refuses_widths_that_overflow():
@@ -588,6 +637,19 @@ def test_clt_replicates_memory_does_not_grow_with_replicates():
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) < 1 << 20, peaks
+    # a one-replicate block (n d above _BLOCK_ELEMENTS) holds the draws, one
+    # shift buffer reused by both body corners and the weights, about 2.5
+    # blocks; a temporary per affine draw and per shift peaked at 3.6
+    n = 40_000
+    assert randomsets._BLOCK_ELEMENTS // (n * 2) == 0
+    clt_replicates(model, n, 1, RngSeed(3))
+    tracemalloc.start()
+    try:
+        clt_replicates(model, n, 1, RngSeed(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * 2 * 8, peak
 
 
 # ------------------------------------------------------- expectation algebra
