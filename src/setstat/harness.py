@@ -199,6 +199,9 @@ _NONNEGATIVE_FIELDS = {"lam", *(key for key, parse in _SCALAR_TYPES.items() if p
 _RANGES = (("eps_lo", "eps_hi", "d_eps"), ("theta_lo", "theta_hi", "d_theta"),
            ("w_lo", "w_hi", None), ("lo", "hi", "step"))
 _MAX_GRID_POINTS = 100_000  # per axis: 500 times the largest preset's (eps, 199 points)
+# ten times the largest count of any preset, bench workload or configs/*.json
+# file: n 20,000, an n_values entry 10,000, replicates 4,000, n_directions 360
+_MAX_COUNTS = {"n": 200_000, "n_values": 100_000, "replicates": 40_000, "n_directions": 3_600}
 _ESTIMATORS = ("abp", "mle", "via", "kkt", "presmooth")
 
 
@@ -245,6 +248,8 @@ def _validate_params(kind: str, params: dict) -> dict:
             merged[key] = _parse_field(key, _SCALAR_TYPES[key], value)
             if key in _POSITIVE_FIELDS and merged[key] <= 0:
                 raise ConfigError(f"parameter {key!r} must be positive")
+            if merged[key] > _MAX_COUNTS.get(key, np.inf):
+                raise ConfigError(f"parameter {key!r} must be at most {_MAX_COUNTS[key]}")
             if key in _NONNEGATIVE_FIELDS and merged[key] < 0:
                 raise ConfigError(f"parameter {key!r} must be nonnegative")
     if "n_values" in merged:
@@ -255,6 +260,8 @@ def _validate_params(kind: str, params: dict) -> dict:
             counts = []
         if not isinstance(vals, list) or not counts or min(counts) <= 0 or counts != sorted(counts):
             raise ConfigError("parameter 'n_values' must be an increasing list of positive counts")
+        if counts[-1] > _MAX_COUNTS["n_values"]:
+            raise ConfigError(f"parameter 'n_values' has a count over {_MAX_COUNTS['n_values']}")
         merged["n_values"] = counts
     if "kernel" in merged and not (
         isinstance(merged["kernel"], str) and merged["kernel"] in kernelreg.KERNELS

@@ -438,9 +438,10 @@ def _grid_result(estimator, prior, values, lam=None, extras=None) -> EstimationR
 
 
 def _penalty(lam, dataset) -> float:
-    """The eps penalty weight lam, 1/n by default; negative lam is an error."""
-    if lam is not None and lam < 0:
-        raise ValueError("lam must be nonnegative")
+    """The eps penalty weight lam, 1/n by default; a lam that is not finite
+    and nonnegative is an error."""
+    if lam is not None and not 0 <= lam < math.inf:
+        raise ValueError(f"lam must be finite and nonnegative, got {lam!r}")
     return 1.0 / len(dataset) if lam is None else lam
 
 
@@ -477,9 +478,18 @@ def abp_estimate(prog, dataset: ObservationDataset, prior: PriorRegion,
     has lo = M and hi = b; one with c < 0 has lo = -b and hi = -M, where
     M = max(-b, b - eps/|c|) (-b when c == 0).  Round-to-nearest is
     sign-symmetric, so y - (-M + w_hi) == (M - w_hi) - (-y) exactly, and both
-    signs take the form max((M + a) - y', k) with per-sample a, y' and an
-    eps-free k.  The grid is bit-identical to evaluating both interval
-    endpoints for every cell.
+    signs take the form max(f(M), k) with f(m) = (m + a) - y', per-sample a
+    and y' and an eps-free k.  The grid is bit-identical to evaluating both
+    interval endpoints for every cell.
+
+    As M >= -b, max(f(M), k) = max(f(M), k') with the floor
+    k' = max(k, f(-b)).  eps -> fl(eps/|c|) and m -> f(m) are monotone, so
+    once a row of a theta column has every sample at its floor, so has every
+    later row, and those rows share one value.  A sample is at its floor
+    from eps = |c|(f(b) - k') on, up to rounding.  The column is evaluated
+    through one row past the first row at or above the largest such eps; if
+    that last row is at the floor, the rest copy its value, and otherwise
+    they are evaluated too.
     """
     lam = _penalty(lam, dataset)
     eps_axis = prior.eps_axis()
@@ -489,19 +499,30 @@ def abp_estimate(prog, dataset: ObservationDataset, prior: PriorRegion,
     if isinstance(prog, BoxLinearProgram) and prog.x_dim == 1:
         w_lo, w_hi = _interval_w(prior.w_set)
         us, ys = dataset.us[:, 0], dataset.ys[:, 0]
-        b = prog.bound
+        b, n_eps = prog.bound, len(eps_axis)
         below = np.maximum((-b + w_lo) - ys, 0.0)  # the c < 0 gap below -b + W
         above = np.maximum(ys - (b + w_hi), 0.0)  # the c >= 0 gap above b + W
-        d = np.empty((len(eps_axis), len(ys)))  # per call: replicates run in threads
+        d = np.empty((n_eps, len(ys)))  # per call: replicates run in threads
         for j, th in enumerate(theta_points):
             c = th[0] + us
             neg = c < 0
-            _boxlinear_lower(d, b, c, eps_col)
-            d += np.where(neg, -w_hi, w_lo)
-            d -= np.where(neg, -ys, ys)
-            np.maximum(d, np.where(neg, below, above), out=d)
-            d *= d
-            values[:, j] = d.mean(axis=1)
+            a, y1 = np.where(neg, -w_hi, w_lo), np.where(neg, -ys, ys)
+            floor = np.maximum(np.where(neg, below, above), (-b + a) - y1)
+            reach = (np.abs(c) * (((b + a) - y1) - floor)).max()
+            r = min(int(np.searchsorted(eps_axis, reach)) + 2, n_eps)
+            for rows in (slice(0, r), slice(r, n_eps)):
+                dr = _boxlinear_lower(d[rows], b, c, eps_col[rows])
+                dr += a
+                dr -= y1
+                np.maximum(dr, floor, out=dr)
+                if r == n_eps or (d[r - 1] <= floor).all():
+                    break
+            else:  # row r - 1 is still eps-dependent: every row is evaluated
+                r = n_eps
+            dr = d[:r]
+            dr *= dr
+            values[:r, j] = dr.mean(axis=1)
+            values[r:, j] = values[r - 1, j]
     elif isinstance(prog, BoxQuadraticProgram) and prog.x_dim == 1:
         w_lo, w_hi = _interval_w(prior.w_set)
         ys = dataset.ys[:, 0]

@@ -2,15 +2,16 @@
 
 Each workload runs once and its digest is compared with the one recorded in
 perfbench/reference.json, so a change that moves output bits fails here
-before the benchmark runs; kernel-interval and clt-box2d, whose outputs are
-tables, are checked at every reference seed.  Each harness preset runs once
+before the benchmark runs; kernel-interval, clt-box2d and invopt-grid are
+checked at every reference seed.  Each harness preset runs once
 and the sha256 of every file it writes is compared with the reference's
 "presets" entry, as `perfbench/run.py --check-presets` does.  Each
 configs/*.json file runs once through the CLI, and the sha256 of every file
 it writes is compared with CONFIG_FILE_DIGESTS; no workload or preset runs
 the ball-body SLLN chain or the box-quadratic estimators.  The digests hold
 for one environment stamp (Python, numpy, scipy, BLAS build and core,
-SIMD features); under another stamp the comparison is skipped.  Nothing
+SIMD features); under another stamp the comparison is skipped.  The
+benchmark's own tests (perfbench/tests) run once in a subprocess.  Nothing
 under perfbench/ is written.
 """
 
@@ -18,6 +19,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -56,7 +59,7 @@ def test_workload_digest_matches_reference_at_seed_0(name, monkeypatch, tmp_path
 
 
 @pytest.mark.parametrize("seed", range(1, 10))
-@pytest.mark.parametrize("name", ["kernel-interval", "clt-box2d"])
+@pytest.mark.parametrize("name", ["kernel-interval", "clt-box2d", "invopt-grid"])
 def test_table_workload_digest_matches_reference_at_seeds_1_to_9(
     name, seed, monkeypatch, tmp_path
 ):
@@ -115,3 +118,17 @@ def test_config_file_digests_match_reference(name, monkeypatch, tmp_path):
     out = tmp_path / config["out"]
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert got == CONFIG_FILE_DIGESTS[name]
+
+
+def test_perfbench_tests_pass(tmp_path):
+    # from a scratch directory, with no bytecode or pytest cache written, so
+    # the bench's relative output root lands there and perfbench/ is untouched
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(PERFBENCH / "tests")],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        timeout=300,
+    )
+    assert out.returncode == 0, out.stdout[-4000:] + out.stderr[-4000:]

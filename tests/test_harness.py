@@ -373,6 +373,34 @@ def test_config_counts_must_be_integral():
             config_from_dict({"kind": kind, "params": params})
 
 
+def test_config_counts_have_a_cap(tmp_path, capsys):
+    # ten times the largest preset, workload or config count: checked at
+    # parse time, so no over-cap config ever runs
+    for kind, params, message in [
+        ("clt", {"n": 10**9}, "'n' must be at most 200000"),
+        ("kernel-fit", {"n": 200_001}, "'n' must be at most 200000"),
+        ("gen-data", {"n": 1e6}, "'n' must be at most 200000"),
+        ("clt", {"replicates": 40_001}, "'replicates' must be at most 40000"),
+        ("compare-estimators", {"replicates": 10**12}, "'replicates' must be at most 40000"),
+        ("sets-demo", {"n_directions": 3_601}, "'n_directions' must be at most 3600"),
+        ("slln", {"n_values": [10, 100_001]}, "'n_values' has a count over 100000"),
+        ("compare-estimators", {"n_values": [10**9]}, "'n_values' has a count over 100000"),
+    ]:
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict({"kind": kind, "params": params})
+    at_cap = [("clt", {"n": 200_000, "replicates": 40_000}), ("sets-demo", {"n_directions": 3_600}),
+              ("slln", {"n_values": [10, 100_000]})]
+    for kind, params in at_cap:
+        assert config_from_dict({"kind": kind, "params": params}).params == {
+            **config_from_dict({"kind": kind}).params, **params}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"kind": "clt", "params": {"n": 10**9}, "out": str(tmp_path / "o")}))
+    assert cli.main(["clt", "--config", str(path)]) == 2
+    assert cli.main(["kernel-fit", "--n", "1000000", "--out", str(tmp_path / "k")]) == 2
+    assert capsys.readouterr().err.count("config error: parameter 'n' must be at most") == 2
+    assert not (tmp_path / "o").exists() and not (tmp_path / "k").exists()
+
+
 def test_config_validates_the_slope_window():
     for window in ("ab", [1], [1, 2, 3], [-0.3, -0.6], [None, 1], ["-1", "0"],
                    [float("nan"), 0], [0, float("inf")], [True, True], {"lo": 0}):

@@ -791,6 +791,93 @@ def test_boxlinear_grids_match_per_point_objectives(seed, n, w):
         assert mle[i, j] == want == math.inf or abs(mle[i, j] - want) <= 1e-12
 
 
+def _first_eps_free_rows(prog, ds, prior):
+    """Per theta column, the first row from which every sample's abp gap
+    equals its eps -> inf floor, by _two_endpoint_interval."""
+    us, ys = ds.us[:, 0], ds.ys[:, 0]
+    w_lo, w_hi = (float(v[0]) for v in bounds_of(prior.w_set))
+    eps_col = np.append(prior.eps_axis(), np.inf)[:, None]
+    firsts = []
+    for th in prior.theta_points():
+        lo, hi = _two_endpoint_interval(prog.bound, th[0] + us, eps_col)
+        d = np.maximum.reduce([lo + w_lo - ys, ys - (hi + w_hi), np.zeros_like(lo)])
+        at = (d[:-1] == d[-1]).all(axis=1)
+        first = int((~at).sum())
+        assert at[first:].all()  # once at the floor, a column stays there
+        firsts.append(first)
+    return np.array(firsts)
+
+
+def _count_lower_rows(monkeypatch):
+    """The row counts of the _boxlinear_lower calls made from here on."""
+    rows = []
+    lower = invopt._boxlinear_lower
+    monkeypatch.setattr(invopt, "_boxlinear_lower",
+                        lambda out, *a: rows.append(out.shape[0]) or lower(out, *a))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "seed, n, w, eps_lo, on_grid",
+    [
+        (11, 1, (-1.0, 1.0), 0.0, False),
+        (12, 300, (-1.0, 1.0), 0.0, True),
+        (13, 200, (0.25, 0.25), 0.0, True),  # zero-width W
+        (14, 1000, (-1.3, 0.4), 0.1, False),
+    ],
+)
+def test_abp_eps_free_tail_matches_two_endpoint_oracle_and_skips_its_rows(
+    seed, n, w, eps_lo, on_grid, monkeypatch
+):
+    rng = np.random.default_rng(seed)
+    prog = BoxLinearProgram()
+    prior = PriorRegion(eps_range=(eps_lo, eps_lo + 20.0), w_set=interval(*w),
+                        theta_box=Box([-1.0], [1.0]), d_eps=0.1, d_theta=0.125)
+    pts = prior.theta_points()
+    us = rng.uniform(-1.0, 1.0, size=n)
+    if on_grid:  # c = theta + u == 0 exactly in some columns
+        us[::2] = -pts[rng.integers(0, len(pts), size=len(us[::2])), 0]
+    lo, hi = _two_endpoint_interval(prog.bound, us, rng.uniform(0.2, 3.0))
+    ys = rng.uniform(lo, hi) + rng.uniform(w[0], w[1], size=n)
+    # the far points lie beyond -b + w_lo and b + w_hi, which no eps can reach
+    for ds in (ObservationDataset(us, ys),
+               ObservationDataset(us, ys + rng.choice([-3.0, 0.0, 3.0], size=n))):
+        want, _ = _two_endpoint_grids(prog, ds, prior, 0.01, None)
+        firsts = _first_eps_free_rows(prog, ds, prior)
+        rows = _count_lower_rows(monkeypatch)
+        got = abp_estimate(prog, ds, prior, lam=0.01).grid_values
+        monkeypatch.undo()
+        assert np.array_equal(_bits(got), _bits(want))
+        # one call per column, stopping at most two rows past the column's
+        # last eps-dependent row
+        n_eps, n_theta = want.shape
+        assert len(rows) == n_theta
+        assert (np.array(rows) <= firsts + 2).all()
+        assert sum(rows) < n_eps * n_theta / 2
+
+
+def test_abp_falls_back_to_the_full_column_when_its_check_row_is_eps_dependent(monkeypatch):
+    # y + 1.5 lies off the float grid of M = fl(b - fl(eps/|c|)) near b, so
+    # f(M) reaches its floor 65 steps of 2 ulps (5.6e-17) past the bound
+    # (b - 1.5) - y, far past the check row
+    prog = BoxLinearProgram()
+    y = 0.4975
+    reach = (prog.bound - 1.5) - y
+    step = 2 * np.spacing(reach)
+    prior = PriorRegion(eps_range=(reach - 2 * step, reach + 100 * step),
+                        w_set=interval(-1.5, 1.0), theta_box=Box([0.0], [0.0]),
+                        d_eps=step, d_theta=1.0)
+    ds = ObservationDataset([1.0], [y])
+    want, _ = _two_endpoint_grids(prog, ds, prior, 0.0, None)
+    first = _first_eps_free_rows(prog, ds, prior)[0]
+    assert 0 < first < len(want)  # eps-dependent rows, then floor rows
+    rows = _count_lower_rows(monkeypatch)
+    got = abp_estimate(prog, ds, prior, lam=0.0).grid_values
+    assert np.array_equal(_bits(got), _bits(want))
+    # the bound's rows, whose last is eps-dependent, then the rest of the column
+    assert len(rows) == 2 and rows[0] <= first and sum(rows) == len(want)
+
+
 def _full_block_mle_grid(prog, ds, prior, density):
     """The 1-D box-linear likelihood grid with every row of every theta run
     through the (n_eps, n) buffers: the evaluation the infinite-prefix skip
@@ -843,10 +930,7 @@ def test_mle_infinite_prefix_skip_matches_full_block_bit_for_bit(seed, w, eps_lo
     ds = ObservationDataset(us, ys)
     density = UniformNoiseDensity(*w)
     want = _full_block_mle_grid(prog, ds, prior, density)
-    rows = []
-    lower = invopt._boxlinear_lower
-    monkeypatch.setattr(invopt, "_boxlinear_lower",
-                        lambda out, *a: rows.append(out.shape[0]) or lower(out, *a))
+    rows = _count_lower_rows(monkeypatch)
     got = mle_estimate(prog, ds, prior, density).grid_values
     assert np.array_equal(_bits(got), _bits(want))
     inf = np.isinf(want)
@@ -1029,10 +1113,11 @@ def test_presmooth_and_abp_share_the_lam_check():
     ds = generate_boxlinear_observations(50, RngSeed(9))
     prior = PriorRegion(eps_range=(0.1, 2.0), w_set=interval(-1.0, 1.0),
                         theta_box=Box([-1.0], [1.0]), d_eps=0.1, d_theta=0.25)
-    with pytest.raises(ValueError, match="lam"):
-        presmooth_estimate(BoxLinearProgram(), ds, 0.2, prior, RngSeed(10), lam=-0.5)
-    with pytest.raises(ValueError, match="lam"):
-        abp_estimate(BoxLinearProgram(), ds, prior, lam=-0.5)
+    for lam in (-0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="lam"):
+            presmooth_estimate(BoxLinearProgram(), ds, 0.2, prior, RngSeed(10), lam=lam)
+        with pytest.raises(ValueError, match="lam"):
+            abp_estimate(BoxLinearProgram(), ds, prior, lam=lam)
     for estimate in (lambda lam: presmooth_estimate(BoxLinearProgram(), ds, 0.2, prior,
                                                     RngSeed(10), lam=lam),
                      lambda lam: abp_estimate(BoxLinearProgram(), ds, prior, lam=lam)):
