@@ -25,7 +25,6 @@ from setstat.invopt import (
     noise_support_box,
     presmooth_estimate,
     rdf_eval,
-    value_function,
     via_estimate,
 )
 from setstat.randomsets import RngSeed
@@ -34,7 +33,7 @@ from setstat.randomsets import RngSeed
 def main() -> None:
     prog = BoxLinearProgram()
     print("== the forward problem ==")
-    print(f"V(u=1, theta=0)  = {value_function(prog, [1.0], [0.0]):.4f}")
+    print(f"V(u=1, theta=0)  = {prog.value([1.0], [0.0]):.4f}")
     for eps in (0.5, 1.0, 2.0):
         lo, hi = bounds_of(eps_argmin_set(prog, [1.0], eps, [0.0]))
         print(f"eps-argmin set at eps = {eps}: [{lo[0]:.3f}, {hi[0]:.3f}]")
@@ -72,7 +71,7 @@ def main() -> None:
     print("\n== regularized dual function ==")
     u, theta = np.array([1.0]), np.array([0.0])
     lam = [0.2, 0.1]
-    v = value_function(prog, u, theta)
+    v = prog.value(u, theta)
     h0 = rdf_eval(prog, u, theta, lam, 0.0)[0]
     print(f"weak duality at mu = 0: h_0(lam) = {h0:.4f} <= V = {v:.4f}")
     for mu in (0.5, 0.1, 0.01):

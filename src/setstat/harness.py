@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import csv
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -202,6 +203,9 @@ _MAX_GRID_POINTS = 100_000  # per axis: 500 times the largest preset's (eps, 199
 # ten times the largest count of any preset, bench workload or configs/*.json
 # file: n 20,000, an n_values entry 10,000, replicates 4,000, n_directions 360
 _MAX_COUNTS = {"n": 200_000, "n_values": 100_000, "replicates": 40_000, "n_directions": 3_600}
+# (eps, sample) and (eps, theta) cells of an estimator grid, 800 MB of float64:
+# a full 10^5-point eps axis at the preset n = 1000, or n = 200,000 on 500 eps points
+_MAX_GRID_CELLS = 100_000_000
 _ESTIMATORS = ("abp", "mle", "via", "kkt", "presmooth")
 
 
@@ -284,6 +288,18 @@ def _validate_params(kind: str, params: dict) -> dict:
         raise ConfigError("parameter 'estimator': presmooth needs the box-linear program")
     if quadratic and "presmooth" in merged.get("estimators", []):
         raise ConfigError("parameter 'estimators': presmooth needs the box-linear program")
+    if "prior" in merged:  # invopt-fit and compare-estimators: the grid buffers
+        p = merged["prior"]
+        # geometry._grid_axis's point counts of the eps and theta axes
+        n_eps, n_theta = (math.floor((p[hi] - p[lo]) / p[step] + 1e-9) + 1
+                          for lo, hi, step in _RANGES[:2])
+        n_field = "n" if "n" in merged else "n_values"
+        n = merged["n"] if "n" in merged else merged["n_values"][-1]
+        n_theta = 1 if quadratic else n_theta  # the quadratic program has no theta
+        for field, cells in ((n_field, n_eps * n), ("prior.d_theta", n_eps * n_theta)):
+            if cells > _MAX_GRID_CELLS:
+                raise ConfigError(f"parameter {field!r} gives {cells} grid cells with 'prior.d_eps', "
+                                  f"over {_MAX_GRID_CELLS}")
     mle = merged.get("estimator") == "mle" or "mle" in merged.get("estimators", [])
     if mle and merged["prior"]["w_lo"] == merged["prior"]["w_hi"]:  # no uniform density
         raise ConfigError("parameter 'prior.w_lo' must be below 'prior.w_hi' for the mle estimator")

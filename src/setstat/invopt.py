@@ -17,33 +17,30 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
+    Ball,
     Box,
     ConvexSet,
     SolverLimitError,
     VertexPolytope,
     _grid_axis,
-    _halfplane_vertices,
     _jsonl_records,
     _row_reprs,
     bounds_of,
+    dist_point,
     interval,
     minkowski_sum,
-    project_point,
     sq_dist_point,
 )
 from .randomsets import RngSeed
 
 __all__ = [
     "SolverLimitError",
-    "ParametricProgram",
     "BoxLinearProgram",
     "BoxQuadraticProgram",
-    "MembershipSet",
     "ObservationDataset",
     "PriorRegion",
     "theta_mesh",
     "EstimationResult",
-    "value_function",
     "eps_argmin_set",
     "sq_dist_to_inflated_set",
     "abp_objective",
@@ -65,38 +62,16 @@ __all__ = [
 ]
 
 
-class ParametricProgram:
-    """Convex program min_x { f(x, u, theta) : g(x, u, theta) <= 0 }.
+class _BoxProgram:
+    """Convex program min_x { f(x, u, theta) : g(x, u, theta) <= 0 } over the
+    box |x_j| <= bound, with the constraints stacked as [x - bound; -x - bound]
+    and the outer box |x_j| <= outer_bound; each subclass fixes
+    0 < bound < outer_bound.
 
-    Subclasses provide the objective, componentwise constraints, their
-    x-gradients, and a compact outer box that contains every feasible set in
-    its interior.  f and g must be convex in x for fixed (u, theta), and
-    every (u, theta) must admit a strictly feasible point (caller contract).
+    Subclasses provide the objective, its x-gradient and the optimal value
+    V(u, theta).  f is convex in x for fixed (u, theta), and the box is
+    strictly feasible.
     """
-
-    x_dim: int
-    u_dim: int
-    theta_dim: int
-    n_constraints: int
-    outer_box: Box
-
-    def objective(self, x, u, theta) -> float:
-        raise NotImplementedError
-
-    def objective_grad_x(self, x, u, theta) -> np.ndarray:
-        raise NotImplementedError
-
-    def constraints(self, x, u, theta) -> np.ndarray:
-        raise NotImplementedError
-
-    def constraint_grads_x(self, x, u, theta) -> np.ndarray:
-        raise NotImplementedError
-
-
-class _BoxProgram(ParametricProgram):
-    """A program over the box |x_j| <= bound, with the constraints stacked as
-    [x - bound; -x - bound] and the outer box |x_j| <= outer_bound; each
-    subclass fixes 0 < bound < outer_bound."""
 
     def __init__(self, x_dim: int = 1):
         self.x_dim = int(x_dim)
@@ -151,105 +126,56 @@ class BoxQuadraticProgram(_BoxProgram):
         return 0.0
 
 
-class MembershipSet:
-    """Solution set represented by a membership predicate plus an anchor point.
+def eps_argmin_set(prog, u, eps: float, theta) -> ConvexSet:
+    """Near-optimal solution set {x : f(x,u,theta) <= V(u,theta) + eps, g <= 0}
+    of a built-in program, exact in every dimension; any other program is a
+    ValueError.
 
-    Used for programs without an analytic set representation; the anchor is a
-    feasible minimizer used by projection routines.
-    """
-
-    def __init__(self, dim, member, anchor):
-        self.dim = int(dim)
-        self.member = member
-        self.anchor = np.asarray(anchor, dtype=float)
-
-    def contains(self, x) -> bool:
-        return bool(self.member(np.asarray(x, dtype=float)))
-
-
-# Stopping tolerance and iteration caps of the generic SLSQP solve and of the
-# alternating projections (the tolerance also ends their bisection).
-_SOLVER_TOL = 1e-8
-_SLSQP_MAX_ITER = 1000
-_PROJECTION_MAX_ITER = 100_000
-
-
-def value_function(prog: ParametricProgram, u, theta) -> float:
-    """Optimal value V(u, theta); analytic for built-ins.
-
-    The generic path solves the smooth constrained program numerically and
-    raises SolverLimitError when the solver reports failure.
-    """
-    if hasattr(prog, "value"):
-        return prog.value(u, theta)
-    return float(_solve_generic(prog, u, theta).fun)
-
-
-def _solve_generic(prog, u, theta):
-    from scipy.optimize import minimize
-
-    x0 = 0.5 * (prog.outer_box.lower + prog.outer_box.upper)
-    res = minimize(
-        lambda x: prog.objective(x, u, theta),
-        x0,
-        jac=lambda x: prog.objective_grad_x(x, u, theta),
-        bounds=list(zip(prog.outer_box.lower, prog.outer_box.upper)),
-        constraints=[
-            {
-                "type": "ineq",
-                "fun": lambda x: -prog.constraints(x, u, theta),
-                "jac": lambda x: -prog.constraint_grads_x(x, u, theta),
-            }
-        ],
-        method="SLSQP",
-        options={"maxiter": _SLSQP_MAX_ITER, "ftol": _SOLVER_TOL},
-    )
-    if not res.success:
-        raise SolverLimitError(f"generic program solve failed: {res.message}")
-    return res
-
-
-def eps_argmin_set(prog: ParametricProgram, u, eps: float, theta):
-    """Near-optimal solution set {x : f(x,u,theta) <= V(u,theta) + eps, g <= 0}.
-
-    Returns a ConvexSet for the built-in programs in one or two dimensions
-    and a MembershipSet otherwise.
+    Box-linear: an interval in 1-D, and in d >= 2 the box cut by c'x >= L,
+    c = theta + u, as the VertexPolytope of _boxlinear_vertices (at most
+    2^d + d 2^(d-1) vertices).  Box-quadratic: [-m, m], m = min(1, sqrt(eps)),
+    in 1-D, and Ball(0, sqrt(eps)) in d >= 2 while eps <= bound^2 = 1; for a
+    larger eps the set is the box cut by that ball, which no set variant
+    represents, and eps is refused.
     """
     if not eps >= 0:
         raise ValueError("eps must be nonnegative")
-    if isinstance(prog, BoxLinearProgram) and prog.x_dim == 1:
-        c = np.ravel(np.asarray(theta, dtype=float) + np.asarray(u, dtype=float))[:1]
-        m, b = _boxlinear_lower(np.empty(1), prog.bound, c, eps)[0], prog.bound
-        return interval(m, b) if c[0] >= 0 else interval(-b, 0.0 - m)
-    if isinstance(prog, BoxLinearProgram) and prog.x_dim == 2:
-        c = np.asarray(theta, dtype=float) + np.asarray(u, dtype=float)
-        b = prog.bound
-        if np.all(c == 0):
-            return VertexPolytope([[-b, -b], [b, -b], [b, b], [-b, b]])
-        # the box facets and -c'x <= V + eps; the minimizing corner is inside
-        a = np.vstack([np.eye(2), -np.eye(2), -c])
-        rhs = np.array([b, b, b, b, prog.value(u, theta) + eps])
-        return VertexPolytope(_halfplane_vertices(a, rhs, 1e-12 * (1.0 + np.max(np.abs(rhs)))))
-    if isinstance(prog, BoxQuadraticProgram) and prog.x_dim == 1:
-        m = min(prog.bound, math.sqrt(eps))
-        return interval(-m, m)
-    v = value_function(prog, u, theta)
-    anchor = _argmin_point(prog, u, theta)
-
-    def member(x, _v=v, _u=u, _t=theta, _e=eps):
-        feas = np.all(prog.constraints(x, _u, _t) <= 1e-9)
-        return feas and prog.objective(x, _u, _t) <= _v + _e + 1e-9
-
-    return MembershipSet(prog.x_dim, member, anchor)
-
-
-def _argmin_point(prog, u, theta):
-    if isinstance(prog, BoxLinearProgram):
-        c = np.asarray(theta, dtype=float) + np.asarray(u, dtype=float)
-        return np.where(c >= 0, prog.bound, -prog.bound).astype(float)
+    b = _program_bound(prog)
     if isinstance(prog, BoxQuadraticProgram):
-        return np.zeros(prog.x_dim)
-    return np.asarray(_solve_generic(prog, u, theta).x, dtype=float)
+        if prog.x_dim == 1:
+            m = min(b, math.sqrt(eps))
+            return interval(-m, m)
+        if eps > b * b:
+            raise ValueError(f"eps = {eps!r} exceeds bound^2 = {b * b!r}: the box-quadratic "
+                             f"set in {prog.x_dim}-D is then a box cut by a ball")
+        return Ball(np.zeros(prog.x_dim), math.sqrt(eps))
+    c = np.ravel(np.asarray(theta, dtype=float) + np.asarray(u, dtype=float))
+    if prog.x_dim == 1:
+        m = _boxlinear_lower(np.empty(1), b, c[:1], eps)[0]
+        return interval(m, b) if c[0] >= 0 else interval(-b, 0.0 - m)
+    return VertexPolytope(_boxlinear_vertices(b, c, eps))
+
+
+def _boxlinear_vertices(b, c, eps) -> np.ndarray:
+    """Vertices of {x in [-b, b]^d : c'x >= L}, L = (max over corners of c'x) - eps.
+
+    They are the box corners with c'x >= L and the crossings of c'x = L with
+    the box edges whose two corners lie strictly on opposite sides of it.
+    The argmin corner passes its own test, so the set is never empty; eps = 0
+    leaves the argmin face and c = 0 the whole box.
+    """
+    d = c.shape[0]
+    bits = (np.arange(2**d)[:, None] >> np.arange(d)) & 1
+    corners = np.where(bits == 1, -b, b)
+    gaps = corners @ c
+    gaps -= gaps.max() - eps  # c'x - L per corner
+    k, j = np.nonzero(bits == 0)  # the edge from corner k (x_j = b) to k + 2^j (x_j = -b)
+    cross = np.sign(gaps[k]) * np.sign(gaps[k + (1 << j)]) < 0
+    k, j = k[cross], j[cross]
+    points = corners[k]
+    # c'x - L falls by c_j per unit step of x_j down from b
+    points[np.arange(len(k)), j] = np.clip(b - gaps[k] / c[j], -b, b)
+    return np.vstack([corners[gaps >= 0], points])
 
 
 def _boxlinear_lower(out, bound, c, eps):
@@ -272,44 +198,17 @@ def _boxlinear_lower(out, bound, c, eps):
 
 
 def sq_dist_to_inflated_set(prog, y, u, eps, theta, w_set: ConvexSet) -> float:
-    """Squared distance d^2(y, S(u, eps, theta) + W).
+    """Squared distance d^2(y, S(u, eps, theta) + W), S from eps_argmin_set.
 
-    Exact via set arithmetic when the solution set has a ConvexSet
-    representation; otherwise alternating projections between W and a
-    bisection-based projection onto the membership set (approximate, to
-    _SOLVER_TOL; SolverLimitError after _PROJECTION_MAX_ITER rounds).
+    A ball S = Ball(z, r), whose sum with W minkowski_sum would sample in
+    d >= 2, gives max(d(y - z, W) - r, 0)^2 exactly.  Any other S gives the
+    distance to minkowski_sum(S, W), exact unless W is a ball in d >= 2.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     s = eps_argmin_set(prog, u, eps, theta)
-    if isinstance(s, ConvexSet):
-        return sq_dist_point(y, minkowski_sum(s, w_set))
-    x = s.anchor.copy()
-    prev = math.inf
-    for _ in range(_PROJECTION_MAX_ITER):
-        w, _ = project_point(y - x, w_set)
-        z = y - w
-        x = _project_membership(s, x, z)
-        gap = float((y - x - w) @ (y - x - w))
-        if prev - gap < _SOLVER_TOL:
-            return gap
-        prev = gap
-    raise SolverLimitError("alternating projection hit its iteration cap")
-
-
-def _project_membership(s: MembershipSet, anchor, z):
-    """Point of [anchor, z] nearest z that stays in the membership set."""
-    if s.contains(z):
-        return np.asarray(z, dtype=float)
-    lo_t, hi_t = 0.0, 1.0
-    anchor = np.asarray(anchor, dtype=float)
-    z = np.asarray(z, dtype=float)
-    while hi_t - lo_t > _SOLVER_TOL:
-        mid = 0.5 * (lo_t + hi_t)
-        if s.contains(anchor + mid * (z - anchor)):
-            lo_t = mid
-        else:
-            hi_t = mid
-    return anchor + lo_t * (z - anchor)
+    if isinstance(s, Ball):
+        return max(dist_point(y - s.center, w_set) - s.radius, 0.0) ** 2
+    return sq_dist_point(y, minkowski_sum(s, w_set))
 
 
 # --- datasets and priors ----------------------------------------------------
@@ -470,7 +369,8 @@ def abp_estimate(prog, dataset: ObservationDataset, prior: PriorRegion,
     lam defaults to 1/n.  Ties break to the smallest eps, then the
     lexicographically smallest theta (C-order first minimum).  The grid
     table is kept in the result.  1-D built-ins use vectorized closed-form
-    distances; other programs fall back to per-point evaluation.
+    distances; the x_dim >= 2 built-ins fall back to per-point evaluation of
+    the exact sets of eps_argmin_set, and any other program is a ValueError.
 
     The 1-D box-linear grid fills one (n_eps, n) buffer in place per theta.
     With S = [lo, hi] and W = [w_lo, w_hi], the distance is
@@ -662,12 +562,11 @@ def mle_objective(prog, dataset: ObservationDataset, eps, theta, density) -> flo
     Equals -(1/n) sum log integral_S f_W(y_i - x) dx + (1/n) sum log |S_i|;
     any zero integral (or zero-width S) returns the +inf sentinel.
     """
+    if prog.x_dim != 1:
+        raise ValueError("likelihood objective needs 1-D interval solution sets")
     total = 0.0
     for u, y in zip(dataset.us, dataset.ys):
-        s = eps_argmin_set(prog, u, eps, theta)
-        if not isinstance(s, ConvexSet) or s.dim != 1:
-            raise ValueError("likelihood objective needs 1-D interval solution sets")
-        lo, hi = bounds_of(s)
+        lo, hi = bounds_of(eps_argmin_set(prog, u, eps, theta))
         width = hi[0] - lo[0]
         integral = float(density.integrate_shifted(float(y[0]), lo[0], hi[0]))
         if width <= 0 or integral <= 0:

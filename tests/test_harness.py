@@ -401,6 +401,36 @@ def test_config_counts_have_a_cap(tmp_path, capsys):
     assert not (tmp_path / "o").exists() and not (tmp_path / "k").exists()
 
 
+def test_config_grid_cells_have_a_cap(tmp_path, capsys):
+    # The (eps, sample) buffer of the grid estimators and the (eps, theta)
+    # value table are capped at 10^8 cells at parse time; these configs are
+    # only parsed, never run.
+    axis = {"eps_lo": 0, "eps_hi": 99_999, "d_eps": 1}  # 10^5 eps points
+    square = dict(axis, theta_lo=0, theta_hi=99_999, d_theta=1)
+    for kind, params, message in [
+        ("invopt-fit", {"n": 200_000, "prior": axis}, "'n' gives 20000000000 grid cells"),
+        ("compare-estimators", {"n_values": [10, 2_000], "prior": axis},
+         "'n_values' gives 200000000 grid cells"),
+        ("invopt-fit", {"prior": square}, "'prior.d_theta' gives 10000000000 grid cells"),
+        ("compare-estimators", {"n_values": [10], "prior": square}, "'prior.d_theta' gives"),
+    ]:
+        with pytest.raises(ConfigError, match=f"{message}.* over 100000000"):
+            config_from_dict({"kind": kind, "params": params})
+    # n = 200,000 on the preset's 199-point eps axis, the largest n_values
+    # entry on it, a full eps axis at the preset n, and a box-quadratic prior,
+    # which has no theta axis
+    for kind, params in [("invopt-fit", {"n": 200_000}), ("compare-estimators", {"n_values": [100_000]}),
+                         ("invopt-fit", {"prior": axis}),
+                         ("invopt-fit", {"program": "box-quadratic", "n": 100, "prior": square})]:
+        assert config_from_dict({"kind": kind, "params": params}).kind == kind
+    path = tmp_path / "big.json"
+    config = {"kind": "invopt-fit", "params": {"n": 200_000, "prior": axis}, "out": str(tmp_path / "o")}
+    path.write_text(json.dumps(config))
+    assert cli.main(["invopt-fit", "--config", str(path)]) == 2
+    assert "config error: parameter 'n' gives" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_validates_the_slope_window():
     for window in ("ab", [1], [1, 2, 3], [-0.3, -0.6], [None, 1], ["-1", "0"],
                    [float("nan"), 0], [0, float("inf")], [True, True], {"lo": 0}):

@@ -1,5 +1,6 @@
 """Inverse approximate optimization: solution sets, estimators, duality."""
 
+import itertools
 import json
 import math
 import re
@@ -22,9 +23,7 @@ from setstat.invopt import (
     BoxLinearProgram,
     BoxQuadraticProgram,
     EstimationResult,
-    MembershipSet,
     ObservationDataset,
-    ParametricProgram,
     PriorRegion,
     SolverLimitError,
     TruncatedGaussianNoiseDensity,
@@ -43,15 +42,14 @@ from setstat.invopt import (
     read_observations_jsonl,
     result_to_dict,
     sq_dist_to_inflated_set,
-    value_function,
     via_estimate,
     write_observations_jsonl,
 )
 from setstat.randomsets import RngSeed
 
 
-class MiniLinear(ParametricProgram):
-    """min -x on [-2, 2] without an analytic value, to force generic solves."""
+class MiniLinear:
+    """min -x on [-2, 2]: the interface of the built-ins without their type."""
 
     def __init__(self):
         self.x_dim = 1
@@ -73,29 +71,6 @@ class MiniLinear(ParametricProgram):
         return np.array([[1.0], [-1.0]])
 
 
-class Infeasible(ParametricProgram):
-    """Constraint g = 1 everywhere; no feasible point exists."""
-
-    def __init__(self):
-        self.x_dim = 1
-        self.u_dim = 0
-        self.theta_dim = 0
-        self.n_constraints = 1
-        self.outer_box = Box([-1.0], [1.0])
-
-    def objective(self, x, u, theta):
-        return float(x[0])
-
-    def objective_grad_x(self, x, u, theta):
-        return np.array([1.0])
-
-    def constraints(self, x, u, theta):
-        return np.array([1.0])
-
-    def constraint_grads_x(self, x, u, theta):
-        return np.array([[0.0]])
-
-
 _NO_ARGS = np.zeros(0)
 
 
@@ -107,27 +82,17 @@ def test_box_linear_program_basics():
     assert (p.x_dim, p.u_dim, p.theta_dim, p.n_constraints) == (1, 1, 1, 2)
     assert p.objective([1.5], [1.0], [0.5]) == -(0.5 + 1.0) * 1.5
     np.testing.assert_allclose(p.constraints([2.5], [0.0], [0.0]), [0.5, -4.5])
-    assert value_function(p, [1.0], [0.0]) == -2.0
-    assert value_function(p, [1.0], [-1.0]) == 0.0
+    assert p.value([1.0], [0.0]) == -2.0
+    assert p.value([1.0], [-1.0]) == 0.0
     p2 = BoxLinearProgram(x_dim=2)
-    assert value_function(p2, [1.0, -0.5], [0.0, 0.0]) == -2.0 * 1.5
+    assert p2.value([1.0, -0.5], [0.0, 0.0]) == -2.0 * 1.5
 
 
 def test_box_quadratic_program_basics():
     p = BoxQuadraticProgram()
     assert (p.x_dim, p.u_dim, p.theta_dim) == (1, 0, 0)
     assert p.objective([0.5], _NO_ARGS, _NO_ARGS) == 0.25
-    assert value_function(p, _NO_ARGS, _NO_ARGS) == 0.0
-
-
-def test_value_function_generic_solver_matches_analytic():
-    v = value_function(MiniLinear(), _NO_ARGS, _NO_ARGS)
-    assert abs(v - (-2.0)) < 1e-8
-
-
-def test_value_function_solver_failure_raises():
-    with pytest.raises(SolverLimitError):
-        value_function(Infeasible(), _NO_ARGS, _NO_ARGS)
+    assert p.value(_NO_ARGS, _NO_ARGS) == 0.0
 
 
 # ----------------------------------------------------------- solution sets
@@ -214,14 +179,6 @@ def test_eps_argmin_monotone_in_eps():
         prev = cur
 
 
-def test_eps_argmin_membership_fallback():
-    s = eps_argmin_set(MiniLinear(), _NO_ARGS, 0.5, _NO_ARGS)
-    assert isinstance(s, MembershipSet)
-    assert s.contains([1.8])
-    assert not s.contains([1.2])  # objective gap 0.8 > eps
-    assert not s.contains([2.3])  # infeasible
-
-
 # ------------------------------------------------------ distance to S + W
 
 
@@ -232,14 +189,6 @@ def test_sq_dist_closed_form_interval():
     assert math.isclose(d, 0.25, abs_tol=1e-12)
     d0 = sq_dist_to_inflated_set(p, [2.5], [1.0], 1.0, [0.0], interval(-1.0, 1.0))
     assert d0 == 0.0
-
-
-def test_sq_dist_membership_route_matches_exact():
-    # same geometry through the alternating-projection route
-    p = MiniLinear()
-    w = Box([-0.25], [0.25])
-    d = sq_dist_to_inflated_set(p, [3.5], _NO_ARGS, 0.5, _NO_ARGS, w)
-    assert abs(d - 1.25**2) < 1e-6
 
 
 def test_sq_dist_2d_matches_polytope_arithmetic():
@@ -261,6 +210,148 @@ def test_sq_dist_nonincreasing_in_eps():
         for e in [0.1, 0.5, 1.0, 2.0, 4.0]
     ]
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+def _joint_qp_sq_dist(y, x_bound, constraint, grad, w_set):
+    """min |y - x - w|^2 over x in [-x_bound, x_bound]^d with constraint(x) >= 0
+    (gradient grad(x)) and w in the box w_set, the least value of three
+    SLSQP solves of the joint (x, w) program that end feasible: a
+    reference independent of any set arithmetic, for a constraint with
+    interior points (SLSQP stalls where the feasible x form a face)."""
+    from scipy.optimize import minimize
+
+    d = len(y)
+    bounds = [(-x_bound, x_bound)] * d + list(zip(w_set.lower, w_set.upper))
+    rng = np.random.default_rng(0)
+    best = math.inf
+    for start in range(3):
+        z0 = rng.uniform(-1.0, 1.0, 2 * d) if start else np.zeros(2 * d)
+        res = minimize(
+            lambda z: float(np.sum((y - z[:d] - z[d:]) ** 2)), z0,
+            jac=lambda z: np.tile(-2.0 * (y - z[:d] - z[d:]), 2),
+            bounds=bounds,
+            constraints=[{"type": "ineq", "fun": lambda z: constraint(z[:d]),
+                          "jac": lambda z: np.concatenate([grad(z[:d]), np.zeros(d)])}],
+            method="SLSQP", options={"ftol": 1e-15, "maxiter": 1000},
+        )
+        # at ftol 1e-15 a solve may end in "Positive directional derivative
+        # for linesearch" (status 8) at the optimum; an infeasible end reads low
+        if res.status in (0, 8) and constraint(res.x[:d]) >= -1e-12:
+            best = min(best, res.fun)
+    assert best < math.inf
+    return best
+
+
+def _reference_sq_dist(prog, y, c, eps, w_set):
+    """d^2(y, S + W) for a box W: in closed form where S is a box (the
+    box-quadratic point at eps = 0, the box-linear argmin face at eps = 0 or
+    the whole box at eps >= 2b|c|_1), by _joint_qp_sq_dist otherwise."""
+    b, d = prog.bound, len(y)
+    if isinstance(prog, BoxQuadraticProgram):
+        if eps > 0.0:
+            return _joint_qp_sq_dist(y, b, lambda x: eps - x @ x, lambda x: -2.0 * x, w_set)
+        lo = hi = np.zeros(d)
+    elif eps == 0.0:  # x_j = b sign(c_j) where c_j != 0
+        lo, hi = np.where(c == 0.0, -b, b * np.sign(c)), np.where(c == 0.0, b, b * np.sign(c))
+    elif eps >= 2 * b * np.abs(c).sum():
+        lo, hi = np.full(d, -b), np.full(d, b)
+    else:
+        level = b * np.abs(c).sum() - eps  # c'x >= -V(c) - eps
+        return _joint_qp_sq_dist(y, b, lambda x: c @ x - level, lambda x: c, w_set)
+    gap = np.maximum(np.maximum(lo + w_set.lower - y, y - (hi + w_set.upper)), 0.0)
+    return float(gap @ gap)
+
+
+def _box_linear_cases(d, count, seed):
+    """(c, eps, y) with eps = 0, a random eps and eps past 2b|c|_1 in turn, a
+    zero entry of c in every third case, and y outside b + W along x_1."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for k in range(count):
+        c = rng.normal(scale=1.5, size=d)
+        if k % 3 == 1:
+            c[rng.integers(d)] = 0.0
+        eps = (0.0, float(rng.uniform(0.0, 4.0)), 4.0 * 2.0 * np.abs(c).sum() + 1.0)[k % 3]
+        y = rng.normal(scale=2.0, size=d)
+        y[0] = rng.choice([-1.0, 1.0]) * rng.uniform(3.0, 5.0)
+        cases.append((c, eps, y))
+    return cases
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_sq_dist_box_linear_matches_the_joint_qp(d):
+    p = BoxLinearProgram(x_dim=d)
+    w = Box(np.full(d, -0.3), np.full(d, 0.3))
+    for c, eps, y in _box_linear_cases(d, 12, seed=d):
+        got = sq_dist_to_inflated_set(p, y, c, eps, np.zeros(d), w)
+        want = _reference_sq_dist(p, y, c, eps, w)
+        assert want > 0.1 and abs(got - want) <= 1e-9 * want, (c, eps, y, got, want)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_eps_argmin_box_linear_vertices(d):
+    p = BoxLinearProgram(x_dim=d)
+    b = p.bound
+    for c, eps, _ in _box_linear_cases(d, 9, seed=10 + d):
+        s = eps_argmin_set(p, c, eps, np.zeros(d))
+        v = s.vertices
+        assert len(v) <= 2**d + d * 2 ** (d - 1)
+        assert (np.abs(v) <= b).all()
+        assert (v @ c >= b * np.abs(c).sum() - eps - 1e-12).all()
+        corners = {tuple(x) for x in v if (np.abs(x) == b).all()}
+        if eps == 0.0:  # the argmin face: x_j = b sign(c_j) wherever c_j != 0
+            assert corners == {x for x in itertools.product((-b, b), repeat=d)
+                               if all(xj * cj > 0 for xj, cj in zip(x, c) if cj != 0)}
+            assert len(v) == len(corners)
+        elif eps > 2 * b * np.abs(c).sum():  # the whole box
+            assert len(corners) == 2**d
+    whole = eps_argmin_set(p, np.zeros(d), 0.0, np.zeros(d))  # c = 0: the whole box
+    assert hausdorff(whole, Box(np.full(d, -b), np.full(d, b))) == 0.0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sq_dist_box_quadratic_ball_matches_the_joint_qp(d):
+    p = BoxQuadraticProgram(x_dim=d)
+    w = Box(np.full(d, -0.5), np.linspace(0.2, 0.6, d))
+    rng = np.random.default_rng(20 + d)
+    for eps in (0.0, 0.3, 1.0):
+        s = eps_argmin_set(p, _NO_ARGS, eps, _NO_ARGS)
+        assert (s.radius, s.center.tolist()) == (math.sqrt(eps), [0.0] * d)
+        for _ in range(4):
+            y = rng.normal(size=d)
+            y *= rng.uniform(2.0, 4.0) / np.linalg.norm(y)
+            got = sq_dist_to_inflated_set(p, y, _NO_ARGS, eps, _NO_ARGS, w)
+            want = _reference_sq_dist(p, y, None, eps, w)
+            assert want > 0.1 and abs(got - want) <= 1e-9 * want, (eps, y, got, want)
+    assert sq_dist_to_inflated_set(p, np.full(d, 0.1), _NO_ARGS, 0.5, _NO_ARGS, w) == 0.0
+
+
+def test_eps_argmin_box_quadratic_refuses_eps_past_the_box():
+    p = BoxQuadraticProgram(x_dim=2)
+    with pytest.raises(ValueError, match=r"eps = 1\.5 exceeds bound\^2 = 1\.0"):
+        eps_argmin_set(p, _NO_ARGS, 1.5, _NO_ARGS)
+    with pytest.raises(ValueError, match="eps = 1.5"):
+        sq_dist_to_inflated_set(p, [3.0, 0.0], _NO_ARGS, 1.5, _NO_ARGS, Box([-1, -1], [1, 1]))
+
+
+def test_set_routines_refuse_other_programs():
+    ds = ObservationDataset(np.zeros((2, 0)), np.array([0.5, 1.5]))
+    prior = PriorRegion(eps_range=(0.0, 1.0), w_set=interval(-1.0, 1.0), d_eps=0.5)
+    with pytest.raises(ValueError, match="box-constrained built-ins"):
+        eps_argmin_set(MiniLinear(), _NO_ARGS, 0.5, _NO_ARGS)
+    with pytest.raises(ValueError, match="box-constrained built-ins"):
+        sq_dist_to_inflated_set(MiniLinear(), [3.5], _NO_ARGS, 0.5, _NO_ARGS, interval(-1, 1))
+    with pytest.raises(ValueError, match="box-constrained built-ins"):
+        abp_estimate(MiniLinear(), ds, prior)
+
+
+def test_mle_objective_refuses_a_multivariate_program_before_any_set():
+    ds = ObservationDataset(np.zeros((1, 0)), np.array([[0.5, 0.5]]))
+    density = UniformNoiseDensity(-1.0, 1.0)
+    # eps = 2 would make eps_argmin_set raise its own error first
+    for eps in (0.5, 2.0):
+        with pytest.raises(ValueError, match="needs 1-D interval solution sets"):
+            mle_objective(BoxQuadraticProgram(x_dim=2), ds, eps, _NO_ARGS, density)
 
 
 # ------------------------------------------------------- datasets and prior
@@ -1039,7 +1130,7 @@ def test_rdf_weak_duality_lower_bound():
         u, th = rng.uniform(-2, 2, size=2)
         lam = rng.uniform(0, 2, size=2)
         val, _, _ = rdf_eval(p, [u], [th], lam, 0.0)
-        assert val <= value_function(p, [u], [th]) + 1e-12
+        assert val <= p.value([u], [th]) + 1e-12
 
 
 def test_rdf_gradients_match_finite_differences():
@@ -1250,36 +1341,26 @@ def test_mle_quadratic_grid_matches_per_cell_objective():
     np.testing.assert_allclose(got[~inf], want[~inf], rtol=1e-12, atol=0.0)
 
 
-class PlainBoxLinear(ParametricProgram):
-    """BoxLinearProgram's f = -(theta + u) x on |x| <= 2 without its type, so
-    the estimators take their per-cell generic paths."""
-
-    def __init__(self):
-        self.x_dim = self.u_dim = self.theta_dim = 1
-        self.n_constraints = 2
-        self.outer_box = Box([-3.0], [3.0])
-
-    def objective(self, x, u, theta):
-        return float(-(theta[0] + u[0]) * x[0])
-
-    def objective_grad_x(self, x, u, theta):
-        return np.array([-(theta[0] + u[0])])
-
-    def constraints(self, x, u, theta):
-        return np.array([x[0] - 2.0, -x[0] - 2.0])
-
-    def constraint_grads_x(self, x, u, theta):
-        return np.array([[1.0], [-1.0]])
-
-
-def test_abp_per_cell_fallback_matches_the_box_linear_grid():
-    # The fallback solves each S(u, eps, theta) numerically and projects by
-    # alternating projections with 1e-8 tolerances; 1e-6 absolute covers them.
-    ds = ObservationDataset(np.array([0.9, -1.3, 1.7, -0.4]), np.array([1.5, -2.2, 0.4, 0.1]))
-    prior = PriorRegion(eps_range=(0.5, 1.5), w_set=interval(-1.0, 1.0),
-                        theta_box=Box([-0.2], [0.2]), d_eps=0.5, d_theta=0.2)
-    fast = abp_estimate(BoxLinearProgram(), ds, prior, lam=0.1)
-    slow = abp_estimate(PlainBoxLinear(), ds, prior, lam=0.1)
-    assert fast.grid_values.shape == slow.grid_values.shape == (3, 3)
-    np.testing.assert_allclose(slow.grid_values, fast.grid_values, rtol=0.0, atol=1e-6)
-    assert (slow.eps_hat, slow.theta_hat.tolist()) == (fast.eps_hat, fast.theta_hat.tolist())
+@pytest.mark.parametrize("prog", [BoxLinearProgram(x_dim=2), BoxLinearProgram(x_dim=3),
+                                  BoxQuadraticProgram(x_dim=2)], ids=["lin2", "lin3", "quad2"])
+def test_abp_per_cell_grid_on_multivariate_built_ins_matches_the_joint_qp(prog):
+    d = prog.x_dim
+    rng = np.random.default_rng(30 + d)
+    n = 2
+    us = rng.uniform(-2.0, 2.0, size=(n, prog.u_dim))
+    ys = rng.normal(size=(n, d))
+    ys[:, 0] = [3.5, -3.2]  # every sample outside S + W
+    ds = ObservationDataset(us, ys)
+    w = Box(np.full(d, -0.3), np.full(d, 0.3))
+    linear = isinstance(prog, BoxLinearProgram)
+    theta_box = Box(np.full(d, -0.2), np.full(d, 0.2)) if linear else None
+    prior = PriorRegion(eps_range=(0.0, 1.0), w_set=w, theta_box=theta_box,
+                        d_eps=0.5, d_theta=0.4)
+    res = abp_estimate(prog, ds, prior, lam=0.1)
+    eps_axis, pts = prior.eps_axis(), prior.theta_points()
+    assert res.grid_values.shape == (3, len(pts)) == (3, 2**d if linear else 1)
+    for i, eps in enumerate(eps_axis):
+        for j, th in enumerate(pts):
+            total = sum(_reference_sq_dist(prog, y, th + u, eps, w) for u, y in zip(us, ys))
+            want = total / n + 0.1 * eps
+            assert abs(res.grid_values[i, j] - want) <= 1e-9 * want, (i, j)

@@ -20,12 +20,19 @@ def _unused_imports(tree: ast.Module) -> list[str]:
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
+    used.update(_exports(tree))
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def _exports(tree: ast.Module) -> list[str]:
+    """The names listed in the module's __all__, if it has one."""
+    return [
+        name
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for name in ast.literal_eval(node.value)
+    ]
 
 
 def test_unused_import_check_flags_an_unread_name():
@@ -37,6 +44,35 @@ def test_unused_import_check_flags_an_unread_name():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_package_modules_have_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def _unbound_exports(tree: ast.Module) -> list[str]:
+    """Names in the module's __all__ that no module-level def, class, import
+    or assignment binds (names bound inside a function do not count)."""
+    bound, stack = set(), list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(set(_exports(tree)) - bound)
+
+
+def test_unbound_export_check_flags_a_name_the_module_never_binds():
+    source = ("import os.path\nfrom json import dumps as dump\nLIMIT = 3\n"
+              "if LIMIT:\n    A, B = 1, 2\ndef f():\n    gone = 1\nclass C:\n    inner = 2\n"
+              "__all__ = ['os', 'dump', 'LIMIT', 'A', 'B', 'f', 'C', 'gone', 'inner', 'dumps']\n")
+    assert _unbound_exports(ast.parse(source)) == ["dumps", "gone", "inner"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_package_modules_bind_every_exported_name(path):
+    assert _unbound_exports(ast.parse(path.read_text(), filename=str(path))) == []
 
 
 def _private_definitions(tree: ast.Module) -> dict[str, int]:
