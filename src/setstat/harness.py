@@ -15,8 +15,9 @@ import json
 import math
 import os
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -177,117 +178,114 @@ def _real(value) -> float:
     return out
 
 
-_SCALAR_TYPES = {
-    "n": randomsets._integral,
-    "replicates": randomsets._integral,
-    "n_directions": randomsets._integral,
-    "eps0": _real,
-    "theta0": _real,
-    "noise_radius": _real,
-    "baseline_theta": _real,
-    "max_cov_rel_error": _bound,
-    "max_identity_gap": _bound,
-    "max_median_error": _bound,
-    "max_eps_error": _bound,
-    "max_theta_error": _bound,
-    "lam": _real,
-    "h": _real,
-}
+@dataclass(frozen=True)
+class _Field:
+    """One parameter's rules: parse gives the stored value, which (each entry
+    of a list field) must then be positive or nonnegative as range says, at
+    most cap and one of choices; null is a value only in the kinds listed in
+    null.  A list field is a nonempty list of distinct or increasing entries."""
 
-_POSITIVE_FIELDS = {"n", "replicates", "n_directions", "noise_radius", "h"}
-_NONNEGATIVE_FIELDS = {"lam", *(key for key, parse in _SCALAR_TYPES.items() if parse is _bound)}
+    parse: Callable = copy.copy  # as given: a name, the slope window or an object
+    range: str = ""
+    cap: int | None = None
+    null: tuple = ()
+    choices: tuple = ()
+    listed: str = ""  # "distinct" or "increasing"
+
+
+_REAL, _POSITIVE, _NONNEGATIVE = (_Field(_real, r) for r in ("", "positive", "nonnegative"))
+# Every field of every preset and of its prior and u_grid objects.  Count caps
+# are ten times the largest of any preset, bench workload or configs/*.json
+# file: n 20,000, an n_values entry 10,000, replicates 4,000, n_directions 360.
+_FIELDS = {
+    "n": _Field(randomsets._integral, "positive", 200_000),
+    "n_values": _Field(randomsets._integral, "positive", 100_000, listed="increasing"),
+    "replicates": _Field(randomsets._integral, "positive", 40_000),
+    "n_directions": _Field(randomsets._integral, "positive", 3_600),
+    "body": _Field(set_from_dict), "noise": _Field(randomsets.noise_from_dict),
+    "slope_window": _Field(),
+    "kernel": _Field(choices=tuple(kernelreg.KERNELS)),
+    "program": _Field(choices=("box-linear", "box-quadratic")),
+    "estimator": _Field(choices=("abp", "mle", "via", "kkt", "presmooth")),
+    "dataset": _Field(choices=("set-regression", "box-linear", "box-quadratic")),
+    "eps0": _NONNEGATIVE, "theta0": _REAL, "noise_radius": _POSITIVE, "baseline_theta": _REAL,
+    "lam": _Field(_real, "nonnegative", null=("invopt-fit", "compare-estimators")),
+    "h": _Field(_real, "positive", null=("kernel-fit",)),
+    **dict.fromkeys(("max_cov_rel_error", "max_identity_gap", "max_median_error", "max_eps_error",
+                     "max_theta_error"), _Field(_bound, "nonnegative")),  # the check bounds
+    "prior": _Field(), "prior.eps_lo": _NONNEGATIVE, "prior.eps_hi": _REAL,
+    "prior.d_eps": _POSITIVE, "prior.theta_lo": _REAL, "prior.theta_hi": _REAL,
+    "prior.d_theta": _POSITIVE, "prior.w_lo": _REAL, "prior.w_hi": _REAL,
+    "u_grid": _Field(), "u_grid.lo": _REAL, "u_grid.hi": _REAL, "u_grid.step": _POSITIVE,
+}
+_FIELDS["estimators"] = replace(_FIELDS["estimator"], listed="distinct")
+_OBJECTS = ("prior", "u_grid")  # given field by field over the preset's object
 # (lower, upper, grid step) fields of the prior and u_grid objects (W has no grid)
 _RANGES = (("eps_lo", "eps_hi", "d_eps"), ("theta_lo", "theta_hi", "d_theta"),
            ("w_lo", "w_hi", None), ("lo", "hi", "step"))
 _MAX_GRID_POINTS = 100_000  # per axis: 500 times the largest preset's (eps, 199 points)
-# ten times the largest count of any preset, bench workload or configs/*.json
-# file: n 20,000, an n_values entry 10,000, replicates 4,000, n_directions 360
-_MAX_COUNTS = {"n": 200_000, "n_values": 100_000, "replicates": 40_000, "n_directions": 3_600}
 # (eps, sample) and (eps, theta) cells of an estimator grid, 800 MB of float64:
 # a full 10^5-point eps axis at the preset n = 1000, or n = 200,000 on 500 eps points
 _MAX_GRID_CELLS = 100_000_000
-_ESTIMATORS = ("abp", "mle", "via", "kkt", "presmooth")
 
 
-def _parse_field(name: str, parse, value):
-    try:
-        return parse(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"parameter {name!r}: {exc}") from None
+def _parse_value(kind: str, name: str, value):
+    """value parsed and checked by the _FIELDS rules of parameter name; a
+    ConfigError names the parameter."""
+    if name not in _FIELDS:  # a field of no prior or u_grid object
+        raise ConfigError(f"unknown field {name}")
+    field = _FIELDS[name]
+    if value is None:
+        if kind in field.null:
+            return None
+        raise ConfigError(f"parameter {name!r} must not be null")
+    out = []
+    for entry in value if field.listed and isinstance(value, list) else [value]:
+        try:
+            entry = field.parse(entry)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"parameter {name!r}: {exc}") from None
+        if field.range == "positive" and not entry > 0 or field.range == "nonnegative" and not entry >= 0:
+            raise ConfigError(f"parameter {name!r} must be {field.range}")
+        if field.cap is not None and entry > field.cap:
+            raise ConfigError(f"parameter {name!r} must be at most {field.cap}")
+        if field.choices and entry not in field.choices:
+            raise ConfigError(f"parameter {name!r} must be one of {', '.join(field.choices)}")
+        out.append(entry)
+    if not field.listed:
+        return out[0]
+    if not (isinstance(value, list) and out) or len(set(out)) < len(out) or (
+            field.listed == "increasing" and out != sorted(out)):
+        raise ConfigError(f"parameter {name!r} must be a nonempty list of {field.listed} entries")
+    return out
 
 
 def _validate_params(kind: str, params: dict) -> dict:
-    """Merge user params over the kind preset; reject unknown keys."""
-    if kind not in PRESETS:
-        raise ConfigError(
-            f"kind must be one of {', '.join(EXPERIMENT_KINDS)}; got {kind!r}"
-        )
+    """Merge user params over the kind preset, reject unknown keys, parse
+    every field by its _FIELDS rules, then check the rules across fields."""
+    if kind not in EXPERIMENT_KINDS:  # a tuple: an unhashable kind compares unequal
+        raise ConfigError(f"kind must be one of {', '.join(EXPERIMENT_KINDS)}; got {kind!r}")
     merged = copy.deepcopy(PRESETS[kind])
     for key, value in params.items():
         if key not in merged:
             raise ConfigError(f"unknown parameter {key!r} for kind {kind!r}")
-        if value is None and merged[key] is not None:  # null only where the preset is
-            raise ConfigError(f"parameter {key!r} must not be null")
-        if isinstance(merged[key], dict) and key in ("prior", "u_grid"):
-            if not isinstance(value, dict):
-                raise ConfigError(f"parameter {key!r} must be an object")
-            sub = dict(merged[key])
-            for k2, v2 in value.items():
-                if k2 not in sub:
-                    raise ConfigError(f"unknown field {key}.{k2}")
-                sub[k2] = _parse_field(f"{key}.{k2}", _real, v2)
-            for lo, hi, step in (r for r in _RANGES if r[0] in sub):
-                if not sub[lo] <= sub[hi]:
-                    raise ConfigError(f"parameter '{key}.{lo}' must not exceed '{key}.{hi}'")
-                if step and not sub[step] > 0:
-                    raise ConfigError(f"parameter '{key}.{step}' must be positive")
-                # geometry._grid_axis's point count, taken before any axis is built
-                if step and (sub[hi] - sub[lo]) / sub[step] + 1e-9 >= _MAX_GRID_POINTS:
-                    raise ConfigError(f"parameter '{key}.{step}' gives over {_MAX_GRID_POINTS} points")
-            merged[key] = sub
-        else:
-            merged[key] = value
+        merged[key] = value
     for key, value in merged.items():
-        if key in _SCALAR_TYPES and value is not None:
-            merged[key] = _parse_field(key, _SCALAR_TYPES[key], value)
-            if key in _POSITIVE_FIELDS and merged[key] <= 0:
-                raise ConfigError(f"parameter {key!r} must be positive")
-            if merged[key] > _MAX_COUNTS.get(key, np.inf):
-                raise ConfigError(f"parameter {key!r} must be at most {_MAX_COUNTS[key]}")
-            if key in _NONNEGATIVE_FIELDS and merged[key] < 0:
-                raise ConfigError(f"parameter {key!r} must be nonnegative")
-    if "n_values" in merged:
-        vals = merged["n_values"]
-        try:
-            counts = [randomsets._integral(v) for v in vals]
-        except (TypeError, ValueError):
-            counts = []
-        if not isinstance(vals, list) or not counts or min(counts) <= 0 or counts != sorted(counts):
-            raise ConfigError("parameter 'n_values' must be an increasing list of positive counts")
-        if counts[-1] > _MAX_COUNTS["n_values"]:
-            raise ConfigError(f"parameter 'n_values' has a count over {_MAX_COUNTS['n_values']}")
-        merged["n_values"] = counts
-    if "kernel" in merged and not (
-        isinstance(merged["kernel"], str) and merged["kernel"] in kernelreg.KERNELS
-    ):
-        raise ConfigError(
-            f"parameter 'kernel' must be one of {sorted(kernelreg.KERNELS)}"
-        )
-    if "program" in merged and merged["program"] not in ("box-linear", "box-quadratic"):
-        raise ConfigError("parameter 'program' must be box-linear or box-quadratic")
-    if "estimator" in merged and merged["estimator"] not in _ESTIMATORS:
-        raise ConfigError(f"parameter 'estimator' must be one of {', '.join(_ESTIMATORS)}")
-    if "estimators" in merged:
-        if not isinstance(merged["estimators"], list):
-            raise ConfigError("parameter 'estimators' must be a list")
-        for est in merged["estimators"]:
-            if est not in _ESTIMATORS:
-                raise ConfigError(f"unknown estimator {est!r} in 'estimators'")
+        if key in _OBJECTS and isinstance(value, dict):
+            value = {k2: _parse_value(kind, f"{key}.{k2}", v2)
+                     for k2, v2 in {**PRESETS[kind][key], **value}.items()}
+        elif key in _OBJECTS and value is not None:
+            raise ConfigError(f"parameter {key!r} must be an object")
+        merged[key] = _parse_value(kind, key, value)
+    for key in (k for k in _OBJECTS if k in merged):
+        sub = merged[key]
+        for lo, hi, step in (r for r in _RANGES if r[0] in sub):
+            if not sub[lo] <= sub[hi]:
+                raise ConfigError(f"parameter '{key}.{lo}' must not exceed '{key}.{hi}'")
+            # geometry._grid_axis's point count, taken before any axis is built
+            if step and (sub[hi] - sub[lo]) / sub[step] + 1e-9 >= _MAX_GRID_POINTS:
+                raise ConfigError(f"parameter '{key}.{step}' gives over {_MAX_GRID_POINTS} points")
     quadratic = merged.get("program") == "box-quadratic"
-    if quadratic and merged.get("estimator") == "presmooth":
-        raise ConfigError("parameter 'estimator': presmooth needs the box-linear program")
-    if quadratic and "presmooth" in merged.get("estimators", []):
-        raise ConfigError("parameter 'estimators': presmooth needs the box-linear program")
     if "prior" in merged:  # invopt-fit and compare-estimators: the grid buffers
         p = merged["prior"]
         # geometry._grid_axis's point counts of the eps and theta axes
@@ -300,8 +298,11 @@ def _validate_params(kind: str, params: dict) -> dict:
             if cells > _MAX_GRID_CELLS:
                 raise ConfigError(f"parameter {field!r} gives {cells} grid cells with 'prior.d_eps', "
                                   f"over {_MAX_GRID_CELLS}")
-    mle = merged.get("estimator") == "mle" or "mle" in merged.get("estimators", [])
-    if mle and merged["prior"]["w_lo"] == merged["prior"]["w_hi"]:  # no uniform density
+    field = "estimators" if "estimators" in merged else "estimator"  # the estimators a run fits
+    names = merged.get("estimators", [merged.get("estimator")])
+    if quadratic and "presmooth" in names:
+        raise ConfigError(f"parameter {field!r}: presmooth needs the box-linear program")
+    if "mle" in names and merged["prior"]["w_lo"] == merged["prior"]["w_hi"]:  # no uniform density
         raise ConfigError("parameter 'prior.w_lo' must be below 'prior.w_hi' for the mle estimator")
     window = merged.get("slope_window", [0, 0])  # slln only
     numbers = isinstance(window, list) and all(
@@ -309,20 +310,13 @@ def _validate_params(kind: str, params: dict) -> dict:
     )
     if not (numbers and len(window) == 2 and window[0] <= window[1]):
         raise ConfigError("parameter 'slope_window' must be two finite numbers lo <= hi")
-    if "dataset" in merged and merged["dataset"] not in (
-        "set-regression", "box-linear", "box-quadratic",
-    ):
-        raise ConfigError(
-            "parameter 'dataset' must be set-regression, box-linear, or box-quadratic"
-        )
     if "u_grid" in merged:  # kernel-fit: every query inside the demo truth's domain
         lo, hi = kernelreg._DEMO_DOMAIN
         u = geometry._grid_axis(**merged["u_grid"])
         if not (lo <= u[0] and u[-1] <= hi):
             raise ConfigError(f"parameter 'u_grid' leaves the demo truth's domain [{lo:g}, {hi:g}]")
     if "body" in merged:  # slln and clt: a body and a noise law of its dimension
-        body = _parse_field("body", set_from_dict, merged["body"])
-        noise = _parse_field("noise", randomsets.noise_from_dict, merged["noise"])
+        body, noise = merged["body"], merged["noise"]
         if body.dim != noise.dim:
             raise ConfigError(f"parameter 'noise' has dimension {noise.dim}, 'body' {body.dim}")
         merged["body"], merged["noise"] = set_to_dict(body), randomsets.noise_to_dict(noise)
@@ -358,7 +352,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if (
         not isinstance(formats, list)
         or not formats
-        or set(formats) - {"csv", "json"}
+        or any(f not in ("csv", "json") for f in formats)  # no set(): entries may be unhashable
     ):
         raise ConfigError("'formats' must be a nonempty subset of [csv, json]")
     return ExperimentConfig(
@@ -735,12 +729,10 @@ def _run_estimator(name, program, dataset, prior, params, seed):
         return invopt.via_estimate(program, dataset, _baseline_theta(program, params))
     if name == "kkt":
         return invopt.kkt_estimate(program, dataset, _baseline_theta(program, params))
-    if name == "presmooth":
-        return invopt.presmooth_estimate(
-            program, dataset, params["h"], prior, seed.derive(500_000),
-            lam=params["lam"],
-        )
-    raise ConfigError(f"unknown estimator {name!r}")
+    return invopt.presmooth_estimate(  # "presmooth", the last estimator name
+        program, dataset, params["h"], prior, seed.derive(500_000),
+        lam=params["lam"],
+    )
 
 
 def _baseline_theta(program, params):

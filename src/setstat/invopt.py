@@ -200,14 +200,15 @@ def _boxlinear_lower(out, bound, c, eps):
 def sq_dist_to_inflated_set(prog, y, u, eps, theta, w_set: ConvexSet) -> float:
     """Squared distance d^2(y, S(u, eps, theta) + W), S from eps_argmin_set.
 
-    A ball S = Ball(z, r), whose sum with W minkowski_sum would sample in
-    d >= 2, gives max(d(y - z, W) - r, 0)^2 exactly.  Any other S gives the
-    distance to minkowski_sum(S, W), exact unless W is a ball in d >= 2.
+    A ball S or W = Ball(z, r), whose sum minkowski_sum would sample in
+    d >= 2, gives max(d(y - z, C) - r, 0)^2 exactly, C the other set (W when
+    both are balls); two polytopes give the exact minkowski_sum(S, W).
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     s = eps_argmin_set(prog, u, eps, theta)
-    if isinstance(s, Ball):
-        return max(dist_point(y - s.center, w_set) - s.radius, 0.0) ** 2
+    ball, other = (s, w_set) if isinstance(s, Ball) else (w_set, s)
+    if isinstance(ball, Ball):
+        return max(dist_point(y - ball.center, other) - ball.radius, 0.0) ** 2
     return sq_dist_point(y, minkowski_sum(s, w_set))
 
 

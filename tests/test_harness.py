@@ -3,11 +3,12 @@
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
 
-from setstat import cli, harness, invopt
+from setstat import cli, harness, invopt, randomsets
 from setstat.harness import (
     EXPERIMENT_KINDS,
     ConfigError,
@@ -383,8 +384,8 @@ def test_config_counts_have_a_cap(tmp_path, capsys):
         ("clt", {"replicates": 40_001}, "'replicates' must be at most 40000"),
         ("compare-estimators", {"replicates": 10**12}, "'replicates' must be at most 40000"),
         ("sets-demo", {"n_directions": 3_601}, "'n_directions' must be at most 3600"),
-        ("slln", {"n_values": [10, 100_001]}, "'n_values' has a count over 100000"),
-        ("compare-estimators", {"n_values": [10**9]}, "'n_values' has a count over 100000"),
+        ("slln", {"n_values": [10, 100_001]}, "'n_values' must be at most 100000"),
+        ("compare-estimators", {"n_values": [10**9]}, "'n_values' must be at most 100000"),
     ]:
         with pytest.raises(ConfigError, match=message):
             config_from_dict({"kind": kind, "params": params})
@@ -428,6 +429,92 @@ def test_config_grid_cells_have_a_cap(tmp_path, capsys):
     path.write_text(json.dumps(config))
     assert cli.main(["invopt-fit", "--config", str(path)]) == 2
     assert "config error: parameter 'n' gives" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def _bad_values(kind, name):
+    """(rule, value) pairs that the _FIELDS rules of parameter name refuse in
+    kind: a bool and a NaN; an infinity where the field must be finite; null
+    where it may not be null; 0 where it must be positive and -1 where it
+    must be positive or nonnegative; the cap plus one.  A list field gets
+    each as a one-entry list, and a bool and a NaN in place of the list."""
+    field = harness._FIELDS[name]
+    values = [("bool", True), ("nan", float("nan"))]
+    if field.parse in (harness._real, randomsets._integral):
+        values += [("inf", float("inf")), ("-inf", -float("inf"))]
+    values += [("zero", 0)] if field.range == "positive" else []
+    values += [("negative", -1)] if field.range else []
+    values += [("cap + 1", field.cap + 1)] if field.cap is not None else []
+    if field.listed:
+        values = [(rule, [value]) for rule, value in values] + [("bool", True), ("nan", float("nan"))]
+    return values + ([] if kind in field.null else [("null", None)])
+
+
+def _generated_rejections():
+    """(rule, kind, params, name) for every field of every kind and each
+    value its rules refuse; a prior or u_grid field goes inside its object."""
+    for kind, preset in harness.PRESETS.items():
+        names = [*preset, *(f"{k}.{s}" for k in ("prior", "u_grid") if k in preset for s in preset[k])]
+        for name in names:
+            for rule, value in _bad_values(kind, name):
+                key, _, sub = name.partition(".")
+                yield rule, kind, {key: {sub: value} if sub else value}, name
+
+
+def test_config_rejects_every_fields_bad_values(tmp_path, capsys):
+    cases = list(_generated_rejections())
+    for rule, kind, params, name in cases:
+        with pytest.raises(ConfigError, match=re.escape(f"'{name}'")):
+            config_from_dict({"kind": kind, "params": params})
+    # one sample per rule and kind through the CLI: exit 2, naming the field,
+    # nothing written
+    samples = {(rule, kind): (params, name) for rule, kind, params, name in reversed(cases)}
+    assert {rule for rule, _ in samples} == {"bool", "nan", "inf", "-inf", "zero", "negative",
+                                             "cap + 1", "null"}
+    for (rule, kind), (params, name) in samples.items():
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"kind": kind, "params": params, "out": str(tmp_path / "o")}))
+        assert cli.main([kind, "--config", str(path)]) == 2, (rule, params)
+        err = capsys.readouterr().err
+        assert "config error" in err and f"'{name}'" in err, (rule, params, err)
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_refuses_negative_eps_and_repeated_or_empty_lists(tmp_path, capsys):
+    increasing = "'n_values' must be a nonempty list of increasing entries"
+    distinct = "'estimators' must be a nonempty list of distinct entries"
+    for kind, params, message in [
+        ("invopt-fit", {"eps0": -1}, "'eps0' must be nonnegative"),
+        ("compare-estimators", {"eps0": -0.5}, "'eps0' must be nonnegative"),
+        ("gen-data", {"dataset": "box-linear", "eps0": -1}, "'eps0' must be nonnegative"),
+        ("invopt-fit", {"prior": {"eps_lo": -5}}, "'prior.eps_lo' must be nonnegative"),
+        ("compare-estimators", {"prior": {"eps_lo": -1e-300}}, "'prior.eps_lo' must be nonnegative"),
+        ("slln", {"n_values": [10, 10]}, increasing),
+        ("compare-estimators", {"n_values": [10, 100, 100]}, increasing),
+        ("slln", {"n_values": []}, increasing),
+        ("compare-estimators", {"estimators": []}, distinct),
+        ("compare-estimators", {"estimators": ["abp", "kkt", "abp"]}, distinct),
+    ]:
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict({"kind": kind, "params": params})
+    # 0 is still a valid eps, and estimators keep the order given
+    assert config_from_dict({"kind": "invopt-fit", "params": {"eps0": 0}}).params["eps0"] == 0.0
+    cfg = config_from_dict({"kind": "compare-estimators", "params": {"prior": {"eps_lo": 0},
+                                                                      "estimators": ["via", "abp"]}})
+    assert cfg.params["prior"]["eps_lo"] == 0.0 and cfg.params["estimators"] == ["via", "abp"]
+    # each of these ran before and exited 3, or wrote doubled files: now exit 2
+    for kind, params, field in [
+        ("invopt-fit", {"n": 20, "eps0": -1}, "'eps0'"),
+        ("gen-data", {"dataset": "box-linear", "n": 10, "eps0": -1}, "'eps0'"),
+        ("invopt-fit", {"n": 20, "prior": {"eps_lo": -5}}, "'prior.eps_lo'"),
+        ("compare-estimators", {"n_values": [10, 10], "replicates": 1}, "'n_values'"),
+        ("compare-estimators", {"estimators": [], "n_values": [10], "replicates": 1}, "'estimators'"),
+    ]:
+        path = tmp_path / "refused.json"
+        path.write_text(json.dumps({"kind": kind, "params": params, "out": str(tmp_path / "o")}))
+        assert cli.main([kind, "--config", str(path)]) == 2, params
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err, (params, err)
     assert not (tmp_path / "o").exists()
 
 
@@ -773,6 +860,14 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
                                      "out": str(tmp_path / "g")}))
         assert cli.main(["gen-data", "--config", str(path7)]) == 2, seed
         assert "'seed'" in capsys.readouterr().err
+    # an unhashable kind or formats entry is a config error, not a TypeError
+    for config, field in [({"kind": ["slln"]}, "kind must be one of"),
+                          ({"kind": "slln", "formats": [["csv"]]}, "'formats'")]:
+        path8 = tmp_path / "unhashable.json"
+        path8.write_text(json.dumps({**config, "out": str(tmp_path / "u")}))
+        assert cli.main(["slln", "--config", str(path8)]) == 2, config
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err, (config, err)
 
 
 def test_cli_kernel_fit_runs_a_grid_whose_step_does_not_divide_the_range(tmp_path, capsys):

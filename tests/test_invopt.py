@@ -10,6 +10,7 @@ import pytest
 
 from setstat import geometry, invopt
 from setstat.geometry import (
+    Ball,
     Box,
     VertexPolytope,
     bounds_of,
@@ -214,14 +215,22 @@ def test_sq_dist_nonincreasing_in_eps():
 
 def _joint_qp_sq_dist(y, x_bound, constraint, grad, w_set):
     """min |y - x - w|^2 over x in [-x_bound, x_bound]^d with constraint(x) >= 0
-    (gradient grad(x)) and w in the box w_set, the least value of three
-    SLSQP solves of the joint (x, w) program that end feasible: a
+    (gradient grad(x)) and w in the box or ball w_set, the least value of
+    three SLSQP solves of the joint (x, w) program that end feasible: a
     reference independent of any set arithmetic, for a constraint with
     interior points (SLSQP stalls where the feasible x form a face)."""
     from scipy.optimize import minimize
 
     d = len(y)
-    bounds = [(-x_bound, x_bound)] * d + list(zip(w_set.lower, w_set.upper))
+    constraints = [{"type": "ineq", "fun": lambda z: constraint(z[:d]),
+                    "jac": lambda z: np.concatenate([grad(z[:d]), np.zeros(d)])}]
+    if isinstance(w_set, Ball):  # r^2 - |w - center|^2 >= 0
+        w_bounds = [(None, None)] * d
+        constraints.append({
+            "type": "ineq", "fun": lambda z: w_set.radius**2 - np.sum((z[d:] - w_set.center) ** 2),
+            "jac": lambda z: np.concatenate([np.zeros(d), -2.0 * (z[d:] - w_set.center)])})
+    else:
+        w_bounds = list(zip(w_set.lower, w_set.upper))
     rng = np.random.default_rng(0)
     best = math.inf
     for start in range(3):
@@ -229,14 +238,12 @@ def _joint_qp_sq_dist(y, x_bound, constraint, grad, w_set):
         res = minimize(
             lambda z: float(np.sum((y - z[:d] - z[d:]) ** 2)), z0,
             jac=lambda z: np.tile(-2.0 * (y - z[:d] - z[d:]), 2),
-            bounds=bounds,
-            constraints=[{"type": "ineq", "fun": lambda z: constraint(z[:d]),
-                          "jac": lambda z: np.concatenate([grad(z[:d]), np.zeros(d)])}],
+            bounds=[(-x_bound, x_bound)] * d + w_bounds, constraints=constraints,
             method="SLSQP", options={"ftol": 1e-15, "maxiter": 1000},
         )
         # at ftol 1e-15 a solve may end in "Positive directional derivative
         # for linesearch" (status 8) at the optimum; an infeasible end reads low
-        if res.status in (0, 8) and constraint(res.x[:d]) >= -1e-12:
+        if res.status in (0, 8) and all(c["fun"](res.x) >= -1e-12 for c in constraints):
             best = min(best, res.fun)
     assert best < math.inf
     return best
@@ -286,6 +293,22 @@ def test_sq_dist_box_linear_matches_the_joint_qp(d):
         got = sq_dist_to_inflated_set(p, y, c, eps, np.zeros(d), w)
         want = _reference_sq_dist(p, y, c, eps, w)
         assert want > 0.1 and abs(got - want) <= 1e-9 * want, (c, eps, y, got, want)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sq_dist_with_a_ball_w_matches_the_joint_qp(d):
+    # S + W for a ball W is no polytope: the distance is max(d(y - c, S) - r, 0)^2
+    p = BoxLinearProgram(x_dim=d)
+    w = Ball(np.linspace(-0.2, 0.1, d), 0.5)
+    for c, eps, y in _box_linear_cases(d, 24, seed=30 + d)[1::3]:  # eps in (0, 4)
+        got = sq_dist_to_inflated_set(p, y, c, eps, np.zeros(d), w)
+        level = p.bound * np.abs(c).sum() - eps  # c'x >= -V(c) - eps
+        want = _joint_qp_sq_dist(y, p.bound, lambda x: c @ x - level, lambda x: c, w)
+        assert want > 0.1 and abs(got - want) <= 1e-9 * want, (c, eps, y, got, want)
+    q = BoxQuadraticProgram(x_dim=d)  # both sets balls: S is the ball the rule takes
+    y = np.full(d, 2.0)
+    got = sq_dist_to_inflated_set(q, y, _NO_ARGS, 0.5, _NO_ARGS, w)
+    assert math.isclose(got, (np.linalg.norm(y - w.center) - math.sqrt(0.5) - 0.5) ** 2, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

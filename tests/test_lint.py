@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from setstat import harness
+
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "setstat").glob("*.py"))
 
 
@@ -247,3 +249,16 @@ def test_every_defaulted_parameter_is_passed_by_a_caller():
     found = _unpassed_defaults(sources, [path.read_text() for path in CALLERS])
     assert [f for f in found if f not in UNPASSED_DEFAULTS_ALLOWED] == []
     assert sorted(UNPASSED_DEFAULTS_ALLOWED) == found  # no stale exception
+
+
+def test_config_field_table_covers_exactly_the_preset_fields():
+    # every field of every preset, and of its prior and u_grid objects, has
+    # one table entry (a new preset field cannot skip validation), and the
+    # table has no other (no stale entry)
+    presets = harness.PRESETS.values()
+    fields = {key for p in presets for key in p}
+    fields |= {f"{key}.{sub}" for p in presets for key in ("prior", "u_grid") for sub in p.get(key, ())}
+    assert sorted(harness._FIELDS) == sorted(fields)
+    # null is a value exactly where the preset holds it
+    nulls = {(kind, name) for name, field in harness._FIELDS.items() for kind in field.null}
+    assert nulls == {(kind, key) for kind, p in harness.PRESETS.items() for key, v in p.items() if v is None}
