@@ -64,6 +64,7 @@ __all__ = [
 # Cross products with absolute value at or below this threshold are treated
 # as collinear when pruning 2-D hulls.
 HULL_COLLINEARITY_TOL = 1e-12
+_HULL_RING_FLOOR = 16  # below it, the Python chain costs less than _certified_ring
 
 _SUPPORT_GAP_TOL = 1e-10
 _CONTAINS_TOL = 1e-9
@@ -150,16 +151,50 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def convex_hull_2d(points) -> np.ndarray:
-    """Extreme points of a 2-D point cloud, counterclockwise from the
-    lexicographic minimum, via the monotone chain construction."""
-    pts = _as_points(points)
-    if pts.shape[1] != 2:
-        raise ValueError("convex_hull_2d expects 2-D points")
-    pts = np.unique(pts, axis=0)  # lexicographic sort with exact dedup
-    if pts.shape[0] == 1:
-        return pts
-    rows = pts.tolist()  # Python floats: the same IEEE doubles, cheaper scalar ops
+def _sorted_unique_rows(pts: np.ndarray) -> np.ndarray:
+    """np.unique(pts, axis=0) by one lexsort and an adjacent-row compare;
+    equal rows differing in the sign of a zero take np.unique itself, since
+    which of them it keeps is not specified."""
+    s = pts.take(np.lexsort((pts[:, 1], pts[:, 0])), axis=0)
+    dup = (s[1:, 0] == s[:-1, 0]) & (s[1:, 1] == s[:-1, 1])
+    if not dup.any():
+        return s
+    bits = s.view(np.uint64)
+    if (bits[1:][dup] != bits[:-1][dup]).any():
+        return np.unique(pts, axis=0)
+    return s.take(np.flatnonzero(np.concatenate(([True], ~dup))), axis=0)
+
+
+def _certified_ring(s: np.ndarray) -> np.ndarray | None:
+    """_monotone_chain(s) for sorted distinct rows s, when a static error
+    bound certifies it without running the chain; else None.
+
+    The ring is the rows on or below the chord s[0] -> s[-1], then those
+    above it reversed.  With |coordinates| <= S, rounding moves a cross
+    product of coordinate differences by at most about 2^-50 (2S)^2 < E =
+    2^-46 (2S)^2.  Computed turns above HULL_COLLINEARITY_TOL + 2E make the
+    ring, whose two chains are monotone, a convex polygon on all of s with
+    exact turns above the tolerance + E.  Its smallest vertex triangle has
+    three consecutive vertices (distance to a chord is unimodal along a
+    convex arc), so every cross product the chain takes has its exact sign
+    and clears the tolerance: the chain keeps every row, in this order.
+    """
+    scale = float(np.abs(s).max())
+    if not scale < 2.0**500:  # no overflow in the products below
+        return None
+    (x0, y0), (x1, y1) = s[0].tolist(), s[-1].tolist()
+    above = (x1 - x0) * (s[:, 1] - y0) - (y1 - y0) * (s[:, 0] - x0) > 0.0
+    ring = s.take(np.concatenate((np.flatnonzero(~above), np.flatnonzero(above)[::-1])), axis=0)
+    e = np.diff(ring, axis=0, prepend=ring[-1:], append=ring[:1])  # e[i]: the edge into ring[i]
+    turns = e[:-1, 0] * e[1:, 1] - e[:-1, 1] * e[1:, 0]
+    if turns.min() > HULL_COLLINEARITY_TOL + 2.0 * 2.0**-46 * (2.0 * scale) ** 2:
+        return ring
+    return None
+
+
+def _monotone_chain(s: np.ndarray) -> np.ndarray:
+    """Andrew's monotone chain (Inf. Proc. Letters 9, 1979) on sorted distinct rows s."""
+    rows = s.tolist()  # Python floats: the same IEEE doubles, cheaper scalar ops
 
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
@@ -180,6 +215,30 @@ def convex_hull_2d(points) -> np.ndarray:
     if not hull:  # all points collinear: keep the two extremes
         hull = [rows[0], rows[-1]]
     return np.asarray(hull, dtype=float)
+
+
+def convex_hull_2d(points) -> np.ndarray:
+    """Extreme points of a 2-D point cloud, counterclockwise from the
+    lexicographic minimum: the ring of Andrew's monotone chain, where a turn
+    at or below HULL_COLLINEARITY_TOL drops its middle point.
+
+    One lexsort sorts the points and drops exact duplicates.  From
+    _HULL_RING_FLOOR distinct points on, a ring that _certified_ring
+    certifies (a sampled circle, a filtered sum of strictly convex rings)
+    skips the chain.  Interior, collinear or nearly collinear points, turns
+    within the bound's margin of the tolerance and coordinates beyond 2^500
+    run it, and its two known defects stand: the absolute tolerance drops
+    true vertices near coordinates of 2^-20, and a near-vertical run of
+    collinear points can lose a vertex (tests pin both).
+    """
+    pts = _as_points(points)
+    if pts.shape[1] != 2:
+        raise ValueError("convex_hull_2d expects 2-D points")
+    s = _sorted_unique_rows(pts)
+    if s.shape[0] == 1:
+        return s
+    ring = _certified_ring(s) if s.shape[0] >= _HULL_RING_FLOOR else None
+    return ring if ring is not None else _monotone_chain(s)
 
 
 def _prune_vertices(v: np.ndarray) -> np.ndarray:

@@ -310,6 +310,8 @@ def _validate_params(kind: str, params: dict) -> dict:
     )
     if not (numbers and len(window) == 2 and window[0] <= window[1]):
         raise ConfigError("parameter 'slope_window' must be two finite numbers lo <= hi")
+    if kind == "slln" and len(merged["n_values"]) < 2:  # the error curve's slope needs two points
+        raise ConfigError("parameter 'n_values' needs at least two entries for the slln slope")
     if "u_grid" in merged:  # kernel-fit: every query inside the demo truth's domain
         lo, hi = kernelreg._DEMO_DOMAIN
         u = geometry._grid_axis(**merged["u_grid"])

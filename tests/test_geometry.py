@@ -140,8 +140,86 @@ def test_hull_on_python_floats_matches_numpy_scalar_chain():
     clouds.append(np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0], [-0.0, -0.0]]))
     ring = np.column_stack([np.cos(np.arange(360) * np.pi / 180), np.sin(np.arange(360) * np.pi / 180)])
     clouds.append(np.vstack([ring, rng.uniform(-1, 1, size=(14, 2))]))
+    # sampled circles, as minkowski_sum samples a ball: the certified ring
+    # where the turns clear the tolerance by the error bound, else the chain
+    for radius in (1.0, 1e-2, 1e-4, 1e-6):
+        for center in ([0.0, 0.0], [1e3, -2e3]):
+            circle = center + radius * direction_grid(2, 360)
+            interior = center + radius * rng.uniform(-0.6, 0.6, size=(9, 2))
+            clouds += [circle, circle[::-1], np.vstack([interior[:4], circle, interior[4:]])]
+    # a convex lattice 16-gon from (2, 0) to (0, 0), plus (1, 0): a collinear triple
+    steps = [(2, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 2), (-1, 1), (-2, 1), (-2, 0),
+             (-2, -1), (-1, -1), (-1, -2), (0, -1), (1, -2), (1, -1), (2, -1)]
+    collinear = np.vstack([np.cumsum(steps, axis=0), [[1, 0]]]).astype(float)
+    clouds += [collinear, 0.1 * collinear]
+    clouds.append(np.vstack([ring[::10], ring[:5], ring[::-20]]))  # equal rows above the floor
+    zeros = np.vstack([ring[::15] + [0.0, 2.0],
+                       [[0.0, -1.5], [-0.0, -1.5], [1.5, 0.0], [1.5, -0.0]]])
+    clouds += [zeros, zeros[::-1], np.vstack([zeros, [[-0.0, 0.0], [0.0, -0.0]]])]  # signed zeros
     for pts in clouds:
         assert _bits(convex_hull_2d(pts)) == _bits(_numpy_scalar_hull(pts))
+
+
+def test_hull_runs_the_chain_only_where_the_ring_is_not_certified(monkeypatch):
+    polygon = _ellipse_polygon(np.random.default_rng(48), 20)
+    chain_rows, certified = [], []
+    chain, ring = geometry._monotone_chain, geometry._certified_ring
+
+    def counting_chain(s):
+        chain_rows.append(s.shape[0])
+        return chain(s)
+
+    def counting_ring(s):
+        out = ring(s)
+        certified.append(out is not None)
+        return out
+
+    monkeypatch.setattr(geometry, "_monotone_chain", counting_chain)
+    monkeypatch.setattr(geometry, "_certified_ring", counting_ring)
+    # a sampled circle and a 20-gon + ball sum (the circle, then the filtered sums)
+    circle = geometry._to_vertex_polytope(Ball([0.2, -0.1], 0.8)).vertices
+    total = minkowski_sum(polygon, Ball([0.2, -0.1], 0.8))
+    assert circle.shape == (360, 2) and total.vertices.shape[0] >= 360
+    assert chain_rows == [] and certified == [True, True, True]
+
+    unit = direction_grid(2, 360)
+    refused = {
+        "below the floor": unit[::24],  # 15 points
+        "an interior point": np.vstack([unit, [[0.1, 0.2]]]),
+        "a collinear triple": np.vstack([unit[::10], [(unit[0] + unit[10]) / 2]]),
+        "turns below the tolerance": 1e-6 * unit,
+        "turns within the error margin": [1e3, -2e3] + 0.1 * unit,
+        "coordinates beyond 2^500": 2.0**510 * unit,
+    }
+    for why, pts in refused.items():
+        chain_rows.clear()
+        got = convex_hull_2d(pts)
+        assert len(chain_rows) == 1, why
+        assert _bits(got) == _bits(_numpy_scalar_hull(pts)), why
+    assert certified[3:] == [False] * 5
+
+
+def test_hull_defects_that_wait_for_an_exact_predicate_are_pinned():
+    # The 1e-12 absolute collinearity tolerance drops true vertices in both
+    # clouds; these pins hold the chain's present rings, so an exact
+    # orientation test has to change them on purpose.
+    # 1) At 2^-20 the sums of two lattice polygons lose (-2, -3), (5, 4) and
+    #    (-3, 0) and keep the interior (5, 3); the tol = 0 chain keeps all 9.
+    a = np.array([[-3, -1], [-2, -3], [4, -2], [3, 4], [-2, 4]], dtype=float)
+    b = np.array([[0, 0], [2, -1], [2, 0], [0, 1]], dtype=float)
+    sums = (a[:, None, :] + b[None, :, :]).reshape(-1, 2) * 2.0**-20
+    pinned = [[-3, -1], [0, -4], [6, -3], [6, -2], [5, 3], [3, 5], [-2, 5]]
+    assert _bits(convex_hull_2d(sums)) == _bits(np.array(pinned, dtype=float) * 2.0**-20)
+    assert _numpy_scalar_hull(sums, tol=0.0).shape == (9, 2)
+    # 2) The near-vertical pair of _sum_cases: the ring of all 36 sums lacks
+    #    a_2 + b_3, which lies 1.3e-4 outside it.
+    (pa, pb), = itertools.islice(_sum_cases(np.random.default_rng(0)), 1)
+    va, vb = pa.vertices, pb.vertices
+    pairs = [(0, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 4), (3, 3), (3, 4), (4, 4), (4, 5),
+             (5, 5), (0, 5)]
+    ring = convex_hull_2d((va[:, None, :] + vb[None, :, :]).reshape(-1, 2))
+    assert _bits(ring) == _bits(np.array([va[i] + vb[j] for i, j in pairs]))
+    assert _polygon_dist_exact(va[2] + vb[3], ring) > 1e-4
 
 
 def test_vertex_polytope_prunes_interior_points():

@@ -199,6 +199,11 @@ def test_config_rejects_bad_values():
         config_from_dict({"kind": "slln", "params": {"replicates": 0}})
     with pytest.raises(ConfigError):
         config_from_dict({"kind": "slln", "params": {"n_values": [100, 10]}})
+    # slln fits a slope through its n_values; compare-estimators takes one entry
+    for n_values in ([100], [1]):
+        with pytest.raises(ConfigError, match="'n_values'"):
+            config_from_dict({"kind": "slln", "params": {"n_values": n_values}})
+    config_from_dict({"kind": "compare-estimators", "params": {"n_values": [10]}})
     with pytest.raises(ConfigError):
         config_from_dict({"kind": "slln", "params": {"replicates": "many"}})
     with pytest.raises(ConfigError):
@@ -816,6 +821,8 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
                  "replicates": 20}, "'noise'"),
         ("slln", {"slope_window": "ab", "replicates": 2}, "'slope_window'"),
         ("slln", {"slope_window": [-0.3, -0.6], "replicates": 2}, "'slope_window'"),
+        ("slln", {"n_values": [100], "replicates": 2}, "'n_values'"),
+        ("slln", {"n_values": [1], "replicates": 2}, "'n_values'"),
         ("kernel-fit", {"n": 200, "max_median_error": float("nan")}, "'max_median_error'"),
         ("kernel-fit", {"n": 200, "h": True}, "'h'"),
         ("kernel-fit", {"n": 200, "max_median_error": -1}, "'max_median_error'"),
