@@ -78,6 +78,7 @@ _DISTANCE_ANGLES = 64
 _DISTANCE_POINTS_1D = 128
 _DISTANCE_QUADRATURE = 32
 _DISTANCE_R_CUTOFF = 20.0
+_DISTANCE_NODES_PER_BLOCK = 4  # whole nodes per pass: 16,388 2-D points keep the buffers in L2
 
 # Iteration caps of the projection solvers; reaching one raises SolverLimitError
 # (the planar zonotope loop hands over to the exact _zonotope_bvls instead).
@@ -819,9 +820,12 @@ def _halfplane_vertices(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray 
     if len(dq) < 3 or abs(dq[-1][0] * dq[0][1] - dq[-1][1] * dq[0][0]) <= 1e-12:
         return None
     corners = np.array([corner(p, q) for p, q in zip(dq, list(dq)[1:] + [dq[0]])])
-    pairs = set()  # concurrent lines give many corners one near set
-    for near in np.unique(a @ corners.T >= b[:, None] - 4.0 * tol, axis=1).T:
-        pairs.update(itertools.combinations(np.flatnonzero(near).tolist(), 2))
+    near = a @ corners.T >= b[:, None] - 4.0 * tol
+    # concurrent lines give many corners one near set: one corner per packed column
+    corner_of = {col.tobytes(): k for k, col in enumerate(np.packbits(near, axis=0).T)}
+    pairs = set()
+    for k in corner_of.values():
+        pairs.update(itertools.combinations(np.flatnonzero(near[:, k]).tolist(), 2))
     i, j = np.array(sorted(pairs)).T
     det = a[i, 0] * a[j, 1] - a[i, 1] * a[j, 0]
     ok = np.abs(det) > 1e-12
@@ -1289,12 +1293,28 @@ def integrated_distance(c: ConvexSet, d: ConvexSet) -> float:
     outer integral uses the _DISTANCE_QUADRATURE Gauss-Laguerre nodes up to
     _DISTANCE_R_CUTOFF, so the result is a grid approximation.  The grid is
     built once per dimension.
+
+    The grid is one equal block of points per kept node, and the pass walks
+    it _DISTANCE_NODES_PER_BLOCK whole nodes at a time: per block, both sets'
+    distances, their absolute gap and each node's maximum, then one
+    left-to-right weighted sum over the nodes.  The whole 65,552-point 2-D
+    grid needs about 4 MB of per-edge polygon buffers, twice a 2 MB per-core
+    L2; four nodes (16,388 points) keep them in cache, and 12 geometry-mix2d
+    ops took 65-70 ms instead of about 90 on a 2-CPU x86 host (1, 2 and 8
+    nodes: 95-100, about 76 and 75-80 ms).  Every distance is elementwise
+    per point plus one dgemv row, so the split moves no bit.
     """
     dim = _check_same_dim(c, d)
     allpts, wts = _distance_grid(dim)
-    gap = np.abs(_dist_points_batch(allpts, c) - _dist_points_batch(allpts, d))
+    per_node = allpts.shape[0] // wts.shape[0]
+    step = per_node * _DISTANCE_NODES_PER_BLOCK
+    peaks = []
+    for at in range(0, allpts.shape[0], step):
+        pts = allpts[at : at + step]
+        gap = np.abs(_dist_points_batch(pts, c) - _dist_points_batch(pts, d))
+        peaks += gap.reshape(-1, per_node).max(axis=1).tolist()
     total = 0.0
-    for w, peak in zip(wts.tolist(), gap.reshape(wts.shape[0], -1).max(axis=1).tolist()):
+    for w, peak in zip(wts.tolist(), peaks):
         total += w * peak
     return total
 

@@ -681,7 +681,10 @@ def _run_kernel_fit(config, emit):
     dataset = kernelreg.generate_demo_dataset(n, config.seed)
     emit.jsonl("dataset.jsonl", lambda p: kernelreg.write_dataset_jsonl(dataset, p))
     u_grid = geometry._grid_axis(**params["u_grid"])
-    columns = kernelreg._demo_fit(dataset, kernel, u_grid, h)
+    try:
+        columns = kernelreg._demo_fit(dataset, kernel, u_grid, h)
+    except kernelreg.NoLocalDataError as exc:  # the window is empty at some query
+        raise ConfigError(f"parameter 'h': {exc}") from None
     header = ["u", "truth_lo", "truth_hi", "est_lo", "est_hi", "hausdorff"]
     emit.table("fit", header, zip(*(a.tolist() for a in (u_grid, *columns))))
     median_err = float(np.median(columns[4]))
@@ -731,10 +734,13 @@ def _run_estimator(name, program, dataset, prior, params, seed):
         return invopt.via_estimate(program, dataset, _baseline_theta(program, params))
     if name == "kkt":
         return invopt.kkt_estimate(program, dataset, _baseline_theta(program, params))
-    return invopt.presmooth_estimate(  # "presmooth", the last estimator name
-        program, dataset, params["h"], prior, seed.derive(500_000),
-        lam=params["lam"],
-    )
+    try:  # "presmooth", the last estimator name
+        return invopt.presmooth_estimate(
+            program, dataset, params["h"], prior, seed.derive(500_000),
+            lam=params["lam"],
+        )
+    except invopt.EmptyNeighbourhoodError as exc:
+        raise ConfigError(f"parameter 'h': {exc}") from None
 
 
 def _baseline_theta(program, params):

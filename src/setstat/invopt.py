@@ -53,6 +53,7 @@ __all__ = [
     "mle_estimate",
     "rdf_eval",
     "presmooth_estimate",
+    "EmptyNeighbourhoodError",
     "generate_boxlinear_observations",
     "generate_boxquadratic_observations",
     "noise_support_box",
@@ -60,6 +61,10 @@ __all__ = [
     "write_observations_jsonl",
     "read_observations_jsonl",
 ]
+
+
+class EmptyNeighbourhoodError(ValueError):
+    """Presmoothing skipped every sample: each h-neighbourhood eroded to empty."""
 
 
 class _BoxProgram:
@@ -699,7 +704,8 @@ def presmooth_estimate(prog, dataset: ObservationDataset, h: float,
 
     Per sample the observations with |u_j - u_i| <= h are hulled and the
     hull eroded by W to S_hat(u_i); a point x_hat_i is drawn uniformly from
-    it.  Samples with empty erosion are skipped (count reported).  A grid
+    it.  Samples with empty erosion are skipped (count reported), and
+    EmptyNeighbourhoodError is raised when all are.  A grid
     point (eps, theta) is feasible when eps >= f(x_hat_i, u_i, theta) -
     V(u_i, theta) for every kept sample -- the constraint-free weak-duality
     relaxation with multipliers at their optimum -- and the reported
@@ -725,7 +731,7 @@ def presmooth_estimate(prog, dataset: ObservationDataset, h: float,
         kept_y.append(ys[i])
         kept_x.append(rng.uniform(lo, hi))
     if not kept_u:
-        raise ValueError("every sample was skipped; widen h or shrink W")
+        raise EmptyNeighbourhoodError("every sample was skipped; widen h or shrink W")
     ku = np.array(kept_u)
     ky = np.array(kept_y)
     kx = np.array(kept_x)

@@ -59,7 +59,7 @@ def test_workload_digest_matches_reference_at_seed_0(name, monkeypatch, tmp_path
 
 
 @pytest.mark.parametrize("seed", range(1, 10))
-@pytest.mark.parametrize("name", ["kernel-interval", "clt-box2d", "invopt-grid"])
+@pytest.mark.parametrize("name", workloads.WORKLOAD_NAMES)
 def test_table_workload_digest_matches_reference_at_seeds_1_to_9(
     name, seed, monkeypatch, tmp_path
 ):

@@ -1402,6 +1402,9 @@ _DISTANCE_GRID_CONSTANTS = (
 
 
 def test_integrated_distance_grid_is_built_once_with_the_same_bits(monkeypatch):
+    # neither the cache nor the split into node blocks may move a bit: every
+    # distance is elementwise per point plus one dgemv row; 3 divides the 3
+    # kept nodes of the first grid but not the 37 and 16 of the others
     rng = np.random.default_rng(49)
     pairs = [
         (_random_polygon(rng), Ball(rng.normal(size=2), 0.7)),
@@ -1410,22 +1413,49 @@ def test_integrated_distance_grid_is_built_once_with_the_same_bits(monkeypatch):
         (interval(-0.5, 1.0), interval(0.25, 0.5)),
         (_random_box(rng, 3), Ball(rng.normal(size=3), 0.4)),
     ]
+    pairs += [
+        (_random_polygon(rng, 20), pairs[1][1]),
+        (VertexPolytope([[-0.5, 0.2], [1.0, 0.9]]), Ball([0.1, 0.4], 1.3)),
+        (_random_box(rng, 3), _random_box(rng, 3)),
+    ]
     default = tuple(getattr(geometry, name) for name in _DISTANCE_GRID_CONSTANTS)
     assert default == (64, 64, 128, 32, 20.0)
     try:
-        for res in [(5, 7, 9, 6, 3.0), (3, 4, 17, 40, 100.0), default]:
+        for res in [(5, 7, 9, 6, 3.0), (3, 4, 17, 40, 110.0), default]:
             for name, value in zip(_DISTANCE_GRID_CONSTANTS, res):
                 monkeypatch.setattr(geometry, name, value)
             geometry._distance_grid.cache_clear()
+            kept = geometry._distance_grid(1)[1].shape[0]
             for c, d in pairs:
-                for _ in range(2):  # built, then read from the cache
-                    assert _bits(integrated_distance(c, d)) == _bits(_integrated_distance_per_call(c, d, *res))
+                want = _bits(_integrated_distance_per_call(c, d, *res))
+                for per_block in (1, 3, kept):  # the first call per dimension builds the grid
+                    monkeypatch.setattr(geometry, "_DISTANCE_NODES_PER_BLOCK", per_block)
+                    assert _bits(integrated_distance(c, d)) == want, (res, per_block, c, d)
     finally:
         monkeypatch.undo()
         geometry._distance_grid.cache_clear()
     grid, wts = geometry._distance_grid(2)
     assert not grid.flags.writeable and not wts.flags.writeable
     assert geometry._distance_grid(2)[0] is grid
+
+
+def test_integrated_distance_node_blocks_halve_the_peak_memory():
+    import tracemalloc
+
+    rng = np.random.default_rng(51)
+    c = _random_polygon(rng, 20)
+    d = Zonotope([0.0, 0.5], rng.normal(size=(5, 2)), [1.0, 0.4, 0.7, 0.2, 0.9])
+    args = [getattr(geometry, name) for name in _DISTANCE_GRID_CONSTANTS]
+    peaks = []
+    for call in (lambda: integrated_distance(c, d), lambda: _integrated_distance_per_call(c, d, *args)):
+        call()  # builds the cached grid outside the traced window
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 0.5 * peaks[1], peaks
 
 
 # ------------------------------------------------------------ membership

@@ -855,6 +855,12 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
          "'prior.w_lo'"),
         ("compare-estimators", {"n_values": [10], "replicates": 1, "estimators": ["mle"],
                                 "prior": {"w_lo": 0, "w_hi": 0}}, "'prior.w_lo'"),
+        # an empty bandwidth window is found only at run time
+        ("kernel-fit", {"h": 1e-9}, "'h'"),
+        ("kernel-fit", {"n": 1}, "'h'"),
+        ("invopt-fit", {"n": 20, "estimator": "presmooth", "h": 1e-300}, "'h'"),
+        ("compare-estimators", {"n_values": [10], "replicates": 1, "estimators": ["presmooth"],
+                                "h": 1e-300}, "'h'"),
     ]:
         path6 = tmp_path / "late_failure.json"
         path6.write_text(json.dumps({"kind": kind, "params": params, "out": str(tmp_path / kind)}))
