@@ -877,14 +877,20 @@ def run(config: ExperimentConfig) -> RunReport:
     """Execute the configured experiment, writing reports under out_dir.
 
     The summary file echoes the config, metrics, and check outcomes but not
-    the wall clock, keeping repeat runs byte-identical.
+    the wall clock, keeping repeat runs byte-identical.  A run that raises
+    ConfigError first removes the files it wrote, and only those.
     """
     from . import __version__
 
     start = time.perf_counter()
     worker_count(1)  # reject a malformed SETSTAT_THREADS even for serial kinds
     emit = _Emitter(config)
-    metrics, checks = _RUNNERS[config.kind](config, emit)
+    try:
+        metrics, checks = _RUNNERS[config.kind](config, emit)
+    except ConfigError:
+        for path in emit.files:
+            Path(path).unlink(missing_ok=True)
+        raise
     summary = {
         "config": config_to_dict(config),
         "metrics": metrics,

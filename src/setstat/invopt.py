@@ -89,10 +89,6 @@ class _BoxProgram:
         x = np.asarray(x, dtype=float)
         return np.concatenate([x - self.bound, -x - self.bound], axis=-1)
 
-    def constraint_grads_x(self, x, u, theta):
-        eye = np.eye(self.x_dim)
-        return np.vstack([eye, -eye])
-
 
 class BoxLinearProgram(_BoxProgram):
     """f = -(theta + u)' x over the box |x_j| <= 2.
@@ -136,29 +132,41 @@ def eps_argmin_set(prog, u, eps: float, theta) -> ConvexSet:
     of a built-in program, exact in every dimension; any other program is a
     ValueError.
 
-    Box-linear: an interval in 1-D, and in d >= 2 the box cut by c'x >= L,
-    c = theta + u, as the VertexPolytope of _boxlinear_vertices (at most
-    2^d + d 2^(d-1) vertices).  Box-quadratic: [-m, m], m = min(1, sqrt(eps)),
-    in 1-D, and Ball(0, sqrt(eps)) in d >= 2 while eps <= bound^2 = 1; for a
-    larger eps the set is the box cut by that ball, which no set variant
-    represents, and eps is refused.
+    In 1-D the set is the interval of _solution_interval.  In d >= 2,
+    box-linear gives the box cut by c'x >= L, c = theta + u, as the
+    VertexPolytope of _boxlinear_vertices (at most 2^d + d 2^(d-1)
+    vertices), and box-quadratic gives Ball(0, sqrt(eps)) while
+    eps <= bound^2 = 1; for a larger eps the set is the box cut by that
+    ball, which no set variant represents, and eps is refused.
     """
     if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     b = _program_bound(prog)
-    if isinstance(prog, BoxQuadraticProgram):
-        if prog.x_dim == 1:
-            m = min(b, math.sqrt(eps))
-            return interval(-m, m)
+    if isinstance(prog, BoxQuadraticProgram) and prog.x_dim > 1:
         if eps > b * b:
             raise ValueError(f"eps = {eps!r} exceeds bound^2 = {b * b!r}: the box-quadratic "
                              f"set in {prog.x_dim}-D is then a box cut by a ball")
         return Ball(np.zeros(prog.x_dim), math.sqrt(eps))
     c = np.ravel(np.asarray(theta, dtype=float) + np.asarray(u, dtype=float))
     if prog.x_dim == 1:
-        m = _boxlinear_lower(np.empty(1), b, c[:1], eps)[0]
-        return interval(m, b) if c[0] >= 0 else interval(-b, 0.0 - m)
+        lo, hi = _solution_interval(prog, c[:1], eps)
+        return interval(lo.item(), hi.item())
     return VertexPolytope(_boxlinear_vertices(b, c, eps))
+
+
+def _solution_interval(prog, c, eps):
+    """Endpoints (lo, hi) of a built-in's 1-D eps-argmin interval, broadcast
+    over c = theta + u and eps.  Box-linear: (M, b) where c >= 0 and
+    (-b, 0.0 - M) where c < 0, M from _boxlinear_lower.  Box-quadratic:
+    (-m, m), m = min(b, sqrt(eps)), shaped by eps alone."""
+    b = _program_bound(prog)
+    if isinstance(prog, BoxQuadraticProgram):
+        m = np.minimum(b, np.sqrt(eps))
+        return -m, m
+    c = np.asarray(c, dtype=float)
+    m = _boxlinear_lower(np.empty(np.broadcast_shapes(c.shape, np.shape(eps))), b, c, eps)
+    pos = c >= 0
+    return np.where(pos, m, -b), np.where(pos, b, 0.0 - m)
 
 
 def _boxlinear_vertices(b, c, eps) -> np.ndarray:
@@ -187,11 +195,10 @@ def _boxlinear_lower(out, bound, c, eps):
     """Fill out with M = max(-b, b - eps/|c|), or -b where c == 0; c and eps
     broadcast to the shape of out.
 
-    M is the lower endpoint of the c > 0 eps-argmin interval [M, b].  IEEE
-    round-to-nearest is sign-symmetric, so the c < 0 interval
+    M is the lower endpoint of the c >= 0 eps-argmin interval [M, b].
+    Round-to-nearest is sign-symmetric, so the c < 0 interval
     [-b, min(b, -b + eps/|c|)] is [-b, 0.0 - M] bit for bit (-M would turn an
-    exact 0.0 into -0.0), and c == 0 gives the whole box [-b, b]: one block
-    of M serves samples of either sign.
+    exact 0.0 into -0.0): one block of M serves samples of either sign.
     """
     zero = c == 0
     np.divide(eps, np.abs(np.where(zero, 1.0, c)), out=out)
@@ -374,14 +381,14 @@ def abp_estimate(prog, dataset: ObservationDataset, prior: PriorRegion,
 
     lam defaults to 1/n.  Ties break to the smallest eps, then the
     lexicographically smallest theta (C-order first minimum).  The grid
-    table is kept in the result.  1-D built-ins use vectorized closed-form
-    distances; the x_dim >= 2 built-ins fall back to per-point evaluation of
-    the exact sets of eps_argmin_set, and any other program is a ValueError.
+    table is kept in the result.  1-D built-ins take one array pass per
+    theta (_abp_interval_grid); the x_dim >= 2 built-ins fall back to
+    per-point evaluation of the exact sets of eps_argmin_set, and any other
+    program is a ValueError.
 
-    The 1-D box-linear grid fills one (n_eps, n) buffer in place per theta.
-    With S = [lo, hi] and W = [w_lo, w_hi], the distance is
-    max(lo + w_lo - y, y - (hi + w_hi), 0).  A sample with c = theta + u >= 0
-    has lo = M and hi = b; one with c < 0 has lo = -b and hi = -M, where
+    The one specialization, the 1-D box-linear grid, fills one (n_eps, n)
+    buffer in place per theta.  A sample with c = theta + u >= 0 has lo = M
+    and hi = b; one with c < 0 has lo = -b and hi = -M, where
     M = max(-b, b - eps/|c|) (-b when c == 0).  Round-to-nearest is
     sign-symmetric, so y - (-M + w_hi) == (M - w_hi) - (-y) exactly, and both
     signs take the form max(f(M), k) with f(m) = (m + a) - y', per-sample a
@@ -429,12 +436,8 @@ def abp_estimate(prog, dataset: ObservationDataset, prior: PriorRegion,
             dr *= dr
             values[:r, j] = dr.mean(axis=1)
             values[r:, j] = values[r - 1, j]
-    elif isinstance(prog, BoxQuadraticProgram) and prog.x_dim == 1:
-        w_lo, w_hi = _interval_w(prior.w_set)
-        ys = dataset.ys[:, 0]
-        m = np.minimum(prog.bound, np.sqrt(eps_col))  # (n_eps, 1)
-        d = np.maximum(np.maximum((-m + w_lo) - ys, ys - (m + w_hi)), 0.0)
-        values[:, :] = (d * d).mean(axis=1)[:, None]
+    elif prog.x_dim == 1:
+        values[:, :] = _abp_interval_grid(prog, dataset, prior)
     else:
         for i, eps in enumerate(eps_axis):
             for j, th in enumerate(theta_points):
@@ -442,6 +445,28 @@ def abp_estimate(prog, dataset: ObservationDataset, prior: PriorRegion,
                                              prior.w_set)
     values += lam * eps_col
     return _grid_result("abp", prior, values, lam=lam)
+
+
+def _interval_columns(prog, dataset: ObservationDataset, prior: PriorRegion):
+    """Per theta point, _solution_interval over the (n_eps, n) cells."""
+    eps_col = prior.eps_axis()[:, None]
+    return (_solution_interval(prog, np.ravel(th + dataset.us), eps_col)
+            for th in prior.theta_points())
+
+
+def _abp_interval_grid(prog, dataset: ObservationDataset, prior: PriorRegion) -> np.ndarray:
+    """The abp fit term of a 1-D built-in, one array pass per theta:
+    d = max(lo + w_lo - y, y - (hi + w_hi), 0), S = [lo, hi], W = [w_lo, w_hi]."""
+    w_lo, w_hi = _interval_w(prior.w_set)
+    ys = dataset.ys[:, 0]
+    values = np.empty((len(prior.eps_axis()), len(prior.theta_points())))
+    for j, (lo, hi) in enumerate(_interval_columns(prog, dataset, prior)):
+        d = (lo + w_lo) - ys
+        np.maximum(d, ys - (hi + w_hi), out=d)
+        np.maximum(d, 0.0, out=d)
+        d *= d
+        values[:, j] = d.mean(axis=1)
+    return values
 
 
 def via_estimate(prog, dataset: ObservationDataset, theta=None) -> EstimationResult:
@@ -536,7 +561,6 @@ class TruncatedGaussianNoiseDensity:
         from scipy.special import ndtr  # standard normal cdf
 
         self._mass = ndtr(halfwidth / sigma) - ndtr(-halfwidth / sigma)
-        self._nodes, self._weights = np.polynomial.legendre.leggauss(256)
 
     def density(self, w):
         w = np.asarray(w, dtype=float)
@@ -547,19 +571,17 @@ class TruncatedGaussianNoiseDensity:
         return np.where(inside, vals, 0.0)
 
     def integrate_shifted(self, y, lo, hi):
-        """256-node Gauss-Legendre integral over x in [lo,hi] of density(y-x)."""
+        """Integral over x in [lo, hi] of density(y - x) (vectorized): with
+        [a, b] = [y - hi, y - lo] cut to the support, (Phi(b/sigma) -
+        Phi(a/sigma)) / mass, from the upper tail where a > 0."""
+        from scipy.special import ndtr
+
         y = np.asarray(y, dtype=float)
-        lo = np.broadcast_to(np.asarray(lo, dtype=float), y.shape).copy()
-        hi = np.broadcast_to(np.asarray(hi, dtype=float), y.shape).copy()
-        # restrict to where the density is nonzero
-        lo = np.maximum(lo, y - self.halfwidth)
-        hi = np.minimum(hi, y + self.halfwidth)
-        width = np.maximum(hi - lo, 0.0)
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * width
-        xs = mid[..., None] + half[..., None] * self._nodes
-        vals = self.density(y[..., None] - xs)
-        return (vals * self._weights).sum(axis=-1) * half
+        a = np.maximum(y - hi, -self.halfwidth) / self.sigma
+        b = np.minimum(y - lo, self.halfwidth) / self.sigma
+        upper = a > 0
+        mass = np.where(upper, ndtr(-a) - ndtr(-b), ndtr(b) - ndtr(a))
+        return np.maximum(mass, 0.0) / self._mass
 
 
 def mle_objective(prog, dataset: ObservationDataset, eps, theta, density) -> float:
@@ -568,8 +590,7 @@ def mle_objective(prog, dataset: ObservationDataset, eps, theta, density) -> flo
     Equals -(1/n) sum log integral_S f_W(y_i - x) dx + (1/n) sum log |S_i|;
     any zero integral (or zero-width S) returns the +inf sentinel.
     """
-    if prog.x_dim != 1:
-        raise ValueError("likelihood objective needs 1-D interval solution sets")
+    _require_intervals(prog)
     total = 0.0
     for u, y in zip(dataset.us, dataset.ys):
         lo, hi = bounds_of(eps_argmin_set(prog, u, eps, theta))
@@ -581,20 +602,25 @@ def mle_objective(prog, dataset: ObservationDataset, eps, theta, density) -> flo
     return total / len(dataset)
 
 
+def _require_intervals(prog) -> None:
+    if prog.x_dim != 1:
+        raise ValueError("likelihood objective needs 1-D interval solution sets")
+
+
 def mle_estimate(prog, dataset: ObservationDataset, prior: PriorRegion,
                  density) -> EstimationResult:
     """Grid argmin of the likelihood objective, same grid semantics as abp.
 
     Grid points where any sample has zero likelihood carry the +inf
-    sentinel; an all-infinite grid is an error.
-
-    The 1-D box-linear grid under uniform noise on [L, U] fills two
-    (n_eps, n) buffers in place per theta, folding both signs of
-    c = theta + u onto M = max(-b, b - eps/|c|) as abp_estimate does.  The
-    overlap of S with [y - U, y - L] is max(p - max(M, q), 0) / (U - L), with
-    q = y - U, p = min(b, y - L) for c >= 0 and q = L - y,
-    p = -max(-b, y - U) for c < 0, and the width of S is b - M.  The grid is
-    bit-identical to evaluating both interval endpoints for every cell.
+    sentinel; an all-infinite grid, or a program with x_dim != 1, is an
+    error.  Grids take one array pass per theta (_mle_interval_grid), but
+    box-linear under uniform noise on [L, U] fills two (n_eps, n) buffers in
+    place per theta, folding both signs of c = theta + u onto
+    M = max(-b, b - eps/|c|) as abp_estimate does.  The overlap of S with
+    [y - U, y - L] is max(p - max(M, q), 0) / (U - L), with q = y - U,
+    p = min(b, y - L) for c >= 0 and q = L - y, p = -max(-b, y - U) for
+    c < 0, and the width of S is b - M.  The grid is bit-identical to
+    evaluating both interval endpoints for every cell.
 
     A row where some sample's overlap is zero is +inf: its mean has a +inf
     term, or is NaN (log 0 - log 0 where S is a point, or +inf and -inf
@@ -606,11 +632,11 @@ def mle_estimate(prog, dataset: ObservationDataset, prior: PriorRegion,
     are set to +inf unevaluated; the rest run through the buffers and map
     their own zero overlaps to +inf, with the bits of the whole grid.
     """
+    _require_intervals(prog)
     eps_axis = prior.eps_axis()
     theta_points = prior.theta_points()
     values = np.empty((len(eps_axis), len(theta_points)))
-    uniform = isinstance(density, UniformNoiseDensity)
-    if isinstance(prog, BoxLinearProgram) and prog.x_dim == 1 and uniform:
+    if isinstance(prog, BoxLinearProgram) and isinstance(density, UniformNoiseDensity):
         us, ys = dataset.us[:, 0], dataset.ys[:, 0]
         eps_col = eps_axis[:, None]
         b, lo_w, hi_w = prog.bound, density.lower, density.upper
@@ -639,20 +665,25 @@ def mle_estimate(prog, dataset: ObservationDataset, prior: PriorRegion,
                 terms_j -= ov_j
             row = terms_j.mean(axis=1)
             values[first:, j] = np.where(np.isnan(row), np.inf, row)
-    elif isinstance(prog, BoxQuadraticProgram) and prog.x_dim == 1 and uniform:
-        ys = dataset.ys[:, 0]
-        m = np.minimum(prog.bound, np.sqrt(eps_axis))[:, None]
-        ov = density.integrate_shifted(ys[None, :], -m, m)
-        s_width = 2 * m * np.ones_like(ov)
-        bad = (ov <= 0) | (s_width <= 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(bad, np.inf, np.log(s_width) - np.log(ov))
-        values[:, :] = terms.mean(axis=1)[:, None]
     else:
-        for i, eps in enumerate(eps_axis):
-            for j, th in enumerate(theta_points):
-                values[i, j] = mle_objective(prog, dataset, float(eps), th, density)
+        values[:, :] = _mle_interval_grid(prog, dataset, prior, density)
     return _grid_result("mle", prior, values)
+
+
+def _mle_interval_grid(prog, dataset: ObservationDataset, prior: PriorRegion,
+                       density) -> np.ndarray:
+    """The likelihood objective of a 1-D built-in, one array pass per theta:
+    +inf wherever the density's integral over S or the width of S is <= 0."""
+    ys = dataset.ys[:, 0]
+    values = np.empty((len(prior.eps_axis()), len(prior.theta_points())))
+    for j, (lo, hi) in enumerate(_interval_columns(prog, dataset, prior)):
+        ov = density.integrate_shifted(ys, lo, hi)
+        width = hi - lo
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.log(width) - np.log(ov)
+        terms[(ov <= 0) | (width <= 0)] = np.inf
+        values[:, j] = terms.mean(axis=1)
+    return values
 
 
 # --- regularized dual function ----------------------------------------------
@@ -760,11 +791,8 @@ def generate_boxlinear_observations(n: int, seed: RngSeed, eps0: float = 1.0,
         raise ValueError("need n >= 1 observations")
     rng = seed.generator()
     us = rng.uniform(-2.0, 2.0, size=n)
-    b, c = BoxLinearProgram().bound, theta0 + us
-    m = _boxlinear_lower(np.empty(n), b, c, eps0)
-    neg = c < 0
     # the same draws, in order, as one call per sample
-    xs = rng.uniform(np.where(neg, -b, m), np.where(neg, -m, b))
+    xs = rng.uniform(*_solution_interval(BoxLinearProgram(), theta0 + us, eps0))
     ws = rng.uniform(-1.0, 1.0, size=n)
     return ObservationDataset(us[:, None], (xs + ws)[:, None])
 

@@ -1685,6 +1685,37 @@ def test_sampled_three_dimensional_ball_plus_polytope_sum_is_an_inner_hull():
         assert np.all(s.support_many(probe) <= outer + 1e-12)
 
 
+def test_sampled_three_dimensional_zonotope_plus_polytope_sum_and_average():
+    # a 3-D zonotope has no vertex enumeration: with a polytope or a box it
+    # takes the sampled support-point sum, exact on the grid directions
+    rng = np.random.default_rng(40)
+    zono = Zonotope(np.zeros(3), np.eye(3), np.ones(3))
+    poly = VertexPolytope(rng.normal(size=(6, 3)))
+    box = Box([-0.5, 0.0, -2.0], [0.5, 1.0, 2.0])
+    grid = direction_grid(3, geometry._N_DIRECTIONS)
+    probe = rng.standard_normal((200, 3))
+    probe /= np.linalg.norm(probe, axis=1, keepdims=True)
+    for other in (poly, box):
+        scale_ = np.abs(np.vstack([vertices_of(other), [[1.0, 1.0, 1.0]]])).max()
+        for weights in (None, [0.5, 0.5]):
+            if weights is None:
+                got = [minkowski_sum(zono, other), minkowski_sum(other, zono)]
+                w = 1.0
+            else:
+                got = [weighted_minkowski_average(weights, [zono, other])]
+                w = 0.5
+            for s in got:
+                assert isinstance(s, VertexPolytope)
+                exact = w * (zono.support_many(grid) + other.support_many(grid))
+                np.testing.assert_allclose(s.support_many(grid), exact, rtol=0.0,
+                                           atol=1e-12 * scale_)
+                outer = w * (zono.support_many(probe) + other.support_many(probe))
+                assert np.all(s.support_many(probe) <= outer + 1e-12 * scale_)
+    # zonotope pairs keep their closed form
+    pair = minkowski_sum(zono, Zonotope(np.ones(3), np.eye(3)[:2], [0.5, 2.0]))
+    assert isinstance(pair, Zonotope) and pair.generators.shape == (5, 3)
+
+
 def test_matrix_scale_of_a_ball_isometry_and_sampled_ellipse():
     ball = Ball([1.0, -0.5], 0.75)
     rot = np.array([[0.6, -0.8], [0.8, 0.6]])

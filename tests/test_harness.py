@@ -734,6 +734,21 @@ def test_byte_determinism_across_reruns(tmp_path):
     assert first == second
 
 
+@pytest.mark.parametrize("kind, params, written", [
+    ("kernel-fit", {"h": 1e-9}, "dataset.jsonl"),
+    ("invopt-fit", {"estimator": "presmooth", "h": 1e-300}, "observations.jsonl"),
+])
+def test_run_time_config_error_removes_only_the_runs_own_files(tmp_path, kind, params, written):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "keep.txt").write_text("not this run's")
+    (out / written).write_text("an earlier run's")  # overwritten by this run, then removed
+    with pytest.raises(ConfigError, match="'h'"):
+        run(config_from_dict({"kind": kind, "out": str(out), "params": params}))
+    assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
+    assert (out / "keep.txt").read_text() == "not this run's"
+
+
 def test_thread_cap_does_not_change_bytes(tmp_path, monkeypatch):
     # compare-estimators is the kind that maps its replicates on the pool
     params = {"estimators": ["abp", "kkt", "via"], "n_values": [50], "replicates": 4}
@@ -863,10 +878,13 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
                                 "h": 1e-300}, "'h'"),
     ]:
         path6 = tmp_path / "late_failure.json"
-        path6.write_text(json.dumps({"kind": kind, "params": params, "out": str(tmp_path / kind)}))
+        out = tmp_path / kind
+        path6.write_text(json.dumps({"kind": kind, "params": params, "out": str(out)}))
         assert cli.main([kind, "--config", str(path6)]) == 2, params
         err = capsys.readouterr().err
         assert "config error" in err and field in err, (params, err)
+        # a run that fails part way leaves none of its own files behind
+        assert not out.exists() or not any(out.iterdir()), (params, list(out.iterdir()))
     for seed in (True, {"seed": 0, "stream": True}):
         path7 = tmp_path / "bool_seed.json"
         path7.write_text(json.dumps({"kind": "gen-data", "seed": seed, "params": {"n": 10},

@@ -68,9 +68,6 @@ class MiniLinear:
     def constraints(self, x, u, theta):
         return np.array([x[0] - 2.0, -x[0] - 2.0])
 
-    def constraint_grads_x(self, x, u, theta):
-        return np.array([[1.0], [-1.0]])
-
 
 _NO_ARGS = np.zeros(0)
 
@@ -134,6 +131,29 @@ def test_eps_argmin_linear_1d_keeps_scalar_formula_bits():
         want = _scalar_interval(b, theta + u, eps)
         s = eps_argmin_set(p, [u], eps, [theta])  # a Box; bounds_of would turn 0.0 into -0.0
         assert np.array_equal(_bits([s.lower[0], s.upper[0]]), _bits(want)), (u, eps, theta)
+
+
+def test_solution_interval_keeps_the_parent_formulas_bits():
+    # broadcast over (eps, c) cells: box-linear against _scalar_interval, the
+    # box-quadratic [-m, m] against m = min(b, sqrt(eps)) in Python floats;
+    # c = +-0 and eps = 0 give signed zeros (-0.0 for the quadratic eps = 0)
+    rng = np.random.default_rng(21)
+    c = np.concatenate([rng.normal(scale=3.0, size=60), [0.0, -0.0, 1.0, -1.0, 0.5, -0.5]])
+    eps = np.concatenate([rng.uniform(0.0, 5.0, size=20), [0.0, 1.0, 2.0, 4.0]])[:, None]
+    lin, quad = BoxLinearProgram(), BoxQuadraticProgram()
+    lo, hi = invopt._solution_interval(lin, c, eps)
+    assert lo.shape == hi.shape == (len(eps), len(c))
+    want = np.array([[_scalar_interval(lin.bound, ci, e) for ci in c.tolist()]
+                     for e in eps[:, 0].tolist()])
+    assert np.array_equal(_bits(lo), _bits(want[..., 0]))
+    assert np.array_equal(_bits(hi), _bits(want[..., 1]))
+    lo, hi = invopt._solution_interval(quad, np.zeros(0), eps)
+    m = np.array([[min(quad.bound, math.sqrt(e))] for e in eps[:, 0].tolist()])
+    assert np.array_equal(_bits(lo), _bits(-m)) and np.array_equal(_bits(hi), _bits(m))
+    assert _bits(lo[-4, 0]) == _bits(-0.0)  # eps = 0
+    for e, m_e in zip(eps[:, 0].tolist(), m[:, 0]):
+        s = eps_argmin_set(quad, _NO_ARGS, e, _NO_ARGS)
+        assert np.array_equal(_bits([s.lower[0], s.upper[0]]), _bits([-m_e, m_e]))
 
 
 def test_eps_argmin_linear_2d_degenerate_sets():
@@ -375,6 +395,10 @@ def test_mle_objective_refuses_a_multivariate_program_before_any_set():
     for eps in (0.5, 2.0):
         with pytest.raises(ValueError, match="needs 1-D interval solution sets"):
             mle_objective(BoxQuadraticProgram(x_dim=2), ds, eps, _NO_ARGS, density)
+    prior = PriorRegion(eps_range=(0.0, 2.0), w_set=Box([-1, -1], [1, 1]), d_eps=0.5)
+    for prog in (BoxQuadraticProgram(x_dim=2), BoxLinearProgram(x_dim=2)):
+        with pytest.raises(ValueError, match="needs 1-D interval solution sets"):
+            mle_estimate(prog, ds, prior, density)
 
 
 # ------------------------------------------------------- datasets and prior
@@ -867,15 +891,23 @@ def test_boxlinear_grids_bit_identical_to_two_endpoint_oracle(seed, n, w, eps_lo
     want_abp, want_mle = _two_endpoint_grids(prog, ds, prior, 0.01, density)
     got_abp = abp_estimate(prog, ds, prior, lam=0.01).grid_values
     assert np.array_equal(_bits(got_abp), _bits(want_abp))
+    # the general 1-D branch gives the fast branches' bits too
+    penalty = 0.01 * prior.eps_axis()[:, None]
+    general = invopt._abp_interval_grid(prog, ds, prior) + penalty
+    assert np.array_equal(_bits(general), _bits(want_abp))
     # points beyond -b + w_lo and b + w_hi, which no eps can reach
     far = ObservationDataset(us, ys + rng.choice([-3.0, 0.0, 3.0], size=n))
     want_far, _ = _two_endpoint_grids(prog, far, prior, 0.01, None)
     got_far = abp_estimate(prog, far, prior, lam=0.01).grid_values
     assert np.array_equal(_bits(got_far), _bits(want_far))
+    general = invopt._abp_interval_grid(prog, far, prior) + penalty
+    assert np.array_equal(_bits(general), _bits(want_far))
     if density is None:
         return
     got_mle = mle_estimate(prog, ds, prior, density).grid_values
     assert np.array_equal(_bits(got_mle), _bits(want_mle))
+    general = invopt._mle_interval_grid(prog, ds, prior, density)
+    assert np.array_equal(_bits(general), _bits(want_mle))
     assert np.isfinite(got_mle).any()
     if eps_lo == 0.0:  # eps = 0 makes S a point for c != 0: +inf sentinels
         assert np.isinf(got_mle[0]).any()
@@ -1109,7 +1141,7 @@ def test_truncated_gaussian_density_normalized():
     assert d.density(0.0) > 0.0
 
 
-def test_truncated_gaussian_density_keeps_scipy_stats_and_per_call_rule_bits():
+def test_truncated_gaussian_density_keeps_scipy_stats_mass():
     from scipy import stats
 
     rng = np.random.default_rng(17)
@@ -1117,15 +1149,48 @@ def test_truncated_gaussian_density_keeps_scipy_stats_and_per_call_rule_bits():
         d = TruncatedGaussianNoiseDensity(sigma, halfwidth)
         mass = stats.norm.cdf(halfwidth / sigma) - stats.norm.cdf(-halfwidth / sigma)
         assert d._mass == mass
-    # the stored 256-node rule gives the bits of computing it in every call
+
+
+def test_truncated_gaussian_likelihood_matches_quad():
+    # the closed form against adaptive quadrature of the density over
+    # w = y - x in [y - hi, y - lo], with intervals reaching 8 sigma into
+    # either tail; an empty overlap or a zero-width interval is exactly 0
+    from scipy import integrate
+
+    rng = np.random.default_rng(23)
+    cases = []
+    for sigma in rng.uniform(0.05, 4.0, size=100).tolist():
+        halfwidth = sigma * float(rng.uniform(0.5, 8.0))
+        y = float(rng.uniform(-3.0, 3.0)) * sigma
+        lo = y - halfwidth * float(rng.uniform(0.0, 1.0))  # y - lo in [0, hw]: a real overlap
+        hi = lo + halfwidth * float(rng.uniform(0.05, 2.0))
+        cases.append((sigma, halfwidth, y, lo, hi))
+    for side in (1.0, -1.0):  # slivers of the tails, out to 8 sigma
+        for sigma in (0.3, 1.0, 2.5):
+            for a, b in ((7.0, 8.0), (7.9, 8.0), (5.0, 8.0), (2.0, 3.0), (0.5, 8.0)):
+                w_lo, w_hi = sorted((side * a * sigma, side * b * sigma))
+                y = 0.25 * sigma
+                cases.append((sigma, 8.0 * sigma, y, y - w_hi, y - w_lo))
+    for sigma, halfwidth, y, lo, hi in cases:
+        d = TruncatedGaussianNoiseDensity(sigma, halfwidth)
+        a, b = max(y - hi, -halfwidth), min(y - lo, halfwidth)
+        want, _ = integrate.quad(lambda w: float(d.density(w)), a, b, epsabs=0.0,
+                                 epsrel=1e-13, limit=200)
+        got = float(d.integrate_shifted(y, lo, hi))
+        assert abs(got - want) <= 1e-12 * want, (sigma, halfwidth, y, lo, hi, got, want)
     d = TruncatedGaussianNoiseDensity(1.3, 2.1)
-    y, lo, hi = rng.uniform(-3, 3, 40), rng.uniform(-4, 0, 40), rng.uniform(0, 4, 40)
-    nodes, weights = np.polynomial.legendre.leggauss(256)
-    lo_c, hi_c = np.maximum(lo, y - 2.1), np.minimum(hi, y + 2.1)
-    half = 0.5 * np.maximum(hi_c - lo_c, 0.0)
-    xs = (0.5 * (lo_c + hi_c))[:, None] + half[:, None] * nodes
-    expected = (d.density(y[:, None] - xs) * weights).sum(axis=-1) * half
-    assert np.array_equal(d.integrate_shifted(y, lo, hi), expected)
+    # disjoint from either end of the support, touching it at a point, zero width
+    y, lo, hi = np.array([[0.0, 5.0, 6.0], [0.0, -6.0, -5.0], [0.0, 2.1, 3.0], [5.0, -1.0, 2.9],
+                          [0.4, 0.3, 0.3]]).T
+    assert d.integrate_shifted(y, lo, hi).tolist() == [0.0] * 5
+    # y broadcasts against (n_eps, n) endpoints as the row of each cell
+    y = rng.uniform(-2.0, 2.0, size=7)
+    lo = rng.uniform(-1.0, 0.0, size=(3, 7))
+    hi = lo + rng.uniform(0.0, 1.0, size=(3, 1))
+    grid = d.integrate_shifted(y, lo, hi)
+    assert grid.shape == (3, 7)
+    cells = [float(d.integrate_shifted(y[j], lo[i, j], hi[i, j])) for i in range(3) for j in range(7)]
+    assert np.array_equal(grid.ravel(), cells)
 
 
 def test_mle_with_truncated_gaussian_noise_runs():
@@ -1347,21 +1412,75 @@ def test_result_to_dict_json_ready():
     assert via["grid"] is None
 
 
-def test_mle_quadratic_grid_matches_per_cell_objective():
-    # The closed-form grid takes the logs of the same widths and overlaps as
+@pytest.mark.parametrize("prog, density", [
+    (BoxQuadraticProgram(), UniformNoiseDensity(-1.0, 1.0)),
+    (BoxQuadraticProgram(), TruncatedGaussianNoiseDensity(0.6, 1.0)),
+    (BoxLinearProgram(), TruncatedGaussianNoiseDensity(0.6, 1.0)),
+], ids=["quad-uniform", "quad-gaussian", "lin-gaussian"])
+def test_mle_quadratic_grid_matches_per_cell_objective(prog, density):
+    # The array pass takes the logs of the same widths and overlaps as
     # mle_objective but sums them in another order: equal within 1e-12
     # relative.  Small eps leaves samples with zero likelihood (|y| > 1 +
-    # sqrt(eps)) and eps = 0 a zero-width S: +inf in both, cell for cell.
-    p = BoxQuadraticProgram()
-    ds = generate_boxquadratic_observations(25, 1.0, RngSeed(6))
-    density = UniformNoiseDensity(-1.0, 1.0)
-    prior = PriorRegion(eps_range=(0.0, 1.5), w_set=interval(-1.0, 1.0), d_eps=0.05)
-    got = mle_estimate(p, ds, prior, density).grid_values[:, 0]
-    want = np.array([mle_objective(p, ds, float(e), _NO_ARGS, density) for e in prior.eps_axis()])
+    # sqrt(eps) for the quadratic) and eps = 0 a zero-width S: +inf in both,
+    # cell for cell.
+    if isinstance(prog, BoxQuadraticProgram):
+        ds = generate_boxquadratic_observations(25, 1.0, RngSeed(6))
+        prior = PriorRegion(eps_range=(0.0, 1.5), w_set=interval(-1.0, 1.0), d_eps=0.05)
+    else:
+        ds = generate_boxlinear_observations(25, RngSeed(6))
+        prior = PriorRegion(eps_range=(0.0, 2.0), w_set=interval(-1.0, 1.0),
+                            theta_box=Box([-0.5], [0.5]), d_eps=0.1, d_theta=0.25)
+    got = mle_estimate(prog, ds, prior, density).grid_values
+    want = np.array([[mle_objective(prog, ds, float(e), th, density) for th in prior.theta_points()]
+                     for e in prior.eps_axis()])
     inf = np.isinf(want)
-    assert inf[0] and inf.sum() > 1 and not inf[-1]
+    assert inf[0].all() and inf.sum() > inf.shape[1] and not inf[-1].all()
     assert np.array_equal(np.isinf(got), inf)
     np.testing.assert_allclose(got[~inf], want[~inf], rtol=1e-12, atol=0.0)
+
+
+def _parent_quadratic_abp(prog, ds, prior):
+    """The box-quadratic abp fit term as a branch of its own computed it."""
+    w_lo, w_hi = (float(v[0]) for v in bounds_of(prior.w_set))
+    ys = ds.ys[:, 0]
+    m = np.minimum(prog.bound, np.sqrt(prior.eps_axis()[:, None]))
+    d = np.maximum(np.maximum((-m + w_lo) - ys, ys - (m + w_hi)), 0.0)
+    return (d * d).mean(axis=1)[:, None]
+
+
+def _parent_quadratic_mle(prog, ds, prior, density):
+    """The box-quadratic likelihood grid as a branch of its own computed it."""
+    ys = ds.ys[:, 0]
+    m = np.minimum(prog.bound, np.sqrt(prior.eps_axis()))[:, None]
+    ov = density.integrate_shifted(ys[None, :], -m, m)
+    s_width = 2 * m * np.ones_like(ov)
+    bad = (ov <= 0) | (s_width <= 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(bad, np.inf, np.log(s_width) - np.log(ov))
+    return terms.mean(axis=1)[:, None]
+
+
+def test_general_branch_keeps_the_quadratic_bits_within_its_peak_memory():
+    # 199 x 20,000 cells: the one array pass per theta gives the bits of the
+    # box-quadratic branches it replaced, at no higher a tracemalloc peak
+    import tracemalloc
+
+    prog, density = BoxQuadraticProgram(), UniformNoiseDensity(-1.0, 1.0)
+    ds = generate_boxquadratic_observations(20_000, 1.0, RngSeed(9))
+    prior = PriorRegion(eps_range=(0.01, 1.99), w_set=interval(-1.0, 1.0), d_eps=0.01)
+    assert len(prior.eps_axis()) == 199
+    for new, old in [(lambda: invopt._abp_interval_grid(prog, ds, prior),
+                      lambda: _parent_quadratic_abp(prog, ds, prior)),
+                     (lambda: invopt._mle_interval_grid(prog, ds, prior, density),
+                      lambda: _parent_quadratic_mle(prog, ds, prior, density))]:
+        peaks, grids = [], []
+        for fn in (new, old):
+            tracemalloc.start()
+            grids.append(fn())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert np.array_equal(_bits(grids[0]), _bits(grids[1]))
+        assert peaks[0] <= peaks[1], peaks
 
 
 @pytest.mark.parametrize("prog", [BoxLinearProgram(x_dim=2), BoxLinearProgram(x_dim=3),
