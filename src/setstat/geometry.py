@@ -622,8 +622,10 @@ def minkowski_sum(a: ConvexSet, b: ConvexSet) -> ConvexSet:
     zonotopes concatenate generators).  Singleton operands translate the
     other side exactly.  Remaining mixed pairs are promoted to vertex
     polytopes: exact in dimensions one and two except when a positive-radius
-    ball is involved; above dimension two, a ball or zonotope operand makes
-    the sum support-sampled (approximate).
+    ball is involved.  Above dimension two, a box and a zonotope sum exactly
+    to a zonotope whose generators gain the box's half-width axes; any
+    other pair with a ball or zonotope operand makes the sum
+    support-sampled (approximate).
 
     In 2-D, a_i + b_j is a vertex of the sum only when the normal cones of
     a_i and b_j meet (de Berg et al., Computational Geometry, sec. 13.3), so
@@ -655,6 +657,13 @@ def minkowski_sum(a: ConvexSet, b: ConvexSet) -> ConvexSet:
     if d == 1:
         (alo, ahi), (blo, bhi) = bounds_of(a), bounds_of(b)
         return Box(alo + blo, ahi + bhi)
+    if d > 2 and all(isinstance(c, (Box, Zonotope)) for c in (a, b)):
+        box, z = (a, b) if isinstance(a, Box) else (b, a)
+        return Zonotope(
+            z.center + (box.lower + box.upper) / 2,
+            np.vstack([z.generators, np.eye(d)]),
+            np.concatenate([z.weights, (box.upper - box.lower) / 2]),
+        )
     if d == 2 or not (isinstance(a, (Ball, Zonotope)) or isinstance(b, (Ball, Zonotope))):
         va = _to_vertex_polytope(a).vertices
         vb = _to_vertex_polytope(b).vertices
@@ -662,7 +671,8 @@ def minkowski_sum(a: ConvexSet, b: ConvexSet) -> ConvexSet:
         if sums is None:
             sums = (va[:, None, :] + vb[None, :, :]).reshape(-1, d)
         return VertexPolytope(sums)  # pruned for d <= 2, redundant above
-    # d > 2 with a ball or a zonotope: inner support-sampled polytope
+    # d > 2 with a ball, or a zonotope and a polytope (there is no zonotope
+    # vertex enumeration above 2-D): inner support-sampled polytope
     dirs = direction_grid(d, _N_DIRECTIONS)
     pts = np.array([a.support_point(u) + b.support_point(u) for u in dirs])
     return VertexPolytope(pts, prune=False)

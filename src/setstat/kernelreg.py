@@ -146,13 +146,14 @@ class SetRegressionDataset:
     inputs and the (n, q) lower and upper corners of box responses.  An
     array-backed dataset holds no per-sample objects; ``samples`` and
     iteration materialize Box responses on access, and ``estimate`` averages
-    the corner arrays directly.  ``inputs`` is read-only, so the order of its
-    first coordinate, sorted once on first use, never goes stale.
+    the corner arrays directly.  ``inputs`` is read-only, so the stable order
+    of its first coordinate and the rows in that order, built once on first
+    use, never go stale.
     """
 
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
-    _sorted_first: tuple[np.ndarray, np.ndarray] | None = None
+    _sorted_first: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def __init__(self, samples):
         samples = list(samples)
@@ -189,15 +190,18 @@ class SetRegressionDataset:
         x.setflags(write=False)
         return ds
 
-    def _sorted_first_coordinate(self) -> tuple[np.ndarray, np.ndarray]:
-        """(stable argsort of inputs[:, 0], that column sorted), built once.
+    def _sorted_first_coordinate(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(stable argsort of inputs[:, 0], that column sorted, the input rows
+        in that order), built once; the rows are a read-only copy.
 
         Two threads may both build it on first use; they build equal arrays
-        and the pair is stored in one assignment.
+        and the triple is stored in one assignment.
         """
         if self._sorted_first is None:
             order = np.argsort(self.inputs[:, 0], kind="stable")
-            self._sorted_first = (order, self.inputs[order, 0])
+            rows = self.inputs[order]
+            rows.setflags(write=False)
+            self._sorted_first = (order, self.inputs[order, 0], rows)
         return self._sorted_first
 
     @property
@@ -216,6 +220,14 @@ class SetRegressionDataset:
         return iter(self.samples)
 
 
+def _query(u, d: int) -> np.ndarray:
+    """The query point as a float vector; ValueError unless its length is d."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    if u.shape != (d,):
+        raise ValueError(f"query point has shape {u.shape}, inputs have dimension {d}")
+    return u
+
+
 def kernel_weights(
     spec: KernelSpec, inputs: np.ndarray, u, h: float
 ) -> np.ndarray:
@@ -226,7 +238,7 @@ def kernel_weights(
     """
     if h <= 0:
         raise ValueError("bandwidth h must be positive")
-    u = np.atleast_1d(np.asarray(u, dtype=float))
+    u = _query(u, inputs.shape[1])
     r = np.linalg.norm(inputs - u[None, :], axis=1)
     raw = spec.profile(r / h)
     total = raw.sum()
@@ -248,31 +260,34 @@ def estimate(
 
     The kernel is evaluated only on the window of samples whose first input
     coordinate lies within 2h of u[0], found by bisecting the dataset's
-    sorted first coordinate.  The KernelSpec contract (the profile vanishes
+    sorted first coordinate; the window is a slice of the dataset's input
+    rows kept in that order.  The KernelSpec contract (the profile vanishes
     for t >= 1) and |x_1 - u_1| <= |x - u| make every weight outside the
     window exactly 0; the factor 2 only keeps rounding from dropping a
     sample the profile weights, and the profile still sets every weight.
     The window's values are scattered into a length-n zero array before
     summing, so the normalizer, and with it the result, has the bits of
-    the full scan that kernel_weights makes.
+    the full scan that kernel_weights makes.  Only the samples with a
+    positive profile value go back into dataset order to be weighted.
     """
     if h <= 0:
         raise ValueError("bandwidth h must be positive")
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    order, first = dataset._sorted_first_coordinate()
+    u = _query(u, dataset.input_dim)
+    order, first, rows = dataset._sorted_first_coordinate()
     start = np.searchsorted(first, u[0] - 2.0 * h, side="left")
     stop = np.searchsorted(first, u[0] + 2.0 * h, side="right")
-    idx = np.sort(order[start:stop])  # back in dataset order
-    r = np.linalg.norm(dataset.inputs[idx] - u[None, :], axis=1)
+    r = np.linalg.norm(rows[start:stop] - u[None, :], axis=1)
     part = kernel.profile(r / h)
+    window = order[start:stop]
     raw = np.zeros(len(dataset))
-    raw[idx] = part
+    raw[window] = part
     total = raw.sum()  # over all n: numpy's pairwise grouping sets the bits
     if total <= 0:
         raise NoLocalDataError(f"no samples within bandwidth {h} of {u}")
-    w = part / total
-    keep = w > 0
-    kept, wk = idx[keep], w[keep]
+    kept = np.sort(window[part > 0])  # dataset order
+    wk = raw[kept] / total
+    keep = wk > 0  # a tiny value over a large total may round to 0
+    kept, wk = kept[keep], wk[keep]
     if dataset.lower is not None:
         return Box(wk @ dataset.lower[kept], wk @ dataset.upper[kept])
     samples = dataset.samples
@@ -289,8 +304,8 @@ def local_mass_diagnostics(
     """
     if h <= 0:
         raise ValueError("bandwidth h must be positive")
-    u = np.atleast_1d(np.asarray(u, dtype=float))
     d = inputs.shape[1]
+    u = _query(u, d)
     r = np.linalg.norm(inputs - u[None, :], axis=1)
     phi = spec.profile(r / h) / h**d
     return float(phi.mean()), float((phi * r).mean())

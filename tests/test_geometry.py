@@ -1686,34 +1686,54 @@ def test_sampled_three_dimensional_ball_plus_polytope_sum_is_an_inner_hull():
 
 
 def test_sampled_three_dimensional_zonotope_plus_polytope_sum_and_average():
-    # a 3-D zonotope has no vertex enumeration: with a polytope or a box it
-    # takes the sampled support-point sum, exact on the grid directions
+    # a 3-D zonotope plus a polytope stays sampled: there is no 3-D zonotope
+    # vertex enumeration, so the sum is the support-point sum, exact on the
+    # grid directions (a box sums exactly, tested below)
     rng = np.random.default_rng(40)
     zono = Zonotope(np.zeros(3), np.eye(3), np.ones(3))
     poly = VertexPolytope(rng.normal(size=(6, 3)))
-    box = Box([-0.5, 0.0, -2.0], [0.5, 1.0, 2.0])
     grid = direction_grid(3, geometry._N_DIRECTIONS)
     probe = rng.standard_normal((200, 3))
     probe /= np.linalg.norm(probe, axis=1, keepdims=True)
-    for other in (poly, box):
-        scale_ = np.abs(np.vstack([vertices_of(other), [[1.0, 1.0, 1.0]]])).max()
-        for weights in (None, [0.5, 0.5]):
-            if weights is None:
-                got = [minkowski_sum(zono, other), minkowski_sum(other, zono)]
-                w = 1.0
-            else:
-                got = [weighted_minkowski_average(weights, [zono, other])]
-                w = 0.5
-            for s in got:
-                assert isinstance(s, VertexPolytope)
-                exact = w * (zono.support_many(grid) + other.support_many(grid))
-                np.testing.assert_allclose(s.support_many(grid), exact, rtol=0.0,
-                                           atol=1e-12 * scale_)
-                outer = w * (zono.support_many(probe) + other.support_many(probe))
-                assert np.all(s.support_many(probe) <= outer + 1e-12 * scale_)
+    scale_ = np.abs(np.vstack([vertices_of(poly), [[1.0, 1.0, 1.0]]])).max()
+    for weights in (None, [0.5, 0.5]):
+        if weights is None:
+            got = [minkowski_sum(zono, poly), minkowski_sum(poly, zono)]
+            w = 1.0
+        else:
+            got = [weighted_minkowski_average(weights, [zono, poly])]
+            w = 0.5
+        for s in got:
+            assert isinstance(s, VertexPolytope)
+            exact = w * (zono.support_many(grid) + poly.support_many(grid))
+            np.testing.assert_allclose(s.support_many(grid), exact, rtol=0.0,
+                                       atol=1e-12 * scale_)
+            outer = w * (zono.support_many(probe) + poly.support_many(probe))
+            assert np.all(s.support_many(probe) <= outer + 1e-12 * scale_)
     # zonotope pairs keep their closed form
     pair = minkowski_sum(zono, Zonotope(np.ones(3), np.eye(3)[:2], [0.5, 2.0]))
     assert isinstance(pair, Zonotope) and pair.generators.shape == (5, 3)
+
+
+def test_three_dimensional_box_plus_zonotope_sum_is_an_exact_zonotope():
+    # h(u, A + B) = h(u, A) + h(u, B) on random directions, in either order,
+    # for boxes with and without a zero-width axis and for their average
+    rng = np.random.default_rng(41)
+    zono = Zonotope(rng.normal(size=3), rng.normal(size=(6, 3)), rng.uniform(0.2, 1.5, 6))
+    dirs = rng.standard_normal((20_000, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    h_zono = zono.support_many(dirs)
+    for box in (Box([-0.5, 0.0, -2.0], [0.5, 1.0, 2.0]), Box([-0.5, 1.0, -2.0], [0.5, 1.0, 2.0])):
+        size = np.abs(np.vstack([vertices_of(box), zono.center])).max() + np.abs(zono._effective()).sum()
+        h_box = box.support_many(dirs)
+        sums = [minkowski_sum(zono, box), minkowski_sum(box, zono)]
+        for s, want in [*((s, h_zono + h_box) for s in sums),
+                        (weighted_minkowski_average([0.3, 0.7], [box, zono]), 0.3 * h_box + 0.7 * h_zono)]:
+            assert isinstance(s, Zonotope) and s.generators.shape == (9, 3)
+            np.testing.assert_allclose(s.support_many(dirs), want, rtol=0.0, atol=1e-12 * size)
+    # in 2-D a box and a zonogon keep the exact vertex-polygon sum
+    assert isinstance(minkowski_sum(Box([0.0, 0.0], [1.0, 2.0]), Zonotope([0.0, 0.0], np.eye(2), [1.0, 1.0])),
+                      VertexPolytope)
 
 
 def test_matrix_scale_of_a_ball_isometry_and_sampled_ellipse():

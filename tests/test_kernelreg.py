@@ -411,7 +411,7 @@ def _boxes(rng, n, q):
     return lo, lo + rng.uniform(0.0, 2.0, size=(n, q))
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 7, 500, 4000])
 def test_windowed_estimate_matches_full_scan_bit_for_bit(n, d):
     rng = np.random.default_rng(10 * n + d)
@@ -425,11 +425,17 @@ def test_windowed_estimate_matches_full_scan_bit_for_bit(n, d):
     assert objects.lower is None
     ends = [x[:, 0].min(), x[:, 0].max()]
     queries = [*ends, ends[0] - 0.5 * h, ends[1] + 0.999 * h, *rng.uniform(-2.2, 2.2, size=25)]
+    # a sample's first coordinate, and that coordinate at the window's edges
+    picks = x[rng.integers(0, n, size=4), 0]
+    queries += [*picks, *(picks - 2.0 * h), *(picks + 2.0 * h)]
     for u0 in queries:
         u = np.concatenate([[u0], x[0, 1:]])
         for ds in (arrays, objects):
             _assert_window_matches_full_scan(ds, u, h)
             _assert_window_matches_full_scan(ds, u + np.array([3.0 * h] + [0.0] * (d - 1)), h)
+    for u in x[rng.integers(0, n, size=4)]:  # exactly at a sample
+        for ds in (arrays, objects):
+            _assert_window_matches_full_scan(ds, u, h)
 
 
 def test_windowed_estimate_matches_full_scan_at_exactly_h():
@@ -476,6 +482,69 @@ def test_dataset_inputs_are_read_only():
     assert np.array_equal(estimate(arrays, INDICATOR, [-1.0], 0.1).lower, before.lower)
     with pytest.raises(NoLocalDataError):
         estimate(arrays, INDICATOR, [9.0], 0.1)
+
+
+def test_sorted_rows_are_built_once_per_dataset(monkeypatch):
+    ds = generate_demo_dataset(500, RngSeed(2))
+    h = default_bandwidth(len(ds), 1)
+    estimate(ds, EPANECHNIKOV, [0.0], h)
+    rows = ds._sorted_first_coordinate()[2]
+    estimate(ds, INDICATOR, [0.5], h)
+    _demo_fit(ds, EPANECHNIKOV, np.linspace(-1.5, 1.5, 7), h)
+    assert ds._sorted_first_coordinate()[2] is rows
+    # consistency_curve: one sorted copy per generated dataset, read by
+    # every query on it
+    seen = []
+    build = SetRegressionDataset._sorted_first_coordinate
+
+    def spy(dataset):
+        built = build(dataset)
+        seen.append((dataset, built[2]))
+        return built
+
+    monkeypatch.setattr(SetRegressionDataset, "_sorted_first_coordinate", spy)
+    consistency_curve([50, 80], 2, np.linspace(-1.0, 1.0, 5), RngSeed(3))
+    copies = {}
+    for dataset, copy in seen:
+        assert copies.setdefault(id(dataset), copy) is copy
+    assert len(seen) == 4 * 5 and len(copies) == 4
+
+
+def test_sorted_rows_are_a_read_only_copy():
+    rng = np.random.default_rng(8)
+    x = rng.uniform(-1.0, 1.0, size=(40, 3))
+    x[:10, 0] = x[10:20, 0]  # ties keep their dataset order
+    lo, hi = _boxes(rng, 40, 1)
+    arrays = SetRegressionDataset.from_boxes(x, lo, hi)
+    for ds in (arrays, SetRegressionDataset(arrays.samples)):
+        order, first, rows = ds._sorted_first_coordinate()
+        assert np.array_equal(order, np.argsort(x[:, 0], kind="stable"))
+        assert np.array_equal(rows, x[order]) and np.array_equal(first, rows[:, 0])
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 9.0
+        assert not np.shares_memory(rows, x) and not np.shares_memory(rows, ds.inputs)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda ds, u: estimate(ds, EPANECHNIKOV, u, 1.0),
+        lambda ds, u: kernel_weights(EPANECHNIKOV, ds.inputs, u, 1.0),
+        lambda ds, u: local_mass_diagnostics(EPANECHNIKOV, ds.inputs, u, 1.0),
+    ],
+    ids=["estimate", "kernel_weights", "local_mass_diagnostics"],
+)
+def test_query_length_must_match_the_input_dimension(call):
+    rng = np.random.default_rng(6)
+    lo, hi = _boxes(rng, 50, 1)
+    ds = SetRegressionDataset.from_boxes(rng.uniform(-1.0, 1.0, size=(50, 2)), lo, hi)
+    for u in ([0.1], [0.1, 0.2, 0.3], [[0.1, 0.2]]):
+        shape = re.escape(str(np.shape(u)))
+        with pytest.raises(ValueError, match=rf"query point has shape {shape}, inputs have dimension 2"):
+            call(ds, u)
+    assert ds._sorted_first is None  # refused before the window is built
+    call(ds, [0.1, 0.1])
 
 
 def test_dataset_jsonl_bytes_match_object_writer(tmp_path):

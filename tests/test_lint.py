@@ -135,6 +135,58 @@ def test_package_private_helpers_all_have_a_reader():
     assert _orphaned_private_names(sources) == []
 
 
+def _environment_reads(tree: ast.Module) -> list[str]:
+    """The environment variables a module reads through os.environ or
+    os.getenv, with their lines.  A name that is not a string literal, and
+    any other use of os.environ as a whole, reads as "?"."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    modules = {a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+               for a in n.names if a.name == "os"}
+    imported = {a.asname or a.name: a.name for n in ast.walk(tree)
+                if isinstance(n, ast.ImportFrom) and n.module == "os" for a in n.names}
+
+    def names(node):  # "environ" or "getenv" when node names one of them
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            return node.attr if node.value.id in modules else None
+        return imported.get(node.id) if isinstance(node, ast.Name) else None
+
+    reads = []
+    for node in ast.walk(tree):
+        up, key = parents.get(node), None
+        if names(node) == "getenv":
+            if isinstance(up, ast.Call) and up.func is node and up.args:
+                key = up.args[0]
+        elif names(node) == "environ":
+            if isinstance(up, ast.Subscript):  # os.environ[key]
+                key = up.slice
+            elif isinstance(up, ast.Attribute) and isinstance(parents.get(up), ast.Call):
+                key = (parents[up].args or [None])[0]  # os.environ.get(key)
+            elif isinstance(up, ast.Compare) and up.comparators == [node]:
+                key = up.left  # key in os.environ
+        else:
+            continue
+        literal = isinstance(key, ast.Constant) and isinstance(key.value, str)
+        reads.append(f"{key.value if literal else '?'} (line {node.lineno})")
+    return sorted(reads)
+
+
+def test_environment_check_flags_every_variable_a_module_reads():
+    source = ("import os\nimport os as system\nfrom os import environ as env, getenv\n"
+              "a = os.environ.get('A')\nb = os.getenv('B', '1')\nc = system.environ['C']\n"
+              "d = 'D' in env\ne = getenv(name)\nf = dict(os.environ)\ng = os.sep\n")
+    assert _environment_reads(ast.parse(source)) == [
+        "? (line 8)", "? (line 9)", "A (line 4)", "B (line 5)", "C (line 6)", "D (line 7)"
+    ]
+
+
+def test_package_reads_no_environment_variable_but_the_thread_cap():
+    # one setting, read by harness.worker_count: any other is a new knob
+    reads = {path.name: _environment_reads(ast.parse(path.read_text())) for path in SOURCES}
+    reads = {name: found for name, found in reads.items() if found}
+    assert list(reads) == ["harness.py"]
+    assert [r.split(" ")[0] for r in reads["harness.py"]] == ["SETSTAT_THREADS"]
+
+
 ROOT = Path(__file__).resolve().parents[1]
 # Files whose calls count as uses of a parameter: the package, the demos and
 # the benchmark, not the tests.
