@@ -15,7 +15,6 @@ from setstat.invopt import (
     BoxLinearProgram,
     BoxQuadraticProgram,
     PriorRegion,
-    UniformNoiseDensity,
     abp_estimate,
     eps_argmin_set,
     generate_boxlinear_observations,
@@ -27,7 +26,7 @@ from setstat.invopt import (
     rdf_eval,
     via_estimate,
 )
-from setstat.randomsets import RngSeed
+from setstat.randomsets import RngSeed, UniformBoxNoise
 
 
 def main() -> None:
@@ -63,7 +62,7 @@ def main() -> None:
 
     print("\n== likelihood variant ==")
     dataset = generate_boxlinear_observations(1000, RngSeed(2))
-    mle = mle_estimate(prog, dataset, prior, UniformNoiseDensity(-1.0, 1.0))
+    mle = mle_estimate(prog, dataset, prior, UniformBoxNoise([-1.0], [1.0]))
     abp = abp_estimate(prog, dataset, prior)
     print(f"mle: eps-hat {mle.eps_hat:.3f}, theta-hat {mle.theta_hat[0]: .3f}")
     print(f"abp: eps-hat {abp.eps_hat:.3f}, theta-hat {abp.theta_hat[0]: .3f}")

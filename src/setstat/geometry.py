@@ -907,7 +907,9 @@ def minkowski_diff(c: ConvexSet, d: ConvexSet) -> ConvexSet | None:
         bounds=[(None, None)] * dim + [(None, None)],
         method="highs",
     )
-    if not res.success or res.x[-1] < -1e-9:
+    if not res.success:  # the radius is free, so the LP is feasible: the solver gave up
+        raise SolverLimitError(f"erosion center LP failed with status {res.status}: {res.message}")
+    if res.x[-1] < -1e-9:
         return None
     center, radius = res.x[:dim], res.x[-1]
     if radius <= 1e-9:
@@ -1489,7 +1491,14 @@ def _jsonl_records(path, keys: tuple[str, ...]):
             yield tuple(rec[k] for k in keys)
 
 
+def _grid_count(lo: float, hi: float, step: float) -> int | float:
+    """The number of points of _grid_axis(lo, hi, step); +inf when
+    (hi - lo) / step overflows."""
+    k = (hi - lo) / step + 1e-9
+    return math.floor(k) + 1 if k < math.inf else math.inf
+
+
 def _grid_axis(lo: float, hi: float, step: float) -> np.ndarray:
     """lo + step * k for k = 0, 1, ... up to the last point at or below hi,
     which it may pass by a rounding error of about 1e-9 step."""
-    return lo + step * np.arange(math.floor((hi - lo) / step + 1e-9) + 1)
+    return lo + step * np.arange(_grid_count(lo, hi, step))

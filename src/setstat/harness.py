@@ -12,7 +12,6 @@ from __future__ import annotations
 import copy
 import csv
 import json
-import math
 import os
 import time
 from collections.abc import Callable
@@ -282,15 +281,12 @@ def _validate_params(kind: str, params: dict) -> dict:
         for lo, hi, step in (r for r in _RANGES if r[0] in sub):
             if not sub[lo] <= sub[hi]:
                 raise ConfigError(f"parameter '{key}.{lo}' must not exceed '{key}.{hi}'")
-            # geometry._grid_axis's point count, taken before any axis is built
-            if step and (sub[hi] - sub[lo]) / sub[step] + 1e-9 >= _MAX_GRID_POINTS:
+            if step and geometry._grid_count(sub[lo], sub[hi], sub[step]) > _MAX_GRID_POINTS:
                 raise ConfigError(f"parameter '{key}.{step}' gives over {_MAX_GRID_POINTS} points")
     quadratic = merged.get("program") == "box-quadratic"
     if "prior" in merged:  # invopt-fit and compare-estimators: the grid buffers
         p = merged["prior"]
-        # geometry._grid_axis's point counts of the eps and theta axes
-        n_eps, n_theta = (math.floor((p[hi] - p[lo]) / p[step] + 1e-9) + 1
-                          for lo, hi, step in _RANGES[:2])
+        n_eps, n_theta = (geometry._grid_count(p[lo], p[hi], p[step]) for lo, hi, step in _RANGES[:2])
         n_field = "n" if "n" in merged else "n_values"
         n = merged["n"] if "n" in merged else merged["n_values"][-1]
         n_theta = 1 if quadratic else n_theta  # the quadratic program has no theta
@@ -302,8 +298,11 @@ def _validate_params(kind: str, params: dict) -> dict:
     names = merged.get("estimators", [merged.get("estimator")])
     if quadratic and "presmooth" in names:
         raise ConfigError(f"parameter {field!r}: presmooth needs the box-linear program")
-    if "mle" in names and merged["prior"]["w_lo"] == merged["prior"]["w_hi"]:  # no uniform density
-        raise ConfigError("parameter 'prior.w_lo' must be below 'prior.w_hi' for the mle estimator")
+    if "mle" in names:  # the likelihood's law, uniform on W: a positive width and finite moments
+        try:
+            randomsets.UniformBoxNoise([merged["prior"]["w_lo"]], [merged["prior"]["w_hi"]])._bounds_1d()
+        except ValueError as exc:
+            raise ConfigError(f"parameter 'prior.w_lo' for the mle estimator: {exc}") from None
     window = merged.get("slope_window", [0, 0])  # slln only
     numbers = isinstance(window, list) and all(
         isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) < np.inf for v in window
@@ -727,9 +726,8 @@ def _run_estimator(name, program, dataset, prior, params, seed):
     if name == "abp":
         return invopt.abp_estimate(program, dataset, prior, lam=params["lam"])
     if name == "mle":
-        w_lo, w_hi = bounds_of(prior.w_set)
-        density = invopt.UniformNoiseDensity(float(w_lo[0]), float(w_hi[0]))
-        return invopt.mle_estimate(program, dataset, prior, density)
+        noise = randomsets.UniformBoxNoise(*bounds_of(prior.w_set))
+        return invopt.mle_estimate(program, dataset, prior, noise)
     if name == "via":
         return invopt.via_estimate(program, dataset, _baseline_theta(program, params))
     if name == "kkt":

@@ -31,7 +31,7 @@ from .geometry import (
     minkowski_sum,
     sq_dist_point,
 )
-from .randomsets import RngSeed
+from .randomsets import RngSeed, UniformBoxNoise
 
 __all__ = [
     "SolverLimitError",
@@ -47,8 +47,6 @@ __all__ = [
     "abp_estimate",
     "via_estimate",
     "kkt_estimate",
-    "UniformNoiseDensity",
-    "TruncatedGaussianNoiseDensity",
     "mle_objective",
     "mle_estimate",
     "rdf_eval",
@@ -536,66 +534,20 @@ def _program_bound(prog) -> float:
 # --- maximum likelihood variant ---------------------------------------------
 
 
-class UniformNoiseDensity:
-    """Uniform density on [lower, upper] with analytic interval integrals."""
-
-    def __init__(self, lower: float, upper: float):
-        if not lower < upper:
-            raise ValueError("need lower < upper")
-        self.lower, self.upper = float(lower), float(upper)
-
-    def integrate_shifted(self, y, lo, hi):
-        """Integral over x in [lo, hi] of density(y - x) (vectorized)."""
-        a = np.maximum(lo, y - self.upper)
-        b = np.minimum(hi, y - self.lower)
-        return np.maximum(b - a, 0.0) / (self.upper - self.lower)
-
-
-class TruncatedGaussianNoiseDensity:
-    """N(0, sigma^2) conditioned on [-halfwidth, halfwidth], 1-D."""
-
-    def __init__(self, sigma: float, halfwidth: float):
-        if sigma <= 0 or halfwidth <= 0:
-            raise ValueError("need positive sigma and halfwidth")
-        self.sigma, self.halfwidth = float(sigma), float(halfwidth)
-        from scipy.special import ndtr  # standard normal cdf
-
-        self._mass = ndtr(halfwidth / sigma) - ndtr(-halfwidth / sigma)
-
-    def density(self, w):
-        w = np.asarray(w, dtype=float)
-        inside = np.abs(w) <= self.halfwidth
-        vals = np.exp(-0.5 * (w / self.sigma) ** 2) / (
-            self.sigma * math.sqrt(2 * math.pi) * self._mass
-        )
-        return np.where(inside, vals, 0.0)
-
-    def integrate_shifted(self, y, lo, hi):
-        """Integral over x in [lo, hi] of density(y - x) (vectorized): with
-        [a, b] = [y - hi, y - lo] cut to the support, (Phi(b/sigma) -
-        Phi(a/sigma)) / mass, from the upper tail where a > 0."""
-        from scipy.special import ndtr
-
-        y = np.asarray(y, dtype=float)
-        a = np.maximum(y - hi, -self.halfwidth) / self.sigma
-        b = np.minimum(y - lo, self.halfwidth) / self.sigma
-        upper = a > 0
-        mass = np.where(upper, ndtr(-a) - ndtr(-b), ndtr(b) - ndtr(a))
-        return np.maximum(mass, 0.0) / self._mass
-
-
-def mle_objective(prog, dataset: ObservationDataset, eps, theta, density) -> float:
+def mle_objective(prog, dataset: ObservationDataset, eps, theta, noise) -> float:
     """Negative mean log-likelihood of y under x uniform on S and noise W.
 
     Equals -(1/n) sum log integral_S f_W(y_i - x) dx + (1/n) sum log |S_i|;
-    any zero integral (or zero-width S) returns the +inf sentinel.
+    any zero integral (or zero-width S) returns the +inf sentinel.  The
+    integral is noise.integrate_shifted: a 1-D UniformBoxNoise or
+    TruncatedGaussianNoise, and any other law raises ValueError.
     """
     _require_intervals(prog)
     total = 0.0
     for u, y in zip(dataset.us, dataset.ys):
         lo, hi = bounds_of(eps_argmin_set(prog, u, eps, theta))
         width = hi[0] - lo[0]
-        integral = float(density.integrate_shifted(float(y[0]), lo[0], hi[0]))
+        integral = float(noise.integrate_shifted(float(y[0]), lo[0], hi[0]))
         if width <= 0 or integral <= 0:
             return math.inf
         total += -math.log(integral) + math.log(width)
@@ -608,14 +560,15 @@ def _require_intervals(prog) -> None:
 
 
 def mle_estimate(prog, dataset: ObservationDataset, prior: PriorRegion,
-                 density) -> EstimationResult:
+                 noise) -> EstimationResult:
     """Grid argmin of the likelihood objective, same grid semantics as abp.
 
     Grid points where any sample has zero likelihood carry the +inf
     sentinel; an all-infinite grid, or a program with x_dim != 1, is an
-    error.  Grids take one array pass per theta (_mle_interval_grid), but
-    box-linear under uniform noise on [L, U] fills two (n_eps, n) buffers in
-    place per theta, folding both signs of c = theta + u onto
+    error, and so is a noise law mle_objective refuses.  Grids take one
+    array pass per theta (_mle_interval_grid), but box-linear under a
+    UniformBoxNoise on [L, U] fills two (n_eps, n) buffers in place per
+    theta, folding both signs of c = theta + u onto
     M = max(-b, b - eps/|c|) as abp_estimate does.  The overlap of S with
     [y - U, y - L] is max(p - max(M, q), 0) / (U - L), with q = y - U,
     p = min(b, y - L) for c >= 0 and q = L - y, p = -max(-b, y - U) for
@@ -636,10 +589,10 @@ def mle_estimate(prog, dataset: ObservationDataset, prior: PriorRegion,
     eps_axis = prior.eps_axis()
     theta_points = prior.theta_points()
     values = np.empty((len(eps_axis), len(theta_points)))
-    if isinstance(prog, BoxLinearProgram) and isinstance(density, UniformNoiseDensity):
+    if isinstance(prog, BoxLinearProgram) and isinstance(noise, UniformBoxNoise):
         us, ys = dataset.us[:, 0], dataset.ys[:, 0]
         eps_col = eps_axis[:, None]
-        b, lo_w, hi_w = prog.bound, density.lower, density.upper
+        b, (lo_w, hi_w) = prog.bound, noise._bounds_1d()
         q_pos, q_neg = ys - hi_w, lo_w - ys
         p_pos, p_neg = np.minimum(b, ys - lo_w), -np.maximum(-b, ys - hi_w)
         ov = np.empty((len(eps_axis), len(ys)))  # per call: replicates run in threads
@@ -666,18 +619,18 @@ def mle_estimate(prog, dataset: ObservationDataset, prior: PriorRegion,
             row = terms_j.mean(axis=1)
             values[first:, j] = np.where(np.isnan(row), np.inf, row)
     else:
-        values[:, :] = _mle_interval_grid(prog, dataset, prior, density)
+        values[:, :] = _mle_interval_grid(prog, dataset, prior, noise)
     return _grid_result("mle", prior, values)
 
 
 def _mle_interval_grid(prog, dataset: ObservationDataset, prior: PriorRegion,
-                       density) -> np.ndarray:
+                       noise) -> np.ndarray:
     """The likelihood objective of a 1-D built-in, one array pass per theta:
-    +inf wherever the density's integral over S or the width of S is <= 0."""
+    +inf wherever the noise density's integral over S or the width of S is <= 0."""
     ys = dataset.ys[:, 0]
     values = np.empty((len(prior.eps_axis()), len(prior.theta_points())))
     for j, (lo, hi) in enumerate(_interval_columns(prog, dataset, prior)):
-        ov = density.integrate_shifted(ys, lo, hi)
+        ov = noise.integrate_shifted(ys, lo, hi)
         width = hi - lo
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.log(width) - np.log(ov)

@@ -211,6 +211,12 @@ class NoiseDistribution(geometry._Record):
             row[...] = self.sample(rng, block.shape[1])
         return block
 
+    def integrate_shifted(self, y, lo, hi):
+        """The probability of [y - hi, y - lo], the integral over x in [lo, hi]
+        of the density at y - x, for a 1-D law (vectorized)."""
+        name = type(self).__name__
+        raise ValueError(f"the likelihood takes a UniformBoxNoise or TruncatedGaussianNoise, not {name}")
+
 
 class UniformBoxNoise(NoiseDistribution, tag="uniform-box", fields=("lower", "upper")):
     """Uniform on an axis-aligned box (degenerate widths give point mass).
@@ -249,6 +255,18 @@ class UniformBoxNoise(NoiseDistribution, tag="uniform-box", fields=("lower", "up
         for col, lo, width in zip(np.moveaxis(block, -1, 0), self.lower, self.upper - self.lower):
             np.add(np.multiply(col, width, out=col), lo, out=col)  # lower + width * u
         return block
+
+    def _bounds_1d(self) -> tuple[float, float]:
+        """(lower, upper) of a 1-D law of positive width, as Python floats."""
+        if self.dim != 1 or not self.lower[0] < self.upper[0]:
+            raise ValueError("the likelihood needs a 1-D uniform law of positive width")
+        return float(self.lower[0]), float(self.upper[0])
+
+    def integrate_shifted(self, y, lo, hi):
+        lower, upper = self._bounds_1d()
+        a = np.maximum(lo, y - upper)
+        b = np.minimum(hi, y - lower)
+        return np.maximum(b - a, 0.0) / (upper - lower)
 
 
 def _integral(value, what: str = "value") -> int:
@@ -357,6 +375,21 @@ class TruncatedGaussianNoise(NoiseDistribution, tag="truncated-gaussian", fields
         rho = np.sqrt(2.0 * gammaincinv(half, rng.random(n) * gammainc(half, 0.5 * self.radius**2)))
         rho = np.minimum(rho, self.radius)  # a rounding error must not leave the support
         return ((rho / np.linalg.norm(z, axis=1))[:, None] * z) @ self._chol.T
+
+    def integrate_shifted(self, y, lo, hi):
+        """With s = sqrt(Sigma[0, 0]) and [a, b] = [y - hi, y - lo] / s cut to
+        [-radius, radius], (Phi(b) - Phi(a)) / mass for the mass Phi(radius) -
+        Phi(-radius), taken as Phi(-a) - Phi(-b) where a > 0 so that the upper
+        tail does not cancel; exactly 0 for an empty overlap."""
+        if self.dim != 1 or not self.sigma[0, 0] > 0:
+            raise ValueError("the likelihood needs a 1-D truncated Gaussian law of positive variance")
+        from scipy.special import ndtr  # standard normal cdf
+
+        s, r = math.sqrt(self.sigma[0, 0]), self.radius
+        a = np.maximum((y - hi) / s, -r)
+        b = np.minimum((y - lo) / s, r)
+        mass = np.where(a > 0, ndtr(-a) - ndtr(-b), ndtr(b) - ndtr(a))
+        return np.maximum(mass, 0.0) / (ndtr(r) - ndtr(-r))
 
 
 def noise_to_dict(noise: NoiseDistribution) -> dict:

@@ -26,7 +26,6 @@ from setstat.invopt import (
     BoxLinearProgram,
     BoxQuadraticProgram,
     PriorRegion,
-    UniformNoiseDensity,
     abp_estimate,
     generate_boxlinear_observations,
     generate_boxquadratic_observations,
@@ -329,12 +328,12 @@ def test_criterion_07_first_order_baselines_inconsistent():
 def test_criterion_08_mle_abp_grid_agreement():
     prog = BoxLinearProgram()
     prior = _linear_prior()
-    density = UniformNoiseDensity(-1.0, 1.0)
+    noise = UniformBoxNoise([-1.0], [1.0])
     agree = 0
     for rep in range(20):
         dataset = generate_boxlinear_observations(1000, RngSeed(3).derive(rep))
         abp = abp_estimate(prog, dataset, prior)
-        mle = mle_estimate(prog, dataset, prior, density)
+        mle = mle_estimate(prog, dataset, prior, noise)
         d_eps = abs(abp.eps_hat - mle.eps_hat)
         d_theta = abs(float(abp.theta_hat[0]) - float(mle.theta_hat[0]))
         if d_eps <= 0.05 + 1e-9 and d_theta <= 0.05 + 1e-9:

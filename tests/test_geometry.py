@@ -508,6 +508,23 @@ def test_erosion_tolerates_float_thin_deficit():
     assert abs(lo[0]) < 1e-12 and abs(hi[0]) < 1e-12
 
 
+def test_3d_erosion_raises_when_its_lp_fails(monkeypatch):
+    # the center-and-radius LP of the sampled d > 2 erosion is always
+    # feasible (the radius is free): a solver failure raises, and only a
+    # negative radius reads as an empty erosion
+    import scipy.optimize
+    from types import SimpleNamespace
+
+    cube = VertexPolytope(vertices_of(Box([-2.0] * 3, [2.0] * 3)))
+    unit = Box([-1.0] * 3, [1.0] * 3)
+    assert minkowski_diff(cube, unit) is not None
+    assert minkowski_diff(unit, cube) is None
+    failed = SimpleNamespace(success=False, status=1, message="Iteration limit reached.", x=np.zeros(4))
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: failed)
+    with pytest.raises(SolverLimitError, match="status 1"):
+        minkowski_diff(cube, unit)
+
+
 def _erode_2d_all_pairs(c, d):
     """Reference erosion: every feasible crossing of two shifted facet lines."""
     a, b = geometry._facets_2d(c)
@@ -1588,12 +1605,14 @@ def test_grid_axis_never_ends_past_hi():
     assert axis.tobytes() == (-2.0 + 0.45 * np.arange(9)).tobytes() and axis[-1] <= 2.0
     assert _rounded_axis(-2.0, 2.0, 0.45)[-1] > 2.0  # the old formula overshot to 2.05
     assert geometry._grid_axis(0.5, 0.5, 0.1).tolist() == [0.5]
+    assert geometry._grid_count(0.0, 1e308, 1e-300) == math.inf  # the count overflows, not floor
     rng = np.random.default_rng(8)
     for _ in range(2000):
         lo = float(rng.uniform(-10, 10))
         hi = lo + float(rng.choice([0.0, rng.uniform(0, 10), rng.integers(1, 50) * 0.1]))
         step = float(rng.choice([rng.uniform(0.01, 3), 0.1, 0.05, 0.01]))
         axis = geometry._grid_axis(lo, hi, step)
+        assert len(axis) == geometry._grid_count(lo, hi, step)
         assert axis[0] == lo and np.all(np.diff(axis) > 0)
         assert axis[-1] <= hi + 1e-9 * step + 4 * np.spacing(abs(hi) + abs(lo))
         assert axis[-1] + step > hi  # no point below hi is left out

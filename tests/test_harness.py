@@ -270,8 +270,9 @@ def test_config_rejects_bad_values():
                            "radius": 1}}, "'noise': sigma"),
         ("clt", {"body": {"type": "zonotope", "center": [0, 0], "generators": [[1, False]],
                           "weights": [1]}}, "'body': generators"),
-        # a zero-width W has no uniform density for mle
+        # a zero-width W has no uniform density for mle, nor one whose variance overflows
         ("invopt-fit", {"estimator": "mle", "prior": {"w_lo": 0.5, "w_hi": 0.5}}, "'prior.w_lo'"),
+        ("invopt-fit", {"estimator": "mle", "prior": {"w_lo": -1e200, "w_hi": 1e200}}, "'prior.w_lo'"),
         ("compare-estimators", {"estimators": ["abp", "mle"], "prior": {"w_lo": 0, "w_hi": 0}},
          "'prior.w_lo'"),
     ]:

@@ -27,8 +27,6 @@ from setstat.invopt import (
     ObservationDataset,
     PriorRegion,
     SolverLimitError,
-    TruncatedGaussianNoiseDensity,
-    UniformNoiseDensity,
     abp_estimate,
     abp_objective,
     eps_argmin_set,
@@ -46,7 +44,13 @@ from setstat.invopt import (
     via_estimate,
     write_observations_jsonl,
 )
-from setstat.randomsets import RngSeed
+from setstat.randomsets import (
+    RngSeed,
+    TriangularNoise,
+    TruncatedGaussianNoise,
+    UniformBallNoise,
+    UniformBoxNoise,
+)
 
 
 class MiniLinear:
@@ -390,15 +394,15 @@ def test_set_routines_refuse_other_programs():
 
 def test_mle_objective_refuses_a_multivariate_program_before_any_set():
     ds = ObservationDataset(np.zeros((1, 0)), np.array([[0.5, 0.5]]))
-    density = UniformNoiseDensity(-1.0, 1.0)
+    noise = UniformBoxNoise([-1.0], [1.0])
     # eps = 2 would make eps_argmin_set raise its own error first
     for eps in (0.5, 2.0):
         with pytest.raises(ValueError, match="needs 1-D interval solution sets"):
-            mle_objective(BoxQuadraticProgram(x_dim=2), ds, eps, _NO_ARGS, density)
+            mle_objective(BoxQuadraticProgram(x_dim=2), ds, eps, _NO_ARGS, noise)
     prior = PriorRegion(eps_range=(0.0, 2.0), w_set=Box([-1, -1], [1, 1]), d_eps=0.5)
     for prog in (BoxQuadraticProgram(x_dim=2), BoxLinearProgram(x_dim=2)):
         with pytest.raises(ValueError, match="needs 1-D interval solution sets"):
-            mle_estimate(prog, ds, prior, density)
+            mle_estimate(prog, ds, prior, noise)
 
 
 # ------------------------------------------------------- datasets and prior
@@ -800,14 +804,14 @@ def test_mle_objective_log2_oracle():
     p = BoxLinearProgram()
     ds = ObservationDataset(np.array([1.0]), np.array([1.5]))
     # S = [1, 2]; integral of the U(-1,1) density over S is 1/2; |S| = 1
-    val = mle_objective(p, ds, 1.0, [0.0], UniformNoiseDensity(-1.0, 1.0))
+    val = mle_objective(p, ds, 1.0, [0.0], UniformBoxNoise([-1.0], [1.0]))
     assert math.isclose(val, math.log(2.0), abs_tol=1e-12)
 
 
 def test_mle_objective_infinite_when_unreachable():
     p = BoxLinearProgram()
     ds = ObservationDataset(np.array([1.0]), np.array([50.0]))
-    val = mle_objective(p, ds, 1.0, [0.0], UniformNoiseDensity(-1.0, 1.0))
+    val = mle_objective(p, ds, 1.0, [0.0], UniformBoxNoise([-1.0], [1.0]))
     assert val == math.inf
 
 
@@ -816,13 +820,13 @@ def test_mle_grid_matches_pointwise_objective():
     ds = generate_boxlinear_observations(30, RngSeed(6))
     prior = PriorRegion(eps_range=(0.4, 1.6), w_set=interval(-1.0, 1.0),
                         theta_box=Box([-0.5], [0.5]), d_eps=0.3, d_theta=0.25)
-    density = UniformNoiseDensity(-1.0, 1.0)
-    res = mle_estimate(p, ds, prior, density)
+    noise = UniformBoxNoise([-1.0], [1.0])
+    res = mle_estimate(p, ds, prior, noise)
     eps_axis = prior.eps_axis()
     pts = prior.theta_points()
     for i in range(len(eps_axis)):
         for j in range(len(pts)):
-            want = mle_objective(p, ds, float(eps_axis[i]), pts[j], density)
+            want = mle_objective(p, ds, float(eps_axis[i]), pts[j], noise)
             got = res.grid_values[i, j]
             assert (want == math.inf and got == math.inf) or abs(got - want) < 1e-10
 
@@ -837,7 +841,7 @@ def _two_endpoint_interval(b, c, eps):
     return lo, hi
 
 
-def _two_endpoint_grids(prog, ds, prior, lam, density):
+def _two_endpoint_grids(prog, ds, prior, lam, noise):
     """abp and mle grids built cell by cell from _two_endpoint_interval."""
     eps_col = prior.eps_axis()[:, None]
     pts = prior.theta_points()
@@ -849,8 +853,8 @@ def _two_endpoint_grids(prog, ds, prior, lam, density):
         lo, hi = _two_endpoint_interval(prog.bound, th[0] + us, eps_col)
         d = np.maximum.reduce([lo + w_lo - ys, ys - (hi + w_hi), np.zeros_like(lo)])
         abp[:, j] = (d * d).mean(axis=1)
-        if density is not None:
-            ov = density.integrate_shifted(ys[None, :], lo, hi)
+        if noise is not None:
+            ov = noise.integrate_shifted(ys[None, :], lo, hi)
             s_width = hi - lo
             bad = (ov <= 0) | (s_width <= 0)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -887,8 +891,8 @@ def test_boxlinear_grids_bit_identical_to_two_endpoint_oracle(seed, n, w, eps_lo
     lo, hi = _two_endpoint_interval(prog.bound, us, 1.0)
     ys = rng.uniform(lo, hi) + rng.uniform(w[0], w[1], size=n)
     ds = ObservationDataset(us, ys)
-    density = UniformNoiseDensity(*w) if w[0] < w[1] else None
-    want_abp, want_mle = _two_endpoint_grids(prog, ds, prior, 0.01, density)
+    noise = UniformBoxNoise([w[0]], [w[1]]) if w[0] < w[1] else None
+    want_abp, want_mle = _two_endpoint_grids(prog, ds, prior, 0.01, noise)
     got_abp = abp_estimate(prog, ds, prior, lam=0.01).grid_values
     assert np.array_equal(_bits(got_abp), _bits(want_abp))
     # the general 1-D branch gives the fast branches' bits too
@@ -902,11 +906,11 @@ def test_boxlinear_grids_bit_identical_to_two_endpoint_oracle(seed, n, w, eps_lo
     assert np.array_equal(_bits(got_far), _bits(want_far))
     general = invopt._abp_interval_grid(prog, far, prior) + penalty
     assert np.array_equal(_bits(general), _bits(want_far))
-    if density is None:
+    if noise is None:
         return
-    got_mle = mle_estimate(prog, ds, prior, density).grid_values
+    got_mle = mle_estimate(prog, ds, prior, noise).grid_values
     assert np.array_equal(_bits(got_mle), _bits(want_mle))
-    general = invopt._mle_interval_grid(prog, ds, prior, density)
+    general = invopt._mle_interval_grid(prog, ds, prior, noise)
     assert np.array_equal(_bits(general), _bits(want_mle))
     assert np.isfinite(got_mle).any()
     if eps_lo == 0.0:  # eps = 0 makes S a point for c != 0: +inf sentinels
@@ -925,15 +929,15 @@ def test_boxlinear_grids_match_per_point_objectives(seed, n, w):
     lo, hi = _two_endpoint_interval(prog.bound, us, 1.0)
     ds = ObservationDataset(us, rng.uniform(lo, hi) + rng.uniform(w[0], w[1], size=n))
     far = ObservationDataset(us, ds.ys[:, 0] + rng.choice([-3.0, 0.0, 3.0], size=n))
-    density = UniformNoiseDensity(*w)
+    noise = UniformBoxNoise([w[0]], [w[1]])
     abp = abp_estimate(prog, far, prior, lam=0.01).grid_values
-    mle = mle_estimate(prog, ds, prior, density).grid_values
+    mle = mle_estimate(prog, ds, prior, noise).grid_values
     eps_axis = prior.eps_axis()
     for i, j in [(0, 0), (0, 2), (3, 1), (4, 2), (8, 4)]:
         eps = float(eps_axis[i])
         want = abp_objective(prog, far, eps, pts[j], 0.01, prior.w_set)
         assert abs(abp[i, j] - want) <= 1e-12
-        want = mle_objective(prog, ds, eps, pts[j], density)
+        want = mle_objective(prog, ds, eps, pts[j], noise)
         assert mle[i, j] == want == math.inf or abs(mle[i, j] - want) <= 1e-12
 
 
@@ -1024,7 +1028,7 @@ def test_abp_falls_back_to_the_full_column_when_its_check_row_is_eps_dependent(m
     assert len(rows) == 2 and rows[0] <= first and sum(rows) == len(want)
 
 
-def _full_block_mle_grid(prog, ds, prior, density):
+def _full_block_mle_grid(prog, ds, prior, noise):
     """The 1-D box-linear likelihood grid with every row of every theta run
     through the (n_eps, n) buffers: the evaluation the infinite-prefix skip
     replaced."""
@@ -1033,7 +1037,7 @@ def _full_block_mle_grid(prog, ds, prior, density):
     values = np.empty((len(eps_axis), len(theta_points)))
     us, ys = ds.us[:, 0], ds.ys[:, 0]
     eps_col = eps_axis[:, None]
-    b, lo_w, hi_w = prog.bound, density.lower, density.upper
+    b, lo_w, hi_w = prog.bound, float(noise.lower[0]), float(noise.upper[0])
     q_pos, q_neg = ys - hi_w, lo_w - ys
     p_pos, p_neg = np.minimum(b, ys - lo_w), -np.maximum(-b, ys - hi_w)
     ov = np.empty((len(eps_axis), len(ys)))
@@ -1074,10 +1078,10 @@ def test_mle_infinite_prefix_skip_matches_full_block_bit_for_bit(seed, w, eps_lo
     if seed == 3:  # for theta < 0.9 reachable only where eps >= 3.95 |c|
         us[-1], ys[-1] = -0.9, prog.bound + w[1] - 0.05
     ds = ObservationDataset(us, ys)
-    density = UniformNoiseDensity(*w)
-    want = _full_block_mle_grid(prog, ds, prior, density)
+    noise = UniformBoxNoise([w[0]], [w[1]])
+    want = _full_block_mle_grid(prog, ds, prior, noise)
     rows = _count_lower_rows(monkeypatch)
-    got = mle_estimate(prog, ds, prior, density).grid_values
+    got = mle_estimate(prog, ds, prior, noise).grid_values
     assert np.array_equal(_bits(got), _bits(want))
     inf = np.isinf(want)
     # the +inf prefix is not evaluated: each theta costs its finite rows
@@ -1098,9 +1102,9 @@ def test_mle_evaluates_the_row_just_past_a_samples_zero_overlap_bound():
                         theta_box=Box([1.0], [1.0]), d_eps=0.05, d_theta=0.125)
     p = prog.bound - 1.5 * (1 - 1e-7)  # y - L with y = p - 1
     ds = ObservationDataset([1.0], [p - 1.0])
-    density = UniformNoiseDensity(-1.0, 1.0)
-    want = _full_block_mle_grid(prog, ds, prior, density)
-    got = mle_estimate(prog, ds, prior, density).grid_values
+    noise = UniformBoxNoise([-1.0], [1.0])
+    want = _full_block_mle_grid(prog, ds, prior, noise)
+    got = mle_estimate(prog, ds, prior, noise).grid_values
     assert np.array_equal(_bits(got), _bits(want))
     assert np.isinf(want[:60]).all() and np.isfinite(want[60:]).all()
 
@@ -1111,10 +1115,10 @@ def test_mle_all_infinite_grid_still_raises():
                         theta_box=Box([-0.5], [0.5]), d_eps=0.1, d_theta=0.25)
     ds = generate_boxlinear_observations(50, RngSeed(3))
     far = ObservationDataset(ds.us, ds.ys + 10.0)
-    density = UniformNoiseDensity(-1.0, 1.0)
-    assert np.isposinf(_full_block_mle_grid(prog, far, prior, density)).all()
+    noise = UniformBoxNoise([-1.0], [1.0])
+    assert np.isposinf(_full_block_mle_grid(prog, far, prior, noise)).all()
     with pytest.raises(ValueError, match="no grid point produced a finite objective"):
-        mle_estimate(prog, far, prior, density)
+        mle_estimate(prog, far, prior, noise)
 
 
 def test_eps_argmin_set_rejects_nan_eps():
@@ -1128,27 +1132,81 @@ def test_mle_recovers_truth_region_on_demo_data():
     ds = generate_boxlinear_observations(800, RngSeed(7))
     prior = PriorRegion(eps_range=(0.5, 2.0), w_set=interval(-1.0, 1.0),
                         theta_box=Box([-0.5], [0.5]), d_eps=0.05, d_theta=0.05)
-    res = mle_estimate(p, ds, prior, UniformNoiseDensity(-1.0, 1.0))
+    res = mle_estimate(p, ds, prior, UniformBoxNoise([-1.0], [1.0]))
     assert abs(res.eps_hat - 1.0) <= 0.2
     assert abs(res.theta_hat[0]) <= 0.2
 
 
+def _truncated_gaussian(sigma, halfwidth):
+    """N(0, sigma^2) conditioned on [-halfwidth, halfwidth], as the 1-D law."""
+    return TruncatedGaussianNoise([[sigma**2]], halfwidth / sigma)
+
+
+def _truncated_gaussian_pdf(sigma, halfwidth):
+    """The density of w that law's integrate_shifted integrates."""
+    from scipy import stats
+
+    mass = stats.norm.cdf(halfwidth / sigma) - stats.norm.cdf(-halfwidth / sigma)
+    scale = sigma * math.sqrt(2 * math.pi) * mass
+    return lambda w: math.exp(-0.5 * (w / sigma) ** 2) / scale if abs(w) <= halfwidth else 0.0
+
+
+def test_uniform_law_integrates_as_the_closed_form_it_replaced():
+    # max(min(hi, y - L) - max(lo, y - U), 0) / (U - L), bit for bit, with y
+    # a row broadcast against (n_eps, n) endpoints
+    rng = np.random.default_rng(31)
+    for lower, upper in [(-1.0, 1.0), (-1.3, 0.4), (0.25, 0.2500001), (-0.2, 0.9)]:
+        y = rng.uniform(-3.0, 3.0, size=40)
+        lo = rng.uniform(-2.0, 1.0, size=(25, 40))
+        hi = lo + rng.uniform(0.0, 2.0, size=(25, 1))
+        hi[0] = lo[0]  # zero-width cells
+        a = np.maximum(lo, y - upper)
+        b = np.minimum(hi, y - lower)
+        want = np.maximum(b - a, 0.0) / (upper - lower)
+        got = UniformBoxNoise([lower], [upper]).integrate_shifted(y, lo, hi)
+        assert got.shape == (25, 40) and np.array_equal(_bits(got), _bits(want))
+        assert (got == 0).any() and (got > 0).any()
+
+
+def test_likelihood_refuses_a_law_with_no_1d_interval_probability():
+    laws = [UniformBoxNoise([-1.0, -1.0], [1.0, 1.0]), UniformBoxNoise([0.5], [0.5]),
+            TruncatedGaussianNoise(np.eye(2), 2.0), TruncatedGaussianNoise([[0.0]], 2.0),
+            TriangularNoise(1.0), UniformBallNoise(1.0, 1)]
+    refusal = "likelihood needs a 1-D|likelihood takes a UniformBoxNoise or TruncatedGaussianNoise"
+    linear = generate_boxlinear_observations(5, RngSeed(4))
+    quadratic = generate_boxquadratic_observations(5, 1.0, RngSeed(4))
+    prior = PriorRegion(eps_range=(0.5, 1.5), w_set=interval(-1.0, 1.0),
+                        theta_box=Box([-0.5], [0.5]), d_eps=0.5, d_theta=0.5)
+    for noise in laws:
+        with pytest.raises(ValueError, match=refusal):
+            noise.integrate_shifted(0.0, -1.0, 1.0)
+        for prog, ds in ((BoxLinearProgram(), linear), (BoxQuadraticProgram(), quadratic)):
+            with pytest.raises(ValueError, match=refusal):
+                mle_objective(prog, ds, 1.0, prog.theta_dim * [0.0], noise)
+            with pytest.raises(ValueError, match=refusal):
+                mle_estimate(prog, ds, prior, noise)
+
+
 def test_truncated_gaussian_density_normalized():
-    d = TruncatedGaussianNoiseDensity(1.0, 2.0)
+    d = _truncated_gaussian(1.0, 2.0)
     total = d.integrate_shifted(0.0, -5.0, 5.0)  # integral over full support
     assert abs(total - 1.0) < 1e-9
-    assert d.density(3.0) == 0.0
-    assert d.density(0.0) > 0.0
+    assert d.integrate_shifted(0.0, -3.0, -2.5) == 0.0  # w in [2.5, 3]: past the support
+    assert d.integrate_shifted(0.0, -0.1, 0.1) > 0.0
 
 
 def test_truncated_gaussian_density_keeps_scipy_stats_mass():
+    # the half support w in [0, halfwidth] holds (Phi(r) - 1/2) / mass for
+    # r = halfwidth / sigma: the quotient's bits with the scipy.stats mass
     from scipy import stats
+    from scipy.special import ndtr
 
     rng = np.random.default_rng(17)
     for sigma, halfwidth in rng.uniform(0.05, 4.0, size=(25, 2)):
-        d = TruncatedGaussianNoiseDensity(sigma, halfwidth)
-        mass = stats.norm.cdf(halfwidth / sigma) - stats.norm.cdf(-halfwidth / sigma)
-        assert d._mass == mass
+        d = _truncated_gaussian(sigma, halfwidth)
+        r = halfwidth / sigma
+        mass = stats.norm.cdf(r) - stats.norm.cdf(-r)
+        assert d.integrate_shifted(0.0, -2.0 * halfwidth, 0.0) == (ndtr(r) - 0.5) / mass
 
 
 def test_truncated_gaussian_likelihood_matches_quad():
@@ -1172,13 +1230,13 @@ def test_truncated_gaussian_likelihood_matches_quad():
                 y = 0.25 * sigma
                 cases.append((sigma, 8.0 * sigma, y, y - w_hi, y - w_lo))
     for sigma, halfwidth, y, lo, hi in cases:
-        d = TruncatedGaussianNoiseDensity(sigma, halfwidth)
+        d = _truncated_gaussian(sigma, halfwidth)
         a, b = max(y - hi, -halfwidth), min(y - lo, halfwidth)
-        want, _ = integrate.quad(lambda w: float(d.density(w)), a, b, epsabs=0.0,
+        want, _ = integrate.quad(_truncated_gaussian_pdf(sigma, halfwidth), a, b, epsabs=0.0,
                                  epsrel=1e-13, limit=200)
         got = float(d.integrate_shifted(y, lo, hi))
         assert abs(got - want) <= 1e-12 * want, (sigma, halfwidth, y, lo, hi, got, want)
-    d = TruncatedGaussianNoiseDensity(1.3, 2.1)
+    d = _truncated_gaussian(1.3, 2.1)
     # disjoint from either end of the support, touching it at a point, zero width
     y, lo, hi = np.array([[0.0, 5.0, 6.0], [0.0, -6.0, -5.0], [0.0, 2.1, 3.0], [5.0, -1.0, 2.9],
                           [0.4, 0.3, 0.3]]).T
@@ -1197,7 +1255,7 @@ def test_mle_with_truncated_gaussian_noise_runs():
     p = BoxQuadraticProgram()
     ds = generate_boxquadratic_observations(50, 1.0, RngSeed(8))
     prior = PriorRegion(eps_range=(0.2, 1.0), w_set=interval(-2.0, 2.0), d_eps=0.2)
-    res = mle_estimate(p, ds, prior, TruncatedGaussianNoiseDensity(1.0, 2.0))
+    res = mle_estimate(p, ds, prior, _truncated_gaussian(1.0, 2.0))
     assert math.isfinite(res.objective)
 
 
@@ -1412,12 +1470,12 @@ def test_result_to_dict_json_ready():
     assert via["grid"] is None
 
 
-@pytest.mark.parametrize("prog, density", [
-    (BoxQuadraticProgram(), UniformNoiseDensity(-1.0, 1.0)),
-    (BoxQuadraticProgram(), TruncatedGaussianNoiseDensity(0.6, 1.0)),
-    (BoxLinearProgram(), TruncatedGaussianNoiseDensity(0.6, 1.0)),
+@pytest.mark.parametrize("prog, noise", [
+    (BoxQuadraticProgram(), UniformBoxNoise([-1.0], [1.0])),
+    (BoxQuadraticProgram(), _truncated_gaussian(0.6, 1.0)),
+    (BoxLinearProgram(), _truncated_gaussian(0.6, 1.0)),
 ], ids=["quad-uniform", "quad-gaussian", "lin-gaussian"])
-def test_mle_quadratic_grid_matches_per_cell_objective(prog, density):
+def test_mle_quadratic_grid_matches_per_cell_objective(prog, noise):
     # The array pass takes the logs of the same widths and overlaps as
     # mle_objective but sums them in another order: equal within 1e-12
     # relative.  Small eps leaves samples with zero likelihood (|y| > 1 +
@@ -1430,8 +1488,8 @@ def test_mle_quadratic_grid_matches_per_cell_objective(prog, density):
         ds = generate_boxlinear_observations(25, RngSeed(6))
         prior = PriorRegion(eps_range=(0.0, 2.0), w_set=interval(-1.0, 1.0),
                             theta_box=Box([-0.5], [0.5]), d_eps=0.1, d_theta=0.25)
-    got = mle_estimate(prog, ds, prior, density).grid_values
-    want = np.array([[mle_objective(prog, ds, float(e), th, density) for th in prior.theta_points()]
+    got = mle_estimate(prog, ds, prior, noise).grid_values
+    want = np.array([[mle_objective(prog, ds, float(e), th, noise) for th in prior.theta_points()]
                      for e in prior.eps_axis()])
     inf = np.isinf(want)
     assert inf[0].all() and inf.sum() > inf.shape[1] and not inf[-1].all()
@@ -1448,11 +1506,11 @@ def _parent_quadratic_abp(prog, ds, prior):
     return (d * d).mean(axis=1)[:, None]
 
 
-def _parent_quadratic_mle(prog, ds, prior, density):
+def _parent_quadratic_mle(prog, ds, prior, noise):
     """The box-quadratic likelihood grid as a branch of its own computed it."""
     ys = ds.ys[:, 0]
     m = np.minimum(prog.bound, np.sqrt(prior.eps_axis()))[:, None]
-    ov = density.integrate_shifted(ys[None, :], -m, m)
+    ov = noise.integrate_shifted(ys[None, :], -m, m)
     s_width = 2 * m * np.ones_like(ov)
     bad = (ov <= 0) | (s_width <= 0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -1465,14 +1523,14 @@ def test_general_branch_keeps_the_quadratic_bits_within_its_peak_memory():
     # box-quadratic branches it replaced, at no higher a tracemalloc peak
     import tracemalloc
 
-    prog, density = BoxQuadraticProgram(), UniformNoiseDensity(-1.0, 1.0)
+    prog, noise = BoxQuadraticProgram(), UniformBoxNoise([-1.0], [1.0])
     ds = generate_boxquadratic_observations(20_000, 1.0, RngSeed(9))
     prior = PriorRegion(eps_range=(0.01, 1.99), w_set=interval(-1.0, 1.0), d_eps=0.01)
     assert len(prior.eps_axis()) == 199
     for new, old in [(lambda: invopt._abp_interval_grid(prog, ds, prior),
                       lambda: _parent_quadratic_abp(prog, ds, prior)),
-                     (lambda: invopt._mle_interval_grid(prog, ds, prior, density),
-                      lambda: _parent_quadratic_mle(prog, ds, prior, density))]:
+                     (lambda: invopt._mle_interval_grid(prog, ds, prior, noise),
+                      lambda: _parent_quadratic_mle(prog, ds, prior, noise))]:
         peaks, grids = [], []
         for fn in (new, old):
             tracemalloc.start()

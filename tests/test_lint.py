@@ -187,6 +187,62 @@ def test_package_reads_no_environment_variable_but_the_thread_cap():
     assert [r.split(" ")[0] for r in reads["harness.py"]] == ["SETSTAT_THREADS"]
 
 
+_SOLVERS = ("linprog", "lsq_linear", "minimize_scalar")
+
+
+def _raises_solver_limit(fn: ast.FunctionDef) -> bool:
+    """Whether a raise statement in fn names SolverLimitError."""
+    return any(
+        isinstance(node, ast.Raise) and node.exc is not None
+        and any("SolverLimitError" in (getattr(n, "id", None), getattr(n, "attr", None))
+                for n in ast.walk(node.exc))
+        for node in ast.walk(fn)
+    )
+
+
+def _unguarded_solver_calls(tree: ast.Module) -> list[str]:
+    """Calls of an iterative scipy solver, bare or as an attribute, whose
+    innermost enclosing function raises no SolverLimitError (a call outside
+    any function counts too), with their lines."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+        if name not in _SOLVERS:
+            continue
+        fn = node
+        while fn in parents and not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = parents[fn]
+        if not (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and _raises_solver_limit(fn)):
+            found.append(f"{name} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_solver_check_flags_a_call_whose_function_cannot_report_a_failed_solve():
+    source = ("from scipy.optimize import linprog, minimize_scalar\nimport scipy.optimize as opt\n"
+              "def ok():\n    res = linprog(c)\n    if not res.success:\n"
+              "        raise SolverLimitError(res.status)\n"
+              "def ok2():\n    res = opt.lsq_linear(a, b)\n    if res.status < 1:\n"
+              "        raise geometry.SolverLimitError('x')\n"
+              "def bad():\n    res = linprog(c)\n    if not res.success:\n        return None\n"
+              "def outer():\n    def inner():\n        return minimize_scalar(f)\n"
+              "    raise SolverLimitError('x')\n"
+              "top = opt.lsq_linear(a, b)\n")
+    assert _unguarded_solver_calls(ast.parse(source)) == [
+        "linprog (line 12)", "lsq_linear (line 19)", "minimize_scalar (line 17)"
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_package_solver_calls_sit_in_functions_that_raise_solver_limit_error(path):
+    # an iterative solver that stops at its cap or fails numerically must
+    # not read as a result, such as an empty erosion
+    assert _unguarded_solver_calls(ast.parse(path.read_text(), filename=str(path))) == []
+
+
 ROOT = Path(__file__).resolve().parents[1]
 # Files whose calls count as uses of a parameter: the package, the demos and
 # the benchmark, not the tests.
