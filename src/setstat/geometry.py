@@ -85,6 +85,8 @@ _DISTANCE_NODES_PER_BLOCK = 4  # whole nodes per pass: 16,388 2-D points keep th
 _MIN_NORM_MAX_ITER = 10_000
 _ZONOTOPE_NEAREST_MAX_ITER = 20_000
 
+_CHUNK_ROWS = 4096  # rows per join and write of _write_rows
+
 
 class SolverLimitError(RuntimeError):
     """Iterative solver hit its iteration cap before reaching tolerance."""
@@ -1465,14 +1467,39 @@ def set_from_json(s: str) -> ConvexSet:
     return set_from_dict(json.loads(s))
 
 
-def _row_reprs(a: np.ndarray) -> list[str]:
-    """float.__repr__ of each row of a 2-D array, joined with ", ": for
-    finite entries, the text json writes for the row's list."""
-    flat = list(map(float.__repr__, a.ravel().tolist()))
-    k = a.shape[1]
-    if k == 1:
-        return flat
-    return [", ".join(flat[i * k:(i + 1) * k]) for i in range(a.shape[0])]
+def _write_rows(fh, n: int, pieces: list[str], columns: list, last: str | None = None) -> None:
+    """Write n rows, row i being pieces[0] + columns[0][i] + pieces[1] + ...
+    + columns[-1][i] + pieces[-1], as one str.join and one write per
+    _CHUNK_ROWS rows, so no row is formatted alone and no file's whole text
+    is held at once; the last row ends with `last` in place of pieces[-1]
+    when it is given."""
+    width = 2 * len(columns) + 1
+    row = [None] * width
+    row[::2] = pieces
+    for start in range(0, n, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, n)
+        buf = row * (stop - start)
+        for j, texts in enumerate(columns):
+            buf[2 * j + 1::width] = texts[start:stop]
+        if last is not None and stop == n:
+            buf[-1] = last
+        fh.write("".join(buf))
+
+
+def _jsonl_pieces(heads, arrays, tail: str) -> tuple[list[str], list[list[str]]]:
+    """The pieces and columns of _write_rows for JSON lines of float lists:
+    line i is heads[0] + arrays[0][i] as a list + heads[1] + ... + tail.
+    Each float array column is formatted once; tolist gives exact floats, so
+    repr is float.__repr__, which for finite entries is the text json writes."""
+    pieces, columns, text = [], [], ""
+    for head, a in zip(heads, arrays):
+        text += head + "["
+        for j, column in enumerate(a.T.tolist()):
+            pieces.append(", " if j else text)
+            columns.append(list(map(repr, column)))
+        text = "]" if a.shape[1] else text + "]"
+    pieces.append(text + tail)
+    return pieces, columns
 
 
 def _jsonl_records(path, keys: tuple[str, ...]):

@@ -13,6 +13,7 @@ import copy
 import csv
 import json
 import os
+import re
 import time
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -466,8 +467,8 @@ def _json_chunks(obj, indent: str, out: list[str]) -> None:
             out.append((sep if i else "") + encode_basestring_ascii(name) + ": ")
             _json_chunks(value, inner, out)
         out.append("\n" + indent + "}")
-    elif set(map(type, obj)) == {float}:  # grid rows: one join
-        text = sep.join(map(float.__repr__, obj))
+    elif set(map(type, obj)) == {float}:  # grid rows: one join; repr is float.__repr__ here
+        text = sep.join(map(repr, obj))
         if "n" in text:  # no finite repr has an 'n' or an 'i'
             text = text.replace("inf", "Infinity").replace("nan", "NaN")
         out.append("[\n" + inner + text + "\n" + indent + "]")
@@ -508,15 +509,28 @@ def _cell_texts(value) -> tuple[str, str]:
 
 def _column_texts(column) -> tuple:
     """(CSV texts, JSON texts) of one table column, the _cell_texts of each
-    cell: a column of exact floats, or of exact ints, is formatted in one map."""
+    cell: a column of exact floats (or an empty one), or of exact ints, is
+    formatted in one map of repr, for those types float.__repr__ or int.__repr__."""
     kinds = set(map(type, column))
-    if kinds == {float}:
-        texts = list(map(float.__repr__, column))
+    if kinds <= {float}:
+        texts = list(map(repr, column))
         return texts, list(map(_JSON_SPECIAL_FLOATS.get, texts, texts))
     if kinds == {int}:
-        texts = list(map(int.__repr__, column))
+        texts = list(map(repr, column))
         return texts, texts
     return tuple(zip(*map(_cell_texts, column)))
+
+
+_CSV_QUOTED = re.compile('[,"\r\n]')  # a field holding one is quoted by csv.writer
+
+
+def _csv_quotes(header, columns) -> bool:
+    """Whether csv.writer quotes a field of the header or of the column
+    texts: one holding a comma, a quote, a CR or a LF, or the lone field
+    of a one-column row that is empty."""
+    if len(header) == 1 and (header[0] == "" or "" in columns[0]):
+        return True
+    return any(_CSV_QUOTED.search("".join(f)) for f in (header, *columns))
 
 
 class _Emitter:
@@ -533,27 +547,38 @@ class _Emitter:
         self.files: list[str] = []
         self.dir.mkdir(parents=True, exist_ok=True)
 
-    def table(self, stem: str, header, rows):
-        """Write rows as csv.writer would and their JSON twin, a list of
-        {header: cell} objects, as json.dump(indent=2, sort_keys=True) would,
-        formatting each column once."""
-        columns = [_column_texts(column) for column in zip(*rows)]
+    def table(self, stem: str, header, columns):
+        """Write the columns, one sequence per header name, as csv.writer
+        would write their rows, and their JSON twin, a list of {header: cell}
+        objects, as json.dump(indent=2, sort_keys=True) would.  Each column
+        is formatted once, and the rows are joined a chunk at a time; the CSV
+        rows are comma-joined unless csv.writer would quote a field."""
+        texts = [_column_texts(column) for column in columns]
+        n = len(texts[0][0]) if texts else 0
         if "csv" in self.formats:
             path = self.dir / f"{stem}.csv"
+            cells = [csv_texts for csv_texts, _ in texts]
             with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                writer.writerows(zip(*(texts for texts, _ in columns)))
+                if _csv_quotes(header, cells):
+                    writer = csv.writer(fh)
+                    writer.writerow(header)
+                    writer.writerows(zip(*cells))
+                else:
+                    fh.write(",".join(header) + "\r\n")
+                    pieces = [*("," if j else "" for j in range(len(cells))), "\r\n"]
+                    geometry._write_rows(fh, n, pieces, cells)
             self.files.append(str(path))
         if "json" in self.formats:
             path = self.dir / f"{stem}.json"
             keys = sorted({k: i for i, k in enumerate(header)}.items())  # last column wins
-            fields = [f"    {encode_basestring_ascii(k).replace('%', '%%')}: %s" for k, _ in keys]
-            template = "{\n" + ",\n".join(fields) + "\n  }" if fields else "{}"
-            cells = zip(*(columns[i][1] for _, i in keys)) if columns else ()
-            objects = [template % row for row in cells]
+            pieces = [
+                ("," if j else "{") + "\n    " + encode_basestring_ascii(k) + ": "
+                for j, (k, _) in enumerate(keys)
+            ]
+            cells = [texts[i][1] for _, i in keys]
             with open(path, "w") as fh:
-                fh.write("[\n  " + ",\n  ".join(objects) + "\n]\n" if objects else "[]\n")
+                fh.write("[\n  " if n else "[]\n")
+                geometry._write_rows(fh, n, [*pieces, "\n  },\n  "], cells, last="\n  }\n]\n")
             self.files.append(str(path))
 
     def json(self, name: str, obj):
@@ -586,7 +611,7 @@ def _run_sets_demo(config, emit):
         for a in names
         for b in names
     ]
-    emit.table("distances", ["set_a", "set_b", "hausdorff", "integrated"], rows)
+    emit.table("distances", ["set_a", "set_b", "hausdorff", "integrated"], list(zip(*rows)))
     dist = {(a, b): h for a, b, h, _ in rows}
 
     square, box = shapes["square"], shapes["box"]
@@ -619,7 +644,7 @@ def _run_slln(config, emit):
     points, records = randomsets.slln_curve(
         model, params["n_values"], params["replicates"], config.seed
     )
-    emit.table("slln_errors", ["n", "replicate", "error"], records)
+    emit.table("slln_errors", ["n", "replicate", "error"], list(zip(*records)))
     log_n = np.log([p.n for p in points])
     log_e = np.log([p.mean_error for p in points])
     slope = float(np.polyfit(log_n, log_e, 1)[0])
@@ -645,13 +670,13 @@ def _run_clt(config, emit):
     emit.table(
         "clt_vectors",
         ["replicate"] + [f"v{j}" for j in range(d)],
-        [(r, *v) for r, v in enumerate(vectors.tolist())],
+        [range(reps), *vectors.T.tolist()],
     )
     norms = np.linalg.norm(vectors, axis=1)
     emit.table(
         "clt_statistics",
         ["replicate", "scaled_hausdorff", "vector_norm"],
-        list(zip(range(reps), stats.tolist(), norms.tolist())),
+        [range(reps), stats.tolist(), norms.tolist()],
     )
     target = model.noise.covariance
     emp = (vectors.T @ vectors) / reps
@@ -685,7 +710,7 @@ def _run_kernel_fit(config, emit):
     except kernelreg.NoLocalDataError as exc:  # the window is empty at some query
         raise ConfigError(f"parameter 'h': {exc}") from None
     header = ["u", "truth_lo", "truth_hi", "est_lo", "est_hi", "hausdorff"]
-    emit.table("fit", header, zip(*(a.tolist() for a in (u_grid, *columns))))
+    emit.table("fit", header, [a.tolist() for a in (u_grid, *columns)])
     median_err = float(np.median(columns[4]))
     metrics = {"median_hausdorff": median_err, "bandwidth": h}
     checks = {"median_error_within_bound": median_err <= params["max_median_error"]}
@@ -747,12 +772,12 @@ def _baseline_theta(program, params):
     return np.full(program.theta_dim, params.get("baseline_theta", 0.0))
 
 
-def _grid_csv_rows(res):
+def _grid_columns(res):
     # eps major, then theta_mesh's flattened order: the order of grid_values
     n_eps, n_theta = res.grid_values.shape
     theta = np.tile(invopt.theta_mesh(res.theta_axes), (n_eps, 1))
-    return zip(np.repeat(res.eps_axis, n_theta).tolist(), *theta.T.tolist(),
-               res.grid_values.ravel().tolist())
+    return [np.repeat(res.eps_axis, n_theta).tolist(), *theta.T.tolist(),
+            res.grid_values.ravel().tolist()]
 
 
 def _run_invopt_fit(config, emit):
@@ -770,7 +795,7 @@ def _run_invopt_fit(config, emit):
     emit.json(f"result_{res.estimator}.json", invopt.result_to_dict(res))
     if res.grid_values is not None:
         theta_cols = [f"theta{j}" for j in range(len(res.theta_axes or []))]
-        emit.table("grid", ["eps", *theta_cols, "objective"], _grid_csv_rows(res))
+        emit.table("grid", ["eps", *theta_cols, "objective"], _grid_columns(res))
     eps_err = abs(res.eps_hat - params["eps0"])
     metrics = {
         "eps_hat": float(res.eps_hat),
@@ -834,7 +859,7 @@ def _run_compare_estimators(config, emit):
         "compare",
         ["estimator", "n", "replicate", "eps_hat", "theta_hat0", "eps_abs_error",
          "theta_abs_error"],
-        rows,
+        list(zip(*rows)),
     )
     metrics = {"median_eps_error": medians}
     checks = {}

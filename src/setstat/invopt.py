@@ -23,8 +23,9 @@ from .geometry import (
     SolverLimitError,
     VertexPolytope,
     _grid_axis,
+    _jsonl_pieces,
     _jsonl_records,
-    _row_reprs,
+    _write_rows,
     bounds_of,
     dist_point,
     interval,
@@ -256,12 +257,10 @@ class ObservationDataset:
 
 def write_observations_jsonl(dataset: ObservationDataset, path) -> None:
     """One observation per line: {"u": [...], "y": [...]}.  Observations are
-    finite, so each row is written as the float.__repr__ text json gives."""
+    finite, so each column is written as the float.__repr__ text json gives."""
+    pieces, columns = _jsonl_pieces(('{"u": ', ', "y": '), (dataset.us, dataset.ys), "}\n")
     with open(path, "w") as fh:
-        fh.writelines(
-            '{"u": [%s], "y": [%s]}\n' % row
-            for row in zip(_row_reprs(dataset.us), _row_reprs(dataset.ys))
-        )
+        _write_rows(fh, len(dataset), pieces, columns)
 
 
 def read_observations_jsonl(path) -> ObservationDataset:

@@ -18,9 +18,10 @@ from .geometry import (
     ConvexSet,
     _axis_bounds,
     _box_support,
+    _jsonl_pieces,
     _jsonl_records,
-    _row_reprs,
     _signed_axes,
+    _write_rows,
     interval,
     set_from_dict,
     set_to_json,
@@ -276,7 +277,8 @@ def estimate(
     order, first, rows = dataset._sorted_first_coordinate()
     start = np.searchsorted(first, u[0] - 2.0 * h, side="left")
     stop = np.searchsorted(first, u[0] + 2.0 * h, side="right")
-    r = np.linalg.norm(rows[start:stop] - u[None, :], axis=1)
+    gap = rows[start:stop] - u
+    r = np.sqrt(np.add.reduce(gap * gap, axis=1))  # what np.linalg.norm(gap, axis=1) computes
     part = kernel.profile(r / h)
     window = order[start:stop]
     raw = np.zeros(len(dataset))
@@ -286,8 +288,8 @@ def estimate(
         raise NoLocalDataError(f"no samples within bandwidth {h} of {u}")
     kept = np.sort(window[part > 0])  # dataset order
     wk = raw[kept] / total
-    keep = wk > 0  # a tiny value over a large total may round to 0
-    kept, wk = kept[keep], wk[keep]
+    if not wk.all():  # a tiny value over a large total may round to 0
+        kept, wk = kept[wk > 0], wk[wk > 0]
     if dataset.lower is not None:
         return Box(wk @ dataset.lower[kept], wk @ dataset.upper[kept])
     samples = dataset.samples
@@ -417,22 +419,20 @@ def write_dataset_jsonl(dataset: SetRegressionDataset, path) -> None:
     """One sample per line: {"x": [...], "set": set_to_json(s)}.
 
     Inputs admit only finite entries, whose json text is float.__repr__, so
-    rows are formatted directly; an array-backed dataset fills one box line.
-    """
-    with open(path, "w") as fh:
-        if dataset.lower is not None:
-            line = '{"x": [%s], "set": {"type": "box", "lower": [%s], "upper": [%s]}}\n'
-            fh.writelines(
-                line % row
-                for row in zip(
-                    *(_row_reprs(a) for a in (dataset.inputs, dataset.lower, dataset.upper))
-                )
-            )
-            return
-        fh.writelines(
-            '{"x": [%s], "set": %s}\n' % (x, set_to_json(smp.s))
-            for x, smp in zip(_row_reprs(dataset.inputs), dataset.samples)
+    their columns are written as texts; an array-backed dataset writes its
+    box corners the same way."""
+    if dataset.lower is not None:
+        pieces, columns = _jsonl_pieces(
+            ('{"x": ', ', "set": {"type": "box", "lower": ', ', "upper": '),
+            (dataset.inputs, dataset.lower, dataset.upper),
+            "}}\n",
         )
+    else:
+        pieces, columns = _jsonl_pieces(('{"x": ',), (dataset.inputs,), ', "set": ')
+        pieces.append("}\n")
+        columns.append([set_to_json(smp.s) for smp in dataset.samples])
+    with open(path, "w") as fh:
+        _write_rows(fh, len(dataset), pieces, columns)
 
 
 def read_dataset_jsonl(path) -> SetRegressionDataset:

@@ -341,7 +341,7 @@ class TruncatedGaussianNoise(NoiseDistribution, tag="truncated-gaussian", fields
         finite = np.isfinite(s).all()
         if s.shape[0] != s.shape[1] or not finite or not np.allclose(s, s.T, atol=1e-12):
             raise ValueError("sigma must be a finite symmetric matrix")
-        eigvals = np.linalg.eigvalsh(s)
+        eigvals = np.linalg.eigvalsh(s)  # ascending
         if np.any(eigvals < -1e-12):
             raise ValueError("sigma must be positive semidefinite")
         if not 0 < radius < math.inf:
@@ -351,7 +351,12 @@ class TruncatedGaussianNoise(NoiseDistribution, tag="truncated-gaussian", fields
         self.sigma = s
         self.radius = float(radius)
         self.dim = s.shape[0]
-        self._chol = np.linalg.cholesky(s + 1e-15 * np.eye(self.dim))
+        null = 1e-12 * eigvals[-1]  # an eigenvalue at or below it counts as 0
+        if eigvals[0] > null:
+            self._factor = np.linalg.cholesky(s + 1e-15 * np.eye(self.dim))
+        else:  # singular: V sqrt(L) with the null eigenvalues cut keeps draws on the support
+            lam, v = np.linalg.eigh(s)
+            self._factor = v * np.sqrt(np.where(lam > null, lam, 0.0))
         with np.errstate(all="ignore"):  # 0/0 or an underflow to 0 at tiny radii
             self._shrink = chdtr(self.dim + 2, self.radius**2) / chdtr(self.dim, self.radius**2)
             if not 0 < self._shrink < math.inf:
@@ -374,7 +379,7 @@ class TruncatedGaussianNoise(NoiseDistribution, tag="truncated-gaussian", fields
         half = 0.5 * self.dim
         rho = np.sqrt(2.0 * gammaincinv(half, rng.random(n) * gammainc(half, 0.5 * self.radius**2)))
         rho = np.minimum(rho, self.radius)  # a rounding error must not leave the support
-        return ((rho / np.linalg.norm(z, axis=1))[:, None] * z) @ self._chol.T
+        return ((rho / np.linalg.norm(z, axis=1))[:, None] * z) @ self._factor.T
 
     def integrate_shifted(self, y, lo, hi):
         """With s = sqrt(Sigma[0, 0]) and [a, b] = [y - hi, y - lo] / s cut to

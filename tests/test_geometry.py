@@ -472,6 +472,52 @@ def test_minkowski_sum_2d_hulls_about_m_plus_n_points(monkeypatch):
     assert len(hull_rows) == 2 and hull_rows[1] <= 20 + 360 + 8
 
 
+_SUM_VARIANTS = {
+    "vpoly": lambda rng: VertexPolytope(rng.normal(size=(7, 2)) + rng.normal(size=2)),
+    "zonotope": lambda rng: Zonotope(
+        rng.normal(size=2), rng.normal(size=(3, 2)), rng.uniform(0.2, 1.5, size=3)
+    ),
+    "box": lambda rng: Box(*np.sort(rng.normal(scale=2.0, size=(2, 2)), axis=0)),
+    "ball": lambda rng: Ball(rng.normal(size=2), rng.uniform(0.1, 2.0)),
+}
+
+
+def _edge_normals(c) -> np.ndarray:
+    """Unit normals of the edges of a 2-D set's vertex ring; none for a ball
+    of positive radius."""
+    if isinstance(c, Ball) and c.radius > 0:
+        return np.zeros((0, 2))
+    v = vertices_of(c)
+    edges = np.roll(v, -1, axis=0) - v
+    normals = np.column_stack([edges[:, 1], -edges[:, 0]])
+    return normals / np.linalg.norm(normals, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize(
+    ("a_kind", "b_kind"), itertools.combinations_with_replacement(sorted(_SUM_VARIANTS), 2)
+)
+def test_minkowski_sum_support_certificate_at_every_edge_normal(a_kind, b_kind):
+    # h_{A+B}(u) = h_A(u) + h_B(u) in every direction; a positive-radius ball
+    # summed with another variant is sampled as a 360-gon, whose support falls
+    # short of the disc's by at most r (1 - cos(pi / 360))
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        a, b = _SUM_VARIANTS[a_kind](rng), _SUM_VARIANTS[b_kind](rng)
+        sampled = {a_kind, b_kind} != {"ball"} and "ball" in (a_kind, b_kind)
+        radius = sum(c.radius for c in (a, b) if isinstance(c, Ball))
+        for total in (minkowski_sum(a, b), minkowski_sum(b, a)):
+            # the grid gives two balls, which have no edge, directions to check
+            u = np.vstack([*(_edge_normals(c) for c in (a, b, total)), direction_grid(2, 16)])
+            h_a, h_b = a.support_many(u), b.support_many(u)
+            tol = 1e-12 * (1.0 + np.abs(np.concatenate([h_a, h_b])).max(initial=0.0))
+            gap = h_a + h_b - total.support_many(u)
+            if sampled:
+                assert np.all(gap >= -tol), (seed, gap.min())
+                assert np.all(gap <= radius * (1.0 - math.cos(math.pi / 360)) + tol), seed
+            else:
+                assert np.all(np.abs(gap) <= tol), (seed, np.abs(gap).max())
+
+
 def test_sum_then_erode_recovers_left_operand():
     rng = np.random.default_rng(4)
     for _ in range(20):

@@ -71,6 +71,11 @@ def test_write_json_bytes_match_json_dump(tmp_path):
             harness._write_json(tmp_path / "bad.json", bad)
 
 
+def _columns(header, rows) -> list:
+    """The columns of rows, one per header name, for _Emitter.table."""
+    return [list(column) for column in zip(*rows)] if rows else [[] for _ in header]
+
+
 def test_table_bytes_match_csv_writer_and_json_dump(tmp_path):
     inf, nan = float("inf"), float("nan")
     header = ["z_last", "count", "flag", "name", "value", "100%", "np_value"]
@@ -92,7 +97,7 @@ def test_table_bytes_match_csv_writer_and_json_dump(tmp_path):
             kind="sets-demo", params={}, seed=RngSeed(0), out_dir=str(tmp_path / f"t{k}"),
             formats=("csv", "json"),
         )
-        harness._Emitter(config).table("t", header, table_rows)
+        harness._Emitter(config).table("t", header, _columns(header, table_rows))
         with open(tmp_path / "ref.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
@@ -156,7 +161,7 @@ def test_table_columns_match_per_cell_formatting(tmp_path):
             kind="sets-demo", params={}, seed=RngSeed(0), out_dir=str(out),
             formats=("csv", "json"),
         )
-        harness._Emitter(config).table("t", head, iter(table_rows))
+        harness._Emitter(config).table("t", head, _columns(head, table_rows))
         want_csv, want_json = _per_cell_table(head, table_rows)
         assert (out / "t.csv").read_bytes() == want_csv, k
         assert (out / "t.json").read_bytes() == want_json, k

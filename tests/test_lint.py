@@ -243,6 +243,47 @@ def test_package_solver_calls_sit_in_functions_that_raise_solver_limit_error(pat
     assert _unguarded_solver_calls(ast.parse(path.read_text(), filename=str(path))) == []
 
 
+def _eager_scipy_imports(tree: ast.Module) -> list[str]:
+    """Imports of scipy or a scipy submodule that sit outside every function
+    body, so that importing the module loads them, with their lines."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            continue
+        if not any(name == "scipy" or name.startswith("scipy.") for name in names):
+            continue
+        up = parents.get(node)
+        while up is not None and not isinstance(up, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            up = parents.get(up)
+        if up is None:
+            found.append(f"{', '.join(names)} (line {node.lineno})")
+    return found
+
+
+def test_scipy_import_check_flags_an_import_outside_a_function():
+    source = ("import scipy\nfrom scipy.special import ndtr\nimport numpy, scipy.optimize as opt\n"
+              "from .scipy import x\nimport scipyx\ntry:\n    import scipy.spatial\n"
+              "except ImportError:\n    pass\nclass C:\n    from scipy import stats\n"
+              "    def f(self):\n        from scipy.optimize import linprog\n"
+              "def g():\n    import scipy.special\n    def h():\n        import scipy\n")
+    assert _eager_scipy_imports(ast.parse(source)) == [
+        "scipy (line 1)", "scipy.special (line 2)", "numpy, scipy.optimize (line 3)",
+        "scipy.spatial (line 7)", "scipy (line 11)",
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_package_modules_import_scipy_only_inside_functions(path):
+    # import setstat stays about numpy's cost: in a bare process, import
+    # scipy.optimize reads 76 MB of resident memory against 27 MB for numpy
+    assert _eager_scipy_imports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
 ROOT = Path(__file__).resolve().parents[1]
 # Files whose calls count as uses of a parameter: the package, the demos and
 # the benchmark, not the tests.

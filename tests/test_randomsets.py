@@ -180,6 +180,33 @@ def test_truncated_gaussian_noise_draws_a_small_ball_exactly(dim, radius):
     np.testing.assert_allclose(np.cov(x.T), noise.covariance, atol=0.03 * noise.covariance.max())
 
 
+def test_truncated_gaussian_noise_draws_on_the_support_of_a_singular_sigma():
+    # a Cholesky factor of Sigma + 1e-15 I put draws up to about 1e-7 off the
+    # support; the eigen factor with the null directions cut keeps them on it
+    rng = RngSeed(0).generator()
+    assert np.all(TruncatedGaussianNoise([[0.0]], 2.0).sample(rng, 1000) == 0.0)
+    for scale in (1.0, 1e6):
+        line = TruncatedGaussianNoise(scale * np.ones((2, 2)), 2.0)
+        x = line.sample(rng, 20_000)
+        assert np.all(np.abs(x[:, 0] - x[:, 1]) <= 1e-15 * np.abs(x).max())
+        np.testing.assert_allclose(np.cov(x.T), line.covariance, atol=0.02 * scale)
+    v = np.array([[1.0, -2.0, 0.5], [0.0, 1.0, 3.0]])  # a rank-2 3-D Sigma
+    plane = TruncatedGaussianNoise(v.T @ v, 1.5)
+    x = plane.sample(rng, 20_000)
+    normal = np.cross(v[0], v[1])
+    assert np.all(np.abs(x @ normal) <= 1e-14 * np.abs(x).max() * np.abs(normal).sum())
+    np.testing.assert_allclose(np.cov(x.T), plane.covariance, atol=0.03 * plane.covariance.max())
+
+
+def test_truncated_gaussian_noise_keeps_the_cholesky_factor_of_a_positive_definite_sigma():
+    # the null threshold is relative: a tiny Sigma is not singular
+    for sigma in ([[2.0]], [[2.0, 0.5], [0.5, 1.0]], np.eye(5) + 0.3 * np.ones((5, 5)),
+                  1e-13 * np.eye(2)):
+        sigma = np.asarray(sigma)
+        want = np.linalg.cholesky(sigma + 1e-15 * np.eye(len(sigma)))
+        assert np.array_equal(TruncatedGaussianNoise(sigma, 2.0)._factor, want)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 7])
 def test_truncated_gaussian_covariance_has_scipy_stats_bits(dim):
     sigma = np.eye(dim) + 0.3 * np.ones((dim, dim))
