@@ -481,14 +481,19 @@ def _json_chunks(obj, indent: str, out: list[str]) -> None:
         out.append("\n" + indent + "]")
 
 
-def _write_json(path: Path, obj) -> None:
-    """Write obj as json.dump(obj, indent=2, sort_keys=True) plus a newline,
+def _json_text(obj) -> str:
+    """The text json.dump(obj, indent=2, sort_keys=True) writes plus a newline,
     byte for byte, without json's per-value generator overhead."""
     out: list[str] = []
     _json_chunks(obj, "", out)
     out.append("\n")
+    return "".join(out)
+
+
+def _write_json(path: Path, obj) -> None:
+    """Write obj as _json_text(obj)."""
     with open(path, "w") as fh:
-        fh.write("".join(out))
+        fh.write(_json_text(obj))
 
 
 def _cell_texts(value) -> tuple[str, str]:
@@ -584,6 +589,13 @@ class _Emitter:
     def json(self, name: str, obj):
         path = self.dir / name
         _write_json(path, obj)
+        self.files.append(str(path))
+
+    def text(self, name: str, text: str):
+        """Write a file's whole text, rendered beforehand."""
+        path = self.dir / name
+        with open(path, "w") as fh:
+            fh.write(text)
         self.files.append(str(path))
 
     def jsonl(self, name: str, write_fn):
@@ -819,42 +831,39 @@ def _run_compare_estimators(config, emit):
     params = config.params
     program = _invopt_program(params)
     prior = _invopt_prior(params, program)
+    estimators, n_values = params["estimators"], params["n_values"]
+    theta0 = params["theta0"] if program.theta_dim else 0.0
+
+    def fit(task):
+        """The compare rows of one (n, replicate) and, at replicate 0, the
+        text of each estimator's result file: no grid outlives the task."""
+        ni, r = task
+        gen_params = dict(params, n=n_values[ni])
+        seed = config.seed.derive(10_000 * ni + r)
+        dataset = _generate_observations(gen_params, params["program"], seed)
+        rows, texts = [], []
+        for est in estimators:
+            res = _run_estimator(est, program, dataset, prior, gen_params, seed)
+            eps_hat = float(res.eps_hat)
+            theta_first = float(np.atleast_1d(res.theta_hat)[0]) if program.theta_dim else 0.0
+            rows.append((est, n_values[ni], r, eps_hat, theta_first,
+                         abs(eps_hat - params["eps0"]), abs(theta_first - theta0)))
+            if r == 0:
+                texts.append(_json_text(invopt.result_to_dict(res)))
+        return rows, texts
+
+    # one pool pass, largest n (the last: n_values is increasing) first
+    tasks = [(ni, r) for ni in reversed(range(len(n_values))) for r in range(params["replicates"])]
+    fits = dict(zip(tasks, _ordered_map(fit, tasks)))
     rows = []
-    medians: dict[str, dict[str, float]] = {e: {} for e in params["estimators"]}
-    for ni, n in enumerate(params["n_values"]):
-        gen_params = dict(params, n=n)
-
-        def one_replicate(r, _gp=gen_params, _ni=ni):
-            seed = config.seed.derive(10_000 * _ni + r)
-            dataset = _generate_observations(_gp, _gp["program"], seed)
-            return {
-                est: _run_estimator(est, program, dataset, prior, _gp, seed)
-                for est in params["estimators"]
-            }
-
-        results = _ordered_map(one_replicate, range(params["replicates"]))
-        for r, by_est in enumerate(results):
-            for est, res in by_est.items():
-                theta0 = params["theta0"] if program.theta_dim else 0.0
-                theta_first = (
-                    float(np.atleast_1d(res.theta_hat)[0]) if program.theta_dim else 0.0
-                )
-                rows.append(
-                    (
-                        est,
-                        n,
-                        r,
-                        float(res.eps_hat),
-                        theta_first,
-                        abs(float(res.eps_hat) - params["eps0"]),
-                        abs(theta_first - theta0),
-                    )
-                )
-        for est in params["estimators"]:
-            errs = [row[5] for row in rows if row[0] == est and row[1] == n]
-            medians[est][str(n)] = float(np.median(errs))
-        for est, res in results[0].items():
-            emit.json(f"result_{est}_n{n}.json", invopt.result_to_dict(res))
+    medians: dict[str, dict[str, float]] = {e: {} for e in estimators}
+    for ni, n in enumerate(n_values):
+        n_rows = [row for r in range(params["replicates"]) for row in fits[ni, r][0]]
+        rows += n_rows
+        for est in estimators:
+            medians[est][str(n)] = float(np.median([row[5] for row in n_rows if row[0] == est]))
+        for est, text in zip(estimators, fits[ni, 0][1]):
+            emit.text(f"result_{est}_n{n}.json", text)
     emit.table(
         "compare",
         ["estimator", "n", "replicate", "eps_hat", "theta_hat0", "eps_abs_error",
@@ -863,8 +872,8 @@ def _run_compare_estimators(config, emit):
     )
     metrics = {"median_eps_error": medians}
     checks = {}
-    if "abp" in params["estimators"]:
-        series = [medians["abp"][str(n)] for n in params["n_values"]]
+    if "abp" in estimators:
+        series = [medians["abp"][str(n)] for n in n_values]
         checks["abp_error_decreasing"] = all(
             series[i + 1] <= series[i] for i in range(len(series) - 1)
         )

@@ -341,8 +341,8 @@ class TruncatedGaussianNoise(NoiseDistribution, tag="truncated-gaussian", fields
         finite = np.isfinite(s).all()
         if s.shape[0] != s.shape[1] or not finite or not np.allclose(s, s.T, atol=1e-12):
             raise ValueError("sigma must be a finite symmetric matrix")
-        eigvals = np.linalg.eigvalsh(s)  # ascending
-        if np.any(eigvals < -1e-12):
+        eigvals = np.linalg.eigvalsh(s)  # ascending; a null one's rounding scales with the largest
+        if eigvals[0] < -1e-12 * eigvals[-1]:
             raise ValueError("sigma must be positive semidefinite")
         if not 0 < radius < math.inf:
             raise ValueError("truncation radius must be positive and finite")

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -743,12 +744,18 @@ def test_byte_determinism_across_reruns(tmp_path):
 @pytest.mark.parametrize("kind, params, written", [
     ("kernel-fit", {"h": 1e-9}, "dataset.jsonl"),
     ("invopt-fit", {"estimator": "presmooth", "h": 1e-300}, "observations.jsonl"),
+    # raised in a pool task, before the run writes a file
+    ("compare-estimators", {"estimators": ["abp", "presmooth"], "n_values": [20, 60],
+                            "h": 1e-300}, None),
 ])
-def test_run_time_config_error_removes_only_the_runs_own_files(tmp_path, kind, params, written):
+def test_run_time_config_error_removes_only_the_runs_own_files(
+        tmp_path, monkeypatch, kind, params, written):
+    monkeypatch.setenv("SETSTAT_THREADS", "2")
     out = tmp_path / "out"
     out.mkdir()
     (out / "keep.txt").write_text("not this run's")
-    (out / written).write_text("an earlier run's")  # overwritten by this run, then removed
+    if written:
+        (out / written).write_text("an earlier run's")  # overwritten by this run, then removed
     with pytest.raises(ConfigError, match="'h'"):
         run(config_from_dict({"kind": kind, "out": str(out), "params": params}))
     assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
@@ -756,17 +763,45 @@ def test_run_time_config_error_removes_only_the_runs_own_files(tmp_path, kind, p
 
 
 def test_thread_cap_does_not_change_bytes(tmp_path, monkeypatch):
-    # compare-estimators is the kind that maps its replicates on the pool
-    params = {"estimators": ["abp", "kkt", "via"], "n_values": [50], "replicates": 4}
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    monkeypatch.setenv("SETSTAT_THREADS", "1")
-    run(config_from_dict({"kind": "compare-estimators", "out": str(out1), "params": params}))
-    monkeypatch.setenv("SETSTAT_THREADS", "4")
-    run(config_from_dict({"kind": "compare-estimators", "out": str(out2), "params": params}))
-    names = sorted(f.name for f in out1.iterdir() if f.name != "summary.json")  # echoes out
-    assert names == sorted(f.name for f in out2.iterdir() if f.name != "summary.json")
-    for name in names:
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    # compare-estimators maps every (n, replicate) on one pool pass, largest n
+    # first, and renders the replicate-0 result files in the tasks
+    params = {"estimators": ["abp", "mle", "kkt", "via"], "n_values": [20, 60], "replicates": 3}
+    outs = {}
+    for threads in ("1", "2", "4"):
+        monkeypatch.setenv("SETSTAT_THREADS", threads)
+        outs[threads] = out = tmp_path / threads
+        run(config_from_dict({"kind": "compare-estimators", "out": str(out), "params": params}))
+    names = sorted(f.name for f in outs["1"].iterdir() if f.name != "summary.json")  # echoes out
+    assert len(names) == 10  # abp and mle and kkt and via at each n, compare.csv and .json
+    for out in outs.values():
+        assert sorted(f.name for f in out.iterdir() if f.name != "summary.json") == names
+        for name in names:
+            assert (out / name).read_bytes() == (outs["1"] / name).read_bytes()
+
+
+def test_compare_estimators_renders_in_the_pool_and_writes_in_the_caller(tmp_path, monkeypatch):
+    # the pool tasks fit and render the replicate-0 results; only the calling
+    # thread opens a file, after every task has returned
+    caller, opened, rendered = threading.get_ident(), [], []
+    to_dict = invopt.result_to_dict
+
+    def recording_open(*args, **kwargs):
+        opened.append(threading.get_ident())
+        return open(*args, **kwargs)
+
+    def recording_to_dict(res):
+        rendered.append(threading.get_ident())
+        return to_dict(res)
+
+    monkeypatch.setattr(harness, "open", recording_open, raising=False)
+    monkeypatch.setattr(invopt, "result_to_dict", recording_to_dict)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.delenv("SETSTAT_THREADS", raising=False)
+    params = {"estimators": ["abp", "mle", "via"], "n_values": [20, 60], "replicates": 2}
+    report = run(config_from_dict({"kind": "compare-estimators", "out": str(tmp_path),
+                                   "params": params}))
+    assert len(opened) == len(report.files) == 9 and set(opened) == {caller}
+    assert len(rendered) == 6 and caller not in rendered
 
 
 # ---------------------------------------------------------------------- CLI

@@ -284,6 +284,46 @@ def test_package_modules_import_scipy_only_inside_functions(path):
     assert _eager_scipy_imports(ast.parse(path.read_text(), filename=str(path))) == []
 
 
+_POOLS = ("ThreadPoolExecutor", "ProcessPoolExecutor")
+
+
+def _pool_uses(tree: ast.Module) -> list[str]:
+    """Uses of an executor class, bare or as an attribute (imports aside),
+    each with the innermost function around it ("<module>" outside any) and
+    its line."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = []
+    for node in ast.walk(tree):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if not isinstance(node, (ast.Name, ast.Attribute)) or name not in _POOLS:
+            continue
+        up = parents.get(node)
+        while up is not None and not isinstance(up, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            up = parents.get(up)
+        found.append(f"{up.name if up else '<module>'} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_pool_check_flags_every_executor_use_with_its_function():
+    source = ("import concurrent.futures as cf\nfrom concurrent.futures import ThreadPoolExecutor\n"
+              "def _ordered_map(fn, tasks):\n    with ThreadPoolExecutor(2) as pool:\n"
+              "        return list(pool.map(fn, tasks))\n"
+              "def other():\n    return cf.ProcessPoolExecutor()\n"
+              "class C:\n    def m(self):\n        make = ThreadPoolExecutor\n        return make()\n"
+              "POOL = cf.ThreadPoolExecutor(4)\n")
+    assert _pool_uses(ast.parse(source)) == [
+        "<module> (line 12)", "_ordered_map (line 4)", "m (line 10)", "other (line 7)"
+    ]
+
+
+def test_package_builds_its_one_thread_pool_in_ordered_map():
+    # one pool in one place: a second pool would have to show that it pays
+    uses = {path.name: _pool_uses(ast.parse(path.read_text())) for path in SOURCES}
+    uses = {name: found for name, found in uses.items() if found}
+    assert list(uses) == ["harness.py"]
+    assert [u.split(" ")[0] for u in uses["harness.py"]] == ["_ordered_map"]
+
+
 ROOT = Path(__file__).resolve().parents[1]
 # Files whose calls count as uses of a parameter: the package, the demos and
 # the benchmark, not the tests.
