@@ -10,7 +10,6 @@ check failed, 2 usage or config error, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import __version__
@@ -22,6 +21,7 @@ from .harness import (
     parse_config,
     run,
 )
+from .textio import json_text
 
 __all__ = ["main", "build_parser"]
 
@@ -90,7 +90,7 @@ def main(argv=None) -> int:
         "files": report.files,
         "wall_clock_s": round(report.wall_clock_s, 3),
     }
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    sys.stdout.write(json_text(summary))
     if not report.passed:
         failed = sorted(name for name, ok in report.checks.items() if not ok)
         print(f"setstat: checks failed: {', '.join(failed)}", file=sys.stderr)

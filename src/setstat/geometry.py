@@ -14,6 +14,9 @@ value: the body plus an (n, d) shift array.  It is a sequence that
 materializes each translate on access, and weighted_minkowski_average
 takes its mean from the arrays; for Box and Ball bodies that mean is
 byte-identical to the mean of the materialized translates.
+
+Each set has a JSON record (set_to_dict, set_from_dict, set_to_json); the
+files that hold them are written and read by textio.
 """
 
 from __future__ import annotations
@@ -84,8 +87,6 @@ _DISTANCE_NODES_PER_BLOCK = 4  # whole nodes per pass: 16,388 2-D points keep th
 # (the planar zonotope loop hands over to the exact _zonotope_bvls instead).
 _MIN_NORM_MAX_ITER = 10_000
 _ZONOTOPE_NEAREST_MAX_ITER = 20_000
-
-_CHUNK_ROWS = 4096  # rows per join and write of _write_rows
 
 
 class SolverLimitError(RuntimeError):
@@ -1465,57 +1466,6 @@ def set_to_json(c: ConvexSet) -> str:
 def set_from_json(s: str) -> ConvexSet:
     """Set parsed from its JSON encoding."""
     return set_from_dict(json.loads(s))
-
-
-def _write_rows(fh, n: int, pieces: list[str], columns: list, last: str | None = None) -> None:
-    """Write n rows, row i being pieces[0] + columns[0][i] + pieces[1] + ...
-    + columns[-1][i] + pieces[-1], as one str.join and one write per
-    _CHUNK_ROWS rows, so no row is formatted alone and no file's whole text
-    is held at once; the last row ends with `last` in place of pieces[-1]
-    when it is given."""
-    width = 2 * len(columns) + 1
-    row = [None] * width
-    row[::2] = pieces
-    for start in range(0, n, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, n)
-        buf = row * (stop - start)
-        for j, texts in enumerate(columns):
-            buf[2 * j + 1::width] = texts[start:stop]
-        if last is not None and stop == n:
-            buf[-1] = last
-        fh.write("".join(buf))
-
-
-def _jsonl_pieces(heads, arrays, tail: str) -> tuple[list[str], list[list[str]]]:
-    """The pieces and columns of _write_rows for JSON lines of float lists:
-    line i is heads[0] + arrays[0][i] as a list + heads[1] + ... + tail.
-    Each float array column is formatted once; tolist gives exact floats, so
-    repr is float.__repr__, which for finite entries is the text json writes."""
-    pieces, columns, text = [], [], ""
-    for head, a in zip(heads, arrays):
-        text += head + "["
-        for j, column in enumerate(a.T.tolist()):
-            pieces.append(", " if j else text)
-            columns.append(list(map(repr, column)))
-        text = "]" if a.shape[1] else text + "]"
-    pieces.append(text + tail)
-    return pieces, columns
-
-
-def _jsonl_records(path, keys: tuple[str, ...]):
-    """The values of keys on each nonblank line of a JSON-lines file, whose
-    every record holds exactly those keys."""
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            if not isinstance(rec, dict) or set(rec) != set(keys):
-                got = sorted(rec) if isinstance(rec, dict) else line
-                raise ValueError(f"line {line_no}: expected keys {' and '.join(keys)}, got {got}")
-            _refuse_bools(rec, f"line {line_no}: ")
-            yield tuple(rec[k] for k in keys)
 
 
 def _grid_count(lo: float, hi: float, step: float) -> int | float:

@@ -1,29 +1,26 @@
-"""Seeded experiment orchestration, config parsing, and report files.
+"""Seeded experiment orchestration, config parsing, and the run's output files.
 
 Each experiment kind wires the library modules into a deterministic run:
-identical configs produce byte-identical output files.  Floats are written
-with Python's shortest round-trip repr, JSON keys are sorted, and all
-randomness flows through derived RngSeed streams.  Wall-clock time is
-reported on stdout only, never in files.
+identical configs produce byte-identical output files.  All randomness
+flows through derived RngSeed streams.  The harness names the files and
+chooses what goes in them; their text comes from textio.  Wall-clock time
+is reported on stdout only, never in files.
 """
 
 from __future__ import annotations
 
 import copy
-import csv
 import json
 import os
-import re
 import time
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
-from . import geometry, invopt, kernelreg, randomsets
+from . import geometry, invopt, kernelreg, randomsets, textio
 from .geometry import (
     Ball,
     Box,
@@ -419,132 +416,12 @@ def _ordered_map(fn, tasks):
         return list(pool.map(fn, tasks))
 
 
-# --- file writers --------------------------------------------------------------
-
-
-_JSON_SPECIAL_FLOATS = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
-
-
-def _json_scalar(obj) -> str | None:
-    """JSON text of a str, None, bool, int or float; None for anything else."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        text = float.__repr__(obj)
-        return _JSON_SPECIAL_FLOATS.get(text, text)
-    return None
-
-
-def _json_chunks(obj, indent: str, out: list[str]) -> None:
-    """Append the text json.dump(obj, indent=2, sort_keys=True) writes."""
-    text = _json_scalar(obj)
-    if text is not None:
-        out.append(text)
-        return
-    if not isinstance(obj, (list, tuple, dict)):
-        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
-    if not obj:
-        out.append("{}" if isinstance(obj, dict) else "[]")
-        return
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if isinstance(obj, dict):
-        out.append("{\n" + inner)
-        for i, (key, value) in enumerate(sorted(obj.items())):
-            name = key if isinstance(key, str) else _json_scalar(key)
-            if name is None:
-                raise TypeError(
-                    f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
-                )
-            out.append((sep if i else "") + encode_basestring_ascii(name) + ": ")
-            _json_chunks(value, inner, out)
-        out.append("\n" + indent + "}")
-    elif set(map(type, obj)) == {float}:  # grid rows: one join; repr is float.__repr__ here
-        text = sep.join(map(repr, obj))
-        if "n" in text:  # no finite repr has an 'n' or an 'i'
-            text = text.replace("inf", "Infinity").replace("nan", "NaN")
-        out.append("[\n" + inner + text + "\n" + indent + "]")
-    else:
-        out.append("[\n" + inner)
-        for i, value in enumerate(obj):
-            if i:
-                out.append(sep)
-            _json_chunks(value, inner, out)
-        out.append("\n" + indent + "]")
-
-
-def _json_text(obj) -> str:
-    """The text json.dump(obj, indent=2, sort_keys=True) writes plus a newline,
-    byte for byte, without json's per-value generator overhead."""
-    out: list[str] = []
-    _json_chunks(obj, "", out)
-    out.append("\n")
-    return "".join(out)
-
-
-def _write_json(path: Path, obj) -> None:
-    """Write obj as _json_text(obj)."""
-    with open(path, "w") as fh:
-        fh.write(_json_text(obj))
-
-
-def _cell_texts(value) -> tuple[str, str]:
-    """CSV and JSON text of one table cell.  A float is formatted once, by
-    float.__repr__, and JSON spells inf and nan as json.dump does; numpy
-    integers and bools are written as Python ones."""
-    if isinstance(value, (float, np.floating)):
-        text = float.__repr__(float(value))
-        return text, _JSON_SPECIAL_FLOATS.get(text, text)
-    if isinstance(value, np.bool_):
-        value = bool(value)
-    elif isinstance(value, np.integer):
-        value = int(value)
-    out: list[str] = []
-    _json_chunks(value, "    ", out)
-    return str(value), "".join(out)
-
-
-def _column_texts(column) -> tuple:
-    """(CSV texts, JSON texts) of one table column, the _cell_texts of each
-    cell: a column of exact floats (or an empty one), or of exact ints, is
-    formatted in one map of repr, for those types float.__repr__ or int.__repr__."""
-    kinds = set(map(type, column))
-    if kinds <= {float}:
-        texts = list(map(repr, column))
-        return texts, list(map(_JSON_SPECIAL_FLOATS.get, texts, texts))
-    if kinds == {int}:
-        texts = list(map(repr, column))
-        return texts, texts
-    return tuple(zip(*map(_cell_texts, column)))
-
-
-_CSV_QUOTED = re.compile('[,"\r\n]')  # a field holding one is quoted by csv.writer
-
-
-def _csv_quotes(header, columns) -> bool:
-    """Whether csv.writer quotes a field of the header or of the column
-    texts: one holding a comma, a quote, a CR or a LF, or the lone field
-    of a one-column row that is empty."""
-    if len(header) == 1 and (header[0] == "" or "" in columns[0]):
-        return True
-    return any(_CSV_QUOTED.search("".join(f)) for f in (header, *columns))
+# --- output files ---------------------------------------------------------------
 
 
 class _Emitter:
-    """Collects output files.
-
-    Tabular outputs honor the configured format subset (a .csv file, a .json
-    twin holding the rows as objects, or both); structural artifacts such as
-    summaries, estimator results, and datasets are always written.
-    """
+    """The output directory, the table formats (csv, json or both) and the
+    paths written so far, which a run that raises ConfigError removes."""
 
     def __init__(self, config: ExperimentConfig):
         self.dir = Path(config.out_dir)
@@ -552,56 +429,18 @@ class _Emitter:
         self.files: list[str] = []
         self.dir.mkdir(parents=True, exist_ok=True)
 
+    def path(self, name: str) -> Path:
+        """The path of output file name, listed as written."""
+        path = self.dir / name
+        self.files.append(str(path))
+        return path
+
     def table(self, stem: str, header, columns):
-        """Write the columns, one sequence per header name, as csv.writer
-        would write their rows, and their JSON twin, a list of {header: cell}
-        objects, as json.dump(indent=2, sort_keys=True) would.  Each column
-        is formatted once, and the rows are joined a chunk at a time; the CSV
-        rows are comma-joined unless csv.writer would quote a field."""
-        texts = [_column_texts(column) for column in columns]
-        n = len(texts[0][0]) if texts else 0
-        if "csv" in self.formats:
-            path = self.dir / f"{stem}.csv"
-            cells = [csv_texts for csv_texts, _ in texts]
-            with open(path, "w", newline="") as fh:
-                if _csv_quotes(header, cells):
-                    writer = csv.writer(fh)
-                    writer.writerow(header)
-                    writer.writerows(zip(*cells))
-                else:
-                    fh.write(",".join(header) + "\r\n")
-                    pieces = [*("," if j else "" for j in range(len(cells))), "\r\n"]
-                    geometry._write_rows(fh, n, pieces, cells)
-            self.files.append(str(path))
-        if "json" in self.formats:
-            path = self.dir / f"{stem}.json"
-            keys = sorted({k: i for i, k in enumerate(header)}.items())  # last column wins
-            pieces = [
-                ("," if j else "{") + "\n    " + encode_basestring_ascii(k) + ": "
-                for j, (k, _) in enumerate(keys)
-            ]
-            cells = [texts[i][1] for _, i in keys]
-            with open(path, "w") as fh:
-                fh.write("[\n  " if n else "[]\n")
-                geometry._write_rows(fh, n, [*pieces, "\n  },\n  "], cells, last="\n  }\n]\n")
-            self.files.append(str(path))
-
-    def json(self, name: str, obj):
-        path = self.dir / name
-        _write_json(path, obj)
-        self.files.append(str(path))
-
-    def text(self, name: str, text: str):
-        """Write a file's whole text, rendered beforehand."""
-        path = self.dir / name
-        with open(path, "w") as fh:
-            fh.write(text)
-        self.files.append(str(path))
-
-    def jsonl(self, name: str, write_fn):
-        path = self.dir / name
-        write_fn(path)
-        self.files.append(str(path))
+        """Write the columns, one sequence per header name, as textio.write_table."""
+        csv_path, json_path = (
+            self.path(f"{stem}.{fmt}") if fmt in self.formats else None for fmt in ("csv", "json")
+        )
+        textio.write_table(header, columns, csv_path, json_path)
 
 
 # --- experiment implementations ------------------------------------------------
@@ -715,7 +554,7 @@ def _run_kernel_fit(config, emit):
     kernel = kernelreg.KERNELS[params["kernel"]]
     h = params["h"] if params["h"] is not None else kernelreg.default_bandwidth(n, 1)
     dataset = kernelreg.generate_demo_dataset(n, config.seed)
-    emit.jsonl("dataset.jsonl", lambda p: kernelreg.write_dataset_jsonl(dataset, p))
+    kernelreg.write_dataset_jsonl(dataset, emit.path("dataset.jsonl"))
     u_grid = geometry._grid_axis(**params["u_grid"])
     try:
         columns = kernelreg._demo_fit(dataset, kernel, u_grid, h)
@@ -797,24 +636,16 @@ def _run_invopt_fit(config, emit):
     program = _invopt_program(params)
     prior = _invopt_prior(params, program)
     dataset = _generate_observations(params, params["program"], config.seed)
-    emit.jsonl(
-        "observations.jsonl",
-        lambda p: invopt.write_observations_jsonl(dataset, p),
-    )
-    res = _run_estimator(
-        params["estimator"], program, dataset, prior, params, config.seed
-    )
-    emit.json(f"result_{res.estimator}.json", invopt.result_to_dict(res))
+    invopt.write_observations_jsonl(dataset, emit.path("observations.jsonl"))
+    res = _run_estimator(params["estimator"], program, dataset, prior, params, config.seed)
+    result = invopt.result_to_dict(res)
+    textio.write_text(emit.path(f"result_{res.estimator}.json"), textio.json_text(result))
     if res.grid_values is not None:
         theta_cols = [f"theta{j}" for j in range(len(res.theta_axes or []))]
         emit.table("grid", ["eps", *theta_cols, "objective"], _grid_columns(res))
     eps_err = abs(res.eps_hat - params["eps0"])
-    metrics = {
-        "eps_hat": float(res.eps_hat),
-        "theta_hat": [float(v) for v in np.atleast_1d(res.theta_hat)],
-        "objective": float(res.objective),
-        "eps_abs_error": float(eps_err),
-    }
+    metrics = {k: result[k] for k in ("eps_hat", "theta_hat", "objective")}
+    metrics["eps_abs_error"] = float(eps_err)
     checks = {}
     if params["estimator"] in ("abp", "mle", "presmooth"):
         checks["eps_error_within_bound"] = eps_err <= params["max_eps_error"]
@@ -849,7 +680,7 @@ def _run_compare_estimators(config, emit):
             rows.append((est, n_values[ni], r, eps_hat, theta_first,
                          abs(eps_hat - params["eps0"]), abs(theta_first - theta0)))
             if r == 0:
-                texts.append(_json_text(invopt.result_to_dict(res)))
+                texts.append(textio.json_text(invopt.result_to_dict(res)))
         return rows, texts
 
     # one pool pass, largest n (the last: n_values is increasing) first
@@ -863,7 +694,7 @@ def _run_compare_estimators(config, emit):
         for est in estimators:
             medians[est][str(n)] = float(np.median([row[5] for row in n_rows if row[0] == est]))
         for est, text in zip(estimators, fits[ni, 0][1]):
-            emit.text(f"result_{est}_n{n}.json", text)
+            textio.write_text(emit.path(f"result_{est}_n{n}.json"), text)
     emit.table(
         "compare",
         ["estimator", "n", "replicate", "eps_hat", "theta_hat0", "eps_abs_error",
@@ -885,10 +716,10 @@ def _run_gen_data(config, emit):
     meta = {"dataset": params["dataset"], "n": params["n"]}
     if params["dataset"] == "set-regression":
         dataset = kernelreg.generate_demo_dataset(params["n"], config.seed)
-        emit.jsonl("dataset.jsonl", lambda p: kernelreg.write_dataset_jsonl(dataset, p))
+        kernelreg.write_dataset_jsonl(dataset, emit.path("dataset.jsonl"))
     else:
         obs = _generate_observations(params, params["dataset"], config.seed)
-        emit.jsonl("dataset.jsonl", lambda p: invopt.write_observations_jsonl(obs, p))
+        invopt.write_observations_jsonl(obs, emit.path("dataset.jsonl"))
         keys = ("eps0", "theta0") if params["dataset"] == "box-linear" else ("noise_radius",)
         meta.update({k: params[k] for k in keys})
     return meta, {}
@@ -929,7 +760,7 @@ def run(config: ExperimentConfig) -> RunReport:
         "checks": checks,
         "version": __version__,
     }
-    emit.json("summary.json", summary)
+    textio.write_text(emit.path("summary.json"), textio.json_text(summary))
     elapsed = time.perf_counter() - start
     return RunReport(
         config=config_to_dict(config),

@@ -23,9 +23,6 @@ from .geometry import (
     SolverLimitError,
     VertexPolytope,
     _grid_axis,
-    _jsonl_pieces,
-    _jsonl_records,
-    _write_rows,
     bounds_of,
     dist_point,
     interval,
@@ -33,6 +30,7 @@ from .geometry import (
     sq_dist_point,
 )
 from .randomsets import RngSeed, UniformBoxNoise
+from .textio import read_jsonl, write_jsonl
 
 __all__ = [
     "SolverLimitError",
@@ -256,15 +254,12 @@ class ObservationDataset:
 
 
 def write_observations_jsonl(dataset: ObservationDataset, path) -> None:
-    """One observation per line: {"u": [...], "y": [...]}.  Observations are
-    finite, so each column is written as the float.__repr__ text json gives."""
-    pieces, columns = _jsonl_pieces(('{"u": ', ', "y": '), (dataset.us, dataset.ys), "}\n")
-    with open(path, "w") as fh:
-        _write_rows(fh, len(dataset), pieces, columns)
+    """One observation per line: {"u": [...], "y": [...]}."""
+    write_jsonl(path, len(dataset), {"u": dataset.us, "y": dataset.ys})
 
 
 def read_observations_jsonl(path) -> ObservationDataset:
-    rows = list(_jsonl_records(path, ("u", "y")))
+    rows = list(read_jsonl(path, ("u", "y")))
     return ObservationDataset(np.asarray([u for u, _ in rows]), np.asarray([y for _, y in rows]))
 
 

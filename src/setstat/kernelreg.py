@@ -18,16 +18,14 @@ from .geometry import (
     ConvexSet,
     _axis_bounds,
     _box_support,
-    _jsonl_pieces,
-    _jsonl_records,
     _signed_axes,
-    _write_rows,
     interval,
     set_from_dict,
     set_to_json,
     weighted_minkowski_average,
 )
 from .randomsets import RngSeed
+from .textio import read_jsonl, write_jsonl
 
 __all__ = [
     "KernelSpec",
@@ -416,27 +414,17 @@ def _demo_fit(dataset: SetRegressionDataset, kernel: KernelSpec, u_grid: np.ndar
 
 
 def write_dataset_jsonl(dataset: SetRegressionDataset, path) -> None:
-    """One sample per line: {"x": [...], "set": set_to_json(s)}.
-
-    Inputs admit only finite entries, whose json text is float.__repr__, so
-    their columns are written as texts; an array-backed dataset writes its
-    box corners the same way."""
+    """One sample per line: {"x": [...], "set": set_to_json(s)}; an
+    array-backed dataset writes its box corners as arrays."""
     if dataset.lower is not None:
-        pieces, columns = _jsonl_pieces(
-            ('{"x": ', ', "set": {"type": "box", "lower": ', ', "upper": '),
-            (dataset.inputs, dataset.lower, dataset.upper),
-            "}}\n",
-        )
+        set_field = {"type": Box._tag, "lower": dataset.lower, "upper": dataset.upper}
     else:
-        pieces, columns = _jsonl_pieces(('{"x": ',), (dataset.inputs,), ', "set": ')
-        pieces.append("}\n")
-        columns.append([set_to_json(smp.s) for smp in dataset.samples])
-    with open(path, "w") as fh:
-        _write_rows(fh, len(dataset), pieces, columns)
+        set_field = [set_to_json(smp.s) for smp in dataset.samples]
+    write_jsonl(path, len(dataset), {"x": dataset.inputs, "set": set_field})
 
 
 def read_dataset_jsonl(path) -> SetRegressionDataset:
     return SetRegressionDataset([
         LabeledSetSample(np.asarray(x, dtype=float), set_from_dict(s))
-        for x, s in _jsonl_records(path, ("x", "set"))
+        for x, s in read_jsonl(path, ("x", "set"))
     ])

@@ -615,8 +615,9 @@ def _box_intersection(a: Box, b: Box) -> Box | None:
 def _outer_polytope(dirs: np.ndarray, values: np.ndarray) -> ConvexSet:
     """Convex body reconstructed from support values on a direction grid.
 
-    1-D: the interval [-h(-1), h(+1)].  2-D: the polygon {x : dirs x <= values},
-    which reproduces polytopes exactly when the grid is fine enough.
+    1-D: the interval [-h(-1), h(+1)].  2-D: the polygon {x : dirs x <= values}
+    for an angle-ordered ring of dirs, which reproduces polytopes exactly when
+    the grid is fine enough.
     """
     d = dirs.shape[1]
     if d == 1:
@@ -626,7 +627,13 @@ def _outer_polytope(dirs: np.ndarray, values: np.ndarray) -> ConvexSet:
     if d != 2:
         raise ValueError("support reconstruction implemented for 1-D and 2-D only")
     tol = 1e-9 * (1.0 + np.max(np.abs(values)))
-    return geometry.VertexPolytope(geometry._halfplane_vertices(dirs, values, tol))
+    # a line through the crossing of its two neighbours adds no facet: drop the
+    # concurrent lines at a box profile's corners before they are crossed pairwise
+    lines = np.column_stack([dirs, -values])
+    meet = np.cross(np.roll(lines, 1, axis=0), np.roll(lines, -1, axis=0))  # (x w, y w, w)
+    keep = np.abs(np.sum(lines * meet, axis=1)) > tol * np.abs(meet[:, 2])
+    keep |= keep.sum() < 3  # a point keeps its lines
+    return geometry.VertexPolytope(geometry._halfplane_vertices(dirs[keep], values[keep], tol))
 
 
 _EQUALITY_TOL = 0.05

@@ -518,6 +518,146 @@ def test_minkowski_sum_support_certificate_at_every_edge_normal(a_kind, b_kind):
                 assert np.all(np.abs(gap) <= tol), (seed, np.abs(gap).max())
 
 
+_SUM_VARIANTS_3D = {
+    "vpoly": lambda rng: VertexPolytope(rng.normal(size=(9, 3)) + rng.normal(size=3)),
+    "zonotope": lambda rng: Zonotope(
+        rng.normal(size=3), rng.normal(size=(4, 3)), rng.uniform(0.2, 1.5, size=4)
+    ),
+    "box": lambda rng: Box(*np.sort(rng.normal(scale=2.0, size=(2, 3)), axis=0)),
+    "ball": lambda rng: Ball(rng.normal(size=3), rng.uniform(0.1, 2.0)),
+}
+# Pairs whose 3-D sum is exact; the others (a ball or a zonotope with a
+# polytope) are an inner polytope of support points on a direction grid.
+_EXACT_SUMS_3D = [("vpoly", "vpoly"), ("box", "vpoly"), ("box", "box"), ("box", "zonotope"),
+                  ("zonotope", "zonotope"), ("ball", "ball")]
+
+
+def _hull_points_3d(c) -> np.ndarray | None:
+    """Points whose convex hull is the 3-D set c; None for a ball."""
+    if isinstance(c, VertexPolytope):
+        return c.vertices
+    if isinstance(c, Box):
+        return np.array(list(itertools.product(*zip(c.lower, c.upper))))
+    if isinstance(c, Zonotope):
+        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=len(c.weights))))
+        return c.center + signs @ c._effective()
+    return None
+
+
+def _facet_normals_3d(c) -> np.ndarray:
+    """The unit facet normals qhull gives for a 3-D set; none for a ball."""
+    from scipy.spatial import ConvexHull
+
+    points = _hull_points_3d(c)
+    return np.zeros((0, 3)) if points is None else ConvexHull(points).equations[:, :3]
+
+
+@pytest.mark.parametrize(
+    ("a_kind", "b_kind"), itertools.combinations_with_replacement(sorted(_SUM_VARIANTS_3D), 2)
+)
+def test_minkowski_sum_3d_support_certificate(a_kind, b_kind):
+    # exact pairs: h_{A+B}(u) = h_A(u) + h_B(u) at every facet normal of the
+    # sum and on random directions; the approximate (sampled) pairs only give
+    # the inner-polytope inequality h_{A+B} <= h_A + h_B
+    exact = (a_kind, b_kind) in _EXACT_SUMS_3D
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        a, b = _SUM_VARIANTS_3D[a_kind](rng), _SUM_VARIANTS_3D[b_kind](rng)
+        random_dirs = rng.normal(size=(200, 3))
+        random_dirs /= np.linalg.norm(random_dirs, axis=1, keepdims=True)
+        for total in (minkowski_sum(a, b), minkowski_sum(b, a)):
+            u = np.vstack([_facet_normals_3d(total), random_dirs])
+            assert len(u) > 200 or isinstance(total, Ball)
+            h_a, h_b = a.support_many(u), b.support_many(u)
+            tol = 1e-12 * (1.0 + np.abs(np.concatenate([h_a, h_b])).max())
+            gap = h_a + h_b - total.support_many(u)
+            if exact:
+                assert np.all(np.abs(gap) <= tol), (seed, np.abs(gap).max())
+            else:
+                assert np.all(gap >= -tol), (seed, gap.min())
+
+
+@pytest.mark.parametrize("d_kind", ["box", "vpoly", "zonotope"])
+def test_erosion_round_trip_certificate(d_kind):
+    # (P + D) - D = P for a polygon P and a polygon, box or zonogon D: equal
+    # support at every edge normal of P and of the result and on 360 directions
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        p, d = _SUM_VARIANTS["vpoly"](rng), _SUM_VARIANTS[d_kind](rng)
+        back = minkowski_diff(minkowski_sum(p, d), d)
+        u = np.vstack([_edge_normals(p), _edge_normals(back), direction_grid(2, 360)])
+        h_p = p.support_many(u)
+        gap = back.support_many(u) - h_p
+        assert np.abs(gap).max() <= 1e-12 * (1.0 + np.abs(h_p).max()), (seed, np.abs(gap).max())
+
+
+@pytest.mark.parametrize(("c_kind", "d_kind"), itertools.product(sorted(_SUM_VARIANTS), repeat=2))
+def test_erosion_inclusion_certificate(c_kind, d_kind):
+    # (C - D) + D lies in C at every edge normal of C and on 360 directions,
+    # within the erosion's own tolerance; a ball C is eroded through its
+    # circumscribed 360-gon, which stands up to r (1 / cos(pi / 360) - 1) off it
+    nonempty = 0
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        c, d = _SUM_VARIANTS[c_kind](rng), scale(0.3, _SUM_VARIANTS[d_kind](rng))
+        eroded = minkowski_diff(c, d)
+        if eroded is None:
+            continue
+        nonempty += 1
+        u = np.vstack([_edge_normals(c), direction_grid(2, 360)])
+        h_c = c.support_many(u)
+        tol = 1e-9 * (1.0 + np.abs(h_c).max())
+        if isinstance(c, Ball):
+            tol += c.radius * (1.0 / math.cos(math.pi / 360) - 1.0)
+        excess = minkowski_sum(eroded, d).support_many(u) - h_c
+        assert excess.max() <= tol, (seed, excess.max())
+    assert nonempty >= 2
+
+
+_HAUSDORFF_VARIANTS = {
+    "vpoly": lambda rng, dim: VertexPolytope(rng.normal(size=(3 * dim + 1, dim))
+                                             + rng.normal(size=dim)),
+    "box": lambda rng, dim: Box(*np.sort(rng.normal(scale=1.5, size=(2, dim)), axis=0)),
+    "ball": lambda rng, dim: Ball(rng.normal(size=dim), rng.uniform(0.1, 2.0)),
+    "zonotope": lambda rng, dim: Zonotope(
+        rng.normal(size=dim), rng.normal(size=(3, dim)), rng.uniform(0.2, 1.5, size=3)
+    ),
+}
+
+
+def _max_norm(c) -> float:
+    """R_C, the largest norm of a point of c."""
+    if isinstance(c, Ball):
+        return float(np.linalg.norm(c.center)) + c.radius
+    points = _hull_points_3d(c) if c.dim == 3 else vertices_of(c)
+    return float(np.linalg.norm(points, axis=1).max())
+
+
+@pytest.mark.parametrize(
+    ("dim", "c_kind", "d_kind"),
+    [(dim, *pair) for dim in (2, 3)
+     for pair in [("vpoly", "vpoly"), ("box", "vpoly"), ("box", "box"), ("ball", "ball")]]
+    + [(1, *pair) for pair in itertools.combinations_with_replacement(
+        sorted(_HAUSDORFF_VARIANTS), 2)],
+)
+def test_exact_hausdorff_certificate_against_a_direction_grid(dim, c_kind, d_kind):
+    # H(C, D) = sup_u |h_C(u) - h_D(u)|: on an exact path the value is at
+    # least the sup over any direction grid, less rounding; in 2-D the
+    # difference is (R_C + R_D)-Lipschitz, so m equal angles put it within
+    # (R_C + R_D) pi / m above the grid value
+    m = {1: 2, 2: 3600, 3: 20_000}[dim]
+    dirs = direction_grid(dim, m)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        c, d = _HAUSDORFF_VARIANTS[c_kind](rng, dim), _HAUSDORFF_VARIANTS[d_kind](rng, dim)
+        value = hausdorff(c, d)
+        grid = float(np.abs(c.support_many(dirs) - d.support_many(dirs)).max())
+        reach = _max_norm(c) + _max_norm(d)
+        assert value >= grid - 1e-12 * (1.0 + reach), (seed, value, grid)
+        if dim == 2:
+            assert value <= grid + reach * math.pi / m + 1e-12 * (1.0 + reach), (seed, value, grid)
+
+
 def test_sum_then_erode_recovers_left_operand():
     rng = np.random.default_rng(4)
     for _ in range(20):

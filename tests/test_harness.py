@@ -9,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from setstat import cli, harness, invopt, randomsets
+from setstat import cli, harness, invopt, randomsets, textio
 from setstat.harness import (
     EXPERIMENT_KINDS,
     ConfigError,
@@ -60,7 +60,7 @@ def test_write_json_bytes_match_json_dump(tmp_path):
     ]
     for k, obj in enumerate(objects):
         path = tmp_path / f"obj{k}.json"
-        harness._write_json(path, obj)
+        textio.write_text(path, textio.json_text(obj))
         with open(tmp_path / "ref.json", "w") as fh:
             json.dump(obj, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -69,7 +69,7 @@ def test_write_json_bytes_match_json_dump(tmp_path):
         with pytest.raises(TypeError):
             json.dumps(bad, indent=2, sort_keys=True)
         with pytest.raises(TypeError):
-            harness._write_json(tmp_path / "bad.json", bad)
+            textio.json_text(bad)
 
 
 def _columns(header, rows) -> list:
@@ -117,7 +117,7 @@ def test_table_bytes_match_csv_writer_and_json_dump(tmp_path):
 
 def _per_cell_table(header, rows) -> tuple[bytes, bytes]:
     """CSV and JSON bytes of a table whose every cell is formatted by _cell_texts."""
-    cells = [[harness._cell_texts(v) for v in row] for row in rows]
+    cells = [[textio._cell_texts(v) for v in row] for row in rows]
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(header)
@@ -793,7 +793,7 @@ def test_compare_estimators_renders_in_the_pool_and_writes_in_the_caller(tmp_pat
         rendered.append(threading.get_ident())
         return to_dict(res)
 
-    monkeypatch.setattr(harness, "open", recording_open, raising=False)
+    monkeypatch.setattr(textio, "open", recording_open, raising=False)
     monkeypatch.setattr(invopt, "result_to_dict", recording_to_dict)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     monkeypatch.delenv("SETSTAT_THREADS", raising=False)

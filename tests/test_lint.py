@@ -451,3 +451,46 @@ def test_config_field_table_covers_exactly_the_preset_fields():
     # null is a value exactly where the preset holds it
     nulls = {(kind, name) for name, field in harness._FIELDS.items() for kind in field.null}
     assert nulls == {(kind, key) for kind, p in harness.PRESETS.items() for key, v in p.items() if v is None}
+
+
+def _opening_modules(sources: dict[str, str]) -> list[str]:
+    """The modules ("module.py": text) that call open, bare or as an
+    attribute (io.open, os.open, a path's open), each with the lines."""
+    found = []
+    for module, text in sorted(sources.items()):
+        lines = [
+            node.lineno
+            for node in ast.walk(ast.parse(text, filename=module))
+            if isinstance(node, ast.Call)
+            and "open" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        ]
+        if lines:
+            found.append(f"{module} (lines {', '.join(map(str, sorted(lines)))})")
+    return found
+
+
+def test_open_check_flags_every_call_that_opens_a_file():
+    sources = {
+        "a.py": "import io, os\nfrom pathlib import Path\n\ndef f(p):\n    with open(p) as fh:\n"
+                "        return fh.read()\nio.open('x')\nos.open('y', 0)\nPath('z').open()\n",
+        "b.py": "def opener():\n    return 'open'\nreopen = 1\nopen_files = []\n",
+    }
+    assert _opening_modules(sources) == ["a.py (lines 5, 7, 8, 9)"]
+
+
+def _package_sources() -> dict[str, str]:
+    return {path.name: path.read_text() for path in SOURCES}
+
+
+def test_only_harness_and_textio_open_files():
+    # geometry, kernelreg, invopt and randomsets do no file I/O: the text of
+    # every file is textio's, and the harness reads the config
+    found = _opening_modules(_package_sources())
+    assert [entry.split(" ")[0] for entry in found] == ["harness.py", "textio.py"]
+
+
+def test_open_check_flags_a_scratch_open_in_kernelreg():
+    sources = _package_sources()
+    sources["kernelreg.py"] += "\n\ndef _scratch(path):\n    with open(path, 'w') as fh:\n        fh.write('')\n"
+    found = _opening_modules(sources)
+    assert [entry.split(" ")[0] for entry in found] == ["harness.py", "kernelreg.py", "textio.py"]

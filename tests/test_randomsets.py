@@ -850,6 +850,33 @@ def test_union_law_on_intervals_rebuilds_an_interval():
     assert abs(hi[0] - ends[:, 2:].max(axis=1).mean()) <= 1e-12
 
 
+def test_union_law_rebuilds_the_halfplane_intersection_of_its_profile():
+    # many support lines of the sampled hull meet at the corners of its mean
+    # box hull; the rebuilt polygon is {x : u x <= h(u)} itself, the hull of
+    # every crossing of two profile lines that lies inside all of them
+    noise = UniformBoxNoise([-0.25, -0.25], [0.25, 0.25])
+    c = RandomlyTranslatedSet(Box([-1.0, -1.0], [1.0, 1.0]), noise)
+    d = RandomlyTranslatedSet(Box([0.0, -1.0], [3.0, 1.0]), noise)
+    n, seed = 1000, RngSeed(2)
+    report = check_expectation_law("union", {"c": c, "d": d}, n_samples=n, seed=seed)
+    dirs = direction_grid(2, 360)
+    xc, xd = (m.noise.sample(seed.derive(k).generator(), n) for k, m in ((1, c), (2, d)))
+    profile = np.maximum(c.body.support_many(dirs) + xc @ dirs.T,
+                         d.body.support_many(dirs) + xd @ dirs.T).mean(axis=0)
+    i, j = np.triu_indices(len(dirs), 1)
+    i, j = i[(i + 180) % 360 != j], j[(i + 180) % 360 != j]  # antiparallel lines never cross
+    det = dirs[i, 0] * dirs[j, 1] - dirs[i, 1] * dirs[j, 0]
+    crossings = np.column_stack([profile[i] * dirs[j, 1] - profile[j] * dirs[i, 1],
+                                 dirs[i, 0] * profile[j] - dirs[j, 0] * profile[i]]) / det[:, None]
+    inside = crossings[(crossings @ dirs.T <= profile + 1e-9).all(axis=1)]
+    fine = direction_grid(2, 4000)
+    gap = report.rhs.support_many(fine) - (inside @ fine.T).max(axis=0)
+    assert np.abs(gap).max() <= 1e-9, np.abs(gap).max()
+    # a point profile keeps its lines and rebuilds the point
+    point = randomsets._outer_polytope(dirs, dirs @ np.array([0.3, -1.2]))
+    np.testing.assert_allclose(point.vertices, [[0.3, -1.2]] * len(point.vertices), atol=1e-12)
+
+
 def test_scale_law_handles_negative_definite_factors():
     c = _square_model(0.5)
     report = check_expectation_law(

@@ -3,7 +3,7 @@
 _Emitter.table must write the bytes csv.writer and
 json.dump(indent=2, sort_keys=True) write; write_dataset_jsonl and
 write_observations_jsonl must write one json.dumps line per record.  Both
-join their rows a chunk of geometry._CHUNK_ROWS at a time, so row counts
+join their rows a chunk of textio._CHUNK_ROWS at a time, so row counts
 around one chunk are covered too.
 """
 
@@ -13,13 +13,13 @@ import json
 import numpy as np
 import pytest
 
-from setstat import geometry, harness
+from setstat import harness, textio
 from setstat.geometry import Ball, Box, VertexPolytope, Zonotope, set_to_dict
 from setstat.invopt import ObservationDataset, write_observations_jsonl
 from setstat.kernelreg import LabeledSetSample, SetRegressionDataset, write_dataset_jsonl
 from setstat.randomsets import RngSeed
 
-CHUNK = geometry._CHUNK_ROWS
+CHUNK = textio._CHUNK_ROWS
 INF, NAN = float("inf"), float("nan")
 
 
@@ -63,6 +63,8 @@ TABLES = {
     "one_column_empty_cell": (["only"], [["a", "", "b"]]),
     "one_column_empty_header": ([""], [[1, 2]]),
     "two_columns_empty_cells": (["a", "b"], [["", "x"], ["", ""]]),
+    "crlf_and_quotes": (["a", "b"], [["a\r\nb", '""', 'x"y,z'], [1.5, -INF, 2.0]]),
+    "one_column_quoted": (["h,1"], [["", "a,b", '"', "plain"]]),
     "one_column_plain": (["only"], [[1.5, -0.0, INF]]),
     "header_no_rows": (["a", "b", "c"], [[], [], []]),
     "one_column_no_rows": (["only"], [[]]),
